@@ -22,6 +22,7 @@ from .fock import (
     two_photon_basis,
 )
 from .cloners import (
+    CloneBatch,
     CloneReport,
     ClonerParams,
     FiberParams,
@@ -42,6 +43,7 @@ from .cloners import (
     run_hybrid,
     run_mach_zehnder,
     run_model,
+    run_model_batch,
     run_special_bs,
     theoretical_limits,
 )

@@ -44,7 +44,10 @@ EXIT_IO = 3
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config: not valid UTF-8 ({exc})") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

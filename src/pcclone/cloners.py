@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .fock import (
     apply_attenuator,
     apply_rail_phase,
     apply_two_mode_coupler,
+    check_density,
     fidelity,
     postselect_coincidence,
     two_photon_basis,
@@ -323,23 +324,25 @@ def ideal_clone_report(input: Qubit, hemisphere: str = "north") -> CloneReport:
 # closed-form conditional amplitudes
 # ---------------------------------------------------------------------------
 
-def _bs_family_triple(params, input: Qubit, arm_phase_error: float = 0.0):
-    """Unnormalized (a00, a10, a01) for the splitter-type architectures."""
+def _bs_family_triple(params, alpha, beta):
+    """Unnormalized (a00, a10, a01) for the splitter-type architectures.
+
+    ``alpha``/``beta`` are input amplitudes, scalars or arrays of equal shape.
+    """
     if isinstance(params, SpecialBSParams):
         r0, t0, r1, t1 = params.rail_amplitudes()
         loss0, loss1 = params.comp_loss_r0, params.comp_loss_r1
         rel_phase = 0.0
     elif isinstance(params, MachZehnderParams):
-        r0, t0, r1, t1 = params.rail_amplitudes(arm_phase_error)
+        r0, t0, r1, t1 = params.rail_amplitudes()
         loss0 = loss1 = 1.0
         rel_phase = params.relative_phase
     elif isinstance(params, FiberParams):
         r0, t0, r1, t1 = params.rail_amplitudes()
         loss0 = loss1 = 1.0
-        rel_phase = arm_phase_error
+        rel_phase = 0.0
     else:
         raise TypeError(f"not a splitter-type parameter set: {type(params).__name__}")
-    alpha, beta = input.amplitudes()
     phase = np.exp(1j * rel_phase)
     a00 = alpha * (r0 * r0 - t0 * t0) * loss0
     a10 = beta * (r0 * r1) * loss1 * phase
@@ -347,8 +350,7 @@ def _bs_family_triple(params, input: Qubit, arm_phase_error: float = 0.0):
     return a00, a10, a01
 
 
-def _hybrid_triple(params: HybridParams, input: Qubit):
-    alpha, beta = input.amplitudes()
+def _hybrid_triple(params: HybridParams, alpha, beta):
     p = params
     a00 = alpha * 2.0 * p.r * p.t * p.eta0**2 * p.t0 * p.nu0 * p.r0
     a10 = beta * p.r * p.t * p.eta0 * p.eta1 * p.t1 * p.nu1 * p.r0
@@ -356,11 +358,15 @@ def _hybrid_triple(params: HybridParams, input: Qubit):
     return a00, a10, a01
 
 
+def _amplitude_triple(params: ClonerParams, alpha, beta):
+    if isinstance(params, HybridParams):
+        return _hybrid_triple(params, alpha, beta)
+    return _bs_family_triple(params, alpha, beta)
+
+
 def conditional_triple(params: ClonerParams, input: Qubit):
     """Closed-form unnormalized amplitudes on (|00>, |10>, |01>)."""
-    if isinstance(params, HybridParams):
-        return _hybrid_triple(params, input)
-    return _bs_family_triple(params, input)
+    return _amplitude_triple(params, *input.amplitudes())
 
 
 def _report_from_triple(a00, a10, a01, input: Qubit) -> CloneReport:
@@ -369,6 +375,55 @@ def _report_from_triple(a00, a10, a01, input: Qubit) -> CloneReport:
     if p <= 0.0:
         return CloneReport.empty(input)
     return CloneReport.from_joint(TwoQubitState.from_pure(vec), p, input)
+
+
+class CloneBatch(NamedTuple):
+    """F1, F2 and P_succ for a sequence of inputs, one array entry per input.
+
+    Empty rows (P_succ <= 0) carry P_succ 0.0 and NaN fidelities.
+    """
+
+    P_succ: np.ndarray
+    F1: np.ndarray
+    F2: np.ndarray
+
+    def rows(self) -> list[tuple]:
+        """(F1, F2, P_succ) per input as floats; empty rows give F1 = F2 = None."""
+        return [
+            (None, None, 0.0) if p <= 0.0 else (f1, f2, p)
+            for f1, f2, p in zip(self.F1.tolist(), self.F2.tolist(),
+                                 self.P_succ.tolist())
+        ]
+
+
+def run_model_batch(params: ClonerParams, inputs) -> CloneBatch:
+    """Closed-form evaluation of many inputs at once.
+
+    Gives the numbers of ``run_model(params, q)`` for every ``q`` in
+    ``inputs`` (up to rounding), with the joint states and marginals built
+    as stacked arrays and validated once per batch.
+    """
+    half = np.array([q.theta for q in inputs], dtype=float) / 2.0
+    phi = np.array([q.phi for q in inputs], dtype=float)
+    psi = np.stack([np.cos(half).astype(complex), np.sin(half) * np.exp(1j * phi)],
+                   axis=-1)
+    a00, a10, a01 = _amplitude_triple(params, psi[:, 0], psi[:, 1])
+    n = len(psi)
+    vec = np.zeros((n, 4), dtype=complex)
+    vec[:, 0], vec[:, 1], vec[:, 2] = a00, a01, a10
+    p_succ = np.einsum("ni,ni->n", vec.conj(), vec).real
+    keep = p_succ > 0.0
+    v = vec[keep] / np.sqrt(p_succ[keep])[:, None]
+    joint = v[:, :, None] * v.conj()[:, None, :]
+    check_density(joint, "two-qubit state", imag_trace=False)
+    r = joint.reshape(len(v), 2, 2, 2, 2)
+    marginals = np.stack([np.einsum("nijkj->nik", r), np.einsum("nijil->njl", r)])
+    check_density(marginals, "density matrix")
+    psi = psi[keep]
+    fidelities = np.full((2, n), np.nan)
+    fidelities[:, keep] = np.einsum("ni,mnij,nj->mn", psi.conj(), marginals, psi).real
+    return CloneBatch(P_succ=np.where(keep, p_succ, 0.0),
+                      F1=fidelities[0], F2=fidelities[1])
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,11 @@ def optimize_symmetry(
             raise ValueError(
                 f"unknown parameter {name!r} for {type(model).__name__}"
             )
+        start = getattr(model, name)
+        if isinstance(start, bool) or not isinstance(start, (int, float)):
+            raise ValueError(
+                f"free parameter {name!r} needs a real starting value, got {start!r}"
+            )
         lo, hi = (float(interval[0]), float(interval[1]))
         if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
             raise ValueError(f"empty search interval for {name!r}: [{lo}, {hi}]")

@@ -35,6 +35,11 @@ settings):
 
 Numeric output uses 10 significant digits; identical configuration and seed
 produce byte-identical files.
+
+Rows that take the closed form (``overlap_M`` = 1) are evaluated and
+validated per batch: one vectorized call per configuration builds every
+row's joint state and marginals and checks them together.  Rows at
+``overlap_M`` < 1 are evaluated one input at a time on the Fock circuit.
 """
 
 from __future__ import annotations
@@ -61,7 +66,7 @@ from .counting import (
     success_probability_estimate,
 )
 from .fock import Qubit
-from .noise import NoiseConfig, evaluate
+from .noise import NoiseConfig, evaluate_batch
 
 
 class ConfigError(ValueError):
@@ -300,6 +305,10 @@ def parse_experiment(config, field: str = "") -> ExperimentConfig:
     label = config.get("label")
     if label is not None and not isinstance(label, str):
         raise ConfigError(f"{prefix}label: expected a string")
+    if label is not None and any(c in label for c in ",\n\r"):
+        raise ConfigError(
+            f"{prefix}label: must not contain a comma or a line break, got {label!r}"
+        )
     return ExperimentConfig(
         model=parse_model(config["model"], f"{prefix}model"),
         noise=parse_noise(config.get("noise"), f"{prefix}noise"),
@@ -324,14 +333,14 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
     rows = []
     counting = config.counting
     seeds = _row_seeds(counting.seed, len(config.inputs)) if counting else None
-    for index, qubit in enumerate(config.inputs):
-        report = evaluate(config.model, config.noise, qubit)
+    analytic = evaluate_batch(config.model, config.noise, config.inputs).rows()
+    for index, (qubit, (f1, f2, p_succ)) in enumerate(zip(config.inputs, analytic)):
         row: dict[str, Any] = {
             "theta": qubit.theta,
             "phi": qubit.phi,
-            "F1": report.F1,
-            "F2": report.F2,
-            "P_succ": report.P_succ,
+            "F1": f1,
+            "F2": f2,
+            "P_succ": p_succ,
         }
         if counting:
             record = simulate_counts(

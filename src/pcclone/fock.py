@@ -299,6 +299,29 @@ class Qubit:
         return Qubit(math.pi - self.theta, self.phi + math.pi)
 
 
+def check_density(m: np.ndarray, name: str, imag_trace: bool = True) -> None:
+    """Raise ValueError unless every matrix of ``m`` is a density matrix.
+
+    ``m`` is one (d, d) matrix or a stack (..., d, d).  Each must be
+    Hermitian, have trace 1 (real part only when ``imag_trace`` is False)
+    and no eigenvalue below -CHECK_TOL; ``name`` opens the error message.
+    """
+    if m.size == 0:
+        return
+    if np.abs(m - m.conj().swapaxes(-1, -2)).max() > CHECK_TOL:
+        raise ValueError(f"{name} is not Hermitian")
+    trace = m.trace(axis1=-2, axis2=-1)
+    off = np.abs(trace.real - 1.0)
+    if imag_trace:
+        off = np.maximum(off, np.abs(trace.imag))
+    if off.max() > CHECK_TOL:
+        raise ValueError(
+            f"{name} trace must be 1, got {np.ravel(trace)[np.argmax(off)]}"
+        )
+    if np.linalg.eigvalsh(m).min() < -CHECK_TOL:
+        raise ValueError(f"{name} has a negative eigenvalue")
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Validated 2x2 density matrix over the rail basis {|0>, |1>}."""
@@ -309,12 +332,7 @@ class DensityMatrix:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError(f"density matrix must be 2x2, got {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > CHECK_TOL:
-            raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > CHECK_TOL or abs(np.trace(m).imag) > CHECK_TOL:
-            raise ValueError(f"density matrix trace must be 1, got {np.trace(m)}")
-        if np.min(np.linalg.eigvalsh(m)) < -CHECK_TOL:
-            raise ValueError("density matrix has a negative eigenvalue")
+        check_density(m, "density matrix")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -333,12 +351,7 @@ class TwoQubitState:
         m = np.array(rho, dtype=complex)
         if m.shape != (4, 4):
             raise ValueError(f"two-qubit state must be 4x4, got {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > CHECK_TOL:
-            raise ValueError("two-qubit state is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > CHECK_TOL:
-            raise ValueError(f"two-qubit state trace must be 1, got {np.trace(m)}")
-        if np.min(np.linalg.eigvalsh(m)) < -CHECK_TOL:
-            raise ValueError("two-qubit state has a negative eigenvalue")
+        check_density(m, "two-qubit state", imag_trace=False)
         m.flags.writeable = False
         object.__setattr__(self, "rho", m)
 

@@ -21,16 +21,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloners import (
+    CloneBatch,
     CloneReport,
     ClonerParams,
     FiberParams,
     HybridParams,
     MachZehnderParams,
     SpecialBSParams,
-    _bs_family_triple,
     circuit_joint_state,
     conditional_triple,
     run_model,
+    run_model_batch,
 )
 from .fock import (
     Mode,
@@ -63,11 +64,16 @@ class NoiseConfig:
     def __post_init__(self):
         if not 0.0 <= self.overlap_M <= 1.0:
             raise ValueError(f"overlap_M must lie in [0, 1], got {self.overlap_M}")
-        if self.phase_jitter_sigma < 0.0:
+        if not (math.isfinite(self.phase_jitter_sigma)
+                and self.phase_jitter_sigma >= 0.0):
             raise ValueError(
-                f"phase_jitter_sigma must be >= 0, got {self.phase_jitter_sigma}"
+                "phase_jitter_sigma must be finite and >= 0, "
+                f"got {self.phase_jitter_sigma}"
             )
-        if self.jitter_reset_period < 1:
+        period = self.jitter_reset_period
+        if isinstance(period, bool) or not isinstance(period, (int, np.integer)):
+            raise ValueError(f"jitter_reset_period must be an integer, got {period!r}")
+        if period < 1:
             raise ValueError(
                 f"jitter_reset_period must be >= 1, got {self.jitter_reset_period}"
             )
@@ -238,8 +244,29 @@ def average_over_jitter(
     return report_from_sectors(vectors, input)
 
 
+def _closed_form(noise: NoiseConfig | None) -> bool:
+    return noise is None or noise.overlap_M >= 1.0
+
+
 def evaluate(model: ClonerParams, noise: NoiseConfig | None, input: Qubit) -> CloneReport:
     """Single deterministic evaluation honoring the distinguishability setting."""
-    if noise is None or noise.overlap_M >= 1.0:
+    if _closed_form(noise):
         return run_model(model, input)
     return with_distinguishability(model, noise.overlap_M, input)
+
+
+def evaluate_batch(model: ClonerParams, noise: NoiseConfig | None, inputs) -> CloneBatch:
+    """:func:`evaluate` over many inputs.
+
+    Where ``evaluate`` takes the closed form, the whole batch goes through
+    one :func:`run_model_batch` call; otherwise each input is evaluated on
+    its own.
+    """
+    if _closed_form(noise):
+        return run_model_batch(model, inputs)
+    reports = [evaluate(model, noise, q) for q in inputs]
+    return CloneBatch(
+        P_succ=np.array([r.P_succ for r in reports]),
+        F1=np.array([np.nan if r.is_empty else r.F1 for r in reports]),
+        F2=np.array([np.nan if r.is_empty else r.F2 for r in reports]),
+    )

@@ -22,10 +22,11 @@ from pcclone.cloners import (
     run_hybrid,
     run_mach_zehnder,
     run_model,
+    run_model_batch,
     run_special_bs,
     theoretical_limits,
 )
-from pcclone.fock import Port, Qubit, fidelity
+from pcclone.fock import Port, Qubit, check_density, fidelity
 
 F_PC = 0.8535533905932737
 EQ = Qubit.equatorial(0.0)
@@ -356,3 +357,64 @@ def test_conditional_triple_matches_report_probability():
     a00, a10, a01 = conditional_triple(params, EQ)
     p = abs(a00) ** 2 + abs(a10) ** 2 + abs(a01) ** 2
     assert p == pytest.approx(run_special_bs(params, EQ).P_succ, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# batched closed form
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        SpecialBSParams(R0=0.7, R1=0.2, comp_loss_r0=0.9, comp_loss_r1=0.8),
+        MachZehnderParams(theta_V=0.9, theta_H=2.5, phase_offset_r0=0.1,
+                          phase_offset_r1=0.4),
+        HybridParams(eta0=0.6, eta1=0.95, nu0=0.9, nu1=0.7),
+        FiberParams(R_vrc0=0.75, R_vrc1=0.3),
+    ],
+    ids=lambda p: type(p).__name__,
+)
+def test_batch_matches_run_model(params):
+    rng = np.random.default_rng(7)
+    qubits = [Qubit(th, ph) for th, ph in zip(rng.uniform(0.0, math.pi, 64),
+                                              rng.uniform(0.0, 2 * math.pi, 64))]
+    qubits += [Qubit(0.0, 0.0), Qubit(math.pi, 1.0)]
+    batch = run_model_batch(params, qubits)
+    assert batch.F1.shape == batch.F2.shape == batch.P_succ.shape == (len(qubits),)
+    for qubit, (f1, f2, p) in zip(qubits, batch.rows()):
+        report = run_model(params, qubit)
+        assert p == pytest.approx(report.P_succ, abs=1e-12)
+        assert f1 == pytest.approx(report.F1, abs=1e-12)
+        assert f2 == pytest.approx(report.F2, abs=1e-12)
+
+
+def test_batch_zero_success_rows_are_empty():
+    blocked = SpecialBSParams(comp_loss_r0=0.0, comp_loss_r1=0.0)
+    qubits = [Qubit(0.3, 0.1), EQ, Qubit(math.pi, 0.0)]
+    assert all(run_model(blocked, q).is_empty for q in qubits)
+    assert run_model_batch(blocked, qubits).rows() == [(None, None, 0.0)] * 3
+    # a 50:50 splitter cancels only the |0> input: one empty row in the batch
+    rows = run_model_batch(SpecialBSParams(R0=0.5), [Qubit(0.0, 0.0), EQ]).rows()
+    assert rows[0] == (None, None, 0.0)
+    assert rows[1][2] == pytest.approx(run_special_bs(SpecialBSParams(R0=0.5), EQ).P_succ)
+
+
+def test_stacked_validator_rejects_one_bad_matrix():
+    good = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
+    stack = np.stack([good, good, good])
+    check_density(stack, "density matrix")
+
+    non_hermitian = stack.copy()
+    non_hermitian[1, 0, 1] = 0.5 + 0.1j
+    with pytest.raises(ValueError, match="density matrix is not Hermitian"):
+        check_density(non_hermitian, "density matrix")
+
+    negative = stack.copy()
+    negative[2] = [[1.5, 0.0], [0.0, -0.5]]
+    with pytest.raises(ValueError, match="density matrix has a negative eigenvalue"):
+        check_density(negative, "density matrix")
+
+    bad_trace = stack.copy()
+    bad_trace[0] = [[0.7, 0.0], [0.0, 0.7]]
+    with pytest.raises(ValueError, match="trace must be 1"):
+        check_density(bad_trace, "density matrix")

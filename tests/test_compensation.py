@@ -7,6 +7,7 @@ from pcclone.cloners import (
     R_OPTIMAL,
     HybridParams,
     SpecialBSParams,
+    FiberParams,
     run_hybrid,
     run_special_bs,
 )
@@ -172,3 +173,13 @@ def test_optimizer_validates_arguments():
                           "min_fidelity_gap")
     with pytest.raises(ValueError, match="objective"):
         optimize_symmetry(SpecialBSParams.ideal(), {"R0": (0.5, 1.0)}, "fastest")
+
+
+@pytest.mark.parametrize(
+    "model, name",
+    [(SpecialBSParams.ideal(), "R1"), (FiberParams.ideal(), "R_vrc1"),
+     (FiberParams.ideal(), "analysis_phases")],
+)
+def test_optimizer_rejects_parameter_without_real_start(model, name):
+    with pytest.raises(ValueError, match=name):
+        optimize_symmetry(model, {name: (0.1, 0.4)}, "min_fidelity_gap")

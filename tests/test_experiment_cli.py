@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pcclone.cli import main
+from pcclone.cloners import run_model
 from pcclone.experiment import (
     ConfigError,
     compare_experiments,
@@ -329,3 +330,54 @@ def test_cli_optimize_rejects_bad_objective(tmp_path, capsys):
     path = write_config(tmp_path, payload)
     assert main(["optimize", "--config", path]) == 2
     assert "objective" in capsys.readouterr().err
+
+
+def test_cli_non_utf8_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"label": "caf\xff", "model": {"variant": "special_bs"}, '
+                     b'"input": {"theta": 1.0}}')
+    assert main(["run", "--config", str(path)]) == 2
+    assert "config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("label", ["a,b", "a\nb", "a\rb"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cli_compare_rejects_separator_in_label(tmp_path, capsys, label, fmt):
+    payload = {
+        "configs": [
+            {"label": "plain", "model": {"variant": "special_bs"},
+             "input": {"theta": math.pi / 2}},
+            {"label": label, "model": {"variant": "hybrid"},
+             "input": {"theta": math.pi / 2}},
+        ]
+    }
+    path = write_config(tmp_path, payload)
+    assert main(["compare", "--config", path, "--format", fmt]) == 2
+    assert "configs[1].label" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("variant, name", [("special_bs", "R1"), ("fiber", "R_vrc1")])
+def test_cli_optimize_rejects_parameter_at_none(tmp_path, capsys, variant, name):
+    payload = {
+        "model": {"variant": variant},
+        "free_parameters": {name: [0.1, 0.4]},
+        "objective": "min_fidelity_gap",
+    }
+    path = write_config(tmp_path, payload)
+    assert main(["optimize", "--config", path]) == 2
+    assert name in capsys.readouterr().err
+
+
+def test_sweep_rows_match_per_row_evaluation():
+    config = parse_experiment({
+        "model": {"variant": "mach_zehnder", "theta_V": 0.8, "theta_H": 2.3},
+        "sweep": {"theta": {"start": 0.0, "stop": math.pi, "count": 5},
+                  "phi": [0.0, 1.0, 4.0]},
+    })
+    rows = run_experiment(config)
+    assert len(rows) == 15
+    for row, qubit in zip(rows, config.inputs):
+        report = run_model(config.model, qubit)
+        assert row["P_succ"] == pytest.approx(report.P_succ, abs=1e-12)
+        assert row["F1"] == pytest.approx(report.F1, abs=1e-12)
+        assert row["F2"] == pytest.approx(report.F2, abs=1e-12)

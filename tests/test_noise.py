@@ -60,6 +60,18 @@ def test_noise_config_validation():
         NoiseConfig(jitter_reset_period=0)
 
 
+@pytest.mark.parametrize("sigma", [math.nan, math.inf])
+def test_noise_config_rejects_non_finite_sigma(sigma):
+    with pytest.raises(ValueError, match="phase_jitter_sigma"):
+        NoiseConfig(phase_jitter_sigma=sigma)
+
+
+@pytest.mark.parametrize("period", [2.5, 3.0, True])
+def test_noise_config_rejects_non_integer_period(period):
+    with pytest.raises(ValueError, match="jitter_reset_period"):
+        NoiseConfig(jitter_reset_period=period)
+
+
 # ---------------------------------------------------------------------------
 # distinguishability
 # ---------------------------------------------------------------------------
