@@ -31,6 +31,8 @@ CASES = {
     "compare_variants": ("compare", ["--seed", "9"]),
     "optimize_hybrid_gap": ("optimize", []),
     "optimize_mach_zehnder_avg": ("optimize", []),
+    "optimize_fiber_gap": ("optimize", []),
+    "optimize_fiber_avg": ("optimize", []),
 }
 
 
