@@ -12,7 +12,7 @@ from pcclone import (
     Qubit,
     SpecialBSParams,
     optimize_symmetry,
-    run_special_bs,
+    run_model,
     solve_hybrid_compensation,
     solve_ideal_reflectance,
 )
@@ -39,7 +39,7 @@ print("unbalanced splitter whose rail-r0 ratio drifted to 80:20 while")
 print("rail r1 stayed at the design value; the clones disagree until a")
 print("lossy plate on one output rail restores symmetry.")
 broken = SpecialBSParams(R0=0.80, R1=1.0 - r_opt)
-before = run_special_bs(broken, Qubit.equatorial(0.0))
+before = run_model(broken, Qubit.equatorial(0.0))
 print(f"  before: F1 = {before.F1:.6f}, F2 = {before.F2:.6f},"
       f" P_succ = {before.P_succ:.6f}")
 result = optimize_symmetry(broken, {"comp_loss_r1": (0.5, 1.0)},

@@ -15,10 +15,8 @@ from .fock import (
     apply_attenuator,
     apply_rail_phase,
     apply_two_mode_coupler,
-    enumerate_basis,
     fidelity,
     postselect_coincidence,
-    reduced_qubit,
     two_photon_basis,
 )
 from .cloners import (
@@ -35,16 +33,11 @@ from .cloners import (
     R_OPTIMAL,
     analyzer_projection,
     circuit_joint_state,
-    conditional_triple,
     ideal_clone_report,
     ideal_pc_map,
     mz_splitting,
-    run_fiber,
-    run_hybrid,
-    run_mach_zehnder,
     run_model,
     run_model_batch,
-    run_special_bs,
     theoretical_limits,
 )
 from .noise import (

@@ -24,11 +24,11 @@ from dataclasses import replace
 from .compensation import OBJECTIVES, optimize_symmetry
 from .experiment import (
     ConfigError,
-    CountingOptions,
     compare_experiments,
     parse_experiment,
     parse_inputs,
     parse_model,
+    parse_output,
     render_rows,
     run_experiment,
     _reject_unknown,
@@ -62,51 +62,50 @@ def _write_output(path: str, text: str):
         handle.write(text)
 
 
-def _apply_overrides(config, args):
-    if args.seed is not None:
-        if config.counting is None:
-            raise ConfigError(
-                "counting: --seed given but the configuration has no counting block"
-            )
-        config = replace(
-            config,
-            counting=CountingOptions(
-                n_pairs=config.counting.n_pairs,
-                seed=args.seed,
-                detectors=config.counting.detectors,
-            ),
+def _reseed(config, seed):
+    """``config`` with its counting seed replaced by --seed, when both exist."""
+    if seed is None or config.counting is None:
+        return config
+    return replace(config, counting=replace(config.counting, seed=seed))
+
+
+def _load_experiment(args):
+    config = parse_experiment(_load_json(args.config))
+    if args.seed is not None and config.counting is None:
+        raise ConfigError(
+            "counting: --seed given but the configuration has no counting block"
         )
-    output = config.output
+    return _reseed(config, args.seed)
+
+
+def _emit(rows, args, output):
+    """Write ``rows`` as the output block says, after --out and --format."""
     if args.out is not None:
         output = replace(output, path=args.out)
     if args.format is not None:
         output = replace(output, format=args.format)
-    return replace(config, output=output)
-
-
-def _emit(rows, output):
     _write_output(output.path, render_rows(rows, output.format))
 
 
 def cmd_run(args) -> int:
-    config = _apply_overrides(parse_experiment(_load_json(args.config)), args)
-    _emit(run_experiment(config), config.output)
+    config = _load_experiment(args)
+    _emit(run_experiment(config), args, config.output)
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    config = _apply_overrides(parse_experiment(_load_json(args.config)), args)
+    config = _load_experiment(args)
     if not config.is_sweep:
         raise ConfigError("sweep: this configuration has no sweep block")
-    _emit(run_experiment(config), config.output)
+    _emit(run_experiment(config), args, config.output)
     return EXIT_OK
 
 
 def cmd_montecarlo(args) -> int:
-    config = _apply_overrides(parse_experiment(_load_json(args.config)), args)
+    config = _load_experiment(args)
     if config.counting is None:
         raise ConfigError("counting: required for the montecarlo subcommand")
-    _emit(run_experiment(config), config.output)
+    _emit(run_experiment(config), args, config.output)
     return EXIT_OK
 
 
@@ -116,28 +115,11 @@ def cmd_compare(args) -> int:
     if "configs" not in raw or not isinstance(raw["configs"], list):
         raise ConfigError("configs: expected a list of configurations")
     configs = [
-        parse_experiment(entry, f"configs[{i}]")
+        _reseed(parse_experiment(entry, f"configs[{i}]"), args.seed)
         for i, entry in enumerate(raw["configs"])
     ]
-    if args.seed is not None:
-        configs = [
-            replace(
-                c,
-                counting=CountingOptions(c.counting.n_pairs, args.seed,
-                                         c.counting.detectors),
-            )
-            if c.counting
-            else c
-            for c in configs
-        ]
-    from .experiment import parse_output
-
     output = parse_output(raw.get("output"))
-    if args.out is not None:
-        output = replace(output, path=args.out)
-    if args.format is not None:
-        output = replace(output, format=args.format)
-    _emit(compare_experiments(configs), output)
+    _emit(compare_experiments(configs), args, output)
     return EXIT_OK
 
 
@@ -177,13 +159,6 @@ def cmd_optimize(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"optimize: {exc}") from exc
 
-    from .experiment import parse_output
-
-    output = parse_output(raw.get("output"))
-    if args.out is not None:
-        output = replace(output, path=args.out)
-    if args.format is not None:
-        output = replace(output, format=args.format)
     row = {
         "objective": objective,
         "objective_value": result.objective_value,
@@ -193,7 +168,7 @@ def cmd_optimize(args) -> int:
     }
     for name in free:
         row[name] = getattr(result.params, name)
-    _emit([row], output)
+    _emit([row], args, parse_output(raw.get("output")))
     return EXIT_OK
 
 

@@ -1,13 +1,16 @@
 """The four cloner architectures as parameterized conditional maps.
 
 Each architecture interferes a signal photon with a rail-r0 ancilla photon
-and keeps runs with one photon per output port.  Every model is evaluated
-two ways:
+and keeps runs with one photon per output port.  Each parameter class
+describes its device once, in two independent forms:
 
-* ``via="closed_form"`` -- the conditional output amplitudes written down
-  directly (the default, exact and fast), and
-* ``via="circuit"``     -- the same device built from two-mode couplers and
-  attenuators in the Fock module and post-selected.
+* ``sector_amplitudes`` -- the conditional output amplitudes written down
+  directly, per temporal detection sector.  :func:`conditional_sector_vectors`
+  turns them into the closed-form kernel behind ``via="closed_form"`` (the
+  default, exact and fast), the batched evaluation, partial
+  distinguishability and phase jitter.
+* ``apply_circuit`` -- the same device built from two-mode couplers and
+  attenuators in the Fock module and post-selected (``via="circuit"``).
 
 Both routes must agree to high precision; the tests enforce it.
 
@@ -20,12 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 import numpy as np
 
 from .fock import (
-    CHECK_TOL,
     BUILD_TOL,
     DensityMatrix,
     Mode,
@@ -80,8 +82,91 @@ def _check_lossless(name_r, r, name_t, t):
         )
 
 
+def _standard_basis(analysis: Qubit):
+    """(plus, minus) click vectors of an analyzer set to ``analysis``."""
+    return analysis.amplitudes(), analysis.orthogonal().amplitudes()
+
+
+def _rail_couplings(R0: float, R1: float | None, sign: int):
+    """Signed (r0, t0, r1, t1) for intensity reflectances R0 and R1.
+
+    ``R1`` defaults to the complementary ratio 1 - R0; ``sign`` is carried by
+    the rail-r1 transmittance.
+    """
+    R1 = (1.0 - R0) if R1 is None else R1
+    return math.sqrt(R0), math.sqrt(1.0 - R0), math.sqrt(R1), sign * math.sqrt(1.0 - R1)
+
+
+class ClonerParams:
+    """Parameters of one cloner architecture and its description of itself.
+
+    A subclass gives ``sector_amplitudes(alpha, beta, m, m_orth, delta)``,
+    the unnormalized (a00, a10, a01) of each temporal detection sector for
+    input amplitudes (alpha, beta), ancilla overlap m = M with
+    m_orth = sqrt(1 - M^2) and interferometer phase error ``delta``, and
+    ``apply_circuit(state, delta)``, the same device as Fock-space elements.
+    ``responds_to_jitter`` says whether ``delta`` reaches the device at all.
+    """
+
+    responds_to_jitter = False
+
+    def analyzer_bases(self, input: Qubit):
+        """Click vectors of both clones' analyzers when no analysis state is set.
+
+        By default each clone is analyzed in the basis of the input state.
+        """
+        basis = _standard_basis(input)
+        return basis, basis
+
+
+class _Splitter(ClonerParams):
+    """A signal and an ancilla photon meeting on one splitter per rail.
+
+    Subclasses give ``couplings(delta)``: the signed rail couplings
+    (r0, t0, r1, t1), the amplitude transmittances (loss0, loss1) of the
+    compensation plates on the r0 and r1 rails of output port 1 and the
+    phases (phase0, phase1) each photon picks up on rail r0 and r1, at
+    interferometer phase error ``delta`` (a scalar or an array of trials).
+    """
+
+    def sector_amplitudes(self, alpha, beta, m, m_orth, delta):
+        r0, t0, r1, t1, loss0, loss1, phase0, phase1 = self.couplings(delta)
+        phase = np.exp(1j * (phase1 - phase0))
+        a00 = alpha * (r0 * r0 - t0 * t0) * loss0
+        a10 = beta * (r0 * r1) * loss1 * phase
+        a01 = -beta * (t0 * t1) * loss0 * phase
+        sectors = [(m * a00, m * a10, m * a01)]
+        if m_orth > 0.0:
+            # an orthogonal-bin ancilla does not interfere with the signal, so
+            # the r0^2 and t0^2 paths to |00> land in different sectors
+            sectors.append((m_orth * alpha * r0**2 * loss0, m_orth * a10, 0.0))
+            sectors.append((-m_orth * alpha * t0**2 * loss0, 0.0, m_orth * a01))
+        return sectors
+
+    def apply_circuit(self, state: StateVector, delta: float) -> StateVector:
+        r0, t0, r1, t1, loss0, loss1, phase0, phase1 = self.couplings(delta)
+        bins = _temporal_bins(state.basis)
+        for tau in bins:
+            state = apply_two_mode_coupler(
+                state, Mode(Port.OUT1, Rail.R0, tau), Mode(Port.OUT2, Rail.R0, tau), r0, t0
+            )
+            state = apply_two_mode_coupler(
+                state, Mode(Port.OUT1, Rail.R1, tau), Mode(Port.OUT2, Rail.R1, tau), r1, t1
+            )
+        for tau in bins:
+            if loss0 != 1.0:
+                state = apply_attenuator(state, Mode(Port.OUT1, Rail.R0, tau), loss0)
+            if loss1 != 1.0:
+                state = apply_attenuator(state, Mode(Port.OUT1, Rail.R1, tau), loss1)
+        if phase0 != 0.0:
+            state = apply_rail_phase(state, Rail.R0, phase0)
+        if phase1 != 0.0:
+            state = apply_rail_phase(state, Rail.R1, phase1)
+        return state
+
+
 @dataclass(frozen=True)
-class SpecialBSParams:
+class SpecialBSParams(_Splitter):
     """Unbalanced beam splitter with rail-dependent splitting ratio.
 
     ``R0`` is the intensity reflectance seen by rail r0; rail r1 sees ``R1``
@@ -113,17 +198,14 @@ class SpecialBSParams:
     def ideal(cls) -> "SpecialBSParams":
         return cls(R0=R_OPTIMAL)
 
-    def rail_amplitudes(self):
-        r1_intensity = (1.0 - self.R0) if self.R1 is None else self.R1
-        r0 = math.sqrt(self.R0)
-        t0 = math.sqrt(1.0 - self.R0)
-        r1 = math.sqrt(r1_intensity)
-        t1 = self.sign_convention * math.sqrt(1.0 - r1_intensity)
-        return r0, t0, r1, t1
+    def couplings(self, delta=0.0):
+        """No stabilized interference path: ``delta`` does not enter."""
+        return (*_rail_couplings(self.R0, self.R1, self.sign_convention),
+                self.comp_loss_r0, self.comp_loss_r1, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
-class MachZehnderParams:
+class MachZehnderParams(_Splitter):
     """Interferometer emulating the unbalanced splitter.
 
     ``theta_V``/``theta_H`` are the arm phase differences for the rail-r0 and
@@ -133,6 +215,8 @@ class MachZehnderParams:
     model residual uncompensated rail-dependent phase shifts applied before
     post-selection.
     """
+
+    responds_to_jitter = True
 
     theta_V: float
     theta_H: float
@@ -149,14 +233,12 @@ class MachZehnderParams:
         theta_v = math.asin(math.sqrt(R_OPTIMAL))
         return cls(theta_V=theta_v, theta_H=theta_v + math.pi / 2.0)
 
-    def rail_amplitudes(self, arm_phase_error: float = 0.0):
-        tv = self.theta_V + arm_phase_error
-        th = self.theta_H + arm_phase_error
-        return math.sin(tv), math.cos(tv), math.sin(th), math.cos(th)
-
-    @property
-    def relative_phase(self) -> float:
-        return self.phase_offset_r1 - self.phase_offset_r0
+    def couplings(self, delta=0.0):
+        """A phase error ``delta`` shifts both arm phase differences."""
+        tv = self.theta_V + delta
+        th = self.theta_H + delta
+        return (np.sin(tv), np.cos(tv), np.sin(th), np.cos(th), 1.0, 1.0,
+                self.phase_offset_r0, self.phase_offset_r1)
 
 
 def mz_splitting(theta_V: float, theta_H: float):
@@ -165,13 +247,14 @@ def mz_splitting(theta_V: float, theta_H: float):
 
 
 @dataclass(frozen=True)
-class HybridParams:
+class HybridParams(ClonerParams):
     """Photon bunching on a balanced splitter followed by state filtering.
 
     ``r``/``t`` belong to the bunching splitter BS1, ``r0, t0, r1, t1`` to the
     separating splitter BS2 (rail-dependent), ``eta0``/``eta1`` to the filter
     plate ahead of BS2 and ``nu0``/``nu1`` to the compensation plate on output
-    port 1.  All glass-plate values are amplitude transmittances.
+    port 1.  All glass-plate values are amplitude transmittances.  The device
+    has no stabilized interference path, so phase jitter does not reach it.
     """
 
     r: float = math.sqrt(0.5)
@@ -203,9 +286,68 @@ class HybridParams:
         """Filter plate removed: the device copies every state equally well."""
         return cls(eta0=1.0, eta1=1.0)
 
+    def sector_amplitudes(self, alpha, beta, m, m_orth, delta):
+        p = self
+        a00 = alpha * 2.0 * p.r * p.t * p.eta0**2 * p.t0 * p.nu0 * p.r0
+        a10 = beta * p.r * p.t * p.eta0 * p.eta1 * p.t1 * p.nu1 * p.r0
+        a01 = beta * p.r * p.t * p.eta0 * p.eta1 * p.t0 * p.nu0 * p.r1
+        sectors = [(m * a00, m * a10, m * a01)]
+        if m_orth > 0.0:
+            # a bunched pair in different temporal bins leaves BS2 one photon
+            # per port without two-photon interference: the ancilla, on rail
+            # r0, is reflected into port 2 or transmitted into port 1
+            c = m_orth * p.r * p.t * p.eta0
+            sectors.append((c * (alpha * p.eta0 * p.t0 * p.nu0 * p.r0),
+                            c * (beta * p.eta1 * p.t1 * p.nu1 * p.r0), 0.0))
+            sectors.append((c * (alpha * p.eta0 * p.r0 * p.t0 * p.nu0), 0.0,
+                            c * (beta * p.eta1 * p.r1 * p.t0 * p.nu0)))
+        return sectors
+
+    def apply_circuit(self, state: StateVector, delta: float) -> StateVector:
+        bins = _temporal_bins(state.basis)
+        # BS1: bunch signal and ancilla; keep the pair that leaves through port 1
+        for tau in bins:
+            for rail in Rail:
+                state = apply_two_mode_coupler(
+                    state, Mode(Port.OUT1, rail, tau), Mode(Port.OUT2, rail, tau),
+                    self.r, self.t,
+                )
+        for tau in bins:
+            for rail in Rail:
+                state = apply_attenuator(state, Mode(Port.OUT2, rail, tau), 0.0)
+        # GP_eta filter on the bunched pair
+        for tau in bins:
+            state = apply_attenuator(state, Mode(Port.OUT1, Rail.R0, tau), self.eta0)
+            state = apply_attenuator(state, Mode(Port.OUT1, Rail.R1, tau), self.eta1)
+        # BS2 separates the photons; the transmitted path is output port 1
+        for tau in bins:
+            state = apply_two_mode_coupler(
+                state, Mode(Port.OUT1, Rail.R0, tau), Mode(Port.OUT2, Rail.R0, tau),
+                self.t0, self.r0,
+            )
+            state = apply_two_mode_coupler(
+                state, Mode(Port.OUT1, Rail.R1, tau), Mode(Port.OUT2, Rail.R1, tau),
+                self.t1, self.r1,
+            )
+        # GP_nu compensation plate on output port 1
+        for tau in bins:
+            state = apply_attenuator(state, Mode(Port.OUT1, Rail.R0, tau), self.nu0)
+            state = apply_attenuator(state, Mode(Port.OUT1, Rail.R1, tau), self.nu1)
+        return state
+
+
+def _ratio_basis(phi: float, ratio: float):
+    """Click basis of a detection block: coupler ratio + phase modulator."""
+    a = math.sqrt(ratio)
+    b = math.sqrt(1.0 - ratio)
+    phase = np.exp(1j * phi)
+    plus = np.array([a, b * phase], dtype=complex)
+    minus = np.array([b, -a * phase], dtype=complex)
+    return plus, minus
+
 
 @dataclass(frozen=True)
-class FiberParams:
+class FiberParams(_Splitter):
     """All-fiber cloner: two variable-ratio couplers on dual-rail qubits.
 
     ``R_vrc0``/``R_vrc1`` are the intensity coupling ratios of the couplers
@@ -215,6 +357,8 @@ class FiberParams:
     state.  ``detection_ratio_1``/``_2`` are the splitting ratios of the
     detection-block couplers (0.5 = balanced).
     """
+
+    responds_to_jitter = True
 
     R_vrc0: float = R_OPTIMAL
     R_vrc1: float | None = None
@@ -238,16 +382,19 @@ class FiberParams:
     def ideal(cls) -> "FiberParams":
         return cls(R_vrc0=R_OPTIMAL)
 
-    def rail_amplitudes(self):
-        rv1 = (1.0 - self.R_vrc0) if self.R_vrc1 is None else self.R_vrc1
-        r0 = math.sqrt(self.R_vrc0)
-        t0 = math.sqrt(1.0 - self.R_vrc0)
-        r1 = math.sqrt(rv1)
-        t1 = -math.sqrt(1.0 - rv1)
-        return r0, t0, r1, t1
+    def couplings(self, delta=0.0):
+        """A phase error ``delta`` drifts the phase of rail r1 against r0."""
+        return (*_rail_couplings(self.R_vrc0, self.R_vrc1, -1), 1.0, 1.0, 0.0, delta)
 
-
-ClonerParams = Union[SpecialBSParams, MachZehnderParams, HybridParams, FiberParams]
+    def analyzer_bases(self, input: Qubit):
+        """The detection blocks: coupler ratios and phase modulators."""
+        phases = self.analysis_phases
+        if phases is None:
+            phases = (input.phi, input.phi)
+        return (
+            _ratio_basis(phases[0], self.detection_ratio_1),
+            _ratio_basis(phases[1], self.detection_ratio_2),
+        )
 
 
 @dataclass(frozen=True)
@@ -321,60 +468,44 @@ def ideal_clone_report(input: Qubit, hemisphere: str = "north") -> CloneReport:
 
 
 # ---------------------------------------------------------------------------
-# closed-form conditional amplitudes
+# closed-form sector kernel
 # ---------------------------------------------------------------------------
 
-def _bs_family_triple(params, alpha, beta):
-    """Unnormalized (a00, a10, a01) for the splitter-type architectures.
+def _sector_stack(params: ClonerParams, alpha, beta, overlap_M: float, delta):
+    """Sector vectors of shape (..., n_sectors, 4) over |00>, |01>, |10>, |11>.
 
-    ``alpha``/``beta`` are input amplitudes, scalars or arrays of equal shape.
+    The leading shape broadcasts the input amplitudes against ``delta``.
     """
-    if isinstance(params, SpecialBSParams):
-        r0, t0, r1, t1 = params.rail_amplitudes()
-        loss0, loss1 = params.comp_loss_r0, params.comp_loss_r1
-        rel_phase = 0.0
-    elif isinstance(params, MachZehnderParams):
-        r0, t0, r1, t1 = params.rail_amplitudes()
-        loss0 = loss1 = 1.0
-        rel_phase = params.relative_phase
-    elif isinstance(params, FiberParams):
-        r0, t0, r1, t1 = params.rail_amplitudes()
-        loss0 = loss1 = 1.0
-        rel_phase = 0.0
-    else:
-        raise TypeError(f"not a splitter-type parameter set: {type(params).__name__}")
-    phase = np.exp(1j * rel_phase)
-    a00 = alpha * (r0 * r0 - t0 * t0) * loss0
-    a10 = beta * (r0 * r1) * loss1 * phase
-    a01 = -beta * (t0 * t1) * loss0 * phase
-    return a00, a10, a01
+    m_orth = math.sqrt(max(0.0, 1.0 - overlap_M * overlap_M))
+    sectors = params.sector_amplitudes(alpha, beta, overlap_M, m_orth, delta)
+    shape = np.broadcast(alpha, delta).shape
+    out = np.zeros(shape + (len(sectors), 4), dtype=complex)
+    for s, (a00, a10, a01) in enumerate(sectors):
+        out[..., s, 0] = a00
+        out[..., s, 1] = a01
+        out[..., s, 2] = a10
+    return out
 
 
-def _hybrid_triple(params: HybridParams, alpha, beta):
-    p = params
-    a00 = alpha * 2.0 * p.r * p.t * p.eta0**2 * p.t0 * p.nu0 * p.r0
-    a10 = beta * p.r * p.t * p.eta0 * p.eta1 * p.t1 * p.nu1 * p.r0
-    a01 = beta * p.r * p.t * p.eta0 * p.eta1 * p.t0 * p.nu0 * p.r1
-    return a00, a10, a01
+def conditional_sector_vectors(
+    params: ClonerParams,
+    input: Qubit,
+    overlap_M: float = 1.0,
+    phase_errors=None,
+) -> np.ndarray:
+    """Unnormalized two-clone sector vectors, one row set per trial.
 
-
-def _amplitude_triple(params: ClonerParams, alpha, beta):
-    if isinstance(params, HybridParams):
-        return _hybrid_triple(params, alpha, beta)
-    return _bs_family_triple(params, alpha, beta)
-
-
-def conditional_triple(params: ClonerParams, input: Qubit):
-    """Closed-form unnormalized amplitudes on (|00>, |10>, |01>)."""
-    return _amplitude_triple(params, *input.amplitudes())
-
-
-def _report_from_triple(a00, a10, a01, input: Qubit) -> CloneReport:
-    vec = np.array([a00, a01, a10, 0.0], dtype=complex)
-    p = float(np.vdot(vec, vec).real)
-    if p <= 0.0:
-        return CloneReport.empty(input)
-    return CloneReport.from_joint(TwoQubitState.from_pure(vec), p, input)
+    Returns an array of shape (n_trials, n_sectors, 4) over the basis
+    |00>, |01>, |10>, |11>.  Sectors are the temporal patterns of the two
+    detected photons and mix incoherently: one at ``overlap_M`` = 1, three
+    below.  ``phase_errors`` feeds per-trial jitter into the architectures
+    that respond to it; without it there is one trial.
+    """
+    if not 0.0 <= overlap_M <= 1.0:
+        raise ValueError(f"overlap M must lie in [0, 1], got {overlap_M}")
+    delta = 0.0 if phase_errors is None else np.asarray(phase_errors, float)
+    vectors = _sector_stack(params, *input.amplitudes(), overlap_M, delta)
+    return vectors.reshape((-1,) + vectors.shape[-2:])
 
 
 class CloneBatch(NamedTuple):
@@ -396,6 +527,38 @@ class CloneBatch(NamedTuple):
         ]
 
 
+def _evaluate_inputs(params: ClonerParams, inputs, overlap_M: float = 1.0):
+    """Closed-form evaluation of many inputs at ancilla overlap ``overlap_M``.
+
+    Returns the :class:`CloneBatch` and the (n, 4, 4) joint states, zero on
+    empty rows.  The joint states (success-weighted over the temporal
+    sectors) and their marginals are built as stacked arrays and validated
+    once per batch.
+    """
+    half = np.array([q.theta for q in inputs], dtype=float) / 2.0
+    phi = np.array([q.phi for q in inputs], dtype=float)
+    psi = np.stack([np.cos(half).astype(complex), np.sin(half) * np.exp(1j * phi)],
+                   axis=-1)
+    vectors = _sector_stack(params, psi[:, 0], psi[:, 1], overlap_M, 0.0)
+    n = len(psi)
+    p_succ = np.einsum("nsi,nsi->n", vectors.conj(), vectors).real
+    keep = p_succ > 0.0
+    v = vectors[keep] / np.sqrt(p_succ[keep])[:, None, None]
+    kept = (v[:, :, :, None] * v.conj()[:, :, None, :]).sum(axis=1)
+    check_density(kept, "two-qubit state", imag_trace=False)
+    r = kept.reshape(len(v), 2, 2, 2, 2)
+    marginals = np.stack([np.einsum("nijkj->nik", r), np.einsum("nijil->njl", r)])
+    check_density(marginals, "density matrix")
+    psi = psi[keep]
+    fidelities = np.full((2, n), np.nan)
+    fidelities[:, keep] = np.einsum("ni,mnij,nj->mn", psi.conj(), marginals, psi).real
+    joint = np.zeros((n, 4, 4), dtype=complex)
+    joint[keep] = kept
+    batch = CloneBatch(P_succ=np.where(keep, p_succ, 0.0),
+                       F1=fidelities[0], F2=fidelities[1])
+    return batch, joint
+
+
 def run_model_batch(params: ClonerParams, inputs) -> CloneBatch:
     """Closed-form evaluation of many inputs at once.
 
@@ -403,27 +566,7 @@ def run_model_batch(params: ClonerParams, inputs) -> CloneBatch:
     ``inputs`` (up to rounding), with the joint states and marginals built
     as stacked arrays and validated once per batch.
     """
-    half = np.array([q.theta for q in inputs], dtype=float) / 2.0
-    phi = np.array([q.phi for q in inputs], dtype=float)
-    psi = np.stack([np.cos(half).astype(complex), np.sin(half) * np.exp(1j * phi)],
-                   axis=-1)
-    a00, a10, a01 = _amplitude_triple(params, psi[:, 0], psi[:, 1])
-    n = len(psi)
-    vec = np.zeros((n, 4), dtype=complex)
-    vec[:, 0], vec[:, 1], vec[:, 2] = a00, a01, a10
-    p_succ = np.einsum("ni,ni->n", vec.conj(), vec).real
-    keep = p_succ > 0.0
-    v = vec[keep] / np.sqrt(p_succ[keep])[:, None]
-    joint = v[:, :, None] * v.conj()[:, None, :]
-    check_density(joint, "two-qubit state", imag_trace=False)
-    r = joint.reshape(len(v), 2, 2, 2, 2)
-    marginals = np.stack([np.einsum("nijkj->nik", r), np.einsum("nijil->njl", r)])
-    check_density(marginals, "density matrix")
-    psi = psi[keep]
-    fidelities = np.full((2, n), np.nan)
-    fidelities[:, keep] = np.einsum("ni,mnij,nj->mn", psi.conj(), marginals, psi).real
-    return CloneBatch(P_succ=np.where(keep, p_succ, 0.0),
-                      F1=fidelities[0], F2=fidelities[1])
+    return _evaluate_inputs(params, inputs)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -458,152 +601,37 @@ def _temporal_bins(basis):
     return sorted(bins)
 
 
-def _bs_family_circuit(params, input: Qubit, ancilla_overlap: float = 1.0,
-                       arm_phase_error: float = 0.0):
-    if isinstance(params, SpecialBSParams):
-        r0, t0, r1, t1 = params.rail_amplitudes()
-        loss0, loss1 = params.comp_loss_r0, params.comp_loss_r1
-        phase0 = phase1 = 0.0
-    elif isinstance(params, MachZehnderParams):
-        r0, t0, r1, t1 = params.rail_amplitudes(arm_phase_error)
-        loss0 = loss1 = 1.0
-        phase0, phase1 = params.phase_offset_r0, params.phase_offset_r1
-    elif isinstance(params, FiberParams):
-        r0, t0, r1, t1 = params.rail_amplitudes()
-        loss0 = loss1 = 1.0
-        phase0, phase1 = 0.0, arm_phase_error
-    else:
-        raise TypeError(f"not a splitter-type parameter set: {type(params).__name__}")
-    basis = two_photon_basis(8 if ancilla_overlap < 1.0 else 4)
-    state = _initial_state(basis, input, ancilla_overlap)
-    for tau in _temporal_bins(basis):
-        state = apply_two_mode_coupler(
-            state, Mode(Port.OUT1, Rail.R0, tau), Mode(Port.OUT2, Rail.R0, tau), r0, t0
-        )
-        state = apply_two_mode_coupler(
-            state, Mode(Port.OUT1, Rail.R1, tau), Mode(Port.OUT2, Rail.R1, tau), r1, t1
-        )
-    for tau in _temporal_bins(basis):
-        if loss0 != 1.0:
-            state = apply_attenuator(state, Mode(Port.OUT1, Rail.R0, tau), loss0)
-        if loss1 != 1.0:
-            state = apply_attenuator(state, Mode(Port.OUT1, Rail.R1, tau), loss1)
-    if phase0 != 0.0:
-        state = apply_rail_phase(state, Rail.R0, phase0)
-    if phase1 != 0.0:
-        state = apply_rail_phase(state, Rail.R1, phase1)
-    return postselect_coincidence(state)
-
-
-def _hybrid_circuit(params: HybridParams, input: Qubit, ancilla_overlap: float = 1.0):
-    basis = two_photon_basis(8 if ancilla_overlap < 1.0 else 4)
-    state = _initial_state(basis, input, ancilla_overlap)
-    bins = _temporal_bins(basis)
-    # BS1: bunch signal and ancilla; keep the pair that leaves through port 1
-    for tau in bins:
-        for rail in Rail:
-            state = apply_two_mode_coupler(
-                state,
-                Mode(Port.OUT1, rail, tau),
-                Mode(Port.OUT2, rail, tau),
-                params.r,
-                params.t,
-            )
-    for tau in bins:
-        for rail in Rail:
-            state = apply_attenuator(state, Mode(Port.OUT2, rail, tau), 0.0)
-    # GP_eta filter on the bunched pair
-    for tau in bins:
-        state = apply_attenuator(state, Mode(Port.OUT1, Rail.R0, tau), params.eta0)
-        state = apply_attenuator(state, Mode(Port.OUT1, Rail.R1, tau), params.eta1)
-    # BS2 separates the photons; the transmitted path is output port 1
-    for tau in bins:
-        state = apply_two_mode_coupler(
-            state,
-            Mode(Port.OUT1, Rail.R0, tau),
-            Mode(Port.OUT2, Rail.R0, tau),
-            params.t0,
-            params.r0,
-        )
-        state = apply_two_mode_coupler(
-            state,
-            Mode(Port.OUT1, Rail.R1, tau),
-            Mode(Port.OUT2, Rail.R1, tau),
-            params.t1,
-            params.r1,
-        )
-    # GP_nu compensation plate on output port 1
-    for tau in bins:
-        state = apply_attenuator(state, Mode(Port.OUT1, Rail.R0, tau), params.nu0)
-        state = apply_attenuator(state, Mode(Port.OUT1, Rail.R1, tau), params.nu1)
-    return postselect_coincidence(state)
-
-
 def circuit_joint_state(params: ClonerParams, input: Qubit,
-                        ancilla_overlap: float = 1.0):
-    """Amplitude-level Fock evaluation; returns (TwoQubitState | None, prob)."""
-    if isinstance(params, HybridParams):
-        return _hybrid_circuit(params, input, ancilla_overlap)
-    return _bs_family_circuit(params, input, ancilla_overlap)
+                        ancilla_overlap: float = 1.0, arm_phase_error: float = 0.0):
+    """Amplitude-level Fock evaluation; returns (TwoQubitState | None, prob).
+
+    ``arm_phase_error`` is the interferometer phase error of one trial; it
+    reaches only the devices that respond to jitter.
+    """
+    basis = two_photon_basis(8 if ancilla_overlap < 1.0 else 4)
+    state = _initial_state(basis, input, ancilla_overlap)
+    return postselect_coincidence(params.apply_circuit(state, arm_phase_error))
 
 
 # ---------------------------------------------------------------------------
-# architecture runners
+# single-input evaluation
 # ---------------------------------------------------------------------------
 
-def _run(params: ClonerParams, input: Qubit, via: str) -> CloneReport:
+def run_model(params: ClonerParams, input: Qubit,
+              via: str = "closed_form") -> CloneReport:
+    """Clone ``input`` on the architecture that ``params`` describes."""
+    if not isinstance(params, ClonerParams):
+        raise TypeError(f"unknown cloner parameter type: {type(params).__name__}")
     if via == "closed_form":
-        return _report_from_triple(*conditional_triple(params, input), input)
+        vec = _sector_stack(params, *input.amplitudes(), 1.0, 0.0)[0]
+        p = float(np.vdot(vec, vec).real)
+        if p <= 0.0:
+            return CloneReport.empty(input)
+        return CloneReport.from_joint(TwoQubitState.from_pure(vec), p, input)
     if via == "circuit":
         joint, p = circuit_joint_state(params, input)
         return CloneReport.from_joint(joint, p, input)
     raise ValueError(f"via must be 'closed_form' or 'circuit', got {via!r}")
-
-
-def run_special_bs(params: SpecialBSParams, input: Qubit,
-                   via: str = "closed_form") -> CloneReport:
-    """Clone on the special unbalanced beam splitter."""
-    if not isinstance(params, SpecialBSParams):
-        raise TypeError("run_special_bs expects SpecialBSParams")
-    return _run(params, input, via)
-
-
-def run_mach_zehnder(params: MachZehnderParams, input: Qubit,
-                     via: str = "closed_form") -> CloneReport:
-    """Clone on the interferometric emulation of the unbalanced splitter."""
-    if not isinstance(params, MachZehnderParams):
-        raise TypeError("run_mach_zehnder expects MachZehnderParams")
-    return _run(params, input, via)
-
-
-def run_hybrid(params: HybridParams, input: Qubit,
-               via: str = "closed_form") -> CloneReport:
-    """Clone by bunching plus state filtering."""
-    if not isinstance(params, HybridParams):
-        raise TypeError("run_hybrid expects HybridParams")
-    return _run(params, input, via)
-
-
-def run_fiber(params: FiberParams, input: Qubit,
-              via: str = "closed_form") -> CloneReport:
-    """Clone on the all-fiber variable-ratio-coupler pair."""
-    if not isinstance(params, FiberParams):
-        raise TypeError("run_fiber expects FiberParams")
-    return _run(params, input, via)
-
-
-def run_model(params: ClonerParams, input: Qubit,
-              via: str = "closed_form") -> CloneReport:
-    """Dispatch to the architecture matching the parameter type."""
-    if isinstance(params, SpecialBSParams):
-        return run_special_bs(params, input, via)
-    if isinstance(params, MachZehnderParams):
-        return run_mach_zehnder(params, input, via)
-    if isinstance(params, HybridParams):
-        return run_hybrid(params, input, via)
-    if isinstance(params, FiberParams):
-        return run_fiber(params, input, via)
-    raise TypeError(f"unknown cloner parameter type: {type(params).__name__}")
 
 
 def analyzer_projection(report: CloneReport, which_port: Port,

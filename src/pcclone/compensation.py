@@ -13,13 +13,7 @@ from dataclasses import dataclass, fields, replace
 from itertools import product
 from typing import Mapping
 
-from .cloners import (
-    CloneReport,
-    ClonerParams,
-    HybridParams,
-    run_hybrid,
-    run_model,
-)
+from .cloners import CloneReport, ClonerParams, HybridParams, run_model
 from .fock import Qubit
 
 OBJECTIVES = ("min_fidelity_gap", "max_avg_fidelity")
@@ -77,7 +71,7 @@ def solve_hybrid_compensation(
         r=bs1_r, t=bs1_t, r0=r0, t0=t0, r1=r1, t1=t1,
         eta0=eta0, eta1=eta1, nu0=nu0, nu1=nu1,
     )
-    predicted = run_hybrid(params, input if input is not None else Qubit.equatorial(0.0))
+    predicted = run_model(params, input if input is not None else Qubit.equatorial(0.0))
     return CompensationSolution(
         nu_ratio=nu_ratio,
         eta_ratio=eta_ratio,

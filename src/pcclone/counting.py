@@ -22,16 +22,11 @@ import numpy as np
 from .cloners import (
     CloneReport,
     ClonerParams,
-    FiberParams,
-    MachZehnderParams,
+    _standard_basis,
+    conditional_sector_vectors,
 )
 from .fock import Qubit
-from .noise import (
-    NoiseConfig,
-    conditional_sector_vectors,
-    evaluate,
-    sample_phase_jitter,
-)
+from .noise import NoiseConfig, evaluate, sample_phase_jitter
 
 _PATTERNS = ("pp", "pm", "mp", "mm")
 _CHUNK = 1 << 16
@@ -119,33 +114,10 @@ class CountingSetup:
     analysis: Union[Qubit, tuple, None] = None
 
 
-def _standard_basis(analysis: Qubit):
-    return analysis.amplitudes(), analysis.orthogonal().amplitudes()
-
-
-def _ratio_basis(phi: float, ratio: float):
-    """Click basis of a detection block: coupler ratio + phase modulator."""
-    a = math.sqrt(ratio)
-    b = math.sqrt(1.0 - ratio)
-    phase = np.exp(1j * phi)
-    plus = np.array([a, b * phase], dtype=complex)
-    minus = np.array([b, -a * phase], dtype=complex)
-    return plus, minus
-
-
 def _side_bases(model: ClonerParams, input: Qubit, analysis):
-    """Per-clone analyzer bases honoring fiber detection-block settings."""
+    """Per-clone analyzer bases; without ``analysis``, the device's own."""
     if analysis is None:
-        if isinstance(model, FiberParams):
-            phases = model.analysis_phases
-            if phases is None:
-                phases = (input.phi, input.phi)
-            return (
-                _ratio_basis(phases[0], model.detection_ratio_1),
-                _ratio_basis(phases[1], model.detection_ratio_2),
-            )
-        basis = _standard_basis(input)
-        return basis, basis
+        return model.analyzer_bases(input)
     if isinstance(analysis, Qubit):
         basis = _standard_basis(analysis)
         return basis, basis
@@ -172,21 +144,12 @@ def outcome_distribution(report: CloneReport, analysis: Qubit,
         raise ValueError("cannot analyze an empty report")
     side1 = _standard_basis(analysis)
     side2 = _standard_basis(analysis_2) if analysis_2 is not None else side1
-    w = _pattern_vectors(side1, side2)
-    probs = np.einsum("ai,ij,aj->a", w.conj(), report.joint.rho, w).real
-    return np.clip(probs, 0.0, None)
+    return _pattern_probabilities(_pattern_vectors(side1, side2), report.joint.rho)
 
 
-def _registration_probabilities(model, noise, input, analysis,
-                                detectors) -> np.ndarray:
-    """Per-pattern registration probabilities for a static (no-jitter) run."""
-    report = evaluate(model, noise, input)
-    if report.is_empty:
-        return np.zeros(4)
-    w = _pattern_vectors(*_side_bases(model, input, analysis))
-    probs = np.einsum("ai,ij,aj->a", w.conj(), report.joint.rho, w).real
-    probs = np.clip(probs, 0.0, None)
-    return report.P_succ * probs * detectors.pattern_efficiencies()
+def _pattern_probabilities(w: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Probability of each pattern row of ``w`` in the two-clone state ``rho``."""
+    return np.clip(np.einsum("ai,ij,aj->a", w.conj(), rho, w).real, 0.0, None)
 
 
 def simulate_counts(
@@ -199,13 +162,29 @@ def simulate_counts(
     analysis: Union[Qubit, tuple, None] = None,
 ) -> CoincidenceRecord:
     """Simulate ``n_pairs`` photon-pair trials and tally coincidences."""
+    return _simulate(model, noise, input, n_pairs, detectors, seed, analysis)
+
+
+def _simulate(model, noise, input, n_pairs, detectors, seed, analysis=None,
+              state=None) -> CoincidenceRecord:
+    """:func:`simulate_counts`, given the static evaluation when known.
+
+    ``state`` is ``(P_succ, rho)`` of ``evaluate(model, noise, input)``, with
+    ``rho`` the 4x4 joint state (unused when P_succ is 0); without it the
+    static branch evaluates the model itself.
+    """
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
-    jitter_active = noise.phase_jitter_sigma > 0.0 and isinstance(
-        model, (MachZehnderParams, FiberParams)
-    )
-    if not jitter_active:
-        reg = _registration_probabilities(model, noise, input, analysis, detectors)
+    w = _pattern_vectors(*_side_bases(model, input, analysis))
+    eff = detectors.pattern_efficiencies()
+    if not (model.responds_to_jitter and noise.phase_jitter_sigma > 0.0):
+        if state is None:
+            report = evaluate(model, noise, input)
+            state = (0.0, None) if report.is_empty else (report.P_succ, report.joint.rho)
+        p_succ, rho = state
+        reg = np.zeros(4)
+        if p_succ > 0.0:
+            reg = p_succ * _pattern_probabilities(w, rho) * eff
         rest = max(0.0, 1.0 - float(reg.sum()))
         pvals = np.append(reg, rest)
         pvals = pvals / pvals.sum()
@@ -216,8 +195,6 @@ def simulate_counts(
     seq_jitter, seq_outcome = np.random.SeedSequence(seed).spawn(2)
     phases = sample_phase_jitter(noise, seq_jitter, n_pairs)
     rng = np.random.default_rng(seq_outcome)
-    w = _pattern_vectors(*_side_bases(model, input, analysis))
-    eff = detectors.pattern_efficiencies()
     counts = np.zeros(4, dtype=np.int64)
     for start in range(0, n_pairs, _CHUNK):
         chunk = phases[start:start + _CHUNK]
@@ -270,7 +247,8 @@ def balance_detectors(method: str, record_or_setup, detectors: DetectorBank):
                       re-simulate (takes a CountingSetup);
     ``basis_swap`` -- measure the four patterns sequentially with the single
                       (D1+, D2+) pair, cycling the analyzer settings, so the
-                      efficiency product cancels (takes a CountingSetup).
+                      efficiency product cancels (takes a CountingSetup
+                      whose ``n_pairs`` is a multiple of 4).
 
     Returns unbiased ``(F1, F2)``.
     """
@@ -305,8 +283,11 @@ def balance_detectors(method: str, record_or_setup, detectors: DetectorBank):
         return fidelity_from_counts(record)
 
     if method == "basis_swap":
-        if setup.n_pairs < 4:
-            raise ValueError("basis_swap needs at least 4 trials")
+        if setup.n_pairs % 4:
+            raise ValueError(
+                "basis_swap splits the trials evenly over four analyzer settings; "
+                f"n_pairs must be a multiple of 4, got {setup.n_pairs}"
+            )
         analysis = setup.analysis if isinstance(setup.analysis, Qubit) else setup.input
         orth = analysis.orthogonal()
         settings = (
@@ -324,5 +305,10 @@ def balance_detectors(method: str, record_or_setup, detectors: DetectorBank):
                 detectors, int(child), analysis=setting,
             )
             counts.append(record.c_pp)
-        return fidelity_from_rates(*counts)
+        estimates = fidelity_from_rates(*counts)
+        if estimates is None:
+            raise ValueError(
+                f"basis_swap registered no coincidence in {setup.n_pairs} trials"
+            )
+        return estimates
     raise AssertionError("unreachable")

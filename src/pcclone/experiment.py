@@ -36,10 +36,10 @@ settings):
 Numeric output uses 10 significant digits; identical configuration and seed
 produce byte-identical files.
 
-Rows that take the closed form (``overlap_M`` = 1) are evaluated and
-validated per batch: one vectorized call per configuration builds every
-row's joint state and marginals and checks them together.  Rows at
-``overlap_M`` < 1 are evaluated one input at a time on the Fock circuit.
+Rows are evaluated and validated per batch at every ``overlap_M``: one
+closed-form call per configuration builds every row's joint state and
+marginals and checks them together.  Counting rows draw their static
+registration probabilities from those joint states.
 """
 
 from __future__ import annotations
@@ -59,10 +59,9 @@ from .cloners import (
     SpecialBSParams,
 )
 from .counting import (
-    CoincidenceRecord,
     DetectorBank,
+    _simulate,
     fidelity_from_counts,
-    simulate_counts,
     success_probability_estimate,
 )
 from .fock import Qubit
@@ -333,8 +332,8 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
     rows = []
     counting = config.counting
     seeds = _row_seeds(counting.seed, len(config.inputs)) if counting else None
-    analytic = evaluate_batch(config.model, config.noise, config.inputs).rows()
-    for index, (qubit, (f1, f2, p_succ)) in enumerate(zip(config.inputs, analytic)):
+    batch, joints = evaluate_batch(config.model, config.noise, config.inputs)
+    for index, (qubit, (f1, f2, p_succ)) in enumerate(zip(config.inputs, batch.rows())):
         row: dict[str, Any] = {
             "theta": qubit.theta,
             "phi": qubit.phi,
@@ -343,13 +342,14 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
             "P_succ": p_succ,
         }
         if counting:
-            record = simulate_counts(
+            record = _simulate(
                 config.model,
                 config.noise,
                 qubit,
                 counting.n_pairs,
                 counting.detectors,
                 seeds[index],
+                state=(p_succ, joints[index]),
             )
             estimates = fidelity_from_counts(record)
             row.update(

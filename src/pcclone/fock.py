@@ -103,19 +103,6 @@ class BasisSet:
     def mode_index(self, mode: Mode) -> int:
         return self._mode_index[mode]
 
-    def modes_with(self, port=None, rail=None, temporal=None):
-        """Modes matching every given attribute."""
-        out = []
-        for m in self.modes:
-            if port is not None and m.port != port:
-                continue
-            if rail is not None and m.rail != rail:
-                continue
-            if temporal is not None and m.temporal != temporal:
-                continue
-            out.append(m)
-        return tuple(out)
-
 
 @lru_cache(maxsize=None)
 def two_photon_basis(mode_count: int) -> BasisSet:
@@ -125,19 +112,6 @@ def two_photon_basis(mode_count: int) -> BasisSet:
             f"mode_count must be one of {sorted(_MODE_SETS)}, got {mode_count}"
         )
     return BasisSet(_MODE_SETS[mode_count])
-
-
-def enumerate_basis(photon_count: int, mode_count: int):
-    """All two-photon occupation vectors over ``mode_count`` modes.
-
-    The order is canonical and stable: unordered placements (i <= j) of the
-    two photons, lexicographic in the mode indices.
-    """
-    if photon_count != 2:
-        raise ValueError(
-            f"only two-photon states are supported, got photon_count={photon_count}"
-        )
-    return two_photon_basis(mode_count).states
 
 
 class StateVector:
@@ -418,13 +392,6 @@ def postselect_coincidence(state: StateVector):
         return None, 0.0
     joint = TwoQubitState.from_sector_vectors(sectors.values())
     return joint, float(prob)
-
-
-def reduced_qubit(two_qubit_state: TwoQubitState, which_port: Port) -> DensityMatrix:
-    """Partial trace of the post-selected state down to one clone."""
-    if not isinstance(two_qubit_state, TwoQubitState):
-        raise TypeError("expected a TwoQubitState")
-    return two_qubit_state.reduced(which_port)
 
 
 def fidelity(rho, target: Qubit) -> float:

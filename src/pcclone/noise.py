@@ -1,9 +1,11 @@
 """Imperfection channels: partial distinguishability and phase jitter.
 
 Distinguishability is modeled by preparing the ancilla photon in a temporal
-wavepacket M * principal + sqrt(1 - M^2) * orthogonal and running the full
-8-mode circuit; detectors sum over temporal bins incoherently.  Interference
-visibility on a balanced coupler is then V = M^2.
+wavepacket M * principal + sqrt(1 - M^2) * orthogonal; detectors sum over
+temporal bins incoherently.  Interference visibility on a balanced coupler
+is then V = M^2.  Evaluations at any M take the closed sector kernel
+(:func:`conditional_sector_vectors`); :func:`with_distinguishability` runs
+the full 8-mode Fock circuit and serves as its independent check.
 
 Phase jitter is a zero-mean Gaussian random walk of the interferometer phase,
 reset to zero at every stabilization step.  Only the interferometric
@@ -24,14 +26,10 @@ from .cloners import (
     CloneBatch,
     CloneReport,
     ClonerParams,
-    FiberParams,
-    HybridParams,
-    MachZehnderParams,
-    SpecialBSParams,
+    _evaluate_inputs,
     circuit_joint_state,
-    conditional_triple,
+    conditional_sector_vectors,
     run_model,
-    run_model_batch,
 )
 from .fock import (
     Mode,
@@ -138,80 +136,6 @@ def sample_phase_jitter(config: NoiseConfig, rng_seed, n_trials: int) -> np.ndar
     return np.cumsum(blocks, axis=1).reshape(-1)[:n_trials]
 
 
-def conditional_sector_vectors(
-    params: ClonerParams,
-    input: Qubit,
-    overlap_M: float = 1.0,
-    phase_errors=None,
-) -> np.ndarray:
-    """Unnormalized two-clone sector vectors, one row set per trial.
-
-    Returns an array of shape (n_trials, n_sectors, 4) over the basis
-    |00>, |01>, |10>, |11>.  Sectors are the temporal patterns of the two
-    detected photons and mix incoherently.  ``phase_errors`` feeds per-trial
-    jitter into the architectures that respond to it.
-    """
-    if not 0.0 <= overlap_M <= 1.0:
-        raise ValueError(f"overlap M must lie in [0, 1], got {overlap_M}")
-    deltas = np.atleast_1d(
-        np.zeros(1) if phase_errors is None else np.asarray(phase_errors, float)
-    )
-    n = deltas.shape[0]
-    alpha, beta = input.amplitudes()
-    m = overlap_M
-    m_orth = math.sqrt(max(0.0, 1.0 - m * m))
-
-    if isinstance(params, HybridParams):
-        if overlap_M < 1.0:
-            raise ValueError(
-                "closed sector form for the hybrid cloner exists only at M = 1; "
-                "use with_distinguishability"
-            )
-        a00, a10, a01 = conditional_triple(params, input)
-        out = np.zeros((n, 1, 4), dtype=complex)
-        out[:, 0, 0] = a00
-        out[:, 0, 1] = a01
-        out[:, 0, 2] = a10
-        return out
-
-    if isinstance(params, MachZehnderParams):
-        tv = params.theta_V + deltas
-        th = params.theta_H + deltas
-        r0, t0 = np.sin(tv), np.cos(tv)
-        r1, t1 = np.sin(th), np.cos(th)
-        loss0 = loss1 = 1.0
-        rel = np.full(n, params.relative_phase)
-    elif isinstance(params, SpecialBSParams):
-        r0, t0, r1, t1 = (np.full(n, v) for v in params.rail_amplitudes())
-        loss0, loss1 = params.comp_loss_r0, params.comp_loss_r1
-        rel = np.zeros(n)
-    elif isinstance(params, FiberParams):
-        r0, t0, r1, t1 = (np.full(n, v) for v in params.rail_amplitudes())
-        loss0 = loss1 = 1.0
-        rel = deltas
-    else:
-        raise TypeError(f"unknown cloner parameter type: {type(params).__name__}")
-
-    phase = np.exp(1j * rel)
-    b10 = beta * r0 * r1 * loss1 * phase
-    b01 = -beta * t0 * t1 * loss0 * phase
-    sectors = [
-        # both photons in the principal bin: full interference
-        (m * alpha * (r0**2 - t0**2) * loss0, m * b10, m * b01),
-    ]
-    if m_orth > 0.0:
-        sectors.append((m_orth * alpha * r0**2 * loss0, m_orth * b10,
-                        np.zeros(n, complex)))
-        sectors.append((-m_orth * alpha * t0**2 * loss0, np.zeros(n, complex),
-                        m_orth * b01))
-    out = np.zeros((n, len(sectors), 4), dtype=complex)
-    for s, (a00, a10, a01) in enumerate(sectors):
-        out[:, s, 0] = a00
-        out[:, s, 1] = a01
-        out[:, s, 2] = a10
-    return out
-
-
 def report_from_sectors(vectors: np.ndarray, input: Qubit) -> CloneReport:
     """Pool trial sector vectors into one report (success-weighted mixture)."""
     v = vectors.reshape(-1, 4)
@@ -236,37 +160,30 @@ def average_over_jitter(
     The returned report carries the success-probability-weighted mixture of
     the per-trial clone states and the mean success probability.
     """
-    if isinstance(model, (SpecialBSParams, HybridParams)) or \
-            noise.phase_jitter_sigma == 0.0:
+    if not model.responds_to_jitter or noise.phase_jitter_sigma == 0.0:
         return evaluate(model, noise, input)
     phases = sample_phase_jitter(noise, rng_seed, n_trials)
     vectors = conditional_sector_vectors(model, input, noise.overlap_M, phases)
     return report_from_sectors(vectors, input)
 
 
-def _closed_form(noise: NoiseConfig | None) -> bool:
-    return noise is None or noise.overlap_M >= 1.0
+def _overlap(noise: NoiseConfig | None) -> float:
+    return 1.0 if noise is None else noise.overlap_M
 
 
 def evaluate(model: ClonerParams, noise: NoiseConfig | None, input: Qubit) -> CloneReport:
     """Single deterministic evaluation honoring the distinguishability setting."""
-    if _closed_form(noise):
+    overlap = _overlap(noise)
+    if overlap >= 1.0:
         return run_model(model, input)
-    return with_distinguishability(model, noise.overlap_M, input)
+    return report_from_sectors(conditional_sector_vectors(model, input, overlap), input)
 
 
-def evaluate_batch(model: ClonerParams, noise: NoiseConfig | None, inputs) -> CloneBatch:
-    """:func:`evaluate` over many inputs.
+def evaluate_batch(model: ClonerParams, noise: NoiseConfig | None,
+                   inputs) -> tuple[CloneBatch, np.ndarray]:
+    """:func:`evaluate` over many inputs in one closed-form call.
 
-    Where ``evaluate`` takes the closed form, the whole batch goes through
-    one :func:`run_model_batch` call; otherwise each input is evaluated on
-    its own.
+    Returns the :class:`CloneBatch` and the (n, 4, 4) joint states, zero on
+    rows with no success.
     """
-    if _closed_form(noise):
-        return run_model_batch(model, inputs)
-    reports = [evaluate(model, noise, q) for q in inputs]
-    return CloneBatch(
-        P_succ=np.array([r.P_succ for r in reports]),
-        F1=np.array([np.nan if r.is_empty else r.F1 for r in reports]),
-        F2=np.array([np.nan if r.is_empty else r.F2 for r in reports]),
-    )
+    return _evaluate_inputs(model, inputs, _overlap(noise))

@@ -14,16 +14,12 @@ from pcclone.cloners import (
     SpecialBSParams,
     analyzer_projection,
     circuit_joint_state,
-    conditional_triple,
+    conditional_sector_vectors,
     ideal_clone_report,
     ideal_pc_map,
     mz_splitting,
-    run_fiber,
-    run_hybrid,
-    run_mach_zehnder,
     run_model,
     run_model_batch,
-    run_special_bs,
     theoretical_limits,
 )
 from pcclone.fock import Port, Qubit, check_density, fidelity
@@ -89,7 +85,7 @@ def test_theoretical_limits():
 # ---------------------------------------------------------------------------
 
 def test_special_bs_optimum():
-    report = run_special_bs(SpecialBSParams.ideal(), EQ)
+    report = run_model(SpecialBSParams.ideal(), EQ)
     assert report.F1 == pytest.approx(F_PC, abs=1e-10)
     assert report.F2 == pytest.approx(F_PC, abs=1e-10)
     assert report.P_succ == pytest.approx(1.0 / 3.0, abs=1e-10)
@@ -99,45 +95,45 @@ def test_special_bs_at_three_quarters():
     a = 2 * 0.75 - 1
     b = math.sqrt(0.75 * 0.25)
     f1_oracle, f2_oracle = equatorial_fidelity_oracle(a, b, b)
-    report = run_special_bs(SpecialBSParams(R0=0.75), EQ)
+    report = run_model(SpecialBSParams(R0=0.75), EQ)
     assert report.F1 == pytest.approx(f1_oracle, abs=1e-12)
     assert report.F2 == pytest.approx(f2_oracle, abs=1e-12)
     assert report.F1 == pytest.approx(0.8464101615137755, abs=1e-9)
     assert report.P_succ == pytest.approx(0.3125, abs=1e-12)
-    circuit = run_special_bs(SpecialBSParams(R0=0.75), EQ, via="circuit")
+    circuit = run_model(SpecialBSParams(R0=0.75), EQ, via="circuit")
     assert circuit.F1 == pytest.approx(report.F1, abs=1e-10)
     assert circuit.P_succ == pytest.approx(report.P_succ, abs=1e-10)
 
 
 @pytest.mark.parametrize("r0", [0.6, 0.75, R_OPTIMAL, 1.0])
 def test_special_bs_pole_input(r0):
-    report = run_special_bs(SpecialBSParams(R0=r0), Qubit(0.0, 0.0))
+    report = run_model(SpecialBSParams(R0=r0), Qubit(0.0, 0.0))
     assert report.F1 == pytest.approx(1.0, abs=1e-12)
     assert report.F2 == pytest.approx(1.0, abs=1e-12)
     assert report.P_succ == pytest.approx((2 * r0 - 1) ** 2, abs=1e-12)
 
 
 def test_special_bs_zero_success_marker():
-    report = run_special_bs(SpecialBSParams(R0=0.5), Qubit(0.0, 0.0))
+    report = run_model(SpecialBSParams(R0=0.5), Qubit(0.0, 0.0))
     assert report.is_empty
     assert report.P_succ == 0.0
     assert report.F1 is None
 
 
 def test_special_bs_report_consistency():
-    report = run_special_bs(SpecialBSParams(R0=0.68), Qubit(1.0, 0.5))
+    report = run_model(SpecialBSParams(R0=0.68), Qubit(1.0, 0.5))
     assert report.F1 == pytest.approx(fidelity(report.rho1, report.input), abs=1e-10)
     assert report.F2 == pytest.approx(fidelity(report.rho2, report.input), abs=1e-10)
 
 
 def test_special_bs_sign_convention_constraints():
-    r0, t0, r1, t1 = SpecialBSParams.ideal().rail_amplitudes()
+    r0, t0, r1, t1 = SpecialBSParams.ideal().couplings()[:4]
     assert abs(r0 * r1 + t0 * t1) < 1e-12          # r0 r1 = -t0 t1
     assert abs((r0 * r0 - t0 * t0) - math.sqrt(2) * r0 * r1) < 1e-12
 
 
 def test_special_bs_wrong_sign_breaks_symmetric_superposition():
-    report = run_special_bs(SpecialBSParams(R0=R_OPTIMAL, sign_convention=1), EQ)
+    report = run_model(SpecialBSParams(R0=R_OPTIMAL, sign_convention=1), EQ)
     assert report.F2 < F_PC - 0.1
     assert abs(report.F1 - report.F2) > 0.1
 
@@ -162,8 +158,8 @@ def test_mz_splitting_values():
 
 
 def test_mz_ideal_matches_special_bs():
-    mz = run_mach_zehnder(MachZehnderParams.ideal(), EQ)
-    bs = run_special_bs(SpecialBSParams.ideal(), EQ)
+    mz = run_model(MachZehnderParams.ideal(), EQ)
+    bs = run_model(SpecialBSParams.ideal(), EQ)
     assert mz.F1 == pytest.approx(bs.F1, abs=1e-10)
     assert mz.F2 == pytest.approx(bs.F2, abs=1e-10)
     assert mz.P_succ == pytest.approx(bs.P_succ, abs=1e-10)
@@ -174,12 +170,12 @@ def test_mz_residual_phase_degrades_equatorial_fidelity():
     skewed = MachZehnderParams(
         ideal.theta_V, ideal.theta_H, phase_offset_r0=0.0, phase_offset_r1=0.35
     )
-    report = run_mach_zehnder(skewed, EQ)
-    clean = run_mach_zehnder(ideal, EQ)
+    report = run_model(skewed, EQ)
+    clean = run_model(ideal, EQ)
     assert report.F1 < clean.F1 - 1e-3
     assert report.F2 < clean.F2 - 1e-3
     # a pole state carries no coherence between rails and is unaffected
-    pole = run_mach_zehnder(skewed, Qubit(0.0, 0.0))
+    pole = run_model(skewed, Qubit(0.0, 0.0))
     assert pole.F1 == pytest.approx(1.0, abs=1e-12)
 
 
@@ -188,7 +184,7 @@ def test_mz_residual_phase_degrades_equatorial_fidelity():
 # ---------------------------------------------------------------------------
 
 def test_hybrid_ideal():
-    report = run_hybrid(HybridParams.ideal(), EQ)
+    report = run_model(HybridParams.ideal(), EQ)
     assert report.F1 == pytest.approx(F_PC, abs=1e-10)
     assert report.F2 == pytest.approx(F_PC, abs=1e-10)
     assert report.P_succ == pytest.approx(1.0 / 16.0, abs=1e-10)
@@ -196,18 +192,18 @@ def test_hybrid_ideal():
 
 @pytest.mark.parametrize("eta", [1.0, 0.8, 0.5])
 def test_hybrid_equal_filters_give_universal_fidelity(eta):
-    report = run_hybrid(HybridParams(eta0=eta, eta1=eta), EQ)
+    report = run_model(HybridParams(eta0=eta, eta1=eta), EQ)
     assert report.F1 == pytest.approx(F_UNIVERSAL, abs=1e-10)
     assert report.F2 == pytest.approx(F_UNIVERSAL, abs=1e-10)
 
 
 def test_hybrid_universal_constructor():
-    report = run_hybrid(HybridParams.universal(), Qubit.equatorial(2.0))
+    report = run_model(HybridParams.universal(), Qubit.equatorial(2.0))
     assert report.F1 == pytest.approx(5.0 / 6.0, abs=1e-10)
 
 
 def test_hybrid_pole_input():
-    report = run_hybrid(HybridParams.ideal(), Qubit(0.0, 0.0))
+    report = run_model(HybridParams.ideal(), Qubit(0.0, 0.0))
     assert report.F1 == pytest.approx(1.0, abs=1e-12)
     assert report.F2 == pytest.approx(1.0, abs=1e-12)
 
@@ -229,7 +225,7 @@ def test_hybrid_symmetry_conditions_property():
             r0=r0, t0=t0, r1=r1, t1=t1, eta0=eta0, eta1=eta1, nu0=nu0, nu1=nu1
         )
         for phi in rng.uniform(0.0, 2 * math.pi, 3):
-            report = run_hybrid(params, Qubit.equatorial(phi))
+            report = run_model(params, Qubit.equatorial(phi))
             assert abs(report.F1 - report.F2) < 1e-10
 
 
@@ -245,7 +241,7 @@ def test_hybrid_parameter_validation():
 # ---------------------------------------------------------------------------
 
 def test_fiber_ideal():
-    report = run_fiber(FiberParams.ideal(), EQ)
+    report = run_model(FiberParams.ideal(), EQ)
     assert report.F1 == pytest.approx(F_PC, abs=1e-10)
     assert report.F2 == pytest.approx(F_PC, abs=1e-10)
     assert report.P_succ == pytest.approx(1.0 / 3.0, abs=1e-10)
@@ -255,7 +251,7 @@ def test_fiber_79_21_splitting():
     a = 2 * 0.79 - 1
     b = math.sqrt(0.79 * 0.21)
     f1_oracle, f2_oracle = equatorial_fidelity_oracle(a, b, b)
-    report = run_fiber(FiberParams(R_vrc0=0.79, R_vrc1=0.21), EQ)
+    report = run_model(FiberParams(R_vrc0=0.79, R_vrc1=0.21), EQ)
     assert report.F1 == pytest.approx(f1_oracle, abs=1e-12)
     assert report.F1 == pytest.approx(0.8535450127375471, abs=1e-9)
     assert report.F2 == pytest.approx(f2_oracle, abs=1e-12)
@@ -264,7 +260,7 @@ def test_fiber_79_21_splitting():
 
 def test_fiber_matched_analyzer_is_maximal():
     q = Qubit.equatorial(1.7)
-    report = run_fiber(FiberParams.ideal(), q)
+    report = run_model(FiberParams.ideal(), q)
     matched = analyzer_projection(report, Port.OUT1, Qubit.equatorial(q.phi))
     for phi_m in np.linspace(0.0, 2 * math.pi, 24, endpoint=False):
         other = analyzer_projection(report, Port.OUT1, Qubit.equatorial(phi_m))
@@ -277,8 +273,6 @@ def test_run_model_dispatch():
     assert run_model(HybridParams.ideal(), EQ).P_succ == pytest.approx(1 / 16)
     with pytest.raises(TypeError):
         run_model(object(), EQ)
-    with pytest.raises(TypeError):
-        run_special_bs(HybridParams.ideal(), EQ)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +298,7 @@ def test_phase_covariance(params):
 
 def test_latitude_monotonicity():
     thetas = np.linspace(0.0, math.pi / 2, 10)
-    values = [run_special_bs(SpecialBSParams.ideal(), Qubit(t, 0.0)).F1 for t in thetas]
+    values = [run_model(SpecialBSParams.ideal(), Qubit(t, 0.0)).F1 for t in thetas]
     assert values[0] == pytest.approx(1.0, abs=1e-10)
     assert values[-1] == pytest.approx(F_PC, abs=1e-10)
     assert all(a > b for a, b in zip(values, values[1:]))
@@ -354,9 +348,12 @@ def test_closed_form_matches_circuit_on_random_parameters():
 
 def test_conditional_triple_matches_report_probability():
     params = SpecialBSParams(R0=0.7)
-    a00, a10, a01 = conditional_triple(params, EQ)
+    vectors = conditional_sector_vectors(params, EQ)
+    assert vectors.shape == (1, 1, 4)
+    a00, a01, a10, a11 = vectors[0, 0]
+    assert a11 == 0.0
     p = abs(a00) ** 2 + abs(a10) ** 2 + abs(a01) ** 2
-    assert p == pytest.approx(run_special_bs(params, EQ).P_succ, abs=1e-12)
+    assert p == pytest.approx(run_model(params, EQ).P_succ, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +393,7 @@ def test_batch_zero_success_rows_are_empty():
     # a 50:50 splitter cancels only the |0> input: one empty row in the batch
     rows = run_model_batch(SpecialBSParams(R0=0.5), [Qubit(0.0, 0.0), EQ]).rows()
     assert rows[0] == (None, None, 0.0)
-    assert rows[1][2] == pytest.approx(run_special_bs(SpecialBSParams(R0=0.5), EQ).P_succ)
+    assert rows[1][2] == pytest.approx(run_model(SpecialBSParams(R0=0.5), EQ).P_succ)
 
 
 def test_stacked_validator_rejects_one_bad_matrix():

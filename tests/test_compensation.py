@@ -8,8 +8,7 @@ from pcclone.cloners import (
     HybridParams,
     SpecialBSParams,
     FiberParams,
-    run_hybrid,
-    run_special_bs,
+    run_model,
 )
 from pcclone.compensation import (
     optimize_symmetry,
@@ -93,7 +92,7 @@ def test_compensation_symmetrizes_random_splitters():
         assert max(nu0, nu1) == 1.0
         assert eta1 / eta0 == pytest.approx(solution.eta_ratio, abs=1e-12)
         assert nu0 / nu1 == pytest.approx(solution.nu_ratio, abs=1e-12)
-        again = run_hybrid(
+        again = run_model(
             HybridParams(
                 r0=r0, t0=t0, r1=r1, t1=t1,
                 eta0=eta0, eta1=eta1, nu0=nu0, nu1=nu1,
@@ -114,7 +113,7 @@ def test_compensation_rejects_zero_amplitude():
 
 def test_optimizer_symmetrizes_mismatched_splitter():
     base = SpecialBSParams(R0=0.80, R1=1.0 - R_OPTIMAL)
-    uncompensated = run_special_bs(base, EQ)
+    uncompensated = run_model(base, EQ)
     assert abs(uncompensated.F1 - uncompensated.F2) > 1e-3
     result = optimize_symmetry(base, {"comp_loss_r1": (0.5, 1.0)},
                                "min_fidelity_gap")

@@ -9,7 +9,7 @@ from pcclone.cloners import (
     MachZehnderParams,
     SpecialBSParams,
     CloneReport,
-    run_special_bs,
+    run_model,
 )
 from pcclone.counting import (
     CoincidenceRecord,
@@ -80,7 +80,7 @@ def test_record_merge_is_commutative_and_associative():
 # ---------------------------------------------------------------------------
 
 def test_outcome_distribution_ideal_cloner_matched_analysis():
-    report = run_special_bs(IDEAL, EQ)
+    report = run_model(IDEAL, EQ)
     probs = outcome_distribution(report, EQ)
     s = 1 / math.sqrt(2)
     oracle = projection_oracle(np.array([s, 0.5, 0.5, 0.0]), EQ)
@@ -111,7 +111,7 @@ def test_outcome_distribution_normalization_over_inputs():
     rng = np.random.default_rng(5)
     for _ in range(10):
         qubit = Qubit(rng.uniform(0.1, 3.0), rng.uniform(0, 2 * math.pi))
-        report = run_special_bs(SpecialBSParams(R0=rng.uniform(0.55, 0.95)), qubit)
+        report = run_model(SpecialBSParams(R0=rng.uniform(0.55, 0.95)), qubit)
         probs = outcome_distribution(report, qubit)
         assert probs.sum() == pytest.approx(1.0, abs=1e-10)
         assert np.all(probs >= -1e-12)
@@ -171,7 +171,7 @@ def test_hybrid_success_rate():
 
 def test_unit_efficiency_estimator_is_unbiased_analytically():
     # expected counts are proportional to the outcome distribution itself
-    report = run_special_bs(IDEAL, EQ)
+    report = run_model(IDEAL, EQ)
     probs = outcome_distribution(report, EQ)
     f1, f2 = fidelity_from_rates(*probs)
     assert f1 == pytest.approx(report.F1, abs=1e-12)
@@ -227,7 +227,7 @@ F2_BIASED = 0.8234070962417627
 
 
 def test_uncompensated_bias_oracle():
-    report = run_special_bs(IDEAL, EQ)
+    report = run_model(IDEAL, EQ)
     probs = outcome_distribution(report, EQ) * BIASED_BANK.pattern_efficiencies()
     f1, f2 = fidelity_from_rates(*probs)
     assert f2 == pytest.approx(F2_BIASED, abs=1e-12)
@@ -309,3 +309,16 @@ def test_balance_rejects_bad_arguments():
     with pytest.raises(ValueError, match="method"):
         balance_detectors("other", CoincidenceRecord(1, 1, 1, 1, 10, 0),
                           DetectorBank())
+
+
+def test_basis_swap_rejects_trials_not_divisible_by_four():
+    setup = CountingSetup(IDEAL, NOISELESS, EQ, 7, seed=1)
+    with pytest.raises(ValueError, match="n_pairs"):
+        balance_detectors("basis_swap", setup, BIASED_BANK)
+
+
+def test_basis_swap_raises_without_coincidences():
+    blocked = SpecialBSParams(comp_loss_r0=0.0, comp_loss_r1=0.0)
+    setup = CountingSetup(blocked, NOISELESS, EQ, 400, seed=2)
+    with pytest.raises(ValueError, match="no coincidence"):
+        balance_detectors("basis_swap", setup, BIASED_BANK)

@@ -381,3 +381,19 @@ def test_sweep_rows_match_per_row_evaluation():
         assert row["P_succ"] == pytest.approx(report.P_succ, abs=1e-12)
         assert row["F1"] == pytest.approx(report.F1, abs=1e-12)
         assert row["F2"] == pytest.approx(report.F2, abs=1e-12)
+
+
+def test_counted_rows_reuse_the_batch_evaluation(monkeypatch):
+    def evaluate_again(*args):
+        raise AssertionError("a counted row was evaluated a second time")
+
+    monkeypatch.setattr("pcclone.counting.evaluate", evaluate_again)
+    config = parse_experiment({
+        "model": {"variant": "hybrid", "eta0": 0.7},
+        "noise": {"overlap_M": 0.9},
+        "sweep": {"phi": [0.0, 2.0]},
+        "counting": {"n_pairs": 1000, "seed": 3},
+    })
+    rows = run_experiment(config)
+    assert [row["C_pp"] + row["C_pm"] + row["C_mp"] + row["C_mm"] > 0 for row in rows] \
+        == [True, True]

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcclone.fock import (
+    MODES_4,
+    BasisSet,
     DensityMatrix,
     Mode,
     Port,
@@ -16,10 +18,8 @@ from pcclone.fock import (
     TwoQubitState,
     apply_attenuator,
     apply_two_mode_coupler,
-    enumerate_basis,
     fidelity,
     postselect_coincidence,
-    reduced_qubit,
     two_photon_basis,
 )
 
@@ -44,24 +44,25 @@ def pair_state(basis, mode_x, mode_y, amplitude=1.0):
     "mode_count,expected", [(2, 3), (4, 10), (8, 36)]
 )
 def test_enumerate_basis_sizes(mode_count, expected):
-    assert len(enumerate_basis(2, mode_count)) == expected
+    assert len(two_photon_basis(mode_count).states) == expected
 
 
 def test_enumerate_basis_two_modes_content():
-    assert enumerate_basis(2, 2) == ((2, 0), (1, 1), (0, 2))
+    assert two_photon_basis(2).states == ((2, 0), (1, 1), (0, 2))
 
 
 def test_enumerate_basis_order_is_stable():
-    first = enumerate_basis(2, 8)
-    again = enumerate_basis(2, 8)
+    first = two_photon_basis(8).states
+    again = BasisSet(two_photon_basis(8).modes).states
     assert first == again
     assert len(set(first)) == len(first)
     assert all(sum(occ) == 2 for occ in first)
 
 
 def test_enumerate_basis_rejects_other_photon_numbers():
+    three_photons = StateVector.zero(BasisSet(MODES_4, photon_count=3))
     with pytest.raises(ValueError, match="two-photon"):
-        enumerate_basis(3, 4)
+        postselect_coincidence(three_photons)
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +242,9 @@ def test_reduced_product_state():
     q = Qubit(0.9, 2.2)
     chi = Qubit(2.0, 5.0)
     joint = TwoQubitState.from_pure(np.kron(q.amplitudes(), chi.amplitudes()))
-    rho1 = reduced_qubit(joint, Port.OUT1)
+    rho1 = joint.reduced(Port.OUT1)
     assert fidelity(rho1, q) == pytest.approx(1.0, abs=1e-12)
-    rho2 = reduced_qubit(joint, Port.OUT2)
+    rho2 = joint.reduced(Port.OUT2)
     assert fidelity(rho2, chi) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -251,7 +252,7 @@ def test_reduced_singlet_is_maximally_mixed():
     vec = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
     joint = TwoQubitState.from_pure(vec)
     for port in Port:
-        rho = reduced_qubit(joint, port)
+        rho = joint.reduced(port)
         assert np.max(np.abs(rho.matrix - np.eye(2) / 2.0)) < 1e-12
 
 
@@ -261,14 +262,16 @@ def test_reduced_ideal_clone_state_fidelity():
     oracle = 0.5 + a * b / (a * a + 2 * b * b)
     q = Qubit.equatorial(0.0)
     joint = TwoQubitState.from_pure(np.array([a, b, b, 0.0]))
-    rho = reduced_qubit(joint, Port.OUT1)
+    rho = joint.reduced(Port.OUT1)
     assert fidelity(rho, q) == pytest.approx(oracle, abs=1e-12)
     assert oracle == pytest.approx(0.8535533905932737, abs=1e-12)
 
 
 def test_reduced_requires_two_qubit_state():
-    with pytest.raises(TypeError):
-        reduced_qubit(np.eye(4) / 4.0, Port.OUT1)
+    # the reduction is a method of the validated 4x4 state; a qubit-sized
+    # matrix cannot become one
+    with pytest.raises(ValueError, match="4x4"):
+        TwoQubitState(np.eye(2) / 2.0).reduced(Port.OUT1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -280,7 +283,7 @@ def test_reduced_matrices_are_valid_density_matrices(state, angle):
     if joint is None:
         return
     for port in Port:
-        rho = reduced_qubit(joint, port).matrix
+        rho = joint.reduced(port).matrix
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-10
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
         assert np.min(np.linalg.eigvalsh(rho)) > -1e-10

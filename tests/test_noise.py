@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcclone.cloners import (
     FiberParams,
@@ -9,7 +11,7 @@ from pcclone.cloners import (
     MachZehnderParams,
     SpecialBSParams,
     R_OPTIMAL,
-    run_mach_zehnder,
+    circuit_joint_state,
     run_model,
 )
 from pcclone.fock import Qubit
@@ -19,6 +21,7 @@ from pcclone.noise import (
     balanced_coincidence_probability,
     conditional_sector_vectors,
     evaluate,
+    evaluate_batch,
     hom_visibility,
     report_from_sectors,
     sample_phase_jitter,
@@ -164,9 +167,83 @@ def test_sector_vectors_match_circuit():
             ) < 1e-12
 
 
-def test_sector_vectors_reject_partial_overlap_for_hybrid():
-    with pytest.raises(ValueError, match="hybrid"):
-        conditional_sector_vectors(HybridParams.ideal(), EQ, 0.9)
+def random_hybrid(rng):
+    a, a0, a1 = rng.uniform(0.3, 1.2), rng.uniform(0.55, 0.8), rng.uniform(0.55, 0.8)
+    return HybridParams(
+        r=math.cos(a), t=math.sin(a),
+        r0=a0, t0=math.sqrt(1 - a0 * a0), r1=a1, t1=math.sqrt(1 - a1 * a1),
+        eta0=rng.uniform(0.4, 1.0), eta1=rng.uniform(0.4, 1.0),
+        nu0=rng.uniform(0.4, 1.0), nu1=rng.uniform(0.4, 1.0),
+    )
+
+
+def test_hybrid_sector_vectors_match_circuit():
+    rng = np.random.default_rng(17)
+    for _ in range(6):
+        params = random_hybrid(rng)
+        for m in (1.0, 0.93, 0.4, 0.0):
+            qubit = Qubit(rng.uniform(0.3, 2.8), rng.uniform(0, 2 * math.pi))
+            from_circuit = with_distinguishability(params, m, qubit)
+            from_sectors = report_from_sectors(
+                conditional_sector_vectors(params, qubit, m), qubit
+            )
+            assert abs(from_circuit.P_succ - from_sectors.P_succ) < 1e-12
+            assert np.max(
+                np.abs(from_circuit.joint.rho - from_sectors.joint.rho)
+            ) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    variant=st.sampled_from(["mach_zehnder", "fiber"]),
+    delta=st.floats(-0.6, 0.6),
+    m=st.one_of(st.just(1.0), st.floats(0.0, 0.999)),
+    theta=st.floats(0.2, 2.9),
+    phi=st.floats(0.0, 2 * math.pi),
+)
+def test_jittered_sector_vectors_match_circuit(variant, delta, m, theta, phi):
+    params = {
+        "mach_zehnder": MachZehnderParams(theta_V=1.05, theta_H=2.7,
+                                          phase_offset_r0=0.1, phase_offset_r1=0.3),
+        "fiber": FiberParams(R_vrc0=0.76, R_vrc1=0.2),
+    }[variant]
+    qubit = Qubit(theta, phi)
+    joint, prob = circuit_joint_state(params, qubit, m, arm_phase_error=delta)
+    from_sectors = report_from_sectors(
+        conditional_sector_vectors(params, qubit, m, [delta]), qubit
+    )
+    assert abs(prob - from_sectors.P_succ) < 1e-12
+    assert np.max(np.abs(joint.rho - from_sectors.joint.rho)) < 1e-12
+
+
+def test_phase_error_leaves_static_devices_unchanged():
+    for params in (SpecialBSParams(R0=0.7), HybridParams.ideal()):
+        assert not params.responds_to_jitter
+        clean, p_clean = circuit_joint_state(params, EQ)
+        shifted, p_shifted = circuit_joint_state(params, EQ, arm_phase_error=0.4)
+        assert p_shifted == p_clean
+        assert np.array_equal(shifted.rho, clean.rho)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [SpecialBSParams(R0=0.74, comp_loss_r0=0.9),
+     MachZehnderParams(theta_V=1.0, theta_H=2.6, phase_offset_r1=0.2),
+     HybridParams(eta0=0.65, nu1=0.9),
+     FiberParams(R_vrc0=0.8)],
+    ids=lambda p: type(p).__name__,
+)
+def test_evaluate_batch_matches_circuit_at_partial_overlap(params):
+    rng = np.random.default_rng(5)
+    qubits = [Qubit(th, ph) for th, ph in zip(rng.uniform(0.0, math.pi, 12),
+                                              rng.uniform(0.0, 2 * math.pi, 12))]
+    batch, joints = evaluate_batch(params, NoiseConfig(overlap_M=0.9), qubits)
+    for qubit, (f1, f2, p), joint in zip(qubits, batch.rows(), joints):
+        report = with_distinguishability(params, 0.9, qubit)
+        assert p == pytest.approx(report.P_succ, abs=1e-12)
+        assert f1 == pytest.approx(report.F1, abs=1e-12)
+        assert f2 == pytest.approx(report.F2, abs=1e-12)
+        assert np.max(np.abs(joint - report.joint.rho)) < 1e-12
 
 
 def test_with_distinguishability_validates_overlap():
@@ -214,7 +291,7 @@ def test_jitter_requires_trials():
 
 def test_jitter_average_reduces_mz_fidelity():
     config = NoiseConfig(phase_jitter_sigma=0.05, jitter_reset_period=100)
-    clean = run_mach_zehnder(MachZehnderParams.ideal(), EQ)
+    clean = run_model(MachZehnderParams.ideal(), EQ)
     averaged = average_over_jitter(MachZehnderParams.ideal(), config, EQ, 3, 10_000)
     assert averaged.F1 < clean.F1
     assert averaged.F2 < clean.F2
@@ -228,7 +305,7 @@ def test_jitter_average_reduces_fiber_fidelity():
 
 def test_zero_jitter_leaves_report_unchanged():
     config = NoiseConfig(phase_jitter_sigma=0.0)
-    clean = run_mach_zehnder(MachZehnderParams.ideal(), EQ)
+    clean = run_model(MachZehnderParams.ideal(), EQ)
     averaged = average_over_jitter(MachZehnderParams.ideal(), config, EQ, 3, 100)
     assert averaged.F1 == pytest.approx(clean.F1, abs=1e-12)
     assert averaged.F2 == pytest.approx(clean.F2, abs=1e-12)
