@@ -28,6 +28,8 @@ CASES = {
     "montecarlo_special_bs_hom": ("montecarlo", ["--seed", "17"]),
     "montecarlo_mach_zehnder_jitter": ("montecarlo", []),
     "montecarlo_fiber_jitter_hom": ("montecarlo", []),
+    "montecarlo_mach_zehnder_chunks": ("montecarlo", []),
+    "montecarlo_fiber_long_period": ("montecarlo", []),
     "compare_variants": ("compare", ["--seed", "9"]),
     "optimize_hybrid_gap": ("optimize", []),
     "optimize_mach_zehnder_avg": ("optimize", []),
