@@ -7,6 +7,13 @@ pattern (one of ++, +-, -+, --) is registered with probability equal to the
 product of the two involved detector efficiencies.  Detectors are binary and
 dark-count free, so a trial either contributes one coincidence or nothing.
 
+Without phase jitter every trial sees the same pattern probabilities, so the
+counts are one multinomial draw.  With jitter the probabilities change from
+trial to trial: the kernel takes each chunk of the jitter walk straight from
+the device's sector amplitudes to the four real pattern probabilities and
+tallies one uniform draw per trial against their running sums, so it holds
+one chunk of trials at a time.
+
 Counts are sampled with a seeded generator and are reproducible; records
 merge by field-wise addition.
 """
@@ -19,17 +26,11 @@ from typing import Union
 
 import numpy as np
 
-from .cloners import (
-    CloneReport,
-    ClonerParams,
-    _standard_basis,
-    conditional_sector_vectors,
-)
+from .cloners import CloneReport, ClonerParams, _standard_basis
 from .fock import Qubit
-from .noise import NoiseConfig, evaluate, sample_phase_jitter
+from .noise import NoiseConfig, _jitter_walk, evaluate
 
 _PATTERNS = ("pp", "pm", "mp", "mm")
-_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -172,6 +173,11 @@ def _simulate(model, noise, input, n_pairs, detectors, seed, analysis=None,
     ``state`` is ``(P_succ, rho)`` of ``evaluate(model, noise, input)``, with
     ``rho`` the 4x4 joint state (unused when P_succ is 0); without it the
     static branch evaluates the model itself.
+
+    Under jitter, a trial registers pattern k when its uniform draw u falls
+    between the running sums reg_(k-1) and reg_k of the registration
+    probabilities p_j * eff_j, so each pattern count is a difference of the
+    numbers of draws below consecutive running sums.
     """
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
@@ -193,19 +199,24 @@ def _simulate(model, noise, input, n_pairs, detectors, seed, analysis=None,
         return CoincidenceRecord(*(int(c) for c in counts), n_pairs, seed)
 
     seq_jitter, seq_outcome = np.random.SeedSequence(seed).spawn(2)
-    phases = sample_phase_jitter(noise, seq_jitter, n_pairs)
     rng = np.random.default_rng(seq_outcome)
-    counts = np.zeros(4, dtype=np.int64)
-    for start in range(0, n_pairs, _CHUNK):
-        chunk = phases[start:start + _CHUNK]
-        vectors = conditional_sector_vectors(model, input, noise.overlap_M, chunk)
-        amp = np.einsum("tsi,ai->tsa", vectors, w.conj())
-        probs = np.einsum("tsa,tsa->ta", amp, amp.conj()).real
-        reg = np.cumsum(probs * eff, axis=1)
-        u = rng.random(chunk.shape[0])
-        registered = u < reg[:, -1]
-        pattern = np.argmax(u[:, None] < reg, axis=1)
-        counts += np.bincount(pattern[registered], minlength=4)
+    alpha, beta = input.amplitudes()
+    m = noise.overlap_M
+    m_orth = math.sqrt(max(0.0, 1.0 - m * m))
+    w_bar = w.conj()
+    below = np.zeros(4, dtype=np.int64)
+    for phases in _jitter_walk(noise, seq_jitter, n_pairs):
+        sectors = model.sector_amplitudes(alpha, beta, m, m_orth, phases)
+        u = rng.random(phases.size)
+        reg = 0.0
+        for a in range(4):
+            prob = 0.0
+            for a00, a10, a01 in sectors:  # no sector reaches |11>
+                amp = a00 * w_bar[a, 0] + a01 * w_bar[a, 1] + a10 * w_bar[a, 2]
+                prob = prob + (amp.real ** 2 + amp.imag ** 2)
+            reg = reg + prob * eff[a]
+            below[a] += np.count_nonzero(u < reg)
+    counts = np.diff(below, prepend=0)
     return CoincidenceRecord(*(int(c) for c in counts), n_pairs, seed)
 
 
@@ -250,7 +261,8 @@ def balance_detectors(method: str, record_or_setup, detectors: DetectorBank):
                       efficiency product cancels (takes a CountingSetup
                       whose ``n_pairs`` is a multiple of 4).
 
-    Returns unbiased ``(F1, F2)``.
+    Returns unbiased ``(F1, F2)``; raises ``ValueError`` when no coincidence
+    is registered.
     """
     if method not in ("rescale", "add_loss", "basis_swap"):
         raise ValueError(
@@ -262,14 +274,11 @@ def balance_detectors(method: str, record_or_setup, detectors: DetectorBank):
         eff = detectors.pattern_efficiencies()
         if np.any(eff <= 0.0):
             raise ValueError("rescale requires strictly positive efficiencies")
-        rates = record_or_setup.counts() / eff
-        return fidelity_from_rates(*rates)
-
-    if not isinstance(record_or_setup, CountingSetup):
+        estimates = fidelity_from_rates(*(record_or_setup.counts() / eff))
+    elif not isinstance(record_or_setup, CountingSetup):
         raise TypeError(f"{method} requires a CountingSetup")
-    setup = record_or_setup
-
-    if method == "add_loss":
+    elif method == "add_loss":
+        setup = record_or_setup
         eta_min = min(
             detectors.eta_1p, detectors.eta_1m, detectors.eta_2p, detectors.eta_2m
         )
@@ -280,9 +289,9 @@ def balance_detectors(method: str, record_or_setup, detectors: DetectorBank):
             setup.model, setup.noise, setup.input, setup.n_pairs,
             balanced, setup.seed, setup.analysis,
         )
-        return fidelity_from_counts(record)
-
-    if method == "basis_swap":
+        estimates = fidelity_from_counts(record)
+    else:
+        setup = record_or_setup
         if setup.n_pairs % 4:
             raise ValueError(
                 "basis_swap splits the trials evenly over four analyzer settings; "
@@ -306,9 +315,8 @@ def balance_detectors(method: str, record_or_setup, detectors: DetectorBank):
             )
             counts.append(record.c_pp)
         estimates = fidelity_from_rates(*counts)
-        if estimates is None:
-            raise ValueError(
-                f"basis_swap registered no coincidence in {setup.n_pairs} trials"
-            )
-        return estimates
-    raise AssertionError("unreachable")
+    if estimates is None:
+        raise ValueError(
+            f"{method} registered no coincidence in {record_or_setup.n_pairs} trials"
+        )
+    return estimates

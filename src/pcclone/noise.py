@@ -12,7 +12,10 @@ reset to zero at every stabilization step.  Only the interferometric
 architectures respond to it: a Mach-Zehnder model sees the error on both arm
 phases, a fiber model as a drift of the relative phase between its rails.
 The special-BS and hybrid devices have no stabilized interference path and
-are unaffected.
+are unaffected.  The walk is generated in pieces of at most ``_CHUNK``
+trials (:func:`_jitter_walk`), so the jitter average and the counting
+kernel hold one piece at a time whatever the number of trials and the reset
+period; :func:`sample_phase_jitter` joins the pieces into one array.
 """
 
 from __future__ import annotations
@@ -43,6 +46,11 @@ from .fock import (
     postselect_coincidence,
     two_photon_basis,
 )
+
+#: trials per piece of the jitter walk, and so per step of the jitter kernels:
+#: small enough that a piece's complex temporaries (128 kB each) stay in the
+#: core's cache, large enough that the Python work per piece stays small
+_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -117,35 +125,64 @@ def hom_visibility(M: float) -> float:
     return 1.0 - balanced_coincidence_probability(M) / baseline
 
 
+def _jitter_walk(config: NoiseConfig, rng_seed, n_trials: int):
+    """Yield the walk of :func:`sample_phase_jitter` in pieces of ``_CHUNK`` trials.
+
+    The steps come from one ``normal`` stream, drawn piece by piece.  Each
+    piece is summed in place in the order of one cumulative sum per reset
+    block: the block cut by the start of the piece continues from the last
+    value of the previous piece, whole blocks follow, and a cut block at
+    the end carries over.  Only one piece is held at a time.
+    """
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    rng = np.random.default_rng(rng_seed)
+    period = config.jitter_reset_period
+    level = 0.0
+    for start in range(0, n_trials, _CHUNK):
+        walk = rng.normal(0.0, config.phase_jitter_sigma,
+                          size=min(_CHUNK, n_trials - start))
+        head = min(-start % period, walk.size)
+        if head:
+            walk[0] += level
+            np.cumsum(walk[:head], out=walk[:head])
+        n_blocks = (walk.size - head) // period
+        blocks = walk[head:head + n_blocks * period].reshape(n_blocks, period)
+        blocks[:, 0] = 0.0
+        np.cumsum(blocks, axis=1, out=blocks)
+        tail = walk[head + n_blocks * period:]
+        if tail.size:
+            tail[0] = 0.0
+            np.cumsum(tail, out=tail)
+        level = walk[-1]
+        yield walk
+
+
 def sample_phase_jitter(config: NoiseConfig, rng_seed, n_trials: int) -> np.ndarray:
     """Per-trial phase errors: Gaussian random walk with periodic reset.
 
     The walk restarts at zero on every stabilization trial (trial indices
     0, period, 2*period, ...).  Deterministic for a fixed seed.
     """
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    rng = np.random.default_rng(rng_seed)
-    period = config.jitter_reset_period
-    steps = rng.normal(0.0, config.phase_jitter_sigma, size=n_trials)
-    n_blocks = -(-n_trials // period)
-    padded = np.zeros(n_blocks * period)
-    padded[:n_trials] = steps
-    blocks = padded.reshape(n_blocks, period)
-    blocks[:, 0] = 0.0
-    return np.cumsum(blocks, axis=1).reshape(-1)[:n_trials]
+    return np.concatenate(list(_jitter_walk(config, rng_seed, n_trials)))
+
+
+def _pooled_report(chunks, n_trials: int, input: Qubit) -> CloneReport:
+    """Success-weighted mixture of the sector vectors of every chunk of trials."""
+    total = 0.0
+    moment = 0.0
+    for vectors in chunks:
+        v = vectors.reshape(-1, 4)
+        total += float(np.einsum("si,si->s", v.conj(), v).real.sum())
+        moment = moment + np.einsum("si,sj->ij", v, v.conj())
+    if total <= 0.0:
+        return CloneReport.empty(input)
+    return CloneReport.from_joint(TwoQubitState(moment / total), total / n_trials, input)
 
 
 def report_from_sectors(vectors: np.ndarray, input: Qubit) -> CloneReport:
     """Pool trial sector vectors into one report (success-weighted mixture)."""
-    v = vectors.reshape(-1, 4)
-    weights = np.einsum("si,si->s", v.conj(), v).real
-    total = float(weights.sum())
-    n_trials = vectors.shape[0]
-    if total <= 0.0:
-        return CloneReport.empty(input)
-    rho = np.einsum("si,sj->ij", v, v.conj()) / total
-    return CloneReport.from_joint(TwoQubitState(rho), total / n_trials, input)
+    return _pooled_report((vectors,), vectors.shape[0], input)
 
 
 def average_over_jitter(
@@ -158,13 +195,14 @@ def average_over_jitter(
     """Mean behavior over a sampled jitter sequence.
 
     The returned report carries the success-probability-weighted mixture of
-    the per-trial clone states and the mean success probability.
+    the per-trial clone states and the mean success probability.  The
+    sector vectors are pooled one chunk of the walk at a time.
     """
     if not model.responds_to_jitter or noise.phase_jitter_sigma == 0.0:
         return evaluate(model, noise, input)
-    phases = sample_phase_jitter(noise, rng_seed, n_trials)
-    vectors = conditional_sector_vectors(model, input, noise.overlap_M, phases)
-    return report_from_sectors(vectors, input)
+    chunks = (conditional_sector_vectors(model, input, noise.overlap_M, phases)
+              for phases in _jitter_walk(noise, rng_seed, n_trials))
+    return _pooled_report(chunks, n_trials, input)
 
 
 def _overlap(noise: NoiseConfig | None) -> float:

@@ -1,20 +1,28 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pcclone import noise as noise_module
 from pcclone.cloners import (
     FiberParams,
     HybridParams,
     MachZehnderParams,
     SpecialBSParams,
     CloneReport,
+    conditional_sector_vectors,
     run_model,
 )
 from pcclone.counting import (
     CoincidenceRecord,
     CountingSetup,
     DetectorBank,
+    _pattern_vectors,
+    _side_bases,
     balance_detectors,
     estimator_sigma,
     fidelity_from_counts,
@@ -24,7 +32,7 @@ from pcclone.counting import (
     success_probability_estimate,
 )
 from pcclone.fock import Qubit, TwoQubitState
-from pcclone.noise import NoiseConfig
+from pcclone.noise import _CHUNK, NoiseConfig, sample_phase_jitter
 
 EQ = Qubit.equatorial(0.0)
 F_PC = 0.8535533905932737
@@ -190,6 +198,79 @@ def test_simulate_counts_with_jitter_is_deterministic():
     assert f_jit[0] < f_clean[0]
 
 
+def whole_array_jitter_counts(model, noise, input, n_pairs, detectors, seed):
+    """Reference jitter kernel: stacked complex sector vectors for every trial,
+    complex einsums to the pattern probabilities, then cumsum and argmax."""
+    w = _pattern_vectors(*_side_bases(model, input, None))
+    eff = detectors.pattern_efficiencies()
+    seq_jitter, seq_outcome = np.random.SeedSequence(seed).spawn(2)
+    phases = sample_phase_jitter(noise, seq_jitter, n_pairs)
+    vectors = conditional_sector_vectors(model, input, noise.overlap_M, phases)
+    amp = np.einsum("tsi,ai->tsa", vectors, w.conj())
+    probs = np.einsum("tsa,tsa->ta", amp, amp.conj()).real
+    reg = np.cumsum(probs * eff, axis=1)
+    u = np.random.default_rng(seq_outcome).random(n_pairs)
+    registered = u < reg[:, -1]
+    pattern = np.argmax(u[:, None] < reg, axis=1)
+    return np.bincount(pattern[registered], minlength=4)
+
+
+JITTERED = {
+    "mach_zehnder": MachZehnderParams(theta_V=1.09, theta_H=2.68, phase_offset_r0=0.03),
+    "fiber": FiberParams(R_vrc0=0.8, R_vrc1=0.19, detection_ratio_1=0.46),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    variant=st.sampled_from(sorted(JITTERED)),
+    overlap=st.one_of(st.just(1.0), st.floats(0.5, 0.99)),
+    sigma=st.floats(0.01, 0.5),
+    period=st.integers(1, 400),
+    n_pairs=st.integers(1, 3000),
+    chunk=st.integers(1, 700),
+    etas=st.tuples(*[st.floats(0.3, 1.0)] * 4),
+    theta=st.floats(0.3, 2.8),
+    phi=st.floats(0.0, 2 * math.pi),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_streamed_jitter_counts_equal_whole_array_kernel(
+    variant, overlap, sigma, period, n_pairs, chunk, etas, theta, phi, seed
+):
+    noise = NoiseConfig(overlap_M=overlap, phase_jitter_sigma=sigma,
+                        jitter_reset_period=period)
+    args = (JITTERED[variant], noise, Qubit(theta, phi), n_pairs,
+            DetectorBank(*etas), seed)
+    with mock.patch.object(noise_module, "_CHUNK", chunk):
+        record = simulate_counts(*args)
+    assert np.array_equal(record.counts(), whole_array_jitter_counts(*args))
+
+
+@pytest.mark.parametrize("variant, overlap", [("mach_zehnder", 0.9), ("fiber", 1.0)])
+def test_streamed_jitter_counts_equal_whole_array_kernel_across_chunks(variant, overlap):
+    noise = NoiseConfig(overlap_M=overlap, phase_jitter_sigma=0.05,
+                        jitter_reset_period=333)
+    args = (JITTERED[variant], noise, Qubit.equatorial(0.6), 2 * _CHUNK + 3,
+            DetectorBank(0.9, 0.75, 0.85, 0.95), 14)
+    assert np.array_equal(simulate_counts(*args).counts(),
+                          whole_array_jitter_counts(*args))
+
+
+def test_jitter_kernel_memory_does_not_grow_with_n_pairs():
+    noise = NoiseConfig(overlap_M=0.9, phase_jitter_sigma=0.05, jitter_reset_period=70)
+    model = JITTERED["mach_zehnder"]
+    peaks = []
+    with mock.patch.object(noise_module, "_CHUNK", 512):
+        for n_pairs in (2_048, 65_536):
+            tracemalloc.start()
+            try:
+                simulate_counts(model, noise, EQ, n_pairs, DetectorBank(), seed=3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0]
+
+
 def test_fiber_detection_ratio_biases_estimates():
     skewed = FiberParams(R_vrc0=0.79, R_vrc1=0.21,
                          detection_ratio_1=0.56, detection_ratio_2=0.5)
@@ -322,3 +403,15 @@ def test_basis_swap_raises_without_coincidences():
     setup = CountingSetup(blocked, NOISELESS, EQ, 400, seed=2)
     with pytest.raises(ValueError, match="no coincidence"):
         balance_detectors("basis_swap", setup, BIASED_BANK)
+
+
+def test_rescale_raises_without_coincidences():
+    with pytest.raises(ValueError, match="no coincidence"):
+        balance_detectors("rescale", CoincidenceRecord(0, 0, 0, 0, 10, 0), BIASED_BANK)
+
+
+def test_add_loss_raises_without_coincidences():
+    blocked = SpecialBSParams(comp_loss_r0=0.0, comp_loss_r1=0.0)
+    setup = CountingSetup(blocked, NOISELESS, EQ, 400, seed=2)
+    with pytest.raises(ValueError, match="no coincidence"):
+        balance_detectors("add_loss", setup, BIASED_BANK)

@@ -1,10 +1,13 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcclone import noise
 from pcclone.cloners import (
     FiberParams,
     HybridParams,
@@ -16,7 +19,9 @@ from pcclone.cloners import (
 )
 from pcclone.fock import Qubit
 from pcclone.noise import (
+    _CHUNK,
     NoiseConfig,
+    _jitter_walk,
     average_over_jitter,
     balanced_coincidence_probability,
     conditional_sector_vectors,
@@ -287,6 +292,86 @@ def test_jitter_accumulates_between_resets():
 def test_jitter_requires_trials():
     with pytest.raises(ValueError, match="n_trials"):
         sample_phase_jitter(NoiseConfig(), 1, 0)
+
+
+def whole_array_walk(config, rng_seed, n_trials):
+    """Reference walk: all steps drawn at once, padded to whole reset blocks."""
+    rng = np.random.default_rng(rng_seed)
+    period = config.jitter_reset_period
+    steps = rng.normal(0.0, config.phase_jitter_sigma, size=n_trials)
+    n_blocks = -(-n_trials // period)
+    padded = np.zeros(n_blocks * period)
+    padded[:n_trials] = steps
+    blocks = padded.reshape(n_blocks, period)
+    blocks[:, 0] = 0.0
+    return np.cumsum(blocks, axis=1).reshape(-1)[:n_trials]
+
+
+@pytest.mark.parametrize(
+    "period, n_trials",
+    [
+        (1, 2 * _CHUNK + 5),
+        (_CHUNK, 3 * _CHUNK - 11),
+        (100_000, 150_001),
+        (777, 500),
+        (777, 200_003),
+    ],
+    ids=["period-1", "period-chunk", "period-above-chunk", "below-one-period",
+         "not-a-multiple"],
+)
+def test_streamed_walk_is_bit_identical_to_whole_array_walk(period, n_trials):
+    config = NoiseConfig(phase_jitter_sigma=0.07, jitter_reset_period=period)
+    streamed = sample_phase_jitter(config, 11, n_trials)
+    assert streamed.tobytes() == whole_array_walk(config, 11, n_trials).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    period=st.integers(1, 300),
+    n_trials=st.integers(1, 2000),
+    chunk=st.integers(1, 500),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_walk_pieces_join_to_whole_array_walk(period, n_trials, chunk, seed):
+    config = NoiseConfig(phase_jitter_sigma=0.2, jitter_reset_period=period)
+    with mock.patch.object(noise, "_CHUNK", chunk):
+        pieces = list(_jitter_walk(config, seed, n_trials))
+    assert all(0 < piece.size <= chunk for piece in pieces)
+    joined = np.concatenate(pieces)
+    assert joined.tobytes() == whole_array_walk(config, seed, n_trials).tobytes()
+
+
+def test_walk_memory_does_not_grow_with_reset_period():
+    config = NoiseConfig(phase_jitter_sigma=0.1, jitter_reset_period=10**6)
+    sample_phase_jitter(NoiseConfig(phase_jitter_sigma=0.1), 4, 10)  # one-time set-up
+    tracemalloc.start()
+    try:
+        sample_phase_jitter(config, 4, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("overlap", [1.0, 0.85])
+@pytest.mark.parametrize(
+    "params",
+    [MachZehnderParams(theta_V=1.08, theta_H=2.66, phase_offset_r1=0.05),
+     FiberParams(R_vrc0=0.77)],
+    ids=lambda p: type(p).__name__,
+)
+def test_chunked_jitter_average_matches_whole_array_pooling(params, overlap):
+    config = NoiseConfig(overlap_M=overlap, phase_jitter_sigma=0.1,
+                         jitter_reset_period=60)
+    qubit = Qubit(1.3, 0.4)
+    phases = sample_phase_jitter(config, 8, 4500)
+    whole = report_from_sectors(
+        conditional_sector_vectors(params, qubit, overlap, phases), qubit
+    )
+    with mock.patch.object(noise, "_CHUNK", 1000):
+        chunked = average_over_jitter(params, config, qubit, 8, 4500)
+    assert chunked.P_succ == pytest.approx(whole.P_succ, abs=1e-12)
+    assert np.max(np.abs(chunked.joint.rho - whole.joint.rho)) < 1e-12
 
 
 def test_jitter_average_reduces_mz_fidelity():
