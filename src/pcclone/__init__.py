@@ -3,21 +3,15 @@ single-photon qubits, including the dominant imperfections of four
 linear-optical implementations and their coincidence-counting statistics."""
 
 from .fock import (
-    BasisSet,
     DensityMatrix,
-    Mode,
     Port,
     Qubit,
-    Rail,
-    StateVector,
-    Temporal,
     TwoQubitState,
-    apply_attenuator,
-    apply_rail_phase,
-    apply_two_mode_coupler,
+    attenuator,
+    coupler,
     fidelity,
+    photon_pair,
     postselect_coincidence,
-    two_photon_basis,
 )
 from .cloners import (
     CloneBatch,

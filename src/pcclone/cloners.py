@@ -9,8 +9,10 @@ describes its device once, in two independent forms:
   turns them into the closed-form kernel behind ``via="closed_form"`` (the
   default, exact and fast), the batched evaluation, partial
   distinguishability and phase jitter.
-* ``apply_circuit`` -- the same device built from two-mode couplers and
-  attenuators in the Fock module and post-selected (``via="circuit"``).
+* ``transfer_matrix`` -- the same device as the 4x4 single-photon transfer
+  matrix of one temporal bin, built from the couplers and attenuators of the
+  Fock module; :func:`circuit_joint_state` propagates the photon pair
+  through it and post-selects (``via="circuit"``).
 
 Both routes must agree to high precision; the tests enforce it.
 
@@ -30,20 +32,15 @@ import numpy as np
 from .fock import (
     BUILD_TOL,
     DensityMatrix,
-    Mode,
     Port,
     Qubit,
-    Rail,
-    StateVector,
-    Temporal,
     TwoQubitState,
-    apply_attenuator,
-    apply_rail_phase,
-    apply_two_mode_coupler,
+    attenuator,
     check_density,
+    coupler,
     fidelity,
+    photon_pair,
     postselect_coincidence,
-    two_photon_basis,
 )
 
 #: intensity reflectance of the optimal unbalanced splitter, (1 + 1/sqrt(3))/2
@@ -104,7 +101,8 @@ class ClonerParams:
     the unnormalized (a00, a10, a01) of each temporal detection sector for
     input amplitudes (alpha, beta), ancilla overlap m = M with
     m_orth = sqrt(1 - M^2) and interferometer phase error ``delta``, and
-    ``apply_circuit(state, delta)``, the same device as Fock-space elements.
+    ``transfer_matrix(delta)``, the same device as the single-photon transfer
+    matrix of one temporal bin over the modes 2 * port + rail.
     ``responds_to_jitter`` says whether ``delta`` reaches the device at all.
     """
 
@@ -143,26 +141,12 @@ class _Splitter(ClonerParams):
             sectors.append((-m_orth * alpha * t0**2 * loss0, 0.0, m_orth * a01))
         return sectors
 
-    def apply_circuit(self, state: StateVector, delta: float) -> StateVector:
+    def transfer_matrix(self, delta=0.0):
+        """One splitter per rail, then the plates on port 1, then the phases."""
         r0, t0, r1, t1, loss0, loss1, phase0, phase1 = self.couplings(delta)
-        bins = _temporal_bins(state.basis)
-        for tau in bins:
-            state = apply_two_mode_coupler(
-                state, Mode(Port.OUT1, Rail.R0, tau), Mode(Port.OUT2, Rail.R0, tau), r0, t0
-            )
-            state = apply_two_mode_coupler(
-                state, Mode(Port.OUT1, Rail.R1, tau), Mode(Port.OUT2, Rail.R1, tau), r1, t1
-            )
-        for tau in bins:
-            if loss0 != 1.0:
-                state = apply_attenuator(state, Mode(Port.OUT1, Rail.R0, tau), loss0)
-            if loss1 != 1.0:
-                state = apply_attenuator(state, Mode(Port.OUT1, Rail.R1, tau), loss1)
-        if phase0 != 0.0:
-            state = apply_rail_phase(state, Rail.R0, phase0)
-        if phase1 != 0.0:
-            state = apply_rail_phase(state, Rail.R1, phase1)
-        return state
+        phases = np.diag(np.exp(1j * np.array([phase0, phase1, phase0, phase1])))
+        return (phases @ attenuator([loss0, loss1, 1.0, 1.0])
+                @ coupler(1, 3, r1, t1) @ coupler(0, 2, r0, t0))
 
 
 @dataclass(frozen=True)
@@ -303,37 +287,16 @@ class HybridParams(ClonerParams):
                             c * (beta * p.eta1 * p.r1 * p.t0 * p.nu0)))
         return sectors
 
-    def apply_circuit(self, state: StateVector, delta: float) -> StateVector:
-        bins = _temporal_bins(state.basis)
-        # BS1: bunch signal and ancilla; keep the pair that leaves through port 1
-        for tau in bins:
-            for rail in Rail:
-                state = apply_two_mode_coupler(
-                    state, Mode(Port.OUT1, rail, tau), Mode(Port.OUT2, rail, tau),
-                    self.r, self.t,
-                )
-        for tau in bins:
-            for rail in Rail:
-                state = apply_attenuator(state, Mode(Port.OUT2, rail, tau), 0.0)
+    def transfer_matrix(self, delta=0.0):
+        # BS1 bunches signal and ancilla; only the pair leaving port 1 is kept
+        bs1 = coupler(0, 2, self.r, self.t) @ coupler(1, 3, self.r, self.t)
         # GP_eta filter on the bunched pair
-        for tau in bins:
-            state = apply_attenuator(state, Mode(Port.OUT1, Rail.R0, tau), self.eta0)
-            state = apply_attenuator(state, Mode(Port.OUT1, Rail.R1, tau), self.eta1)
+        eta = attenuator([self.eta0, self.eta1, 0.0, 0.0])
         # BS2 separates the photons; the transmitted path is output port 1
-        for tau in bins:
-            state = apply_two_mode_coupler(
-                state, Mode(Port.OUT1, Rail.R0, tau), Mode(Port.OUT2, Rail.R0, tau),
-                self.t0, self.r0,
-            )
-            state = apply_two_mode_coupler(
-                state, Mode(Port.OUT1, Rail.R1, tau), Mode(Port.OUT2, Rail.R1, tau),
-                self.t1, self.r1,
-            )
+        bs2 = coupler(0, 2, self.t0, self.r0) @ coupler(1, 3, self.t1, self.r1)
         # GP_nu compensation plate on output port 1
-        for tau in bins:
-            state = apply_attenuator(state, Mode(Port.OUT1, Rail.R0, tau), self.nu0)
-            state = apply_attenuator(state, Mode(Port.OUT1, Rail.R1, tau), self.nu1)
-        return state
+        nu = attenuator([self.nu0, self.nu1, 1.0, 1.0])
+        return nu @ bs2 @ eta @ bs1
 
 
 def _ratio_basis(phi: float, ratio: float):
@@ -573,44 +536,26 @@ def run_model_batch(params: ClonerParams, inputs) -> CloneBatch:
 # circuit evaluation
 # ---------------------------------------------------------------------------
 
-def _initial_state(basis, input: Qubit, ancilla_overlap: float = 1.0) -> StateVector:
-    """Signal photon in port OUT1, ancilla photon on rail r0 of port OUT2.
-
-    ``ancilla_overlap`` is the temporal-mode amplitude overlap M; the ancilla
-    occupies M * principal + sqrt(1 - M^2) * orthogonal.
-    """
-    alpha, beta = input.amplitudes()
-    m = float(ancilla_overlap)
-    m_orth = math.sqrt(max(0.0, 1.0 - m * m))
-    sig0 = Mode(Port.OUT1, Rail.R0, Temporal.PRINCIPAL)
-    sig1 = Mode(Port.OUT1, Rail.R1, Temporal.PRINCIPAL)
-    anc_p = Mode(Port.OUT2, Rail.R0, Temporal.PRINCIPAL)
-    anc_o = Mode(Port.OUT2, Rail.R0, Temporal.ORTHOGONAL)
-    terms = []
-    for amp_sig, sig in ((alpha, sig0), (beta, sig1)):
-        if amp_sig == 0:
-            continue
-        terms.append((amp_sig * m, {sig: 1, anc_p: 1}))
-        if m_orth > 0.0 and anc_o in basis._mode_index:
-            terms.append((amp_sig * m_orth, {sig: 1, anc_o: 1}))
-    return StateVector.from_terms(basis, terms)
-
-
-def _temporal_bins(basis):
-    bins = {m.temporal for m in basis.modes}
-    return sorted(bins)
-
-
 def circuit_joint_state(params: ClonerParams, input: Qubit,
                         ancilla_overlap: float = 1.0, arm_phase_error: float = 0.0):
     """Amplitude-level Fock evaluation; returns (TwoQubitState | None, prob).
 
+    The signal photon enters port OUT1 in the principal bin, the ancilla
+    rail r0 of port OUT2 as M * principal + sqrt(1 - M^2) * orthogonal with
+    M = ``ancilla_overlap``; the device acts on each temporal bin alike.
     ``arm_phase_error`` is the interferometer phase error of one trial; it
     reaches only the devices that respond to jitter.
     """
-    basis = two_photon_basis(8 if ancilla_overlap < 1.0 else 4)
-    state = _initial_state(basis, input, ancilla_overlap)
-    return postselect_coincidence(params.apply_circuit(state, arm_phase_error))
+    m = float(ancilla_overlap)
+    bins = 2 if m < 1.0 else 1
+    signal = np.zeros(4 * bins, dtype=complex)
+    signal[:2] = input.amplitudes()
+    ancilla = np.zeros(4 * bins)
+    ancilla[2] = m
+    if bins == 2:
+        ancilla[6] = math.sqrt(max(0.0, 1.0 - m * m))
+    u = np.kron(np.eye(bins), params.transfer_matrix(arm_phase_error))
+    return postselect_coincidence(u @ photon_pair(signal, ancilla) @ u.T)
 
 
 # ---------------------------------------------------------------------------

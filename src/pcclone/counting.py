@@ -15,7 +15,7 @@ tallies one uniform draw per trial against their running sums, so it holds
 one chunk of trials at a time.
 
 Counts are sampled with a seeded generator and are reproducible; records
-merge by field-wise addition.
+of different seeds merge by field-wise addition.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ import numpy as np
 from .cloners import CloneReport, ClonerParams, _standard_basis
 from .fock import Qubit
 from .noise import NoiseConfig, _jitter_walk, evaluate
-
-_PATTERNS = ("pp", "pm", "mp", "mm")
 
 
 @dataclass(frozen=True)
@@ -92,7 +90,13 @@ class CoincidenceRecord:
         return np.array([self.c_pp, self.c_pm, self.c_mp, self.c_mm])
 
     def merged(self, other: "CoincidenceRecord") -> "CoincidenceRecord":
-        """Field-wise sum; associative and commutative for partitioned runs."""
+        """Field-wise sum; associative and commutative for partitioned runs.
+
+        Records that carry the same seed hold the same draw, not independent
+        data, so merging them raises ValueError.
+        """
+        if self.seed == other.seed:
+            raise ValueError(f"cannot merge two records of the same seed {self.seed}")
         return CoincidenceRecord(
             self.c_pp + other.c_pp,
             self.c_pm + other.c_pm,

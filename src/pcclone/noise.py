@@ -5,7 +5,8 @@ wavepacket M * principal + sqrt(1 - M^2) * orthogonal; detectors sum over
 temporal bins incoherently.  Interference visibility on a balanced coupler
 is then V = M^2.  Evaluations at any M take the closed sector kernel
 (:func:`conditional_sector_vectors`); :func:`with_distinguishability` runs
-the full 8-mode Fock circuit and serves as its independent check.
+the two-bin Fock circuit (8 modes) and serves as its independent check, and
+:func:`balanced_coincidence_probability` is the same engine on one coupler.
 
 Phase jitter is a zero-mean Gaussian random walk of the interferometer phase,
 reset to zero at every stabilization step.  Only the interferometric
@@ -34,18 +35,7 @@ from .cloners import (
     conditional_sector_vectors,
     run_model,
 )
-from .fock import (
-    Mode,
-    Port,
-    Qubit,
-    Rail,
-    StateVector,
-    Temporal,
-    TwoQubitState,
-    apply_two_mode_coupler,
-    postselect_coincidence,
-    two_photon_basis,
-)
+from .fock import Qubit, TwoQubitState, coupler, photon_pair, postselect_coincidence
 
 #: trials per piece of the jitter walk, and so per step of the jitter kernels:
 #: small enough that a piece's complex temporaries (128 kB each) stay in the
@@ -97,26 +87,10 @@ def balanced_coincidence_probability(M: float) -> float:
     """Coincidence probability for two photons meeting on a 50:50 coupler."""
     if not 0.0 <= M <= 1.0:
         raise ValueError(f"overlap M must lie in [0, 1], got {M}")
-    basis = two_photon_basis(8)
-    m_orth = math.sqrt(max(0.0, 1.0 - M * M))
-    in1 = Mode(Port.OUT1, Rail.R0, Temporal.PRINCIPAL)
-    in2p = Mode(Port.OUT2, Rail.R0, Temporal.PRINCIPAL)
-    in2o = Mode(Port.OUT2, Rail.R0, Temporal.ORTHOGONAL)
-    terms = [(M, {in1: 1, in2p: 1})]
-    if m_orth > 0.0:
-        terms.append((m_orth, {in1: 1, in2o: 1}))
-    state = StateVector.from_terms(basis, terms)
-    half = math.sqrt(0.5)
-    for tau in (Temporal.PRINCIPAL, Temporal.ORTHOGONAL):
-        state = apply_two_mode_coupler(
-            state,
-            Mode(Port.OUT1, Rail.R0, tau),
-            Mode(Port.OUT2, Rail.R0, tau),
-            half,
-            half,
-        )
-    _, prob = postselect_coincidence(state)
-    return prob
+    modes = np.eye(8)
+    ancilla = M * modes[2] + math.sqrt(max(0.0, 1.0 - M * M)) * modes[6]
+    u = np.kron(np.eye(2), coupler(0, 2, math.sqrt(0.5), math.sqrt(0.5)))
+    return postselect_coincidence(u @ photon_pair(modes[0], ancilla) @ u.T)[1]
 
 
 def hom_visibility(M: float) -> float:

@@ -346,6 +346,18 @@ def test_closed_form_matches_circuit_on_random_parameters():
     assert checked >= 20
 
 
+@pytest.mark.parametrize("params,delta", [
+    (SpecialBSParams.ideal(), 0.0),
+    (MachZehnderParams(theta_V=0.4, theta_H=2.1, phase_offset_r0=0.3,
+                       phase_offset_r1=-1.2), 0.7),
+    (FiberParams(R_vrc0=0.6, R_vrc1=0.2), -1.1),
+])
+def test_lossless_devices_have_unitary_transfer_matrices(params, delta):
+    u = params.transfer_matrix(delta)
+    assert u.shape == (4, 4)
+    assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
+
+
 def test_conditional_triple_matches_report_probability():
     params = SpecialBSParams(R0=0.7)
     vectors = conditional_sector_vectors(params, EQ)

@@ -83,6 +83,15 @@ def test_record_merge_is_commutative_and_associative():
     assert merged.n_pairs == 30
 
 
+def test_record_merge_refuses_records_of_one_seed():
+    # two records of one seed hold one draw, not independent data
+    a = CoincidenceRecord(5, 1, 2, 0, 20, 3)
+    with pytest.raises(ValueError, match="same seed"):
+        a.merged(a)
+    with pytest.raises(ValueError, match="same seed"):
+        a.merged(CoincidenceRecord(1, 0, 0, 1, 5, 3))
+
+
 # ---------------------------------------------------------------------------
 # outcome distribution
 # ---------------------------------------------------------------------------

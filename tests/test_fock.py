@@ -6,63 +6,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcclone.fock import (
-    MODES_4,
-    BasisSet,
     DensityMatrix,
-    Mode,
     Port,
     Qubit,
-    Rail,
-    StateVector,
-    Temporal,
     TwoQubitState,
-    apply_attenuator,
-    apply_two_mode_coupler,
+    attenuator,
+    coupler,
     fidelity,
+    photon_pair,
     postselect_coincidence,
-    two_photon_basis,
 )
 
-M1R0 = Mode(Port.OUT1, Rail.R0, Temporal.PRINCIPAL)
-M1R1 = Mode(Port.OUT1, Rail.R1, Temporal.PRINCIPAL)
-M2R0 = Mode(Port.OUT2, Rail.R0, Temporal.PRINCIPAL)
-M2R1 = Mode(Port.OUT2, Rail.R1, Temporal.PRINCIPAL)
+# modes of the principal bin, index 2 * port + rail
+M1R0, M1R1, M2R0, M2R1 = 0, 1, 2, 3
 HALF = math.sqrt(0.5)
+E = np.eye(4)
 
 
-def pair_state(basis, mode_x, mode_y, amplitude=1.0):
-    if mode_x == mode_y:
-        return StateVector.from_terms(basis, [(amplitude, {mode_x: 2})])
-    return StateVector.from_terms(basis, [(amplitude, {mode_x: 1, mode_y: 1})])
+def propagate(u, state):
+    return u @ state @ u.T
 
 
-# ---------------------------------------------------------------------------
-# basis enumeration
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize(
-    "mode_count,expected", [(2, 3), (4, 10), (8, 36)]
-)
-def test_enumerate_basis_sizes(mode_count, expected):
-    assert len(two_photon_basis(mode_count).states) == expected
+def norm_squared(state):
+    return 2.0 * float(np.sum(np.abs(state) ** 2))
 
 
-def test_enumerate_basis_two_modes_content():
-    assert two_photon_basis(2).states == ((2, 0), (1, 1), (0, 2))
-
-
-def test_enumerate_basis_order_is_stable():
-    first = two_photon_basis(8).states
-    again = BasisSet(two_photon_basis(8).modes).states
-    assert first == again
-    assert len(set(first)) == len(first)
-    assert all(sum(occ) == 2 for occ in first)
-
-
-def test_enumerate_basis_rejects_other_photon_numbers():
-    three_photons = StateVector.zero(BasisSet(MODES_4, photon_count=3))
-    with pytest.raises(ValueError, match="two-photon"):
-        postselect_coincidence(three_photons)
+def block_norm(state, modes):
+    """Norm of the component with both photons in ``modes``."""
+    return norm_squared(state[np.ix_(modes, modes)])
 
 
 # ---------------------------------------------------------------------------
@@ -70,20 +41,23 @@ def test_enumerate_basis_rejects_other_photon_numbers():
 # ---------------------------------------------------------------------------
 
 def test_coupler_single_photon_reflectance():
-    basis = two_photon_basis(4)
-    state = pair_state(basis, M1R0, M2R1)  # second photon parked on rail r1
-    out = apply_two_mode_coupler(state, M1R0, M2R0, math.sqrt(0.789), math.sqrt(0.211))
-    stay = out.amplitude(
-        tuple(1 if m in (M1R0, M2R1) else 0 for m in basis.modes)
-    )
+    state = photon_pair(E[M1R0], E[M2R1])  # second photon parked
+    out = propagate(coupler(M1R0, M2R0, math.sqrt(0.789), math.sqrt(0.211)), state)
+    stay = 2.0 * out[M1R0, M2R1]
     assert abs(stay) ** 2 == pytest.approx(0.789, abs=1e-12)
 
 
+def test_coupler_sign_convention():
+    # a -> r a + t b,  b -> r b - t a, as columns of the transfer matrix
+    u = coupler(M1R0, M2R0, 0.6, 0.8)
+    assert np.array_equal(u[:, M1R0], [0.6, 0.0, 0.8, 0.0])
+    assert np.array_equal(u[:, M2R0], [-0.8, 0.0, 0.6, 0.0])
+    assert np.array_equal(u[:, [M1R1, M2R1]], np.eye(4)[:, [M1R1, M2R1]])
+
+
 def test_coupler_hom_cancellation():
-    basis = two_photon_basis(4)
-    state = pair_state(basis, M1R0, M2R0)
-    out = apply_two_mode_coupler(state, M1R0, M2R0, HALF, HALF)
-    _, prob = postselect_coincidence(out)
+    state = photon_pair(E[M1R0], E[M2R0])
+    _, prob = postselect_coincidence(propagate(coupler(M1R0, M2R0, HALF, HALF), state))
     assert prob < 1e-12
 
 
@@ -91,82 +65,91 @@ def test_coupler_distinguishable_photons_coincide_half_the_time():
     # independent classical paths: P_coinc = (r^2)^2 + (t^2)^2
     r2 = t2 = 0.5
     oracle = r2 * r2 + t2 * t2
-    basis = two_photon_basis(8)
-    orth = Mode(Port.OUT2, Rail.R0, Temporal.ORTHOGONAL)
-    state = pair_state(basis, M1R0, orth)
-    state = apply_two_mode_coupler(state, M1R0, M2R0, HALF, HALF)
-    state = apply_two_mode_coupler(
-        state, Mode(Port.OUT1, Rail.R0, Temporal.ORTHOGONAL), orth, HALF, HALF
-    )
-    _, prob = postselect_coincidence(state)
+    modes = np.eye(8)
+    state = photon_pair(modes[M1R0], modes[4 + M2R0])  # ancilla in the other bin
+    u = np.kron(np.eye(2), coupler(M1R0, M2R0, HALF, HALF))
+    _, prob = postselect_coincidence(propagate(u, state))
     assert prob == pytest.approx(oracle, abs=1e-12)
     assert oracle == 0.5
 
 
 def test_coupler_rejects_lossy_pair():
-    basis = two_photon_basis(4)
-    state = pair_state(basis, M1R0, M2R0)
     with pytest.raises(ValueError, match="r\\^2 \\+ t\\^2"):
-        apply_two_mode_coupler(state, M1R0, M2R0, 0.9, 0.9)
+        coupler(M1R0, M2R0, 0.9, 0.9)
 
 
 def test_coupler_rejects_identical_modes():
-    basis = two_photon_basis(4)
-    state = pair_state(basis, M1R0, M2R0)
     with pytest.raises(ValueError, match="distinct"):
-        apply_two_mode_coupler(state, M1R0, M1R0, 1.0, 0.0)
+        coupler(M1R0, M1R0, 1.0, 0.0)
 
 
 @st.composite
 def random_two_photon_state(draw):
-    basis = two_photon_basis(4)
     values = draw(
-        st.lists(
-            st.floats(-1.0, 1.0, allow_nan=False),
-            min_size=2 * len(basis),
-            max_size=2 * len(basis),
-        )
+        st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=32, max_size=32)
     )
-    amps = np.array(values[: len(basis)]) + 1j * np.array(values[len(basis):])
-    norm = np.linalg.norm(amps)
-    if norm < 1e-6:
-        amps = np.zeros(len(basis), complex)
-        amps[0] = 1.0
-    else:
-        amps = amps / norm
-    return StateVector(basis, amps)
+    t = np.reshape(values[:16], (4, 4)) + 1j * np.reshape(values[16:], (4, 4))
+    t = t + t.T
+    if np.linalg.norm(t) < 1e-6:
+        t = photon_pair(E[M1R0], E[M2R0])
+    return t / math.sqrt(norm_squared(t))
 
 
 @settings(max_examples=60, deadline=None)
 @given(random_two_photon_state(), st.floats(0.0, 2.0 * math.pi, allow_nan=False))
 def test_coupler_preserves_norm(state, angle):
     r, t = math.cos(angle), math.sin(angle)
-    out = apply_two_mode_coupler(state, M1R0, M2R1, r, t)
-    assert abs(out.norm_squared - state.norm_squared) < 1e-12
+    out = propagate(coupler(M1R0, M2R1, r, t), state)
+    assert abs(norm_squared(out) - norm_squared(state)) < 1e-12
 
 
 @settings(max_examples=60, deadline=None)
 @given(random_two_photon_state(), st.floats(0.0, 2.0 * math.pi, allow_nan=False))
 def test_coupler_inverse_restores_input(state, angle):
     r, t = math.cos(angle), math.sin(angle)
-    out = apply_two_mode_coupler(state, M1R0, M2R0, r, t)
-    back = apply_two_mode_coupler(out, M1R0, M2R0, r, -t)
-    assert np.max(np.abs(back.amplitudes - state.amplitudes)) < 1e-10
+    out = propagate(coupler(M1R0, M2R0, r, t), state)
+    back = propagate(coupler(M1R0, M2R0, r, -t), out)
+    assert np.max(np.abs(back - state)) < 1e-10
+
+
+@st.composite
+def random_unitary(draw):
+    values = draw(
+        st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=32, max_size=32)
+    )
+    z = np.reshape(values[:16], (4, 4)) + 1j * np.reshape(values[16:], (4, 4))
+    q, _ = np.linalg.qr(z)
+    return q
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_unitary(), st.permutations(range(4)))
+def test_coincidence_amplitudes_are_two_by_two_permanents(u, modes):
+    i, j = modes[:2]  # two distinct input modes
+    out = propagate(u, photon_pair(E[i], E[j]))
+    for k in range(4):
+        for l in range(4):
+            if k != l:
+                permanent = u[k, i] * u[l, j] + u[k, j] * u[l, i]
+                assert abs(2.0 * out[k, l] - permanent) < 1e-12
+    _, prob = postselect_coincidence(out)
+    expected = sum(
+        abs(u[k, i] * u[l, j] + u[k, j] * u[l, i]) ** 2
+        for k in (M1R0, M1R1) for l in (M2R0, M2R1)
+    )
+    assert prob == pytest.approx(expected, abs=1e-12)
 
 
 def test_probability_completeness_for_lossless_circuit():
-    basis = two_photon_basis(4)
     q = Qubit.equatorial(0.4)
-    alpha, beta = q.amplitudes()
-    state = StateVector.from_terms(
-        basis, [(alpha, {M1R0: 1, M2R0: 1}), (beta, {M1R1: 1, M2R0: 1})]
-    )
-    state = apply_two_mode_coupler(state, M1R0, M2R0, math.sqrt(0.7), math.sqrt(0.3))
-    state = apply_two_mode_coupler(state, M1R1, M2R1, math.sqrt(0.3), -math.sqrt(0.7))
+    signal = np.concatenate([q.amplitudes(), [0.0, 0.0]])
+    state = photon_pair(signal, E[M2R0])
+    u = (coupler(M1R1, M2R1, math.sqrt(0.3), -math.sqrt(0.7))
+         @ coupler(M1R0, M2R0, math.sqrt(0.7), math.sqrt(0.3)))
+    state = propagate(u, state)
     _, p_coinc = postselect_coincidence(state)
-    probs = np.abs(state.amplitudes) ** 2
-    p_both_1 = probs[basis.port_counts[:, Port.OUT1] == 2].sum()
-    p_both_2 = probs[basis.port_counts[:, Port.OUT2] == 2].sum()
+    p_both_1 = block_norm(state, [M1R0, M1R1])
+    p_both_2 = block_norm(state, [M2R0, M2R1])
     assert p_coinc + p_both_1 + p_both_2 == pytest.approx(1.0, abs=1e-10)
 
 
@@ -175,39 +158,34 @@ def test_probability_completeness_for_lossless_circuit():
 # ---------------------------------------------------------------------------
 
 def test_attenuator_identity():
-    basis = two_photon_basis(4)
-    state = pair_state(basis, M1R0, M2R0)
-    out = apply_attenuator(state, M1R0, 1.0)
-    assert np.array_equal(out.amplitudes, state.amplitudes)
+    state = photon_pair(E[M1R0], E[M2R0])
+    out = propagate(attenuator([1.0, 1.0, 1.0, 1.0]), state)
+    assert np.array_equal(out, state)
 
 
 def test_attenuator_full_absorption():
-    basis = two_photon_basis(4)
-    state = pair_state(basis, M1R0, M2R0)
-    out = apply_attenuator(state, M1R0, 0.0)
-    assert out.norm_squared == 0.0
+    state = photon_pair(E[M1R0], E[M2R0])
+    out = propagate(attenuator([0.0, 1.0, 1.0, 1.0]), state)
+    assert norm_squared(out) == 0.0
 
 
 def test_attenuator_two_photon_scaling():
-    basis = two_photon_basis(4)
-    state = pair_state(basis, M1R0, M1R0)
-    out = apply_attenuator(state, M1R0, HALF)
-    occ = tuple(2 if m == M1R0 else 0 for m in basis.modes)
-    assert out.amplitude(occ) == pytest.approx(0.5, abs=1e-12)
+    state = photon_pair(E[M1R0], E[M1R0])  # |2> in mode M1R0
+    out = propagate(attenuator([HALF, 1.0, 1.0, 1.0]), state)
+    assert out[M1R0, M1R0] / state[M1R0, M1R0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_attenuator_never_increases_norm():
-    basis = two_photon_basis(4)
-    state = pair_state(basis, M1R0, M2R0)
-    out = apply_attenuator(state, M2R0, 0.37)
-    assert out.norm_squared <= state.norm_squared + 1e-12
+    state = photon_pair(E[M1R0], E[M2R0])
+    out = propagate(attenuator([1.0, 1.0, 0.37, 1.0]), state)
+    assert norm_squared(out) <= norm_squared(state) + 1e-12
 
 
 def test_attenuator_rejects_out_of_range():
-    basis = two_photon_basis(4)
-    state = pair_state(basis, M1R0, M2R0)
     with pytest.raises(ValueError, match="transmittance"):
-        apply_attenuator(state, M1R0, 1.2)
+        attenuator([1.2, 1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="transmittance"):
+        attenuator([1.0, float("nan"), 1.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -215,27 +193,31 @@ def test_attenuator_rejects_out_of_range():
 # ---------------------------------------------------------------------------
 
 def test_postselect_zero_probability_marker():
-    basis = two_photon_basis(4)
-    state = pair_state(basis, M1R0, M1R1)  # both photons in port 1
+    state = photon_pair(E[M1R0], E[M1R1])  # both photons in port 1
     joint, prob = postselect_coincidence(state)
     assert joint is None
     assert prob == 0.0
 
 
 def test_postselect_normalizes_kept_component():
-    basis = two_photon_basis(4)
     q = Qubit.equatorial(1.1)
-    alpha, beta = q.amplitudes()
-    state = StateVector.from_terms(
-        basis, [(alpha, {M1R0: 1, M2R0: 1}), (beta, {M1R1: 1, M2R0: 1})]
-    )
+    signal = np.concatenate([q.amplitudes(), [0.0, 0.0]])
     r = math.sqrt(0.7886751345948129)
     t = math.sqrt(1 - 0.7886751345948129)
-    state = apply_two_mode_coupler(state, M1R0, M2R0, r, t)
-    state = apply_two_mode_coupler(state, M1R1, M2R1, t, -r)
-    joint, prob = postselect_coincidence(state)
+    u = coupler(M1R1, M2R1, t, -r) @ coupler(M1R0, M2R0, r, t)
+    joint, prob = postselect_coincidence(propagate(u, photon_pair(signal, E[M2R0])))
     assert prob == pytest.approx(1.0 / 3.0, abs=1e-10)
     assert np.trace(joint.rho).real == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(0, 0), (4,), (3, 3), (4, 8), (6, 6), (2, 4, 4)],
+    ids=["empty", "vector", "three-modes", "not-square", "six-modes", "stack"],
+)
+def test_postselect_rejects_non_mode_matrix(shape):
+    with pytest.raises(ValueError, match="multiple of 4 modes"):
+        postselect_coincidence(np.zeros(shape))
 
 
 def test_reduced_product_state():
@@ -278,8 +260,7 @@ def test_reduced_requires_two_qubit_state():
 @given(random_two_photon_state(), st.floats(0.0, 2.0 * math.pi, allow_nan=False))
 def test_reduced_matrices_are_valid_density_matrices(state, angle):
     r, t = math.cos(angle), math.sin(angle)
-    out = apply_two_mode_coupler(state, M1R0, M2R0, r, t)
-    joint, prob = postselect_coincidence(out)
+    joint, prob = postselect_coincidence(propagate(coupler(M1R0, M2R0, r, t), state))
     if joint is None:
         return
     for port in Port:
@@ -330,10 +311,10 @@ def test_qubit_validation_and_orthogonality():
     assert Qubit.equatorial(7.0).phi == pytest.approx(7.0 - 2.0 * math.pi)
 
 
-def test_state_vector_is_immutable():
-    basis = two_photon_basis(4)
-    state = pair_state(basis, M1R0, M2R0)
+def test_two_qubit_state_is_immutable():
+    state = photon_pair(E[M1R0], E[M2R0])
+    joint, _ = postselect_coincidence(state)
     with pytest.raises(AttributeError):
-        state.amplitudes = np.zeros(len(basis))
+        joint.rho = np.eye(4) / 4.0
     with pytest.raises(ValueError):
-        state.amplitudes[0] = 5.0
+        joint.rho[0, 0] = 5.0
