@@ -21,20 +21,19 @@ import json
 import sys
 from dataclasses import replace
 
-from .compensation import OBJECTIVES, optimize_symmetry
+from .compensation import optimize_symmetry
 from .experiment import (
     ConfigError,
+    CountingOptions,
+    OptimizeConfig,
+    OutputOptions,
     compare_experiments,
     parse_experiment,
-    parse_inputs,
-    parse_model,
-    parse_output,
     render_rows,
     run_experiment,
+    _read,
     _reject_unknown,
-    _require_int,
     _require_mapping,
-    _require_number,
 )
 
 EXIT_OK = 0
@@ -66,44 +65,29 @@ def _reseed(config, seed):
     """``config`` with its counting seed replaced by --seed, when both exist."""
     if seed is None or config.counting is None:
         return config
-    return replace(config, counting=replace(config.counting, seed=seed))
+    counting = _read(CountingOptions, {"seed": seed}, "counting", base=config.counting)
+    return replace(config, counting=counting)
 
 
-def _load_experiment(args):
+def _emit(rows, args, output):
+    """Write ``rows`` as the output block says, after --out and --format."""
+    overrides = {"path": args.out, "format": args.format}
+    output = _read(OutputOptions, {k: v for k, v in overrides.items() if v is not None},
+                   "output", base=output)
+    _write_output(output.path, render_rows(rows, output.format))
+
+
+def cmd_experiment(args) -> int:
+    """``run``, ``sweep`` and ``montecarlo``: one configuration, one row per input."""
     config = parse_experiment(_load_json(args.config))
     if args.seed is not None and config.counting is None:
         raise ConfigError(
             "counting: --seed given but the configuration has no counting block"
         )
-    return _reseed(config, args.seed)
-
-
-def _emit(rows, args, output):
-    """Write ``rows`` as the output block says, after --out and --format."""
-    if args.out is not None:
-        output = replace(output, path=args.out)
-    if args.format is not None:
-        output = replace(output, format=args.format)
-    _write_output(output.path, render_rows(rows, output.format))
-
-
-def cmd_run(args) -> int:
-    config = _load_experiment(args)
-    _emit(run_experiment(config), args, config.output)
-    return EXIT_OK
-
-
-def cmd_sweep(args) -> int:
-    config = _load_experiment(args)
-    if not config.is_sweep:
+    config = _reseed(config, args.seed)
+    if args.command == "sweep" and not config.is_sweep:
         raise ConfigError("sweep: this configuration has no sweep block")
-    _emit(run_experiment(config), args, config.output)
-    return EXIT_OK
-
-
-def cmd_montecarlo(args) -> int:
-    config = _load_experiment(args)
-    if config.counting is None:
+    if args.command == "montecarlo" and config.counting is None:
         raise ConfigError("counting: required for the montecarlo subcommand")
     _emit(run_experiment(config), args, config.output)
     return EXIT_OK
@@ -118,57 +102,31 @@ def cmd_compare(args) -> int:
         _reseed(parse_experiment(entry, f"configs[{i}]"), args.seed)
         for i, entry in enumerate(raw["configs"])
     ]
-    output = parse_output(raw.get("output"))
+    output = _read(OutputOptions, raw.get("output"), "output")
     _emit(compare_experiments(configs), args, output)
     return EXIT_OK
 
 
 def cmd_optimize(args) -> int:
     raw = _require_mapping(_load_json(args.config), "config")
-    allowed = ("model", "free_parameters", "objective", "input", "grid_points",
-               "output")
-    _reject_unknown(raw, allowed, "config")
-    for key in ("model", "free_parameters", "objective"):
-        if key not in raw:
-            raise ConfigError(f"{key}: required")
-    model = parse_model(raw["model"])
-    free_raw = _require_mapping(raw["free_parameters"], "free_parameters")
-    free = {}
-    for name, interval in free_raw.items():
-        if not isinstance(interval, list) or len(interval) != 2:
-            raise ConfigError(f"free_parameters.{name}: expected [low, high]")
-        free[name] = (
-            _require_number(interval[0], f"free_parameters.{name}[0]"),
-            _require_number(interval[1], f"free_parameters.{name}[1]"),
-        )
-    objective = raw["objective"]
-    if objective not in OBJECTIVES:
-        raise ConfigError(
-            f"objective: must be one of {sorted(OBJECTIVES)}, got {objective!r}"
-        )
-    input_qubit = None
-    if "input" in raw:
-        input_qubit = parse_inputs({"input": raw["input"]})[0]
-    grid_points = _require_int(raw.get("grid_points", 33), "grid_points")
-    if grid_points < 2:
-        raise ConfigError(f"grid_points: must be >= 2, got {grid_points}")
+    config = _read(OptimizeConfig, raw, "")
     try:
-        result = optimize_symmetry(
-            model, free, objective, input=input_qubit, grid_points=grid_points
-        )
+        result = optimize_symmetry(config.model, config.free_parameters,
+                                   config.objective, input=config.input,
+                                   grid_points=config.grid_points)
     except ValueError as exc:
         raise ConfigError(f"optimize: {exc}") from exc
 
     row = {
-        "objective": objective,
+        "objective": config.objective,
         "objective_value": result.objective_value,
         "F1": result.report.F1,
         "F2": result.report.F2,
         "P_succ": result.report.P_succ,
     }
-    for name in free:
+    for name in config.free_parameters:
         row[name] = getattr(result.params, name)
-    _emit([row], args, parse_output(raw.get("output")))
+    _emit([row], args, config.output)
     return EXIT_OK
 
 
@@ -179,11 +137,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     handlers = {
-        "run": (cmd_run, "evaluate a configuration (single input or sweep)"),
-        "sweep": (cmd_sweep, "evaluate a sweep configuration"),
+        "run": (cmd_experiment, "evaluate a configuration (single input or sweep)"),
+        "sweep": (cmd_experiment, "evaluate a sweep configuration"),
         "compare": (cmd_compare, "summarize several labeled configurations"),
         "optimize": (cmd_optimize, "tune free parameters against an objective"),
-        "montecarlo": (cmd_montecarlo, "simulate coincidence counting"),
+        "montecarlo": (cmd_experiment, "simulate coincidence counting"),
     }
     for name, (handler, help_text) in handlers.items():
         p = sub.add_parser(name, help=help_text)

@@ -79,6 +79,10 @@ def _check_lossless(name_r, r, name_t, t):
         )
 
 
+def _check_overlap(M):
+    _check_unit_interval("overlap M", M)
+
+
 def _standard_basis(analysis: Qubit):
     """(plus, minus) click vectors of an analyzer set to ``analysis``."""
     return analysis.amplitudes(), analysis.orthogonal().amplitudes()
@@ -104,9 +108,23 @@ class ClonerParams:
     ``transfer_matrix(delta)``, the same device as the single-photon transfer
     matrix of one temporal bin over the modes 2 * port + rail.
     ``responds_to_jitter`` says whether ``delta`` reaches the device at all.
+
+    A subclass that names a ``variant`` in its class statement enters
+    ``variants``, the registry under which the experiment schema reads it.
     """
 
+    variants: dict = {}
     responds_to_jitter = False
+
+    def __init_subclass__(cls, variant: str | None = None, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if variant is not None:
+            ClonerParams.variants[variant] = cls
+
+    @classmethod
+    def ideal(cls):
+        """The design setting: every field at its default."""
+        return cls()
 
     def analyzer_bases(self, input: Qubit):
         """Click vectors of both clones' analyzers when no analysis state is set.
@@ -150,7 +168,7 @@ class _Splitter(ClonerParams):
 
 
 @dataclass(frozen=True)
-class SpecialBSParams(_Splitter):
+class SpecialBSParams(_Splitter, variant="special_bs"):
     """Unbalanced beam splitter with rail-dependent splitting ratio.
 
     ``R0`` is the intensity reflectance seen by rail r0; rail r1 sees ``R1``
@@ -178,10 +196,6 @@ class SpecialBSParams(_Splitter):
         _check_unit_interval("comp_loss_r0", self.comp_loss_r0)
         _check_unit_interval("comp_loss_r1", self.comp_loss_r1)
 
-    @classmethod
-    def ideal(cls) -> "SpecialBSParams":
-        return cls(R0=R_OPTIMAL)
-
     def couplings(self, delta=0.0):
         """No stabilized interference path: ``delta`` does not enter."""
         return (*_rail_couplings(self.R0, self.R1, self.sign_convention),
@@ -189,7 +203,7 @@ class SpecialBSParams(_Splitter):
 
 
 @dataclass(frozen=True)
-class MachZehnderParams(_Splitter):
+class MachZehnderParams(_Splitter, variant="mach_zehnder"):
     """Interferometer emulating the unbalanced splitter.
 
     ``theta_V``/``theta_H`` are the arm phase differences for the rail-r0 and
@@ -231,7 +245,7 @@ def mz_splitting(theta_V: float, theta_H: float):
 
 
 @dataclass(frozen=True)
-class HybridParams(ClonerParams):
+class HybridParams(ClonerParams, variant="hybrid"):
     """Photon bunching on a balanced splitter followed by state filtering.
 
     ``r``/``t`` belong to the bunching splitter BS1, ``r0, t0, r1, t1`` to the
@@ -260,10 +274,6 @@ class HybridParams(ClonerParams):
         _check_lossless("r1", self.r1, "t1", self.t1)
         for name in ("eta0", "eta1", "nu0", "nu1"):
             _check_unit_interval(name, getattr(self, name))
-
-    @classmethod
-    def ideal(cls) -> "HybridParams":
-        return cls()
 
     @classmethod
     def universal(cls) -> "HybridParams":
@@ -310,7 +320,7 @@ def _ratio_basis(phi: float, ratio: float):
 
 
 @dataclass(frozen=True)
-class FiberParams(_Splitter):
+class FiberParams(_Splitter, variant="fiber"):
     """All-fiber cloner: two variable-ratio couplers on dual-rail qubits.
 
     ``R_vrc0``/``R_vrc1`` are the intensity coupling ratios of the couplers
@@ -340,10 +350,6 @@ class FiberParams(_Splitter):
             object.__setattr__(self, "analysis_phases", phases)
         _check_unit_interval("detection_ratio_1", self.detection_ratio_1)
         _check_unit_interval("detection_ratio_2", self.detection_ratio_2)
-
-    @classmethod
-    def ideal(cls) -> "FiberParams":
-        return cls(R_vrc0=R_OPTIMAL)
 
     def couplings(self, delta=0.0):
         """A phase error ``delta`` drifts the phase of rail r1 against r0."""
@@ -464,8 +470,7 @@ def conditional_sector_vectors(
     below.  ``phase_errors`` feeds per-trial jitter into the architectures
     that respond to it; without it there is one trial.
     """
-    if not 0.0 <= overlap_M <= 1.0:
-        raise ValueError(f"overlap M must lie in [0, 1], got {overlap_M}")
+    _check_overlap(overlap_M)
     delta = 0.0 if phase_errors is None else np.asarray(phase_errors, float)
     vectors = _sector_stack(params, *input.amplitudes(), overlap_M, delta)
     return vectors.reshape((-1,) + vectors.shape[-2:])
@@ -546,6 +551,7 @@ def circuit_joint_state(params: ClonerParams, input: Qubit,
     ``arm_phase_error`` is the interferometer phase error of one trial; it
     reaches only the devices that respond to jitter.
     """
+    _check_overlap(ancilla_overlap)
     m = float(ancilla_overlap)
     bins = 2 if m < 1.0 else 1
     signal = np.zeros(4 * bins, dtype=complex)

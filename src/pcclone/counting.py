@@ -26,9 +26,17 @@ from typing import Union
 
 import numpy as np
 
-from .cloners import CloneReport, ClonerParams, _standard_basis
+from .cloners import CloneReport, ClonerParams, _check_unit_interval, _standard_basis
 from .fock import Qubit
 from .noise import NoiseConfig, _jitter_walk, evaluate
+
+#: most photon pairs one counting run may offer (the sampler counts in int64)
+MAX_PAIRS = 10**12
+
+
+def _check_pairs(n_pairs):
+    if not 1 <= n_pairs <= MAX_PAIRS:
+        raise ValueError(f"n_pairs must lie in [1, {MAX_PAIRS}], got {n_pairs}")
 
 
 @dataclass(frozen=True)
@@ -42,9 +50,7 @@ class DetectorBank:
 
     def __post_init__(self):
         for name in ("eta_1p", "eta_1m", "eta_2p", "eta_2m"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
+            _check_unit_interval(name, getattr(self, name))
 
     def pattern_efficiencies(self) -> np.ndarray:
         """Registration probability per pattern, order (++, +-, -+, --)."""
@@ -183,8 +189,7 @@ def _simulate(model, noise, input, n_pairs, detectors, seed, analysis=None,
     probabilities p_j * eff_j, so each pattern count is a difference of the
     numbers of draws below consecutive running sums.
     """
-    if n_pairs < 1:
-        raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
+    _check_pairs(n_pairs)
     w = _pattern_vectors(*_side_bases(model, input, analysis))
     eff = detectors.pattern_efficiencies()
     if not (model.responds_to_jitter and noise.phase_jitter_sigma > 0.0):

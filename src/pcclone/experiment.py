@@ -22,9 +22,12 @@ Exactly one of ``input`` (single state) or ``sweep`` must be present.  Sweep
 axes accept a scalar, a list of values, or an inclusive range object
 ``{"start", "stop", "count"}``; rows run theta-major.  Omitted sweep axes
 default to theta = pi/2 (equator) and phi = 0.  ``noise``, ``counting`` and
-``output`` are optional; unknown keys anywhere are rejected.
+``output`` are optional; unknown keys anywhere are rejected.  A sweep holds at
+most ``MAX_ROWS`` rows and a counting block at most ``MAX_PAIRS`` pairs.
 
-Model variants and their fields (all optional, defaults are the ideal
+Every section, and the ``pcclone optimize`` document (:class:`OptimizeConfig`),
+is read from the fields and types of its frozen dataclass.  Model variants are
+``ClonerParams.variants``; their fields (all optional, defaults are the ideal
 settings):
 
 * ``special_bs``:   R0, R1, sign_convention, comp_loss_r0, comp_loss_r1
@@ -44,22 +47,21 @@ registration probabilities from those joint states.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import math
+import types
 from dataclasses import dataclass, replace
-from typing import Any
+from typing import Any, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .cloners import (
-    ClonerParams,
-    FiberParams,
-    HybridParams,
-    MachZehnderParams,
-    SpecialBSParams,
-)
+from .cloners import ClonerParams
+from .compensation import OBJECTIVES
 from .counting import (
     DetectorBank,
+    _check_pairs,
     _simulate,
     fidelity_from_counts,
     success_probability_estimate,
@@ -67,22 +69,12 @@ from .counting import (
 from .fock import Qubit
 from .noise import NoiseConfig, evaluate_batch
 
+#: most rows one sweep may have, per axis and in all (~2 kB of memory each)
+MAX_ROWS = 10**5
+
 
 class ConfigError(ValueError):
     """Invalid configuration content; the message names the offending field."""
-
-
-_MODEL_TYPES = {
-    "special_bs": SpecialBSParams,
-    "mach_zehnder": MachZehnderParams,
-    "hybrid": HybridParams,
-    "fiber": FiberParams,
-}
-
-_ANALYTIC_COLUMNS = ("theta", "phi", "F1", "F2", "P_succ")
-_COUNTING_COLUMNS = (
-    "C_pp", "C_pm", "C_mp", "C_mm", "F1_hat", "F2_hat", "P_hat"
-)
 
 
 def _require_mapping(obj, field: str) -> dict:
@@ -105,6 +97,12 @@ def _require_int(value, field: str) -> int:
     return value
 
 
+def _require_str(value, field: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{field}: expected a string, got {value!r}")
+    return value
+
+
 def _reject_unknown(mapping: dict, allowed, field: str):
     unknown = set(mapping) - set(allowed)
     if unknown:
@@ -113,80 +111,110 @@ def _reject_unknown(mapping: dict, allowed, field: str):
         )
 
 
+def _reader(tp):
+    """A function (value, field) -> value of the annotated field type ``tp``."""
+    args = get_args(tp)
+    if isinstance(tp, types.UnionType):  # X | None
+        (inner,) = (_reader(a) for a in args if a is not type(None))
+        return lambda value, field: None if value is None else inner(value, field)
+    if get_origin(tp) is tuple:
+        items = [_reader(a) for a in args]
+
+        def read_tuple(value, field):
+            if not isinstance(value, (list, tuple)) or len(value) != len(items):
+                raise ConfigError(
+                    f"{field}: expected a list of {len(items)} values, got {value!r}"
+                )
+            return tuple([read(v, f"{field}[{i}]")
+                          for i, (read, v) in enumerate(zip(items, value))])
+        return read_tuple
+    if get_origin(tp) is dict:
+        item = _reader(args[1])
+        return lambda value, field: {
+            key: item(v, f"{field}.{key}")
+            for key, v in _require_mapping(value, field).items()
+        }
+    if tp is ClonerParams:
+        return parse_model
+    if dataclasses.is_dataclass(tp):
+        return functools.partial(_read, tp)
+    return {float: _require_number, int: _require_int, str: _require_str}[tp]
+
+
+@functools.cache
+def _schema(cls):
+    """Field readers, required fields and the all-default instance of ``cls``."""
+    hints = get_type_hints(cls)
+    fields = dataclasses.fields(cls)
+    readers = {f.name: _reader(hints[f.name]) for f in fields}
+    required = [f.name for f in fields if f.default is dataclasses.MISSING]
+    return readers, required, None if required else cls()
+
+
+def _read(cls, spec, field: str, base=None):
+    """The frozen dataclass ``cls`` built from the JSON object ``spec``.
+
+    Each key is a field of ``cls``, read by the field's type: a number, an
+    integer, a string, ``X | None``, a tuple, a ``dict[str, X]``, a nested
+    config dataclass or a :class:`ClonerParams` variant.  Omitted fields keep
+    their value in ``base`` or else their default; ``None`` stands for an
+    empty object.  A ValueError of ``cls`` becomes a :class:`ConfigError`
+    under ``field``, joined to the field name the message starts with.
+    """
+    readers, required, default = _schema(cls)
+    if spec is None or spec == {}:
+        spec = {}
+        if base is not None or default is not None:
+            return default if base is None else base
+    if not isinstance(spec, dict) or not spec.keys() <= readers.keys():
+        _reject_unknown(_require_mapping(spec, field or "config"), readers,
+                        field or "config")
+    prefix = f"{field}." if field else ""
+    if base is None:
+        for name in required:
+            if name not in spec:
+                raise ConfigError(f"{prefix}{name}: required")
+    values = {}
+    for key, value in spec.items():
+        values[key] = readers[key](value, prefix + key)
+    try:
+        return cls(**values) if base is None else replace(base, **values)
+    except ValueError as exc:
+        named = str(exc).split(" ", 1)[0] in readers
+        where = prefix if named else f"{field or 'config'}: "
+        raise ConfigError(f"{where}{exc}") from exc
+
+
 def parse_model(spec, field: str = "model") -> ClonerParams:
     spec = dict(_require_mapping(spec, field))
     variant = spec.pop("variant", None)
-    if variant not in _MODEL_TYPES:
-        raise ConfigError(
-            f"{field}.variant: must be one of {sorted(_MODEL_TYPES)}, got {variant!r}"
-        )
-    cls = _MODEL_TYPES[variant]
-    base = cls.ideal()
-    allowed = set(base.__dataclass_fields__)
-    _reject_unknown(spec, allowed, field)
-    overrides: dict[str, Any] = {}
-    for key, value in spec.items():
-        if key == "sign_convention":
-            overrides[key] = _require_int(value, f"{field}.{key}")
-        elif key == "analysis_phases":
-            if value is None:
-                overrides[key] = None
-            else:
-                if not isinstance(value, (list, tuple)) or len(value) != 2:
-                    raise ConfigError(f"{field}.{key}: expected two angles")
-                overrides[key] = tuple(
-                    _require_number(v, f"{field}.{key}") for v in value
-                )
-        elif key == "R1" and value is None:
-            overrides[key] = None
-        else:
-            overrides[key] = _require_number(value, f"{field}.{key}")
-    try:
-        return replace(base, **overrides)
-    except ValueError as exc:
-        raise ConfigError(f"{field}: {exc}") from exc
-
-
-def parse_noise(spec, field: str = "noise") -> NoiseConfig:
-    if spec is None:
-        return NoiseConfig()
-    spec = _require_mapping(spec, field)
-    allowed = ("overlap_M", "phase_jitter_sigma", "jitter_reset_period")
-    _reject_unknown(spec, allowed, field)
-    kwargs = {}
-    for key, value in spec.items():
-        if key == "jitter_reset_period":
-            kwargs[key] = _require_int(value, f"{field}.{key}")
-        else:
-            kwargs[key] = _require_number(value, f"{field}.{key}")
-    try:
-        return NoiseConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{field}: {exc}") from exc
+    cls = ClonerParams.variants.get(variant) if isinstance(variant, str) else None
+    if cls is None:
+        raise ConfigError(f"{field}.variant: must be one of "
+                          f"{sorted(ClonerParams.variants)}, got {variant!r}")
+    return _read(cls, spec, field, base=cls.ideal())
 
 
 def _parse_axis(spec, field: str) -> list[float]:
-    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-        return [_require_number(spec, field)]
-    if isinstance(spec, list):
-        if not spec:
-            raise ConfigError(f"{field}: sweep list must be non-empty")
-        return [_require_number(v, field) for v in spec]
     if isinstance(spec, dict):
         _reject_unknown(spec, ("start", "stop", "count"), field)
         for key in ("start", "stop", "count"):
             if key not in spec:
                 raise ConfigError(f"{field}.{key}: required in a range sweep")
         count = _require_int(spec["count"], f"{field}.count")
-        if count < 1:
-            raise ConfigError(f"{field}.count: must be >= 1, got {count}")
+        if not 1 <= count <= MAX_ROWS:
+            raise ConfigError(f"{field}.count: must lie in [1, {MAX_ROWS}], got {count}")
         start = _require_number(spec["start"], f"{field}.start")
         stop = _require_number(spec["stop"], f"{field}.stop")
         if count == 1:
             return [start]
         step = (stop - start) / (count - 1)
         return [start + k * step for k in range(count)]
-    raise ConfigError(f"{field}: expected a number, list or range object")
+    values = spec if isinstance(spec, list) else [spec]
+    if not 1 <= len(values) <= MAX_ROWS:
+        raise ConfigError(f"{field}: sweep list must be non-empty and hold at most "
+                          f"{MAX_ROWS} values, got {len(values)}")
+    return [_require_number(v, field) for v in values]
 
 
 def parse_inputs(config: dict, field: str = "") -> list[Qubit]:
@@ -198,26 +226,14 @@ def parse_inputs(config: dict, field: str = "") -> list[Qubit]:
             f"{prefix}input/sweep: exactly one of 'input' or 'sweep' is required"
         )
     if has_input:
-        spec = _require_mapping(config["input"], f"{prefix}input")
-        _reject_unknown(spec, ("theta", "phi"), f"{prefix}input")
-        if "theta" not in spec:
-            raise ConfigError(f"{prefix}input.theta: required")
-        theta = _require_number(spec["theta"], f"{prefix}input.theta")
-        phi = _require_number(spec.get("phi", 0.0), f"{prefix}input.phi")
-        try:
-            return [Qubit(theta, phi)]
-        except ValueError as exc:
-            raise ConfigError(f"{prefix}input: {exc}") from exc
+        return [_read(Qubit, config["input"], f"{prefix}input")]
     spec = _require_mapping(config["sweep"], f"{prefix}sweep")
     _reject_unknown(spec, ("theta", "phi"), f"{prefix}sweep")
-    thetas = (
-        _parse_axis(spec["theta"], f"{prefix}sweep.theta")
-        if "theta" in spec
-        else [math.pi / 2.0]
-    )
-    phis = (
-        _parse_axis(spec["phi"], f"{prefix}sweep.phi") if "phi" in spec else [0.0]
-    )
+    thetas = _parse_axis(spec.get("theta", math.pi / 2.0), f"{prefix}sweep.theta")
+    phis = _parse_axis(spec.get("phi", 0.0), f"{prefix}sweep.phi")
+    if len(thetas) * len(phis) > MAX_ROWS:
+        raise ConfigError(f"{prefix}sweep: at most {MAX_ROWS} rows, "
+                          f"got {len(thetas)} x {len(phis)}")
     try:
         return [Qubit(th, ph) for th in thetas for ph in phis]
     except ValueError as exc:
@@ -227,38 +243,13 @@ def parse_inputs(config: dict, field: str = "") -> list[Qubit]:
 @dataclass(frozen=True)
 class CountingOptions:
     n_pairs: int
-    seed: int
-    detectors: DetectorBank
+    seed: int = 0
+    detectors: DetectorBank = DetectorBank()
 
-
-def parse_counting(spec, field: str = "counting") -> CountingOptions | None:
-    if spec is None:
-        return None
-    spec = _require_mapping(spec, field)
-    _reject_unknown(spec, ("n_pairs", "seed", "detectors"), field)
-    if "n_pairs" not in spec:
-        raise ConfigError(f"{field}.n_pairs: required")
-    n_pairs = _require_int(spec["n_pairs"], f"{field}.n_pairs")
-    if n_pairs < 1:
-        raise ConfigError(f"{field}.n_pairs: must be >= 1, got {n_pairs}")
-    seed = _require_int(spec.get("seed", 0), f"{field}.seed")
-    det_spec = spec.get("detectors")
-    if det_spec is None:
-        detectors = DetectorBank()
-    else:
-        det_spec = _require_mapping(det_spec, f"{field}.detectors")
-        allowed = ("eta_1p", "eta_1m", "eta_2p", "eta_2m")
-        _reject_unknown(det_spec, allowed, f"{field}.detectors")
-        try:
-            detectors = DetectorBank(
-                **{
-                    k: _require_number(v, f"{field}.detectors.{k}")
-                    for k, v in det_spec.items()
-                }
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{field}.detectors: {exc}") from exc
-    return CountingOptions(n_pairs=n_pairs, seed=seed, detectors=detectors)
+    def __post_init__(self):
+        _check_pairs(self.n_pairs)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -266,19 +257,11 @@ class OutputOptions:
     format: str = "csv"
     path: str = "-"
 
-
-def parse_output(spec, field: str = "output") -> OutputOptions:
-    if spec is None:
-        return OutputOptions()
-    spec = _require_mapping(spec, field)
-    _reject_unknown(spec, ("format", "path"), field)
-    fmt = spec.get("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"{field}.format: must be 'csv' or 'json', got {fmt!r}")
-    path = spec.get("path", "-")
-    if not isinstance(path, str) or not path:
-        raise ConfigError(f"{field}.path: expected a non-empty string")
-    return OutputOptions(format=fmt, path=path)
+    def __post_init__(self):
+        if self.format not in ("csv", "json"):
+            raise ValueError(f"format must be 'csv' or 'json', got {self.format!r}")
+        if not isinstance(self.path, str) or not self.path:
+            raise ValueError(f"path must be a non-empty string, got {self.path!r}")
 
 
 @dataclass(frozen=True)
@@ -290,6 +273,25 @@ class ExperimentConfig:
     counting: CountingOptions | None
     output: OutputOptions
     label: str | None = None
+
+
+@dataclass(frozen=True)
+class OptimizeConfig:
+    """The document of ``pcclone optimize``; see :func:`optimize_symmetry`."""
+
+    model: ClonerParams
+    free_parameters: dict[str, tuple[float, float]]
+    objective: str
+    input: Qubit = Qubit.equatorial(0.0)
+    grid_points: int = 33
+    output: OutputOptions = OutputOptions()
+
+    def __post_init__(self):
+        if self.objective not in OBJECTIVES:
+            raise ValueError(f"objective must be one of {sorted(OBJECTIVES)}, "
+                             f"got {self.objective!r}")
+        if self.grid_points < 2:
+            raise ValueError(f"grid_points must be >= 2, got {self.grid_points}")
 
 
 _TOP_LEVEL_KEYS = ("label", "model", "noise", "input", "sweep", "counting", "output")
@@ -308,13 +310,15 @@ def parse_experiment(config, field: str = "") -> ExperimentConfig:
         raise ConfigError(
             f"{prefix}label: must not contain a comma or a line break, got {label!r}"
         )
+    counting = config.get("counting")
     return ExperimentConfig(
         model=parse_model(config["model"], f"{prefix}model"),
-        noise=parse_noise(config.get("noise"), f"{prefix}noise"),
+        noise=_read(NoiseConfig, config.get("noise"), f"{prefix}noise"),
         inputs=tuple(parse_inputs(config, field)),
         is_sweep="sweep" in config,
-        counting=parse_counting(config.get("counting"), f"{prefix}counting"),
-        output=parse_output(config.get("output"), f"{prefix}output"),
+        counting=None if counting is None
+        else _read(CountingOptions, counting, f"{prefix}counting"),
+        output=_read(OutputOptions, config.get("output"), f"{prefix}output"),
         label=label,
     )
 

@@ -30,6 +30,8 @@ from .cloners import (
     CloneBatch,
     CloneReport,
     ClonerParams,
+    _check_overlap,
+    _check_unit_interval,
     _evaluate_inputs,
     circuit_joint_state,
     conditional_sector_vectors,
@@ -58,8 +60,7 @@ class NoiseConfig:
     jitter_reset_period: int = 100
 
     def __post_init__(self):
-        if not 0.0 <= self.overlap_M <= 1.0:
-            raise ValueError(f"overlap_M must lie in [0, 1], got {self.overlap_M}")
+        _check_unit_interval("overlap_M", self.overlap_M)
         if not (math.isfinite(self.phase_jitter_sigma)
                 and self.phase_jitter_sigma >= 0.0):
             raise ValueError(
@@ -77,16 +78,13 @@ class NoiseConfig:
 
 def with_distinguishability(model: ClonerParams, M: float, input: Qubit) -> CloneReport:
     """Evaluate a cloner with ancilla temporal overlap M via the 8-mode circuit."""
-    if not 0.0 <= M <= 1.0:
-        raise ValueError(f"overlap M must lie in [0, 1], got {M}")
     joint, p = circuit_joint_state(model, input, ancilla_overlap=M)
     return CloneReport.from_joint(joint, p, input)
 
 
 def balanced_coincidence_probability(M: float) -> float:
     """Coincidence probability for two photons meeting on a 50:50 coupler."""
-    if not 0.0 <= M <= 1.0:
-        raise ValueError(f"overlap M must lie in [0, 1], got {M}")
+    _check_overlap(M)
     modes = np.eye(8)
     ancilla = M * modes[2] + math.sqrt(max(0.0, 1.0 - M * M)) * modes[6]
     u = np.kron(np.eye(2), coupler(0, 2, math.sqrt(0.5), math.sqrt(0.5)))

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cloner_strategies import CLASS_NAMES, PARAMS, VARIANTS
 from pcclone.cloners import (
     F_PHASE_COVARIANT,
     F_SEMICLASSICAL,
@@ -23,6 +26,7 @@ from pcclone.cloners import (
     theoretical_limits,
 )
 from pcclone.fock import Port, Qubit, check_density, fidelity
+from pcclone.noise import evaluate_batch
 
 F_PC = 0.8535533905932737
 EQ = Qubit.equatorial(0.0)
@@ -304,48 +308,6 @@ def test_latitude_monotonicity():
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
-def test_closed_form_matches_circuit_on_random_parameters():
-    rng = np.random.default_rng(123)
-    checked = 0
-    for _ in range(8):
-        models = [
-            SpecialBSParams(
-                R0=rng.uniform(0.55, 0.95),
-                R1=rng.uniform(0.05, 0.45),
-                sign_convention=int(rng.choice([-1, 1])),
-                comp_loss_r0=rng.uniform(0.6, 1.0),
-                comp_loss_r1=rng.uniform(0.6, 1.0),
-            ),
-            MachZehnderParams(
-                theta_V=rng.uniform(0.2, 1.4),
-                theta_H=rng.uniform(1.6, 3.0),
-                phase_offset_r0=rng.uniform(0.0, 1.0),
-                phase_offset_r1=rng.uniform(0.0, 1.0),
-            ),
-            HybridParams(
-                r0=(a0 := rng.uniform(0.55, 0.8)),
-                t0=math.sqrt(1 - a0 * a0),
-                r1=(a1 := rng.uniform(0.55, 0.8)),
-                t1=math.sqrt(1 - a1 * a1),
-                eta0=rng.uniform(0.4, 1.0),
-                eta1=rng.uniform(0.4, 1.0),
-                nu0=rng.uniform(0.4, 1.0),
-                nu1=rng.uniform(0.4, 1.0),
-            ),
-            FiberParams(
-                R_vrc0=rng.uniform(0.55, 0.95), R_vrc1=rng.uniform(0.05, 0.45)
-            ),
-        ]
-        qubit = Qubit(rng.uniform(0.2, math.pi - 0.2), rng.uniform(0.0, 2 * math.pi))
-        for params in models:
-            closed = run_model(params, qubit)
-            joint, prob = circuit_joint_state(params, qubit)
-            assert abs(prob - closed.P_succ) < 1e-10
-            assert np.max(np.abs(joint.rho - closed.joint.rho)) < 1e-10
-            checked += 1
-    assert checked >= 20
-
-
 @pytest.mark.parametrize("params,delta", [
     (SpecialBSParams.ideal(), 0.0),
     (MachZehnderParams(theta_V=0.4, theta_H=2.1, phase_offset_r0=0.3,
@@ -372,29 +334,32 @@ def test_conditional_triple_matches_report_probability():
 # batched closed form
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize(
-    "params",
-    [
-        SpecialBSParams(R0=0.7, R1=0.2, comp_loss_r0=0.9, comp_loss_r1=0.8),
-        MachZehnderParams(theta_V=0.9, theta_H=2.5, phase_offset_r0=0.1,
-                          phase_offset_r1=0.4),
-        HybridParams(eta0=0.6, eta1=0.95, nu0=0.9, nu1=0.7),
-        FiberParams(R_vrc0=0.75, R_vrc1=0.3),
-    ],
-    ids=lambda p: type(p).__name__,
-)
-def test_batch_matches_run_model(params):
-    rng = np.random.default_rng(7)
-    qubits = [Qubit(th, ph) for th, ph in zip(rng.uniform(0.0, math.pi, 64),
-                                              rng.uniform(0.0, 2 * math.pi, 64))]
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), thetas=st.lists(st.floats(0.0, math.pi), min_size=1, max_size=24),
+       phis=st.lists(st.floats(0.0, 2 * math.pi), min_size=24, max_size=24))
+@pytest.mark.parametrize("variant", VARIANTS, ids=CLASS_NAMES)
+def test_batch_matches_run_model(variant, data, thetas, phis):
+    params = data.draw(PARAMS[variant])
+    qubits = [Qubit(th, ph) for th, ph in zip(thetas, phis)]
     qubits += [Qubit(0.0, 0.0), Qubit(math.pi, 1.0)]
     batch = run_model_batch(params, qubits)
     assert batch.F1.shape == batch.F2.shape == batch.P_succ.shape == (len(qubits),)
-    for qubit, (f1, f2, p) in zip(qubits, batch.rows()):
+    joints = evaluate_batch(params, None, qubits)[1]
+    for qubit, (f1, f2, p), joint in zip(qubits, batch.rows(), joints):
         report = run_model(params, qubit)
         assert p == pytest.approx(report.P_succ, abs=1e-12)
+        if report.is_empty:
+            assert (f1, f2) == (None, None)
+            continue
         assert f1 == pytest.approx(report.F1, abs=1e-12)
         assert f2 == pytest.approx(report.F2, abs=1e-12)
+        assert np.max(np.abs(joint - report.joint.rho)) < 1e-12
+
+
+@pytest.mark.parametrize("overlap", [1.5, -0.1, math.nan])
+def test_circuit_joint_state_validates_overlap(overlap):
+    with pytest.raises(ValueError, match="overlap M"):
+        circuit_joint_state(SpecialBSParams.ideal(), EQ, overlap)
 
 
 def test_batch_zero_success_rows_are_empty():

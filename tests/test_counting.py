@@ -18,6 +18,7 @@ from pcclone.cloners import (
     run_model,
 )
 from pcclone.counting import (
+    MAX_PAIRS,
     CoincidenceRecord,
     CountingSetup,
     DetectorBank,
@@ -159,6 +160,13 @@ def test_simulate_counts_single_trial():
     assert record.c_sum in (0, 1)
     with pytest.raises(ValueError, match="n_pairs"):
         simulate_counts(IDEAL, NOISELESS, EQ, 0, DetectorBank(), seed=0)
+
+
+def test_simulate_refuses_pairs_over_the_cap():
+    # the check comes before any evaluation or draw
+    with mock.patch("pcclone.counting.evaluate", side_effect=AssertionError):
+        with pytest.raises(ValueError, match="n_pairs must lie in"):
+            simulate_counts(IDEAL, NOISELESS, EQ, MAX_PAIRS + 1, DetectorBank(), seed=0)
 
 
 def test_estimator_within_three_sigma_at_large_n():

@@ -6,8 +6,13 @@ import pytest
 
 from pcclone.cli import main
 from pcclone.cloners import run_model
+from pcclone.counting import MAX_PAIRS, DetectorBank
 from pcclone.experiment import (
+    MAX_ROWS,
     ConfigError,
+    CountingOptions,
+    OptimizeConfig,
+    OutputOptions,
     compare_experiments,
     parse_experiment,
     parse_rows,
@@ -86,6 +91,8 @@ def test_parse_model_variants():
         )
     with pytest.raises(ConfigError, match="variant"):
         parse_experiment({"model": {"variant": "cnot"}, "input": {"theta": 1.0}})
+    with pytest.raises(ConfigError, match="model.variant"):
+        parse_experiment({"model": {"variant": ["fiber"]}, "input": {"theta": 1.0}})
 
 
 # ---------------------------------------------------------------------------
@@ -397,3 +404,58 @@ def test_counted_rows_reuse_the_batch_evaluation(monkeypatch):
     rows = run_experiment(config)
     assert [row["C_pp"] + row["C_pm"] + row["C_mp"] + row["C_mm"] > 0 for row in rows] \
         == [True, True]
+
+
+def test_negative_counting_seed_exits_2(tmp_path, capsys):
+    config = dict(ideal_single())
+    config["counting"] = {"n_pairs": 100, "seed": -1}
+    assert main(["run", "--config", write_config(tmp_path, config)]) == 2
+    assert "counting.seed" in capsys.readouterr().err
+    config["counting"]["seed"] = 3
+    path = write_config(tmp_path, config, "seeded.json")
+    for command in ("run", "montecarlo"):
+        assert main([command, "--config", path, "--seed", "-3"]) == 2
+        assert "counting.seed must be >= 0, got -3" in capsys.readouterr().err
+
+
+def test_sizes_over_the_caps_end_in_exit_2(tmp_path, capsys):
+    # parsing only: nothing is simulated and no row is built at a cap
+    for n_pairs in (MAX_PAIRS + 1, 2**64):
+        config = dict(ideal_single(), counting={"n_pairs": n_pairs})
+        with pytest.raises(ConfigError, match="counting.n_pairs must lie in"):
+            parse_experiment(config)
+    config = dict(ideal_single(), counting={"n_pairs": 2**64})
+    assert main(["montecarlo", "--config", write_config(tmp_path, config)]) == 2
+    assert "counting.n_pairs" in capsys.readouterr().err
+    over = {"start": 0.0, "stop": 1.0, "count": MAX_ROWS + 1}
+    with pytest.raises(ConfigError, match="sweep.phi.count: must lie in"):
+        parse_experiment({"model": {"variant": "fiber"}, "sweep": {"phi": over}})
+    # two small axes within the cap whose product of rows is not
+    grid = {"theta": {"start": 0.0, "stop": 1.0, "count": MAX_ROWS // 1000 + 1},
+            "phi": {"start": 0.0, "stop": 1.0, "count": 1000}}
+    with pytest.raises(ConfigError, match="sweep: at most"):
+        parse_experiment({"model": {"variant": "fiber"}, "sweep": grid})
+
+
+def test_cli_empty_out_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path, ideal_single())
+    assert main(["run", "--config", path, "--out", ""]) == 2
+    assert "output.path must be a non-empty string" in capsys.readouterr().err
+
+
+def test_config_classes_check_their_values():
+    with pytest.raises(ValueError, match="n_pairs"):
+        CountingOptions(n_pairs=0)
+    with pytest.raises(ValueError, match="n_pairs"):
+        CountingOptions(n_pairs=MAX_PAIRS + 1, detectors=DetectorBank())
+    with pytest.raises(ValueError, match="seed"):
+        CountingOptions(n_pairs=10, seed=-1)
+    with pytest.raises(ValueError, match="format"):
+        OutputOptions(format="xml")
+    with pytest.raises(ValueError, match="path"):
+        OutputOptions(path="")
+    model = parse_experiment(ideal_single()).model
+    with pytest.raises(ValueError, match="objective"):
+        OptimizeConfig(model, {"R0": (0.5, 1.0)}, "fastest")
+    with pytest.raises(ValueError, match="grid_points"):
+        OptimizeConfig(model, {"R0": (0.5, 1.0)}, "min_fidelity_gap", grid_points=1)

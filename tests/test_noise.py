@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cloner_strategies import CLASS_NAMES, PARAMS, VARIANTS
 from pcclone import noise
 from pcclone.cloners import (
     FiberParams,
@@ -14,7 +15,6 @@ from pcclone.cloners import (
     MachZehnderParams,
     SpecialBSParams,
     R_OPTIMAL,
-    circuit_joint_state,
     run_model,
 )
 from pcclone.fock import Qubit
@@ -152,99 +152,17 @@ def test_distinguishability_preserves_phase_covariance():
         assert abs(report.F2 - reference.F2) < 1e-10
 
 
-def test_sector_vectors_match_circuit():
-    rng = np.random.default_rng(11)
-    models = [
-        SpecialBSParams(R0=0.72, comp_loss_r1=0.85),
-        MachZehnderParams(theta_V=1.0, theta_H=2.45, phase_offset_r1=0.2),
-        FiberParams(R_vrc0=0.79, R_vrc1=0.21),
-    ]
-    for params in models:
-        for m in (1.0, 0.93, 0.4):
-            qubit = Qubit(rng.uniform(0.3, 2.8), rng.uniform(0, 2 * math.pi))
-            from_circuit = with_distinguishability(params, m, qubit)
-            from_sectors = report_from_sectors(
-                conditional_sector_vectors(params, qubit, m), qubit
-            )
-            assert abs(from_circuit.P_succ - from_sectors.P_succ) < 1e-12
-            assert np.max(
-                np.abs(from_circuit.joint.rho - from_sectors.joint.rho)
-            ) < 1e-12
-
-
-def random_hybrid(rng):
-    a, a0, a1 = rng.uniform(0.3, 1.2), rng.uniform(0.55, 0.8), rng.uniform(0.55, 0.8)
-    return HybridParams(
-        r=math.cos(a), t=math.sin(a),
-        r0=a0, t0=math.sqrt(1 - a0 * a0), r1=a1, t1=math.sqrt(1 - a1 * a1),
-        eta0=rng.uniform(0.4, 1.0), eta1=rng.uniform(0.4, 1.0),
-        nu0=rng.uniform(0.4, 1.0), nu1=rng.uniform(0.4, 1.0),
-    )
-
-
-def test_hybrid_sector_vectors_match_circuit():
-    rng = np.random.default_rng(17)
-    for _ in range(6):
-        params = random_hybrid(rng)
-        for m in (1.0, 0.93, 0.4, 0.0):
-            qubit = Qubit(rng.uniform(0.3, 2.8), rng.uniform(0, 2 * math.pi))
-            from_circuit = with_distinguishability(params, m, qubit)
-            from_sectors = report_from_sectors(
-                conditional_sector_vectors(params, qubit, m), qubit
-            )
-            assert abs(from_circuit.P_succ - from_sectors.P_succ) < 1e-12
-            assert np.max(
-                np.abs(from_circuit.joint.rho - from_sectors.joint.rho)
-            ) < 1e-12
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    variant=st.sampled_from(["mach_zehnder", "fiber"]),
-    delta=st.floats(-0.6, 0.6),
-    m=st.one_of(st.just(1.0), st.floats(0.0, 0.999)),
-    theta=st.floats(0.2, 2.9),
-    phi=st.floats(0.0, 2 * math.pi),
-)
-def test_jittered_sector_vectors_match_circuit(variant, delta, m, theta, phi):
-    params = {
-        "mach_zehnder": MachZehnderParams(theta_V=1.05, theta_H=2.7,
-                                          phase_offset_r0=0.1, phase_offset_r1=0.3),
-        "fiber": FiberParams(R_vrc0=0.76, R_vrc1=0.2),
-    }[variant]
-    qubit = Qubit(theta, phi)
-    joint, prob = circuit_joint_state(params, qubit, m, arm_phase_error=delta)
-    from_sectors = report_from_sectors(
-        conditional_sector_vectors(params, qubit, m, [delta]), qubit
-    )
-    assert abs(prob - from_sectors.P_succ) < 1e-12
-    assert np.max(np.abs(joint.rho - from_sectors.joint.rho)) < 1e-12
-
-
-def test_phase_error_leaves_static_devices_unchanged():
-    for params in (SpecialBSParams(R0=0.7), HybridParams.ideal()):
-        assert not params.responds_to_jitter
-        clean, p_clean = circuit_joint_state(params, EQ)
-        shifted, p_shifted = circuit_joint_state(params, EQ, arm_phase_error=0.4)
-        assert p_shifted == p_clean
-        assert np.array_equal(shifted.rho, clean.rho)
-
-
-@pytest.mark.parametrize(
-    "params",
-    [SpecialBSParams(R0=0.74, comp_loss_r0=0.9),
-     MachZehnderParams(theta_V=1.0, theta_H=2.6, phase_offset_r1=0.2),
-     HybridParams(eta0=0.65, nu1=0.9),
-     FiberParams(R_vrc0=0.8)],
-    ids=lambda p: type(p).__name__,
-)
-def test_evaluate_batch_matches_circuit_at_partial_overlap(params):
-    rng = np.random.default_rng(5)
-    qubits = [Qubit(th, ph) for th, ph in zip(rng.uniform(0.0, math.pi, 12),
-                                              rng.uniform(0.0, 2 * math.pi, 12))]
-    batch, joints = evaluate_batch(params, NoiseConfig(overlap_M=0.9), qubits)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), m=st.floats(0.0, 0.999),
+       thetas=st.lists(st.floats(0.0, math.pi), min_size=1, max_size=12),
+       phis=st.lists(st.floats(0.0, 2 * math.pi), min_size=12, max_size=12))
+@pytest.mark.parametrize("variant", VARIANTS, ids=CLASS_NAMES)
+def test_evaluate_batch_matches_circuit_at_partial_overlap(variant, data, m, thetas, phis):
+    params = data.draw(PARAMS[variant])
+    qubits = [Qubit(th, ph) for th, ph in zip(thetas, phis)]
+    batch, joints = evaluate_batch(params, NoiseConfig(overlap_M=m), qubits)
     for qubit, (f1, f2, p), joint in zip(qubits, batch.rows(), joints):
-        report = with_distinguishability(params, 0.9, qubit)
+        report = with_distinguishability(params, m, qubit)
         assert p == pytest.approx(report.P_succ, abs=1e-12)
         assert f1 == pytest.approx(report.F1, abs=1e-12)
         assert f2 == pytest.approx(report.F2, abs=1e-12)
