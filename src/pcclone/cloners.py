@@ -51,6 +51,9 @@ F_PHASE_COVARIANT = 0.5 * (1.0 + 1.0 / math.sqrt(2.0))
 F_UNIVERSAL = 5.0 / 6.0
 #: best measure-and-prepare fidelity for equatorial states
 F_SEMICLASSICAL = 0.75
+#: most rows one closed-form batch may have: a sweep per axis and in all, an
+#: optimizer grid in all (~2 kB of memory each)
+MAX_ROWS = 10**5
 
 
 def theoretical_limits() -> dict:
@@ -91,11 +94,12 @@ def _standard_basis(analysis: Qubit):
 def _rail_couplings(R0: float, R1: float | None, sign: int):
     """Signed (r0, t0, r1, t1) for intensity reflectances R0 and R1.
 
-    ``R1`` defaults to the complementary ratio 1 - R0; ``sign`` is carried by
-    the rail-r1 transmittance.
+    The reflectances may be arrays of candidates.  ``R1`` defaults to the
+    complementary ratio 1 - R0; ``sign`` is carried by the rail-r1
+    transmittance.
     """
     R1 = (1.0 - R0) if R1 is None else R1
-    return math.sqrt(R0), math.sqrt(1.0 - R0), math.sqrt(R1), sign * math.sqrt(1.0 - R1)
+    return np.sqrt(R0), np.sqrt(1.0 - R0), np.sqrt(R1), sign * np.sqrt(1.0 - R1)
 
 
 class ClonerParams:
@@ -108,6 +112,8 @@ class ClonerParams:
     ``transfer_matrix(delta)``, the same device as the single-photon transfer
     matrix of one temporal bin over the modes 2 * port + rail.
     ``responds_to_jitter`` says whether ``delta`` reaches the device at all.
+    A numeric field may also hold an array of candidates (the optimizer's
+    grid); the amplitudes then broadcast over it.
 
     A subclass that names a ``variant`` in its class statement enters
     ``variants``, the registry under which the experiment schema reads it.
@@ -282,7 +288,7 @@ class HybridParams(ClonerParams, variant="hybrid"):
 
     def sector_amplitudes(self, alpha, beta, m, m_orth, delta):
         p = self
-        a00 = alpha * 2.0 * p.r * p.t * p.eta0**2 * p.t0 * p.nu0 * p.r0
+        a00 = alpha * 2.0 * p.r * p.t * (p.eta0 * p.eta0) * p.t0 * p.nu0 * p.r0
         a10 = beta * p.r * p.t * p.eta0 * p.eta1 * p.t1 * p.nu1 * p.r0
         a01 = beta * p.r * p.t * p.eta0 * p.eta1 * p.t0 * p.nu0 * p.r1
         sectors = [(m * a00, m * a10, m * a01)]
@@ -443,11 +449,13 @@ def ideal_clone_report(input: Qubit, hemisphere: str = "north") -> CloneReport:
 def _sector_stack(params: ClonerParams, alpha, beta, overlap_M: float, delta):
     """Sector vectors of shape (..., n_sectors, 4) over |00>, |01>, |10>, |11>.
 
-    The leading shape broadcasts the input amplitudes against ``delta``.
+    The leading shape broadcasts the input amplitudes against ``delta`` and
+    against any field of ``params`` that holds an array of candidates.
     """
     m_orth = math.sqrt(max(0.0, 1.0 - overlap_M * overlap_M))
     sectors = params.sector_amplitudes(alpha, beta, overlap_M, m_orth, delta)
-    shape = np.broadcast(alpha, delta).shape
+    shape = np.broadcast_shapes(np.shape(alpha), np.shape(delta),
+                                *(np.shape(a) for sector in sectors for a in sector))
     out = np.zeros(shape + (len(sectors), 4), dtype=complex)
     for s, (a00, a10, a01) in enumerate(sectors):
         out[..., s, 0] = a00
@@ -498,18 +506,23 @@ class CloneBatch(NamedTuple):
 def _evaluate_inputs(params: ClonerParams, inputs, overlap_M: float = 1.0):
     """Closed-form evaluation of many inputs at ancilla overlap ``overlap_M``.
 
+    Fields of ``params`` may hold arrays of candidates, which broadcast
+    against the inputs: one input against n candidates gives n rows.
     Returns the :class:`CloneBatch` and the (n, 4, 4) joint states, zero on
     empty rows.  The joint states (success-weighted over the temporal
     sectors) and their marginals are built as stacked arrays and validated
-    once per batch.
+    once per batch.  The reductions are :func:`run_model`'s, stacked, so at
+    ``overlap_M`` = 1 every row is bit-identical to it.
     """
     half = np.array([q.theta for q in inputs], dtype=float) / 2.0
     phi = np.array([q.phi for q in inputs], dtype=float)
     psi = np.stack([np.cos(half).astype(complex), np.sin(half) * np.exp(1j * phi)],
                    axis=-1)
     vectors = _sector_stack(params, psi[:, 0], psi[:, 1], overlap_M, 0.0)
-    n = len(psi)
-    p_succ = np.einsum("nsi,nsi->n", vectors.conj(), vectors).real
+    n = len(vectors)
+    # stacked (1 x k) @ (k x 1) products give np.vdot's bits
+    flat = vectors.reshape(n, -1)
+    p_succ = (flat.conj()[:, None, :] @ flat[:, :, None])[:, 0, 0].real
     keep = p_succ > 0.0
     v = vectors[keep] / np.sqrt(p_succ[keep])[:, None, None]
     kept = (v[:, :, :, None] * v.conj()[:, :, None, :]).sum(axis=1)
@@ -517,9 +530,11 @@ def _evaluate_inputs(params: ClonerParams, inputs, overlap_M: float = 1.0):
     r = kept.reshape(len(v), 2, 2, 2, 2)
     marginals = np.stack([np.einsum("nijkj->nik", r), np.einsum("nijil->njl", r)])
     check_density(marginals, "density matrix")
-    psi = psi[keep]
+    psi = np.broadcast_to(psi, (n, 2))[keep]
+    # (psi^dagger rho) psi, in the order of fock.fidelity
+    bra = psi.conj()[:, None, :] @ marginals
     fidelities = np.full((2, n), np.nan)
-    fidelities[:, keep] = np.einsum("ni,mnij,nj->mn", psi.conj(), marginals, psi).real
+    fidelities[:, keep] = (bra @ psi[:, :, None])[..., 0, 0].real
     joint = np.zeros((n, 4, 4), dtype=complex)
     joint[keep] = kept
     batch = CloneBatch(P_succ=np.where(keep, p_succ, 0.0),
@@ -531,8 +546,8 @@ def run_model_batch(params: ClonerParams, inputs) -> CloneBatch:
     """Closed-form evaluation of many inputs at once.
 
     Gives the numbers of ``run_model(params, q)`` for every ``q`` in
-    ``inputs`` (up to rounding), with the joint states and marginals built
-    as stacked arrays and validated once per batch.
+    ``inputs``, bit-identical, with the joint states and marginals built as
+    stacked arrays and validated once per batch.
     """
     return _evaluate_inputs(params, inputs)[0]
 
@@ -574,7 +589,9 @@ def run_model(params: ClonerParams, input: Qubit,
     if not isinstance(params, ClonerParams):
         raise TypeError(f"unknown cloner parameter type: {type(params).__name__}")
     if via == "closed_form":
-        vec = _sector_stack(params, *input.amplitudes(), 1.0, 0.0)[0]
+        # 1-element arrays take the batch kernel's loops: numpy's scalar
+        # complex product rounds differently from its array one
+        vec = _sector_stack(params, *input.amplitudes()[:, None], 1.0, 0.0)[0, 0]
         p = float(np.vdot(vec, vec).real)
         if p <= 0.0:
             return CloneReport.empty(input)

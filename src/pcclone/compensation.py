@@ -8,15 +8,31 @@ fidelity objective.
 
 from __future__ import annotations
 
+import copy
+import functools
 import math
 from dataclasses import dataclass, fields, replace
 from itertools import product
-from typing import Mapping
+from typing import Mapping, get_type_hints
 
-from .cloners import CloneReport, ClonerParams, HybridParams, run_model
+import numpy as np
+
+from .cloners import (
+    MAX_ROWS,
+    CloneReport,
+    ClonerParams,
+    HybridParams,
+    _evaluate_inputs,
+    run_model,
+)
 from .fock import Qubit
 
-OBJECTIVES = ("min_fidelity_gap", "max_avg_fidelity")
+#: objective name -> value to minimize, from the clone fidelities (floats or arrays)
+_OBJECTIVES = {
+    "min_fidelity_gap": lambda f1, f2: abs(f1 - f2),
+    "max_avg_fidelity": lambda f1, f2: -0.5 * (f1 + f2),
+}
+OBJECTIVES = tuple(_OBJECTIVES)
 
 
 def solve_ideal_reflectance() -> float:
@@ -89,19 +105,35 @@ class OptimizationResult:
 
 
 def _objective_function(name: str):
-    if name == "min_fidelity_gap":
-        def gap(report: CloneReport) -> float:
-            if report.is_empty:
-                return math.inf
-            return abs(report.F1 - report.F2)
-        return gap
-    if name == "max_avg_fidelity":
-        def neg_avg(report: CloneReport) -> float:
-            if report.is_empty:
-                return math.inf
-            return -0.5 * (report.F1 + report.F2)
-        return neg_avg
-    raise ValueError(f"objective must be one of {OBJECTIVES}, got {name!r}")
+    if name not in _OBJECTIVES:
+        raise ValueError(f"objective must be one of {OBJECTIVES}, got {name!r}")
+    return _OBJECTIVES[name]
+
+
+def _check_grid(grid_points: int, n_free: int) -> None:
+    """Raise ValueError unless a grid of ``grid_points`` per axis fits one batch."""
+    if grid_points < 2:
+        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
+    if grid_points ** n_free > MAX_ROWS:
+        raise ValueError(f"grid_points ** {n_free} (the grid over {n_free} free "
+                         f"parameters) must not exceed {MAX_ROWS}, got {grid_points}")
+
+
+@functools.cache
+def _float_fields(cls) -> frozenset:
+    """Fields of ``cls`` annotated ``float`` or ``float | None``."""
+    hints = get_type_hints(cls)
+    return frozenset(f.name for f in fields(cls)
+                     if hints[f.name] in (float, float | None))
+
+
+def _stack(model: ClonerParams, names, candidates) -> ClonerParams:
+    """``model`` with each field in ``names`` holding its candidates' values."""
+    stacked = copy.copy(model)
+    for name in names:
+        object.__setattr__(stacked, name,
+                           np.array([getattr(c, name) for c in candidates]))
+    return stacked
 
 
 def optimize_symmetry(
@@ -115,12 +147,20 @@ def optimize_symmetry(
     """Deterministic coarse-grid search plus compass refinement.
 
     ``free_parameters`` maps parameter-field names to closed search
-    intervals.  The incumbent starts at the unmodified model, so an
-    already-optimal model is returned unchanged.  Refinement is monotone:
-    the result is never worse than the best evaluated grid point.
+    intervals.  A free field must be annotated ``float`` or ``float | None``
+    and hold a number in ``model``.  The grid has ``grid_points`` values per
+    free parameter and at most ``MAX_ROWS`` points in all.  The incumbent
+    starts at the unmodified model, so an already-optimal model is returned
+    unchanged.  The start and every grid point are built with
+    ``dataclasses.replace`` (so each is validated) and evaluated in one
+    closed-form batch, bit-identical to :func:`run_model`; a point replaces
+    the incumbent only when it beats it by more than 1e-15, in grid order.
+    Refinement is scalar and monotone: the result is never worse than the
+    best evaluated grid point.
     """
     if not free_parameters:
         raise ValueError("free_parameters must name at least one parameter")
+    _check_grid(grid_points, len(free_parameters))
     field_names = {f.name for f in fields(model)}
     names = []
     intervals = []
@@ -129,8 +169,11 @@ def optimize_symmetry(
             raise ValueError(
                 f"unknown parameter {name!r} for {type(model).__name__}"
             )
+        if name not in _float_fields(type(model)):
+            raise ValueError(f"free parameter {name!r} must be a float field "
+                             "(annotated float or float | None)")
         start = getattr(model, name)
-        if isinstance(start, bool) or not isinstance(start, (int, float)):
+        if start is None:
             raise ValueError(
                 f"free parameter {name!r} needs a real starting value, got {start!r}"
             )
@@ -142,19 +185,6 @@ def optimize_symmetry(
 
     score = _objective_function(objective)
     target = input if input is not None else Qubit.equatorial(0.0)
-    evaluations = 0
-
-    def evaluate_point(values):
-        nonlocal evaluations
-        evaluations += 1
-        candidate = replace(model, **dict(zip(names, values)))
-        report = run_model(candidate, target)
-        return score(report), candidate, report
-
-    best_value, best_params, best_report = evaluate_point(
-        [getattr(model, n) for n in names]
-    )
-    best_point = [getattr(model, n) for n in names]
 
     axes = []
     for lo, hi in intervals:
@@ -163,11 +193,25 @@ def optimize_symmetry(
         else:
             step = (hi - lo) / (grid_points - 1)
             axes.append([lo + k * step for k in range(grid_points)])
-    for point in product(*axes):
-        value, candidate, report = evaluate_point(point)
-        if value < best_value - 1e-15:
-            best_value, best_params, best_report = value, candidate, report
-            best_point = list(point)
+    points = [[getattr(model, n) for n in names], *map(list, product(*axes))]
+    candidates = [replace(model, **dict(zip(names, point))) for point in points]
+    batch = _evaluate_inputs(_stack(model, names, candidates), [target])[0]
+    values = np.where(batch.P_succ > 0.0, score(batch.F1, batch.F2), math.inf).tolist()
+    evaluations = len(points)
+    best = 0
+    for row, value in enumerate(values):
+        if value < values[best] - 1e-15:
+            best = row
+    best_value, best_params, best_point = values[best], candidates[best], points[best]
+    best_report = run_model(best_params, target)
+
+    def evaluate_point(point):
+        nonlocal evaluations
+        evaluations += 1
+        candidate = replace(model, **dict(zip(names, point)))
+        report = run_model(candidate, target)
+        value = math.inf if report.is_empty else score(report.F1, report.F2)
+        return value, candidate, report
 
     steps = [
         (hi - lo) / (grid_points - 1) if hi > lo else 0.0 for lo, hi in intervals

@@ -57,8 +57,8 @@ from typing import Any, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .cloners import ClonerParams
-from .compensation import OBJECTIVES
+from .cloners import MAX_ROWS, ClonerParams
+from .compensation import OBJECTIVES, _check_grid
 from .counting import (
     DetectorBank,
     _check_pairs,
@@ -68,9 +68,6 @@ from .counting import (
 )
 from .fock import Qubit
 from .noise import NoiseConfig, evaluate_batch
-
-#: most rows one sweep may have, per axis and in all (~2 kB of memory each)
-MAX_ROWS = 10**5
 
 
 class ConfigError(ValueError):
@@ -290,8 +287,7 @@ class OptimizeConfig:
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {sorted(OBJECTIVES)}, "
                              f"got {self.objective!r}")
-        if self.grid_points < 2:
-            raise ValueError(f"grid_points must be >= 2, got {self.grid_points}")
+        _check_grid(self.grid_points, len(self.free_parameters))
 
 
 _TOP_LEVEL_KEYS = ("label", "model", "noise", "input", "sweep", "counting", "output")

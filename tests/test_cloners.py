@@ -1,11 +1,13 @@
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloner_strategies import CLASS_NAMES, PARAMS, VARIANTS
+from cloner_strategies import CLASS_NAMES, PARAMS, QUBITS, VARIANTS
 from pcclone.cloners import (
     F_PHASE_COVARIANT,
     F_SEMICLASSICAL,
@@ -15,6 +17,7 @@ from pcclone.cloners import (
     HybridParams,
     MachZehnderParams,
     SpecialBSParams,
+    _evaluate_inputs,
     analyzer_projection,
     circuit_joint_state,
     conditional_sector_vectors,
@@ -25,6 +28,7 @@ from pcclone.cloners import (
     run_model_batch,
     theoretical_limits,
 )
+from pcclone.compensation import _float_fields, _stack
 from pcclone.fock import Port, Qubit, check_density, fidelity
 from pcclone.noise import evaluate_batch
 
@@ -345,15 +349,59 @@ def test_batch_matches_run_model(variant, data, thetas, phis):
     batch = run_model_batch(params, qubits)
     assert batch.F1.shape == batch.F2.shape == batch.P_succ.shape == (len(qubits),)
     joints = evaluate_batch(params, None, qubits)[1]
-    for qubit, (f1, f2, p), joint in zip(qubits, batch.rows(), joints):
-        report = run_model(params, qubit)
-        assert p == pytest.approx(report.P_succ, abs=1e-12)
+    assert_rows_equal(batch, joints, [run_model(params, q) for q in qubits])
+
+
+def assert_stack_matches_run_model(model, names, candidates, qubit):
+    batch, joints = _evaluate_inputs(_stack(model, names, candidates), [qubit])
+    assert batch.P_succ.shape == (len(candidates),)
+    assert_rows_equal(batch, joints, [run_model(c, qubit) for c in candidates])
+
+
+def assert_rows_equal(batch, joints, reports):
+    """Every batch row bit-identical to its scalar report."""
+    for (f1, f2, p), joint, report in zip(batch.rows(), joints, reports, strict=True):
+        assert p == report.P_succ
         if report.is_empty:
             assert (f1, f2) == (None, None)
             continue
-        assert f1 == pytest.approx(report.F1, abs=1e-12)
-        assert f2 == pytest.approx(report.F2, abs=1e-12)
-        assert np.max(np.abs(joint - report.joint.rho)) < 1e-12
+        assert (f1, f2) == (report.F1, report.F2)
+        assert np.array_equal(joint, report.joint.rho)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("variant", VARIANTS, ids=CLASS_NAMES)
+def test_stacked_candidates_match_run_model(variant, data):
+    # the optimizer's grid: float fields as arrays of candidates, one input
+    model = data.draw(PARAMS[variant])
+    draws = data.draw(st.lists(PARAMS[variant], min_size=1, max_size=8))
+    names = sorted(n for n in _float_fields(type(model))
+                   if all(getattr(p, n) is not None for p in [model, *draws]))
+    candidates = [replace(model, **{n: getattr(p, n) for n in names}) for p in draws]
+    assert_stack_matches_run_model(model, names, candidates, data.draw(QUBITS))
+
+
+MZ_OFFSETS = np.linspace(-1.1, 0.9, 9)
+
+
+@pytest.mark.parametrize("model, axes", [
+    # complex phases on every row: numpy's scalar complex product differs
+    # from its array loop in the last bit of many of these
+    (MachZehnderParams(theta_V=0.9, theta_H=2.5, phase_offset_r0=0.2,
+                       phase_offset_r1=-0.7),
+     {"theta_V": [0.4, 0.9, 1.3], "phase_offset_r0": MZ_OFFSETS,
+      "phase_offset_r1": MZ_OFFSETS}),
+    # a dense plate axis: libm's pow(x, 2) and numpy's array square differ
+    # in the last bit for about one value in a thousand
+    (HybridParams(), {"eta0": np.linspace(0.4, 1.0, 3001)}),
+], ids=["MachZehnderParams", "HybridParams"])
+def test_dense_grids_match_run_model(model, axes):
+    names = list(axes)
+    candidates = [replace(model, **dict(zip(names, map(float, point))))
+                  for point in itertools.product(*axes.values())]
+    for qubit in (EQ, Qubit(0.7, 2.1)):
+        assert_stack_matches_run_model(model, names, candidates, qubit)
 
 
 @pytest.mark.parametrize("overlap", [1.5, -0.1, math.nan])

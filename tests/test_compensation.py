@@ -1,16 +1,21 @@
 import math
+from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
 
 from pcclone.cloners import (
+    MAX_ROWS,
     R_OPTIMAL,
     HybridParams,
+    MachZehnderParams,
     SpecialBSParams,
     FiberParams,
     run_model,
 )
 from pcclone.compensation import (
+    _objective_function,
     optimize_symmetry,
     solve_hybrid_compensation,
     solve_ideal_reflectance,
@@ -182,3 +187,148 @@ def test_optimizer_validates_arguments():
 def test_optimizer_rejects_parameter_without_real_start(model, name):
     with pytest.raises(ValueError, match=name):
         optimize_symmetry(model, {name: (0.1, 0.4)}, "min_fidelity_gap")
+
+
+@pytest.mark.parametrize(
+    "model, name",
+    [(SpecialBSParams.ideal(), "sign_convention"),
+     (FiberParams(analysis_phases=(0.0, 0.5)), "analysis_phases")],
+)
+def test_optimizer_free_parameters_must_be_float_fields(model, name):
+    # decided by the field's annotation, even where the value is a number
+    with pytest.raises(ValueError, match=f"'{name}' must be a float field"):
+        optimize_symmetry(model, {name: (-1.0, 1.0)}, "min_fidelity_gap")
+
+
+def test_optimizer_grid_is_capped():
+    # rejected before any candidate is built
+    with pytest.raises(ValueError, match=f"grid_points \\*\\* 1 .* {MAX_ROWS}"):
+        optimize_symmetry(SpecialBSParams.ideal(), {"R0": (0.5, 1.0)},
+                          grid_points=MAX_ROWS + 1)
+    with pytest.raises(ValueError, match="grid_points \\*\\* 2"):
+        optimize_symmetry(SpecialBSParams.ideal(),
+                          {"R0": (0.5, 1.0), "comp_loss_r1": (0.5, 1.0)},
+                          grid_points=317)
+    with pytest.raises(ValueError, match="grid_points must be >= 2"):
+        optimize_symmetry(SpecialBSParams.ideal(), {"R0": (0.5, 1.0)}, grid_points=1)
+
+
+# ---------------------------------------------------------------------------
+# the batched grid against the scalar loop it replaced
+# ---------------------------------------------------------------------------
+
+def scalar_optimize(model, free_parameters, objective="min_fidelity_gap",
+                    input=None, grid_points=33, refine_tol=1e-9):
+    """The optimizer with its grid walked one scalar ``run_model`` call at a time."""
+    score = _objective_function(objective)
+    names = list(free_parameters)
+    intervals = [tuple(map(float, free_parameters[n])) for n in names]
+    target = input if input is not None else Qubit.equatorial(0.0)
+    evaluations = 0
+
+    def evaluate_point(values):
+        nonlocal evaluations
+        evaluations += 1
+        candidate = replace(model, **dict(zip(names, values)))
+        report = run_model(candidate, target)
+        value = math.inf if report.is_empty else score(report.F1, report.F2)
+        return value, candidate, report
+
+    best_point = [getattr(model, n) for n in names]
+    best_value, best_params, best_report = evaluate_point(best_point)
+    axes = []
+    for lo, hi in intervals:
+        if hi == lo:
+            axes.append([lo])
+        else:
+            step = (hi - lo) / (grid_points - 1)
+            axes.append([lo + k * step for k in range(grid_points)])
+    for point in product(*axes):
+        value, candidate, report = evaluate_point(point)
+        if value < best_value - 1e-15:
+            best_value, best_params, best_report = value, candidate, report
+            best_point = list(point)
+
+    steps = [
+        (hi - lo) / (grid_points - 1) if hi > lo else 0.0 for lo, hi in intervals
+    ]
+    while any(s > refine_tol for s in steps):
+        improved = False
+        for axis, step in enumerate(steps):
+            if step == 0.0:
+                continue
+            lo, hi = intervals[axis]
+            for direction in (-1.0, 1.0):
+                trial = list(best_point)
+                trial[axis] = min(hi, max(lo, best_point[axis] + direction * step))
+                if trial[axis] == best_point[axis]:
+                    continue
+                value, candidate, report = evaluate_point(trial)
+                if value < best_value - 1e-15:
+                    best_value, best_params, best_report = value, candidate, report
+                    best_point = trial
+                    improved = True
+        if not improved:
+            steps = [s / 2.0 for s in steps]
+    return best_params, best_report, best_value, evaluations
+
+
+MZ_OFFSET = MachZehnderParams(theta_V=1.0, theta_H=2.6, phase_offset_r0=0.3,
+                              phase_offset_r1=-0.4)
+TILTED = Qubit(1.1, 0.7)
+REFERENCE_CASES = {
+    "special_bs-1": (SpecialBSParams(R0=0.8, R1=0.2), {"comp_loss_r1": (0.5, 1.0)}),
+    "special_bs-2": (SpecialBSParams(R0=0.8, R1=0.2),
+                     {"comp_loss_r1": (0.5, 1.0), "R0": (0.7, 0.85)}),
+    "mach_zehnder-1": (MZ_OFFSET, {"theta_H": (2.0, 3.0)}),
+    "mach_zehnder-2": (MZ_OFFSET, {"theta_V": (0.8, 1.3), "phase_offset_r1": (-1.0, 1.0)}),
+    "hybrid-1": (HybridParams(eta0=0.6), {"eta0": (0.4, 1.0)}),
+    "hybrid-2": (HybridParams(eta0=0.6), {"eta0": (0.4, 1.0), "nu0": (0.5, 1.0)}),
+    "fiber-1": (FiberParams(R_vrc0=0.7), {"R_vrc0": (0.6, 0.9)}),
+    "fiber-2": (FiberParams(R_vrc0=0.7, R_vrc1=0.25),
+                {"R_vrc0": (0.6, 0.9), "R_vrc1": (0.1, 0.3)}),
+    # the |0> input leaves a 50:50 splitter empty: a grid holding P_succ = 0 rows
+    "empty-rows": (SpecialBSParams(R0=0.6),
+                   {"R0": (0.3, 0.7), "comp_loss_r0": (0.0, 1.0)}, Qubit(0.0, 0.0), 5),
+}
+
+
+def assert_same_result(result, reference):
+    params, report, value, evaluations = reference
+    assert (result.params, result.objective_value, result.evaluations) \
+        == (params, value, evaluations)
+    assert (result.report.input, result.report.P_succ, result.report.F1,
+            result.report.F2) == (report.input, report.P_succ, report.F1, report.F2)
+    if report.is_empty:
+        assert result.report.is_empty
+        return
+    assert np.array_equal(result.report.joint.rho, report.joint.rho)
+    assert np.array_equal(result.report.rho1.matrix, report.rho1.matrix)
+    assert np.array_equal(result.report.rho2.matrix, report.rho2.matrix)
+
+
+@pytest.mark.parametrize("objective", ["min_fidelity_gap", "max_avg_fidelity"])
+@pytest.mark.parametrize("input", [None, TILTED], ids=["equator", "tilted"])
+@pytest.mark.parametrize("case", list(REFERENCE_CASES))
+def test_batched_grid_matches_scalar_loop(case, input, objective):
+    model, free, *rest = REFERENCE_CASES[case]
+    if rest:
+        input, grid_points = rest
+    else:
+        grid_points = 33
+    result = optimize_symmetry(model, free, objective, input=input,
+                               grid_points=grid_points)
+    assert_same_result(result, scalar_optimize(model, free, objective, input,
+                                               grid_points))
+
+
+def test_batched_grid_keeps_the_first_of_near_ties():
+    # at the optimal reflectance the average fidelity is flat: the grid's
+    # values differ by rounding only, and no later one beats the first by 1e-15
+    model = SpecialBSParams(R0=0.6)
+    free = {"R0": (R_OPTIMAL, R_OPTIMAL + 1e-12)}
+    grid = [replace(model, R0=R_OPTIMAL + k * 1e-12 / 32) for k in range(33)]
+    values = [-0.5 * (r.F1 + r.F2) for r in (run_model(p, EQ) for p in grid)]
+    assert len(set(values)) > 1 and max(values) - min(values) < 1e-15
+    result = optimize_symmetry(model, free, "max_avg_fidelity")
+    assert_same_result(result, scalar_optimize(model, free, "max_avg_fidelity"))

@@ -13,6 +13,7 @@ from pcclone.experiment import (
     CountingOptions,
     OptimizeConfig,
     OutputOptions,
+    _read,
     compare_experiments,
     parse_experiment,
     parse_rows,
@@ -373,6 +374,33 @@ def test_cli_optimize_rejects_parameter_at_none(tmp_path, capsys, variant, name)
     path = write_config(tmp_path, payload)
     assert main(["optimize", "--config", path]) == 2
     assert name in capsys.readouterr().err
+
+
+def test_cli_optimize_rejects_non_float_parameter(tmp_path, capsys):
+    payload = {
+        "model": {"variant": "special_bs"},
+        "free_parameters": {"sign_convention": [-1, 1]},
+        "objective": "min_fidelity_gap",
+    }
+    path = write_config(tmp_path, payload)
+    assert main(["optimize", "--config", path]) == 2
+    assert "'sign_convention' must be a float field" in capsys.readouterr().err
+
+
+def test_optimize_grid_over_the_cap_exits_2(tmp_path, capsys):
+    # parsing only: 316 ** 2 points fit in MAX_ROWS, 317 ** 2 do not
+    payload = {
+        "model": {"variant": "special_bs"},
+        "free_parameters": {"R0": [0.5, 1.0], "comp_loss_r1": [0.5, 1.0]},
+        "objective": "min_fidelity_gap",
+    }
+    assert 316**2 <= MAX_ROWS < 317**2
+    assert _read(OptimizeConfig, dict(payload, grid_points=316), "").grid_points == 316
+    with pytest.raises(ConfigError, match=f"grid_points \\*\\* 2 .* {MAX_ROWS}, got 317"):
+        _read(OptimizeConfig, dict(payload, grid_points=317), "")
+    path = write_config(tmp_path, dict(payload, grid_points=317))
+    assert main(["optimize", "--config", path]) == 2
+    assert "grid_points" in capsys.readouterr().err
 
 
 def test_sweep_rows_match_per_row_evaluation():
