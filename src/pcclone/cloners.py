@@ -70,6 +70,11 @@ def _check_unit_interval(name, value):
         raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
 
+def _check_integer(name, value):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_amplitude(name, value):
     if not -1.0 <= value <= 1.0:
         raise ValueError(f"{name} must lie in [-1, 1], got {value}")
@@ -111,7 +116,10 @@ class ClonerParams:
     m_orth = sqrt(1 - M^2) and interferometer phase error ``delta``, and
     ``transfer_matrix(delta)``, the same device as the single-photon transfer
     matrix of one temporal bin over the modes 2 * port + rail.
-    ``responds_to_jitter`` says whether ``delta`` reaches the device at all.
+    ``jitter_degree`` is the degree K in ``delta`` of the device's pattern
+    probabilities: each is a trigonometric polynomial in ``delta`` with
+    harmonics up to cos(K delta) and sin(K delta), and K = 0 means that
+    ``delta`` does not reach the device at all.
     A numeric field may also hold an array of candidates (the optimizer's
     grid); the amplitudes then broadcast over it.
 
@@ -120,7 +128,7 @@ class ClonerParams:
     """
 
     variants: dict = {}
-    responds_to_jitter = False
+    jitter_degree = 0
 
     def __init_subclass__(cls, variant: str | None = None, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -220,7 +228,9 @@ class MachZehnderParams(_Splitter, variant="mach_zehnder"):
     post-selection.
     """
 
-    responds_to_jitter = True
+    # the couplings are sines and cosines of theta + delta, so the amplitudes
+    # have degree 2 in delta and their squared moduli degree 4
+    jitter_degree = 4
 
     theta_V: float
     theta_H: float
@@ -337,7 +347,8 @@ class FiberParams(_Splitter, variant="fiber"):
     detection-block couplers (0.5 = balanced).
     """
 
-    responds_to_jitter = True
+    # delta is a phase on rail r1 only: the amplitudes are a + b exp(i delta)
+    jitter_degree = 1
 
     R_vrc0: float = R_OPTIMAL
     R_vrc1: float | None = None

@@ -9,10 +9,14 @@ dark-count free, so a trial either contributes one coincidence or nothing.
 
 Without phase jitter every trial sees the same pattern probabilities, so the
 counts are one multinomial draw.  With jitter the probabilities change from
-trial to trial: the kernel takes each chunk of the jitter walk straight from
-the device's sector amplitudes to the four real pattern probabilities and
-tallies one uniform draw per trial against their running sums, so it holds
-one chunk of trials at a time.
+trial to trial.  Each is a trigonometric polynomial in the phase error delta
+of the device's ``jitter_degree`` K, fixed by its values at 2K+1 nodes, so
+the device is evaluated once, at those nodes.  The kernel then takes each
+chunk of the jitter walk from the harmonics cos(k delta), sin(k delta) to
+the running sums of the registration probabilities in one matrix product
+and tallies one uniform draw per trial against them.  It holds one chunk of
+trials at a time, and its cost does not depend on the number of temporal
+sectors.
 
 Counts are sampled with a seeded generator and are reproducible; records
 of different seeds merge by field-wise addition.
@@ -26,7 +30,14 @@ from typing import Union
 
 import numpy as np
 
-from .cloners import CloneReport, ClonerParams, _check_unit_interval, _standard_basis
+from .cloners import (
+    CloneReport,
+    ClonerParams,
+    _check_integer,
+    _check_unit_interval,
+    _standard_basis,
+    conditional_sector_vectors,
+)
 from .fock import Qubit
 from .noise import NoiseConfig, _jitter_walk, evaluate
 
@@ -35,8 +46,15 @@ MAX_PAIRS = 10**12
 
 
 def _check_pairs(n_pairs):
+    _check_integer("n_pairs", n_pairs)
     if not 1 <= n_pairs <= MAX_PAIRS:
         raise ValueError(f"n_pairs must lie in [1, {MAX_PAIRS}], got {n_pairs}")
+
+
+def _check_seed(seed):
+    _check_integer("seed", seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -176,6 +194,46 @@ def simulate_counts(
     return _simulate(model, noise, input, n_pairs, detectors, seed, analysis)
 
 
+def _harmonics(delta: np.ndarray, degree: int) -> np.ndarray:
+    """Rows sin(k delta) for k = 1..K, then cos(k delta) for k = 0..K.
+
+    Only sin(delta) and cos(delta) are evaluated; the higher harmonics follow
+    from the Chebyshev recurrence f((k+1) d) = 2 cos(d) f(k d) - f((k-1) d),
+    for f = sin and for f = cos.
+    """
+    h = np.empty((2, degree + 1, delta.size))  # [sin, cos][k]
+    h[:, 0] = [[0.0], [1.0]]
+    np.sin(delta, out=h[0, 1])
+    np.cos(delta, out=h[1, 1])
+    twice = 2.0 * h[1, 1]
+    for k in range(2, degree + 1):
+        np.multiply(twice, h[:, k - 1], out=h[:, k])
+        h[:, k] -= h[:, k - 2]
+    return h.reshape(2 * degree + 2, -1)[1:]  # sin(0 delta) = 0 is left out
+
+
+def _pattern_polynomials(model: ClonerParams, input: Qubit, overlap_M: float,
+                         w: np.ndarray) -> np.ndarray:
+    """Coefficients of the pattern probabilities as polynomials in the phase error.
+
+    Row a holds the coefficients of p_a(delta), the probability of pattern
+    row ``a`` of ``w``, against :func:`_harmonics` of the device's
+    ``jitter_degree`` K: p = coefficients @ _harmonics(delta, K).  A
+    trigonometric polynomial of degree K is fixed by its values at the 2K+1
+    nodes 2 pi j / (2K+1); their discrete Fourier transform gives its
+    coefficients.
+    """
+    degree = model.jitter_degree
+    n = 2 * degree + 1
+    nodes = 2.0 * np.pi * np.arange(n) / n
+    amp = conditional_sector_vectors(model, input, overlap_M, nodes) @ w.conj().T
+    probs = (amp.real ** 2 + amp.imag ** 2).sum(axis=1)
+    c = np.fft.fft(probs, axis=0)[:degree + 1] / n
+    # c_k e^(ik d) + c_-k e^(-ik d) = 2 Re(c_k) cos(k d) - 2 Im(c_k) sin(k d)
+    c[1:] *= 2.0
+    return np.concatenate([-c[1:].imag, c.real]).T
+
+
 def _simulate(model, noise, input, n_pairs, detectors, seed, analysis=None,
               state=None) -> CoincidenceRecord:
     """:func:`simulate_counts`, given the static evaluation when known.
@@ -187,12 +245,16 @@ def _simulate(model, noise, input, n_pairs, detectors, seed, analysis=None,
     Under jitter, a trial registers pattern k when its uniform draw u falls
     between the running sums reg_(k-1) and reg_k of the registration
     probabilities p_j * eff_j, so each pattern count is a difference of the
-    numbers of draws below consecutive running sums.
+    numbers of draws below consecutive running sums.  The running sums are
+    polynomials in the phase error, like the p_j: their coefficients are
+    summed once, and each chunk of trials needs only its harmonics and one
+    (4 x 2K+1) @ (2K+1 x chunk) product.
     """
     _check_pairs(n_pairs)
+    _check_seed(seed)
     w = _pattern_vectors(*_side_bases(model, input, analysis))
     eff = detectors.pattern_efficiencies()
-    if not (model.responds_to_jitter and noise.phase_jitter_sigma > 0.0):
+    if not (model.jitter_degree > 0 and noise.phase_jitter_sigma > 0.0):
         if state is None:
             report = evaluate(model, noise, input)
             state = (0.0, None) if report.is_empty else (report.P_succ, report.joint.rho)
@@ -209,22 +271,12 @@ def _simulate(model, noise, input, n_pairs, detectors, seed, analysis=None,
 
     seq_jitter, seq_outcome = np.random.SeedSequence(seed).spawn(2)
     rng = np.random.default_rng(seq_outcome)
-    alpha, beta = input.amplitudes()
-    m = noise.overlap_M
-    m_orth = math.sqrt(max(0.0, 1.0 - m * m))
-    w_bar = w.conj()
+    coefficients = np.cumsum(
+        _pattern_polynomials(model, input, noise.overlap_M, w) * eff[:, None], axis=0)
     below = np.zeros(4, dtype=np.int64)
     for phases in _jitter_walk(noise, seq_jitter, n_pairs):
-        sectors = model.sector_amplitudes(alpha, beta, m, m_orth, phases)
-        u = rng.random(phases.size)
-        reg = 0.0
-        for a in range(4):
-            prob = 0.0
-            for a00, a10, a01 in sectors:  # no sector reaches |11>
-                amp = a00 * w_bar[a, 0] + a01 * w_bar[a, 1] + a10 * w_bar[a, 2]
-                prob = prob + (amp.real ** 2 + amp.imag ** 2)
-            reg = reg + prob * eff[a]
-            below[a] += np.count_nonzero(u < reg)
+        reg = coefficients @ _harmonics(phases, model.jitter_degree)
+        below += np.count_nonzero(rng.random(phases.size) < reg, axis=1)
     counts = np.diff(below, prepend=0)
     return CoincidenceRecord(*(int(c) for c in counts), n_pairs, seed)
 

@@ -62,6 +62,7 @@ from .compensation import OBJECTIVES, _check_grid
 from .counting import (
     DetectorBank,
     _check_pairs,
+    _check_seed,
     _simulate,
     fidelity_from_counts,
     success_probability_estimate,
@@ -245,8 +246,7 @@ class CountingOptions:
 
     def __post_init__(self):
         _check_pairs(self.n_pairs)
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)

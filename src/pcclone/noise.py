@@ -30,6 +30,7 @@ from .cloners import (
     CloneBatch,
     CloneReport,
     ClonerParams,
+    _check_integer,
     _check_overlap,
     _check_unit_interval,
     _evaluate_inputs,
@@ -43,6 +44,12 @@ from .fock import Qubit, TwoQubitState, coupler, photon_pair, postselect_coincid
 #: small enough that a piece's complex temporaries (128 kB each) stay in the
 #: core's cache, large enough that the Python work per piece stays small
 _CHUNK = 1 << 13
+
+#: largest phase_jitter_sigma * jitter_reset_period.  A walk sums fewer than
+#: ``period`` steps, and numpy's standard normal draws stay below 14 in
+#: magnitude (the ziggurat tail gives at most r + 53 ln 2 / r, r ~ 3.65), so
+#: every walk value stays below 14 * 1e300, far from float overflow (~1.8e308)
+MAX_WALK_SPAN = 1e300
 
 
 @dataclass(frozen=True)
@@ -68,11 +75,16 @@ class NoiseConfig:
                 f"got {self.phase_jitter_sigma}"
             )
         period = self.jitter_reset_period
-        if isinstance(period, bool) or not isinstance(period, (int, np.integer)):
-            raise ValueError(f"jitter_reset_period must be an integer, got {period!r}")
+        _check_integer("jitter_reset_period", period)
         if period < 1:
+            raise ValueError(f"jitter_reset_period must be >= 1, got {period}")
+        # compared as period > bound / sigma: a Python int period may be too
+        # large to convert to a float
+        sigma = self.phase_jitter_sigma
+        if sigma > 0.0 and period > MAX_WALK_SPAN / sigma:
             raise ValueError(
-                f"jitter_reset_period must be >= 1, got {self.jitter_reset_period}"
+                "phase_jitter_sigma times jitter_reset_period must be at most "
+                f"{MAX_WALK_SPAN:g}, got {sigma!r} x {period}"
             )
 
 
@@ -170,7 +182,7 @@ def average_over_jitter(
     the per-trial clone states and the mean success probability.  The
     sector vectors are pooled one chunk of the walk at a time.
     """
-    if not model.responds_to_jitter or noise.phase_jitter_sigma == 0.0:
+    if model.jitter_degree == 0 or noise.phase_jitter_sigma == 0.0:
         return evaluate(model, noise, input)
     chunks = (conditional_sector_vectors(model, input, noise.overlap_M, phases)
               for phases in _jitter_walk(noise, rng_seed, n_trials))

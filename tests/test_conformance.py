@@ -4,7 +4,9 @@ Each device enters ``ClonerParams.variants`` by naming itself in its class
 statement.  The properties below then hold for it without further code:
 its closed-form sectors agree with its circuit at any ancilla overlap and
 phase error, a device without an interferometer ignores the phase error
-exactly, and its configuration round-trips through JSON.  The batch
+exactly, the pattern probabilities of one with an interferometer are
+trigonometric polynomials of its declared ``jitter_degree``, and its
+configuration round-trips through JSON.  The batch
 properties live beside their kernels: ``test_batch_matches_run_model`` in
 ``test_cloners.py`` and ``test_evaluate_batch_matches_circuit_at_partial_overlap``
 in ``test_noise.py``.
@@ -31,6 +33,12 @@ from pcclone.cloners import (
     circuit_joint_state,
     conditional_sector_vectors,
     run_model,
+)
+from pcclone.counting import (
+    _harmonics,
+    _pattern_polynomials,
+    _pattern_vectors,
+    _side_bases,
 )
 from pcclone.experiment import ConfigError, parse_experiment, parse_model, run_experiment
 from pcclone.noise import report_from_sectors
@@ -60,7 +68,29 @@ def test_sector_vectors_match_circuit(variant, data, m, delta, qubit):
     assert np.max(np.abs(joint.rho - closed.joint.rho)) < 1e-12
 
 
-STATIC = [v for v in VARIANTS if not ClonerParams.variants[v].responds_to_jitter]
+STATIC = [v for v in VARIANTS if ClonerParams.variants[v].jitter_degree == 0]
+JITTERED = [v for v in VARIANTS if ClonerParams.variants[v].jitter_degree > 0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), m=OVERLAPS, qubit=QUBITS, analysis=st.none() | QUBITS,
+       deltas=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=20))
+@pytest.mark.parametrize(
+    "variant", JITTERED, ids=[ClonerParams.variants[v].__name__ for v in JITTERED]
+)
+def test_pattern_probabilities_are_polynomials_of_the_declared_degree(
+    variant, data, m, qubit, analysis, deltas
+):
+    # the counting kernel interpolates each pattern probability from 2K+1
+    # nodes; a device whose degree is set too low fails here
+    params = data.draw(PARAMS[variant])
+    w = _pattern_vectors(*_side_bases(params, qubit, analysis))
+    vectors = conditional_sector_vectors(params, qubit, m, deltas)
+    amp = np.einsum("tsi,ai->tsa", vectors, w.conj())
+    direct = np.einsum("tsa,tsa->at", amp, amp.conj()).real
+    poly = _pattern_polynomials(params, qubit, m, w) @ _harmonics(
+        np.asarray(deltas), params.jitter_degree)
+    assert np.max(np.abs(poly - direct)) < 1e-12
 
 
 @settings(max_examples=25, deadline=None)

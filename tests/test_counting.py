@@ -169,6 +169,31 @@ def test_simulate_refuses_pairs_over_the_cap():
             simulate_counts(IDEAL, NOISELESS, EQ, MAX_PAIRS + 1, DetectorBank(), seed=0)
 
 
+JITTER = NoiseConfig(phase_jitter_sigma=0.05, jitter_reset_period=100)
+
+
+@pytest.mark.parametrize("noise", [NOISELESS, JITTER], ids=["static", "jitter"])
+@pytest.mark.parametrize("n_pairs", [1e5, 2.5, 3.0, True, np.float64(10.0), "10"])
+def test_simulate_requires_integer_pairs(noise, n_pairs):
+    model = MachZehnderParams.ideal()
+    with pytest.raises(ValueError, match="n_pairs must be an integer"):
+        simulate_counts(model, noise, EQ, n_pairs, DetectorBank(), seed=0)
+
+
+@pytest.mark.parametrize("noise", [NOISELESS, JITTER], ids=["static", "jitter"])
+def test_simulate_requires_a_non_negative_integer_seed(noise):
+    model = MachZehnderParams.ideal()
+    for seed in (True, 1.0, np.float64(2.0), None):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            simulate_counts(model, noise, EQ, 100, DetectorBank(), seed=seed)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        simulate_counts(model, noise, EQ, 100, DetectorBank(), seed=-1)
+    # numpy integers are integers
+    record = simulate_counts(model, noise, EQ, np.int64(100), DetectorBank(),
+                             seed=np.uint32(5))
+    assert record == simulate_counts(model, noise, EQ, 100, DetectorBank(), seed=5)
+
+
 def test_estimator_within_three_sigma_at_large_n():
     record = simulate_counts(IDEAL, NOISELESS, EQ, 10**6, DetectorBank(), seed=100)
     f1, f2 = fidelity_from_counts(record)
@@ -263,7 +288,9 @@ def test_streamed_jitter_counts_equal_whole_array_kernel(
     assert np.array_equal(record.counts(), whole_array_jitter_counts(*args))
 
 
-@pytest.mark.parametrize("variant, overlap", [("mach_zehnder", 0.9), ("fiber", 1.0)])
+@pytest.mark.parametrize("variant, overlap", [
+    ("mach_zehnder", 1.0), ("mach_zehnder", 0.9), ("fiber", 1.0), ("fiber", 0.9),
+])
 def test_streamed_jitter_counts_equal_whole_array_kernel_across_chunks(variant, overlap):
     noise = NoiseConfig(overlap_M=overlap, phase_jitter_sigma=0.05,
                         jitter_reset_period=333)

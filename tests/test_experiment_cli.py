@@ -446,6 +446,17 @@ def test_negative_counting_seed_exits_2(tmp_path, capsys):
         assert "counting.seed must be >= 0, got -3" in capsys.readouterr().err
 
 
+def test_overflowing_jitter_walk_exits_2(tmp_path, capsys):
+    config = {"model": {"variant": "mach_zehnder"},
+              "input": {"theta": 1.0, "phi": 0.3},
+              "noise": {"phase_jitter_sigma": 1e307, "jitter_reset_period": 1000},
+              "counting": {"n_pairs": 1000, "seed": 0}}
+    assert main(["montecarlo", "--config", write_config(tmp_path, config)]) == 2
+    captured = capsys.readouterr()
+    assert "noise.phase_jitter_sigma" in captured.err
+    assert captured.out == ""
+
+
 def test_sizes_over_the_caps_end_in_exit_2(tmp_path, capsys):
     # parsing only: nothing is simulated and no row is built at a cap
     for n_pairs in (MAX_PAIRS + 1, 2**64):

@@ -17,6 +17,7 @@ from pcclone.cloners import (
     R_OPTIMAL,
     run_model,
 )
+from pcclone.counting import DetectorBank, simulate_counts
 from pcclone.fock import Qubit
 from pcclone.noise import (
     _CHUNK,
@@ -78,6 +79,25 @@ def test_noise_config_rejects_non_finite_sigma(sigma):
 def test_noise_config_rejects_non_integer_period(period):
     with pytest.raises(ValueError, match="jitter_reset_period"):
         NoiseConfig(jitter_reset_period=period)
+
+
+def test_noise_config_bounds_the_walk_span():
+    # beyond the bound a walk could overflow to +-inf and blank its trials
+    with pytest.raises(ValueError, match="phase_jitter_sigma times jitter_reset"):
+        NoiseConfig(phase_jitter_sigma=1e307, jitter_reset_period=1000)
+    with pytest.raises(ValueError, match="phase_jitter_sigma"):
+        NoiseConfig(phase_jitter_sigma=0.1, jitter_reset_period=10**400)
+    NoiseConfig(phase_jitter_sigma=0.0, jitter_reset_period=10**400)
+    # at the bound every walk value and every count stays finite
+    at_bound = NoiseConfig(phase_jitter_sigma=noise.MAX_WALK_SPAN / 1000,
+                           jitter_reset_period=1000)
+    assert np.all(np.isfinite(sample_phase_jitter(at_bound, 4, 5000)))
+    report = average_over_jitter(MachZehnderParams.ideal(), at_bound, Qubit(1.0, 0.3),
+                                 4, 5000)
+    assert 0.0 < report.P_succ <= 1.0
+    record = simulate_counts(MachZehnderParams.ideal(), at_bound, Qubit(1.0, 0.3),
+                             5000, DetectorBank(), seed=4)
+    assert record.c_sum > 0
 
 
 # ---------------------------------------------------------------------------
