@@ -54,6 +54,9 @@ F_SEMICLASSICAL = 0.75
 #: most rows one closed-form batch may have: a sweep per axis and in all, an
 #: optimizer grid in all (~2 kB of memory each)
 MAX_ROWS = 10**5
+#: most photon pairs one counting run, and trials one jitter walk, may hold
+#: (the samplers count in int64)
+MAX_PAIRS = 10**12
 
 
 def theoretical_limits() -> dict:

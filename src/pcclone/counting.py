@@ -8,15 +8,20 @@ product of the two involved detector efficiencies.  Detectors are binary and
 dark-count free, so a trial either contributes one coincidence or nothing.
 
 Without phase jitter every trial sees the same pattern probabilities, so the
-counts are one multinomial draw.  With jitter the probabilities change from
-trial to trial.  Each is a trigonometric polynomial in the phase error delta
-of the device's ``jitter_degree`` K, fixed by its values at 2K+1 nodes, so
-the device is evaluated once, at those nodes.  The kernel then takes each
-chunk of the jitter walk from the harmonics cos(k delta), sin(k delta) to
-the running sums of the registration probabilities in one matrix product
-and tallies one uniform draw per trial against them.  It holds one chunk of
-trials at a time, and its cost does not depend on the number of temporal
-sectors.
+counts of a row are one multinomial draw.  Such static rows are counted as
+one batch: the analyzer vectors of every row are stacked, their pattern
+vectors come from one broadcast product, and one einsum over the rows'
+joint states gives every row's registration probabilities.  Only the seeded
+draw runs row by row; a :func:`simulate_counts` call is the one-row batch.
+
+With jitter the probabilities change from trial to trial.  Each is a
+trigonometric polynomial in the phase error delta of the device's
+``jitter_degree`` K, fixed by its values at 2K+1 nodes, so the device is
+evaluated once, at those nodes.  The kernel then takes each chunk of the
+jitter walk from the harmonics cos(k delta), sin(k delta) to the running
+sums of the registration probabilities in one matrix product and tallies
+one uniform draw per trial against them.  It holds one chunk of trials at a
+time, and its cost does not depend on the number of temporal sectors.
 
 Counts are sampled with a seeded generator and are reproducible; records
 of different seeds merge by field-wise addition.
@@ -31,6 +36,7 @@ from typing import Union
 import numpy as np
 
 from .cloners import (
+    MAX_PAIRS,
     CloneReport,
     ClonerParams,
     _check_integer,
@@ -39,10 +45,7 @@ from .cloners import (
     conditional_sector_vectors,
 )
 from .fock import Qubit
-from .noise import NoiseConfig, _jitter_walk, evaluate
-
-#: most photon pairs one counting run may offer (the sampler counts in int64)
-MAX_PAIRS = 10**12
+from .noise import NoiseConfig, _jitter_walk, evaluate_batch, jittered
 
 
 def _check_pairs(n_pairs):
@@ -98,6 +101,8 @@ class CoincidenceRecord:
     seed: int
 
     def __post_init__(self):
+        for name in ("c_pp", "c_pm", "c_mp", "c_mm", "n_pairs", "seed"):
+            _check_integer(name, getattr(self, name))
         for name in ("c_pp", "c_pm", "c_mp", "c_mm"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
@@ -143,23 +148,36 @@ class CountingSetup:
     analysis: Union[Qubit, tuple, None] = None
 
 
-def _side_bases(model: ClonerParams, input: Qubit, analysis):
-    """Per-clone analyzer bases; without ``analysis``, the device's own."""
+def _analyzer_vectors(model: ClonerParams, inputs, analysis=None):
+    """Click vectors (plus, minus) of each clone's analyzer, one row per input.
+
+    Returns two (n, 2, 2) arrays, one per clone.  Without ``analysis`` each
+    row takes the device's own analyzers for its input; a :class:`Qubit` sets
+    both clones' analyzers, a pair of them one analyzer per clone.
+    """
     if analysis is None:
-        return model.analyzer_bases(input)
+        sides = [model.analyzer_bases(q) for q in inputs]
+        return np.array([s[0] for s in sides]), np.array([s[1] for s in sides])
     if isinstance(analysis, Qubit):
-        basis = _standard_basis(analysis)
-        return basis, basis
-    side1, side2 = analysis
-    return _standard_basis(side1), _standard_basis(side2)
+        analysis = (analysis, analysis)
+    return tuple(np.repeat(np.array(_standard_basis(a))[None], len(inputs), axis=0)
+                 for a in analysis)
 
 
-def _pattern_vectors(side1, side2) -> np.ndarray:
-    """Rows: two-clone projection vectors in pattern order (++, +-, -+, --)."""
-    (p1, m1), (p2, m2) = side1, side2
-    return np.stack(
-        [np.kron(p1, p2), np.kron(p1, m2), np.kron(m1, p2), np.kron(m1, m2)]
-    )
+def _pattern_vectors(side1: np.ndarray, side2: np.ndarray) -> np.ndarray:
+    """Two-clone projection vectors in pattern order (++, +-, -+, --).
+
+    ``side1`` and ``side2`` stack (plus, minus) click vectors with shape
+    (..., 2, 2); row a = 2 j + k of the result (..., 4, 4) is the Kronecker
+    product of clone 1's vector j with clone 2's vector k.
+    """
+    w = side1[..., :, None, :, None] * side2[..., None, :, None, :]
+    return w.reshape(w.shape[:-4] + (4, 4))
+
+
+def _pattern_probabilities(w: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """(n, 4) probabilities of the pattern rows of ``w`` (n, 4, 4) in the states ``rho``."""
+    return np.clip(np.einsum("nai,nij,naj->na", w.conj(), rho, w).real, 0.0, None)
 
 
 def outcome_distribution(report: CloneReport, analysis: Qubit,
@@ -171,27 +189,42 @@ def outcome_distribution(report: CloneReport, analysis: Qubit,
     """
     if report.is_empty:
         raise ValueError("cannot analyze an empty report")
-    side1 = _standard_basis(analysis)
-    side2 = _standard_basis(analysis_2) if analysis_2 is not None else side1
-    return _pattern_probabilities(_pattern_vectors(side1, side2), report.joint.rho)
+    side1 = np.array(_standard_basis(analysis))
+    side2 = np.array(_standard_basis(analysis_2)) if analysis_2 is not None else side1
+    w = _pattern_vectors(side1, side2)
+    return _pattern_probabilities(w[None], report.joint.rho[None])[0]
 
 
-def _pattern_probabilities(w: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Probability of each pattern row of ``w`` in the two-clone state ``rho``."""
-    return np.clip(np.einsum("ai,ij,aj->a", w.conj(), rho, w).real, 0.0, None)
+def _static_pvals(w: np.ndarray, p_succ: np.ndarray, joints: np.ndarray,
+                  eff: np.ndarray) -> np.ndarray:
+    """(n, 5) multinomial probabilities of the four patterns and of no coincidence.
+
+    Row i registers pattern a with probability p_succ[i] * p_a * eff[a];
+    ``joints`` is zero on rows with no success, so those register nothing.
+    """
+    reg = p_succ[:, None] * _pattern_probabilities(w, joints) * eff
+    rest = np.maximum(0.0, 1.0 - reg.sum(axis=1))
+    pvals = np.concatenate([reg, rest[:, None]], axis=1)
+    return pvals / pvals.sum(axis=1, keepdims=True)
 
 
-def simulate_counts(
-    model: ClonerParams,
-    noise: NoiseConfig,
-    input: Qubit,
-    n_pairs: int,
-    detectors: DetectorBank,
-    seed: int,
-    analysis: Union[Qubit, tuple, None] = None,
-) -> CoincidenceRecord:
-    """Simulate ``n_pairs`` photon-pair trials and tally coincidences."""
-    return _simulate(model, noise, input, n_pairs, detectors, seed, analysis)
+def _count_static(model: ClonerParams, inputs, n_pairs: int, detectors: DetectorBank,
+                  seeds, p_succ: np.ndarray, joints: np.ndarray,
+                  analysis=None) -> list[CoincidenceRecord]:
+    """Counts of static rows: one multinomial draw per row, seeded by its seed.
+
+    ``p_succ`` and ``joints`` are the rows' success probabilities and (n, 4, 4)
+    joint states, as :func:`evaluate_batch` returns them.  The registration
+    probabilities of every row come from one batched product; only the
+    draws run row by row.
+    """
+    w = _pattern_vectors(*_analyzer_vectors(model, inputs, analysis))
+    pvals = _static_pvals(w, p_succ, joints, detectors.pattern_efficiencies())
+    return [
+        CoincidenceRecord(*np.random.default_rng(seed).multinomial(n_pairs, p)[:4].tolist(),
+                          n_pairs, seed)
+        for seed, p in zip(seeds, pvals)
+    ]
 
 
 def _harmonics(delta: np.ndarray, degree: int) -> np.ndarray:
@@ -234,13 +267,19 @@ def _pattern_polynomials(model: ClonerParams, input: Qubit, overlap_M: float,
     return np.concatenate([-c[1:].imag, c.real]).T
 
 
-def _simulate(model, noise, input, n_pairs, detectors, seed, analysis=None,
-              state=None) -> CoincidenceRecord:
-    """:func:`simulate_counts`, given the static evaluation when known.
+def simulate_counts(
+    model: ClonerParams,
+    noise: NoiseConfig,
+    input: Qubit,
+    n_pairs: int,
+    detectors: DetectorBank,
+    seed: int,
+    analysis: Union[Qubit, tuple, None] = None,
+) -> CoincidenceRecord:
+    """Simulate ``n_pairs`` photon-pair trials and tally coincidences.
 
-    ``state`` is ``(P_succ, rho)`` of ``evaluate(model, noise, input)``, with
-    ``rho`` the 4x4 joint state (unused when P_succ is 0); without it the
-    static branch evaluates the model itself.
+    Without jitter this is the one-row call of :func:`_count_static`, on the
+    row's :func:`evaluate_batch` evaluation.
 
     Under jitter, a trial registers pattern k when its uniform draw u falls
     between the running sums reg_(k-1) and reg_k of the registration
@@ -252,23 +291,12 @@ def _simulate(model, noise, input, n_pairs, detectors, seed, analysis=None,
     """
     _check_pairs(n_pairs)
     _check_seed(seed)
-    w = _pattern_vectors(*_side_bases(model, input, analysis))
+    if not jittered(model, noise):
+        batch, joints = evaluate_batch(model, noise, [input])
+        return _count_static(model, [input], n_pairs, detectors, [seed],
+                             batch.P_succ, joints, analysis)[0]
+    w = _pattern_vectors(*_analyzer_vectors(model, [input], analysis))[0]
     eff = detectors.pattern_efficiencies()
-    if not (model.jitter_degree > 0 and noise.phase_jitter_sigma > 0.0):
-        if state is None:
-            report = evaluate(model, noise, input)
-            state = (0.0, None) if report.is_empty else (report.P_succ, report.joint.rho)
-        p_succ, rho = state
-        reg = np.zeros(4)
-        if p_succ > 0.0:
-            reg = p_succ * _pattern_probabilities(w, rho) * eff
-        rest = max(0.0, 1.0 - float(reg.sum()))
-        pvals = np.append(reg, rest)
-        pvals = pvals / pvals.sum()
-        rng = np.random.default_rng(seed)
-        counts = rng.multinomial(n_pairs, pvals)[:4]
-        return CoincidenceRecord(*(int(c) for c in counts), n_pairs, seed)
-
     seq_jitter, seq_outcome = np.random.SeedSequence(seed).spawn(2)
     rng = np.random.default_rng(seq_outcome)
     coefficients = np.cumsum(
@@ -278,7 +306,7 @@ def _simulate(model, noise, input, n_pairs, detectors, seed, analysis=None,
         reg = coefficients @ _harmonics(phases, model.jitter_degree)
         below += np.count_nonzero(rng.random(phases.size) < reg, axis=1)
     counts = np.diff(below, prepend=0)
-    return CoincidenceRecord(*(int(c) for c in counts), n_pairs, seed)
+    return CoincidenceRecord(*counts.tolist(), n_pairs, seed)
 
 
 def fidelity_from_rates(c_pp, c_pm, c_mp, c_mm):

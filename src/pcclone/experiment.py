@@ -41,8 +41,10 @@ produce byte-identical files.
 
 Rows are evaluated and validated per batch at every ``overlap_M``: one
 closed-form call per configuration builds every row's joint state and
-marginals and checks them together.  Counting rows draw their static
-registration probabilities from those joint states.
+marginals and checks them together.  Static counting rows are counted in one
+further batch call, which takes every row's registration probabilities from
+those joint states and leaves one seeded multinomial draw per row; rows
+under phase jitter each run their own jitter walk.
 """
 
 from __future__ import annotations
@@ -63,12 +65,13 @@ from .counting import (
     DetectorBank,
     _check_pairs,
     _check_seed,
-    _simulate,
+    _count_static,
     fidelity_from_counts,
+    simulate_counts,
     success_probability_estimate,
 )
 from .fock import Qubit
-from .noise import NoiseConfig, evaluate_batch
+from .noise import NoiseConfig, evaluate_batch, jittered
 
 
 class ConfigError(ValueError):
@@ -331,8 +334,16 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
     """One result row per input state, in sweep order."""
     rows = []
     counting = config.counting
-    seeds = _row_seeds(counting.seed, len(config.inputs)) if counting else None
     batch, joints = evaluate_batch(config.model, config.noise, config.inputs)
+    if counting:
+        seeds = _row_seeds(counting.seed, len(config.inputs))
+        if jittered(config.model, config.noise):
+            records = [simulate_counts(config.model, config.noise, qubit,
+                                       counting.n_pairs, counting.detectors, seed)
+                       for qubit, seed in zip(config.inputs, seeds)]
+        else:
+            records = _count_static(config.model, config.inputs, counting.n_pairs,
+                                    counting.detectors, seeds, batch.P_succ, joints)
     for index, (qubit, (f1, f2, p_succ)) in enumerate(zip(config.inputs, batch.rows())):
         row: dict[str, Any] = {
             "theta": qubit.theta,
@@ -342,15 +353,7 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
             "P_succ": p_succ,
         }
         if counting:
-            record = _simulate(
-                config.model,
-                config.noise,
-                qubit,
-                counting.n_pairs,
-                counting.detectors,
-                seeds[index],
-                state=(p_succ, joints[index]),
-            )
+            record = records[index]
             estimates = fidelity_from_counts(record)
             row.update(
                 {

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloners import (
+    MAX_PAIRS,
     CloneBatch,
     CloneReport,
     ClonerParams,
@@ -88,6 +89,11 @@ class NoiseConfig:
             )
 
 
+def jittered(model: ClonerParams, noise: NoiseConfig) -> bool:
+    """Whether the phase jitter of ``noise`` reaches ``model``'s interferometer."""
+    return model.jitter_degree > 0 and noise.phase_jitter_sigma > 0.0
+
+
 def with_distinguishability(model: ClonerParams, M: float, input: Qubit) -> CloneReport:
     """Evaluate a cloner with ancilla temporal overlap M via the 8-mode circuit."""
     joint, p = circuit_joint_state(model, input, ancilla_overlap=M)
@@ -118,8 +124,9 @@ def _jitter_walk(config: NoiseConfig, rng_seed, n_trials: int):
     value of the previous piece, whole blocks follow, and a cut block at
     the end carries over.  Only one piece is held at a time.
     """
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    _check_integer("n_trials", n_trials)
+    if not 1 <= n_trials <= MAX_PAIRS:
+        raise ValueError(f"n_trials must lie in [1, {MAX_PAIRS}], got {n_trials}")
     rng = np.random.default_rng(rng_seed)
     period = config.jitter_reset_period
     level = 0.0
@@ -182,7 +189,7 @@ def average_over_jitter(
     the per-trial clone states and the mean success probability.  The
     sector vectors are pooled one chunk of the walk at a time.
     """
-    if model.jitter_degree == 0 or noise.phase_jitter_sigma == 0.0:
+    if not jittered(model, noise):
         return evaluate(model, noise, input)
     chunks = (conditional_sector_vectors(model, input, noise.overlap_M, phases)
               for phases in _jitter_walk(noise, rng_seed, n_trials))

@@ -35,10 +35,10 @@ from pcclone.cloners import (
     run_model,
 )
 from pcclone.counting import (
+    _analyzer_vectors,
     _harmonics,
     _pattern_polynomials,
     _pattern_vectors,
-    _side_bases,
 )
 from pcclone.experiment import ConfigError, parse_experiment, parse_model, run_experiment
 from pcclone.noise import report_from_sectors
@@ -84,7 +84,7 @@ def test_pattern_probabilities_are_polynomials_of_the_declared_degree(
     # the counting kernel interpolates each pattern probability from 2K+1
     # nodes; a device whose degree is set too low fails here
     params = data.draw(PARAMS[variant])
-    w = _pattern_vectors(*_side_bases(params, qubit, analysis))
+    w = _pattern_vectors(*_analyzer_vectors(params, [qubit], analysis))[0]
     vectors = conditional_sector_vectors(params, qubit, m, deltas)
     amp = np.einsum("tsi,ai->tsa", vectors, w.conj())
     direct = np.einsum("tsa,tsa->at", amp, amp.conj()).real

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cloner_strategies import CLASS_NAMES, OVERLAPS, PARAMS, QUBITS, VARIANTS
 from pcclone import noise as noise_module
 from pcclone.cloners import (
     FiberParams,
@@ -14,6 +15,7 @@ from pcclone.cloners import (
     MachZehnderParams,
     SpecialBSParams,
     CloneReport,
+    _standard_basis,
     conditional_sector_vectors,
     run_model,
 )
@@ -22,8 +24,10 @@ from pcclone.counting import (
     CoincidenceRecord,
     CountingSetup,
     DetectorBank,
+    _analyzer_vectors,
+    _count_static,
     _pattern_vectors,
-    _side_bases,
+    _static_pvals,
     balance_detectors,
     estimator_sigma,
     fidelity_from_counts,
@@ -33,7 +37,7 @@ from pcclone.counting import (
     success_probability_estimate,
 )
 from pcclone.fock import Qubit, TwoQubitState
-from pcclone.noise import _CHUNK, NoiseConfig, sample_phase_jitter
+from pcclone.noise import _CHUNK, NoiseConfig, evaluate_batch, sample_phase_jitter
 
 EQ = Qubit.equatorial(0.0)
 F_PC = 0.8535533905932737
@@ -71,6 +75,23 @@ def test_record_validation():
         CoincidenceRecord(0, 0, 0, 0, 0, 0)
     with pytest.raises(ValueError, match="exceed"):
         CoincidenceRecord(6, 6, 0, 0, 10, 0)
+
+
+RECORD_FIELDS = ("c_pp", "c_pm", "c_mp", "c_mm", "n_pairs", "seed")
+
+
+@pytest.mark.parametrize("field", range(6), ids=RECORD_FIELDS)
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, np.float64(1.0), "1", None])
+def test_record_fields_must_be_integers(field, bad):
+    values = [1, 0, 0, 0, 10, 0]
+    values[field] = bad
+    with pytest.raises(ValueError, match=f"{RECORD_FIELDS[field]} must be an integer"):
+        CoincidenceRecord(*values)
+
+
+def test_record_accepts_numpy_integers():
+    record = CoincidenceRecord(*np.array([1, 0, 2, 0, 10, 3]))
+    assert record == CoincidenceRecord(1, 0, 2, 0, 10, 3)
 
 
 def test_record_merge_is_commutative_and_associative():
@@ -164,7 +185,7 @@ def test_simulate_counts_single_trial():
 
 def test_simulate_refuses_pairs_over_the_cap():
     # the check comes before any evaluation or draw
-    with mock.patch("pcclone.counting.evaluate", side_effect=AssertionError):
+    with mock.patch("pcclone.counting.evaluate_batch", side_effect=AssertionError):
         with pytest.raises(ValueError, match="n_pairs must lie in"):
             simulate_counts(IDEAL, NOISELESS, EQ, MAX_PAIRS + 1, DetectorBank(), seed=0)
 
@@ -192,6 +213,108 @@ def test_simulate_requires_a_non_negative_integer_seed(noise):
     record = simulate_counts(model, noise, EQ, np.int64(100), DetectorBank(),
                              seed=np.uint32(5))
     assert record == simulate_counts(model, noise, EQ, 100, DetectorBank(), seed=5)
+
+
+def per_row_pvals(model, input, analysis, p_succ, rho, eff):
+    """Reference: the per-row static route, with Kronecker pattern vectors."""
+    if analysis is None:
+        side1, side2 = model.analyzer_bases(input)
+    elif isinstance(analysis, Qubit):
+        side1 = side2 = _standard_basis(analysis)
+    else:
+        side1, side2 = (_standard_basis(a) for a in analysis)
+    (p1, m1), (p2, m2) = side1, side2
+    w = np.stack([np.kron(p1, p2), np.kron(p1, m2), np.kron(m1, p2), np.kron(m1, m2)])
+    reg = np.zeros(4)
+    if p_succ > 0.0:
+        probs = np.clip(np.einsum("ai,ij,aj->a", w.conj(), rho, w).real, 0.0, None)
+        reg = p_succ * probs * eff
+    rest = max(0.0, 1.0 - float(reg.sum()))
+    pvals = np.append(reg, rest)
+    return pvals / pvals.sum()
+
+
+ANALYSES = st.none() | QUBITS | st.tuples(QUBITS, QUBITS)
+ETAS = st.tuples(*[st.floats(0.3, 1.0)] * 4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), m=OVERLAPS, analysis=ANALYSES, etas=ETAS,
+       qubits=st.lists(QUBITS, min_size=1, max_size=12),
+       blocked=st.lists(st.booleans(), min_size=12, max_size=12))
+@pytest.mark.parametrize("variant", VARIANTS, ids=CLASS_NAMES)
+def test_batched_pvals_equal_the_per_row_route(variant, data, m, analysis, etas,
+                                               qubits, blocked):
+    model = data.draw(PARAMS[variant])
+    batch, joints = evaluate_batch(model, NoiseConfig(overlap_M=m), qubits)
+    p_succ = batch.P_succ.copy()
+    # rows with no success carry P_succ 0 and a zero joint state, as the
+    # batch gives them (see test_batched_pvals_of_empty_rows for real ones)
+    for i, empty in enumerate(blocked[:len(qubits)]):
+        if empty:
+            p_succ[i] = 0.0
+            joints[i] = 0.0
+    eff = DetectorBank(*etas).pattern_efficiencies()
+    w = _pattern_vectors(*_analyzer_vectors(model, qubits, analysis))
+    pvals = _static_pvals(w, p_succ, joints, eff)
+    for i, qubit in enumerate(qubits):
+        expected = per_row_pvals(model, qubit, analysis, p_succ.tolist()[i], joints[i], eff)
+        assert np.array_equal(pvals[i], expected)
+
+
+def test_batched_pvals_of_empty_rows():
+    cases = [
+        (SpecialBSParams(comp_loss_r0=0.0, comp_loss_r1=0.0), [EQ, Qubit(0.3, 0.1)]),
+        (SpecialBSParams(R0=0.5), [Qubit(0.0, 0.0), EQ]),
+    ]
+    eff = BIASED_BANK.pattern_efficiencies()
+    for model, qubits in cases:
+        batch, joints = evaluate_batch(model, NOISELESS, qubits)
+        assert batch.P_succ[0] == 0.0
+        w = _pattern_vectors(*_analyzer_vectors(model, qubits))
+        pvals = _static_pvals(w, batch.P_succ, joints, eff)
+        assert pvals[0].tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
+        for i, qubit in enumerate(qubits):
+            expected = per_row_pvals(model, qubit, None, batch.P_succ.tolist()[i],
+                                     joints[i], eff)
+            assert np.array_equal(pvals[i], expected)
+        records = _count_static(model, qubits, 1000, BIASED_BANK, [4, 5],
+                                batch.P_succ, joints)
+        assert records[0] == CoincidenceRecord(0, 0, 0, 0, 1000, 4)
+
+
+@pytest.mark.parametrize("analysis", [None, Qubit(1.1, 0.4), (EQ, Qubit(0.7, 2.0))],
+                         ids=["device", "qubit", "pair"])
+@pytest.mark.parametrize("overlap", [1.0, 0.9])
+def test_simulate_counts_is_the_one_row_batch(analysis, overlap):
+    model = HybridParams(eta0=0.7)
+    noise = NoiseConfig(overlap_M=overlap)
+    qubits = [Qubit(0.4, 0.2), EQ, Qubit(2.5, 4.0)]
+    batch, joints = evaluate_batch(model, noise, qubits)
+    records = _count_static(model, qubits, 20_000, BIASED_BANK, [11, 12, 13],
+                            batch.P_succ, joints, analysis)
+    for qubit, seed, record in zip(qubits, [11, 12, 13], records):
+        assert record == simulate_counts(model, noise, qubit, 20_000, BIASED_BANK,
+                                         seed, analysis)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), m=st.floats(0.0, 0.999),
+       qubits=st.lists(QUBITS, min_size=1, max_size=4))
+@pytest.mark.parametrize("variant", VARIANTS, ids=CLASS_NAMES)
+def test_static_pvals_at_partial_overlap_match_the_sector_route(variant, data, m, qubits):
+    # static counts take their state from the closed-form batch; at M < 1
+    # that agrees with noise.evaluate's sector pooling up to float order
+    model = data.draw(PARAMS[variant])
+    noise = NoiseConfig(overlap_M=m)
+    eff = BIASED_BANK.pattern_efficiencies()
+    batch, joints = evaluate_batch(model, noise, qubits)
+    pvals = _static_pvals(_pattern_vectors(*_analyzer_vectors(model, qubits)),
+                          batch.P_succ, joints, eff)
+    for qubit, row in zip(qubits, pvals):
+        report = noise_module.evaluate(model, noise, qubit)
+        expected = per_row_pvals(model, qubit, None, report.P_succ, report.joint.rho, eff)
+        assert row == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
 def test_estimator_within_three_sigma_at_large_n():
@@ -243,7 +366,7 @@ def test_simulate_counts_with_jitter_is_deterministic():
 def whole_array_jitter_counts(model, noise, input, n_pairs, detectors, seed):
     """Reference jitter kernel: stacked complex sector vectors for every trial,
     complex einsums to the pattern probabilities, then cumsum and argmax."""
-    w = _pattern_vectors(*_side_bases(model, input, None))
+    w = _pattern_vectors(*_analyzer_vectors(model, [input]))[0]
     eff = detectors.pattern_efficiencies()
     seq_jitter, seq_outcome = np.random.SeedSequence(seed).spawn(2)
     phases = sample_phase_jitter(noise, seq_jitter, n_pairs)

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from pcclone.cli import main
-from pcclone.cloners import run_model
-from pcclone.counting import MAX_PAIRS, DetectorBank
+from pcclone.cloners import ClonerParams, run_model
+from pcclone.counting import MAX_PAIRS, CoincidenceRecord, DetectorBank, simulate_counts
 from pcclone.experiment import (
     MAX_ROWS,
     ConfigError,
@@ -14,6 +14,7 @@ from pcclone.experiment import (
     OptimizeConfig,
     OutputOptions,
     _read,
+    _row_seeds,
     compare_experiments,
     parse_experiment,
     parse_rows,
@@ -422,7 +423,7 @@ def test_counted_rows_reuse_the_batch_evaluation(monkeypatch):
     def evaluate_again(*args):
         raise AssertionError("a counted row was evaluated a second time")
 
-    monkeypatch.setattr("pcclone.counting.evaluate", evaluate_again)
+    monkeypatch.setattr("pcclone.counting.evaluate_batch", evaluate_again)
     config = parse_experiment({
         "model": {"variant": "hybrid", "eta0": 0.7},
         "noise": {"overlap_M": 0.9},
@@ -432,6 +433,27 @@ def test_counted_rows_reuse_the_batch_evaluation(monkeypatch):
     rows = run_experiment(config)
     assert [row["C_pp"] + row["C_pm"] + row["C_mp"] + row["C_mm"] > 0 for row in rows] \
         == [True, True]
+
+
+@pytest.mark.parametrize("noise", [
+    {}, {"overlap_M": 0.9}, {"overlap_M": 0.95, "phase_jitter_sigma": 0.05},
+], ids=["M=1", "M<1", "jitter"])
+@pytest.mark.parametrize("variant", sorted(ClonerParams.variants))
+def test_counted_rows_equal_simulate_counts_for_their_row_seed(variant, noise):
+    config = parse_experiment({
+        "model": {"variant": variant},
+        "noise": noise,
+        "sweep": {"theta": [0.4, 1.5], "phi": [0.0, 2.5]},
+        "counting": {"n_pairs": 5000, "seed": 8,
+                     "detectors": {"eta_1p": 0.9, "eta_2m": 0.8}},
+    })
+    counting = config.counting
+    rows = run_experiment(config)
+    for row, qubit, seed in zip(rows, config.inputs, _row_seeds(8, len(rows))):
+        record = simulate_counts(config.model, config.noise, qubit, counting.n_pairs,
+                                 counting.detectors, seed)
+        assert CoincidenceRecord(row["C_pp"], row["C_pm"], row["C_mp"], row["C_mm"],
+                                 counting.n_pairs, seed) == record
 
 
 def test_negative_counting_seed_exits_2(tmp_path, capsys):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cloner_strategies import CLASS_NAMES, PARAMS, VARIANTS
 from pcclone import noise
 from pcclone.cloners import (
+    MAX_PAIRS,
     FiberParams,
     HybridParams,
     MachZehnderParams,
@@ -230,6 +231,25 @@ def test_jitter_accumulates_between_resets():
 def test_jitter_requires_trials():
     with pytest.raises(ValueError, match="n_trials"):
         sample_phase_jitter(NoiseConfig(), 1, 0)
+
+
+@pytest.mark.parametrize("n_trials", [2.5, 10.0, True, np.float64(3.0), "10"])
+def test_jitter_requires_integer_trials(n_trials):
+    config = NoiseConfig(phase_jitter_sigma=0.1)
+    with pytest.raises(ValueError, match="n_trials must be an integer"):
+        sample_phase_jitter(config, 0, n_trials)
+    with pytest.raises(ValueError, match="n_trials must be an integer"):
+        average_over_jitter(MachZehnderParams.ideal(), config, EQ, 0, n_trials)
+
+
+def test_jitter_walk_is_capped():
+    config = NoiseConfig(phase_jitter_sigma=0.1)
+    # the check runs before the first draw; a walk at the cap yields its
+    # first piece, and only that piece is drawn here
+    with pytest.raises(ValueError, match=f"n_trials must lie in \\[1, {MAX_PAIRS}\\]"):
+        next(_jitter_walk(config, 0, MAX_PAIRS + 1))
+    assert next(_jitter_walk(config, 0, MAX_PAIRS)).size == _CHUNK
+    assert next(_jitter_walk(config, 0, np.int64(5))).size == 5
 
 
 def whole_array_walk(config, rng_seed, n_trials):
