@@ -68,9 +68,24 @@ def theoretical_limits() -> dict:
     }
 
 
+def _require(ok, value, message):
+    """Raise ``ValueError(f"{message}, got {bad}")`` unless ``ok`` holds.
+
+    ``ok`` and ``value`` are scalars, or arrays of one shape when a field
+    holds an array of candidates; ``bad`` is then the first entry of
+    ``value`` where ``ok`` fails, as a Python number.
+    """
+    if isinstance(ok, np.ndarray):
+        if ok.all():
+            return
+        value = np.extract(~ok, value)[0].item()
+    elif ok:
+        return
+    raise ValueError(f"{message}, got {value}")
+
+
 def _check_unit_interval(name, value):
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value}")
+    _require((0.0 <= value) & (value <= 1.0), value, f"{name} must lie in [0, 1]")
 
 
 def _check_integer(name, value):
@@ -79,15 +94,13 @@ def _check_integer(name, value):
 
 
 def _check_amplitude(name, value):
-    if not -1.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [-1, 1], got {value}")
+    _require((-1.0 <= value) & (value <= 1.0), value, f"{name} must lie in [-1, 1]")
 
 
 def _check_lossless(name_r, r, name_t, t):
-    if abs(r * r + t * t - 1.0) > BUILD_TOL:
-        raise ValueError(
-            f"({name_r}, {name_t}) must satisfy r^2 + t^2 = 1, got {r * r + t * t!r}"
-        )
+    norm = r * r + t * t
+    _require(abs(norm - 1.0) <= BUILD_TOL, norm,
+             f"({name_r}, {name_t}) must satisfy r^2 + t^2 = 1")
 
 
 def _check_overlap(M):
@@ -124,7 +137,8 @@ class ClonerParams:
     harmonics up to cos(K delta) and sin(K delta), and K = 0 means that
     ``delta`` does not reach the device at all.
     A numeric field may also hold an array of candidates (the optimizer's
-    grid); the amplitudes then broadcast over it.
+    batches): ``dataclasses.replace`` then validates every entry, and the
+    amplitudes broadcast over it.
 
     A subclass that names a ``variant`` in its class statement enters
     ``variants``, the registry under which the experiment schema reads it.
@@ -242,8 +256,8 @@ class MachZehnderParams(_Splitter, variant="mach_zehnder"):
 
     def __post_init__(self):
         for name in ("theta_V", "theta_H", "phase_offset_r0", "phase_offset_r1"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+            value = getattr(self, name)
+            _require(np.isfinite(value), value, f"{name} must be finite")
 
     @classmethod
     def ideal(cls) -> "MachZehnderParams":
@@ -521,8 +535,8 @@ def _evaluate_inputs(params: ClonerParams, inputs, overlap_M: float = 1.0):
     """Closed-form evaluation of many inputs at ancilla overlap ``overlap_M``.
 
     Fields of ``params`` may hold arrays of candidates, which broadcast
-    against the inputs: one input against n candidates gives n rows.
-    Returns the :class:`CloneBatch` and the (n, 4, 4) joint states, zero on
+    against the inputs: one input against n candidates gives n rows, unless
+    the amplitudes never read that field (a detection ratio).  Returns the :class:`CloneBatch` and the (n, 4, 4) joint states, zero on
     empty rows.  The joint states (success-weighted over the temporal
     sectors) and their marginals are built as stacked arrays and validated
     once per batch.  The reductions are :func:`run_model`'s, stacked, so at

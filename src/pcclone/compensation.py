@@ -8,11 +8,10 @@ fidelity objective.
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 from dataclasses import dataclass, fields, replace
-from itertools import product
+from itertools import islice, product
 from typing import Mapping, get_type_hints
 
 import numpy as np
@@ -127,15 +126,6 @@ def _float_fields(cls) -> frozenset:
                      if hints[f.name] in (float, float | None))
 
 
-def _stack(model: ClonerParams, names, candidates) -> ClonerParams:
-    """``model`` with each field in ``names`` holding its candidates' values."""
-    stacked = copy.copy(model)
-    for name in names:
-        object.__setattr__(stacked, name,
-                           np.array([getattr(c, name) for c in candidates]))
-    return stacked
-
-
 def optimize_symmetry(
     model: ClonerParams,
     free_parameters: Mapping[str, tuple],
@@ -151,16 +141,18 @@ def optimize_symmetry(
     and hold a number in ``model``.  The grid has ``grid_points`` values per
     free parameter and at most ``MAX_ROWS`` points in all.  The incumbent
     starts at the unmodified model, so an already-optimal model is returned
-    unchanged.  The start and every grid point are built with
-    ``dataclasses.replace`` (so each is validated) and evaluated in one
-    closed-form batch, bit-identical to :func:`run_model`; a point replaces
-    the incumbent only when it beats it by more than 1e-15, in grid order.
-    Refinement is scalar and monotone: the result is never worse than the
-    best evaluated grid point.
+    unchanged; a point replaces it only when it beats it by more than 1e-15,
+    in search order.  Points are evaluated in validated closed-form batches,
+    bit-identical to :func:`run_model`: the start and the grid, then from
+    each incumbent its :func:`_compass_ladder`.  Rows past the first
+    improving move are dropped, so the result and ``evaluations`` are those
+    of a one-point-at-a-time search, never worse than the best grid point.
     """
     if not free_parameters:
         raise ValueError("free_parameters must name at least one parameter")
     _check_grid(grid_points, len(free_parameters))
+    if not refine_tol >= 0.0:
+        raise ValueError(f"refine_tol must be >= 0, got {refine_tol}")
     field_names = {f.name for f in fields(model)}
     names = []
     intervals = []
@@ -186,58 +178,66 @@ def optimize_symmetry(
     score = _objective_function(objective)
     target = input if input is not None else Qubit.equatorial(0.0)
 
-    axes = []
+    def evaluate(points):
+        """Objective values of ``points``, from one validated batch."""
+        columns = {name: np.array(column, dtype=float)
+                   for name, column in zip(names, zip(*points))}
+        batch = _evaluate_inputs(replace(model, **columns), [target])[0]
+        values = np.where(batch.P_succ > 0.0, score(batch.F1, batch.F2), math.inf)
+        # a field the amplitudes never read (a detection ratio) gives one row
+        return np.broadcast_to(values, len(points)).tolist()
+
+    axes, steps = [], []
     for lo, hi in intervals:
-        if hi == lo:
-            axes.append([lo])
-        else:
-            step = (hi - lo) / (grid_points - 1)
-            axes.append([lo + k * step for k in range(grid_points)])
+        step = (hi - lo) / (grid_points - 1) if hi > lo else 0.0
+        axes.append([lo + k * step for k in range(grid_points)] if hi > lo else [lo])
+        steps.append(step)
     points = [[getattr(model, n) for n in names], *map(list, product(*axes))]
-    candidates = [replace(model, **dict(zip(names, point))) for point in points]
-    batch = _evaluate_inputs(_stack(model, names, candidates), [target])[0]
-    values = np.where(batch.P_succ > 0.0, score(batch.F1, batch.F2), math.inf).tolist()
+    values = evaluate(points)
     evaluations = len(points)
-    best = 0
-    for row, value in enumerate(values):
-        if value < values[best] - 1e-15:
-            best = row
-    best_value, best_params, best_point = values[best], candidates[best], points[best]
-    best_report = run_model(best_params, target)
+    best_value, best_point = values[0], points[0]
+    for value, point in zip(values, points):
+        if value < best_value - 1e-15:
+            best_value, best_point = value, point
 
-    def evaluate_point(point):
-        nonlocal evaluations
-        evaluations += 1
-        candidate = replace(model, **dict(zip(names, point)))
-        report = run_model(candidate, target)
-        value = math.inf if report.is_empty else score(report.F1, report.F2)
-        return value, candidate, report
+    ladder = _compass_ladder(best_point, steps, 0, False, intervals, refine_tol)
+    while rows := list(islice(ladder, MAX_ROWS)):
+        for (trial, trial_steps, move), value in zip(
+                rows, evaluate([row[0] for row in rows])):
+            evaluations += 1
+            if value < best_value - 1e-15:
+                best_value, best_point = value, trial
+                ladder = _compass_ladder(trial, trial_steps, move + 1, True,
+                                         intervals, refine_tol)
+                break
 
-    steps = [
-        (hi - lo) / (grid_points - 1) if hi > lo else 0.0 for lo, hi in intervals
-    ]
-    while any(s > refine_tol for s in steps):
-        improved = False
-        for axis, step in enumerate(steps):
-            if step == 0.0:
-                continue
-            lo, hi = intervals[axis]
-            for direction in (-1.0, 1.0):
-                trial = list(best_point)
-                trial[axis] = min(hi, max(lo, best_point[axis] + direction * step))
-                if trial[axis] == best_point[axis]:
-                    continue
-                value, candidate, report = evaluate_point(trial)
-                if value < best_value - 1e-15:
-                    best_value, best_params, best_report = value, candidate, report
-                    best_point = trial
-                    improved = True
-        if not improved:
-            steps = [s / 2.0 for s in steps]
-
+    best_params = replace(model, **dict(zip(names, best_point)))
     return OptimizationResult(
         params=best_params,
-        report=best_report,
+        report=run_model(best_params, target),
         objective_value=best_value,
         evaluations=evaluations,
     )
+
+
+def _compass_ladder(point, steps, first, improved, intervals, refine_tol):
+    """Compass moves ``(trial, steps, move)`` from ``point`` while none improves.
+
+    Move ``2 * axis`` steps down ``axis`` and ``2 * axis + 1`` up, clamped to the
+    interval; one that clamps onto ``point`` is skipped.  The pass goes on from
+    move ``first``; a pass that has not ``improved`` halves the steps, and no
+    pass starts once all of them are at most ``refine_tol``.
+    """
+    while any(s > refine_tol for s in steps):
+        for move in range(first, 2 * len(steps)):
+            axis, up = divmod(move, 2)
+            if steps[axis] == 0.0:
+                continue
+            lo, hi = intervals[axis]
+            trial = list(point)
+            trial[axis] = min(hi, max(lo, point[axis] + (-1.0, 1.0)[up] * steps[axis]))
+            if trial[axis] != point[axis]:
+                yield trial, steps, move
+        if not improved:
+            steps = [s / 2.0 for s in steps]
+        first, improved = 0, False

@@ -24,7 +24,7 @@ one uniform draw per trial against them.  It holds one chunk of trials at a
 time, and its cost does not depend on the number of temporal sectors.
 
 Counts are sampled with a seeded generator and are reproducible; records
-of different seeds merge by field-wise addition.
+holding different seeds merge by field-wise addition.
 """
 
 from __future__ import annotations
@@ -91,7 +91,12 @@ class DetectorBank:
 
 @dataclass(frozen=True)
 class CoincidenceRecord:
-    """Raw coincidence counts C++, C+-, C-+, C-- plus trial metadata."""
+    """Raw coincidence counts C++, C+-, C-+, C-- plus trial metadata.
+
+    ``seeds`` lists, ascending, every seed whose draw the record holds: one
+    draw gives ``(seed,)``, the default, and a merged record all of its
+    parts' seeds.  ``seed`` is the smallest of them.
+    """
 
     c_pp: int
     c_pm: int
@@ -99,10 +104,18 @@ class CoincidenceRecord:
     c_mm: int
     n_pairs: int
     seed: int
+    seeds: tuple[int, ...] = ()
 
     def __post_init__(self):
         for name in ("c_pp", "c_pm", "c_mp", "c_mm", "n_pairs", "seed"):
             _check_integer(name, getattr(self, name))
+        seeds = tuple(self.seeds) or (self.seed,)
+        for seed in seeds:
+            _check_integer("seeds", seed)
+        if list(seeds) != sorted(set(seeds)) or seeds[0] != self.seed:
+            raise ValueError(f"seeds must be distinct and ascending from seed "
+                             f"{self.seed}, got {seeds}")
+        object.__setattr__(self, "seeds", seeds)
         for name in ("c_pp", "c_pm", "c_mp", "c_mm"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
@@ -121,18 +134,24 @@ class CoincidenceRecord:
     def merged(self, other: "CoincidenceRecord") -> "CoincidenceRecord":
         """Field-wise sum; associative and commutative for partitioned runs.
 
-        Records that carry the same seed hold the same draw, not independent
-        data, so merging them raises ValueError.
+        The result holds the seeds of both records.  Records that share a
+        seed hold the same draw, not independent data, so merging them
+        raises ValueError.
         """
-        if self.seed == other.seed:
-            raise ValueError(f"cannot merge two records of the same seed {self.seed}")
+        shared = set(self.seeds) & set(other.seeds)
+        if shared:
+            raise ValueError(
+                f"cannot merge two records holding the same seeds {sorted(shared)}"
+            )
+        seeds = tuple(sorted(self.seeds + other.seeds))
         return CoincidenceRecord(
             self.c_pp + other.c_pp,
             self.c_pm + other.c_pm,
             self.c_mp + other.c_mp,
             self.c_mm + other.c_mm,
             self.n_pairs + other.n_pairs,
-            min(self.seed, other.seed),
+            seeds[0],
+            seeds,
         )
 
 

@@ -28,7 +28,7 @@ from pcclone.cloners import (
     run_model_batch,
     theoretical_limits,
 )
-from pcclone.compensation import _float_fields, _stack
+from pcclone.compensation import _float_fields
 from pcclone.fock import Port, Qubit, check_density, fidelity
 from pcclone.noise import evaluate_batch
 
@@ -244,6 +244,41 @@ def test_hybrid_parameter_validation():
         HybridParams(eta0=1.4)
 
 
+@pytest.mark.parametrize("model, fields, bad, message", [
+    (SpecialBSParams(), {"R0": [0.5, 1.25, 1.5]}, 1, "R0 must lie in [0, 1], got 1.25"),
+    (SpecialBSParams(), {"comp_loss_r1": [1.0, math.nan]}, 1,
+     "comp_loss_r1 must lie in [0, 1], got nan"),
+    (HybridParams(), {"r0": [0.5, -1.5, 2.0]}, 1, "r0 must lie in [-1, 1], got -1.5"),
+    (HybridParams(), {"r": [math.sqrt(0.5), 0.6, 0.0], "t": [math.sqrt(0.5), 0.6, 1.0]},
+     1, "(r, t) must satisfy r^2 + t^2 = 1, got 0.72"),
+    # a scalar partner (t1) broadcasts against the candidates
+    (HybridParams(), {"r1": [math.sqrt(0.5), 0.5]}, 1,
+     "(r1, t1) must satisfy r^2 + t^2 = 1, got 0.75"),
+    (MachZehnderParams.ideal(), {"theta_H": [1.0, math.inf, math.nan]}, 1,
+     "theta_H must be finite, got inf"),
+    (FiberParams(), {"detection_ratio_2": [0.5, -0.25]}, 1,
+     "detection_ratio_2 must lie in [0, 1], got -0.25"),
+], ids=["unit", "unit-nan", "amplitude", "lossless", "lossless-broadcast", "finite",
+        "fiber"])
+def test_field_checks_name_the_first_bad_candidate(model, fields, bad, message):
+    with pytest.raises(ValueError) as batch:
+        replace(model, **{name: np.array(values) for name, values in fields.items()})
+    with pytest.raises(ValueError) as scalar:
+        replace(model, **{name: values[bad] for name, values in fields.items()})
+    # the message of the first bad candidate alone, its value a number
+    assert str(batch.value) == str(scalar.value)
+    prefix, value = str(batch.value).rsplit(", got ", 1)
+    expected_prefix, expected = message.rsplit(", got ", 1)
+    assert prefix == expected_prefix
+    assert float(value) == pytest.approx(float(expected), nan_ok=True)
+
+
+def test_field_checks_accept_valid_candidates():
+    model = replace(HybridParams(), eta0=np.linspace(0.0, 1.0, 5),
+                    r0=np.array([0.6]), t0=np.array([0.8]))
+    assert model.eta0.shape == (5,)
+
+
 # ---------------------------------------------------------------------------
 # fiber architecture
 # ---------------------------------------------------------------------------
@@ -352,8 +387,14 @@ def test_batch_matches_run_model(variant, data, thetas, phis):
     assert_rows_equal(batch, joints, [run_model(params, q) for q in qubits])
 
 
+def stacked(model, names, candidates):
+    """``model`` with each field in ``names`` holding its candidates' values."""
+    return replace(model, **{n: np.array([getattr(c, n) for c in candidates])
+                             for n in names})
+
+
 def assert_stack_matches_run_model(model, names, candidates, qubit):
-    batch, joints = _evaluate_inputs(_stack(model, names, candidates), [qubit])
+    batch, joints = _evaluate_inputs(stacked(model, names, candidates), [qubit])
     assert batch.P_succ.shape == (len(candidates),)
     assert_rows_equal(batch, joints, [run_model(c, qubit) for c in candidates])
 

@@ -1,10 +1,15 @@
 import math
 from dataclasses import replace
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cloner_strategies import PARAMS, QUBITS, VARIANTS
+from pcclone import compensation
 from pcclone.cloners import (
     MAX_ROWS,
     R_OPTIMAL,
@@ -12,9 +17,11 @@ from pcclone.cloners import (
     MachZehnderParams,
     SpecialBSParams,
     FiberParams,
+    _evaluate_inputs,
     run_model,
 )
 from pcclone.compensation import (
+    OBJECTIVES,
     _objective_function,
     optimize_symmetry,
     solve_hybrid_compensation,
@@ -177,6 +184,10 @@ def test_optimizer_validates_arguments():
                           "min_fidelity_gap")
     with pytest.raises(ValueError, match="objective"):
         optimize_symmetry(SpecialBSParams.ideal(), {"R0": (0.5, 1.0)}, "fastest")
+    for tol in (-1e-9, math.nan):
+        with pytest.raises(ValueError, match="refine_tol must be >= 0"):
+            optimize_symmetry(SpecialBSParams.ideal(), {"R0": (0.5, 1.0)},
+                              refine_tol=tol)
 
 
 @pytest.mark.parametrize(
@@ -214,17 +225,22 @@ def test_optimizer_grid_is_capped():
 
 
 # ---------------------------------------------------------------------------
-# the batched grid against the scalar loop it replaced
+# the batched search against the scalar loop it replaced
 # ---------------------------------------------------------------------------
 
 def scalar_optimize(model, free_parameters, objective="min_fidelity_gap",
                     input=None, grid_points=33, refine_tol=1e-9):
-    """The optimizer with its grid walked one scalar ``run_model`` call at a time."""
+    """The optimizer walked one scalar ``run_model`` call at a time.
+
+    Returns (params, report, objective value, evaluations, accepted compass
+    moves).
+    """
     score = _objective_function(objective)
     names = list(free_parameters)
     intervals = [tuple(map(float, free_parameters[n])) for n in names]
     target = input if input is not None else Qubit.equatorial(0.0)
     evaluations = 0
+    accepted = 0
 
     def evaluate_point(values):
         nonlocal evaluations
@@ -268,29 +284,23 @@ def scalar_optimize(model, free_parameters, objective="min_fidelity_gap",
                     best_value, best_params, best_report = value, candidate, report
                     best_point = trial
                     improved = True
+                    accepted += 1
         if not improved:
             steps = [s / 2.0 for s in steps]
-    return best_params, best_report, best_value, evaluations
+    return best_params, best_report, best_value, evaluations, accepted
 
 
-MZ_OFFSET = MachZehnderParams(theta_V=1.0, theta_H=2.6, phase_offset_r0=0.3,
-                              phase_offset_r1=-0.4)
-TILTED = Qubit(1.1, 0.7)
-REFERENCE_CASES = {
-    "special_bs-1": (SpecialBSParams(R0=0.8, R1=0.2), {"comp_loss_r1": (0.5, 1.0)}),
-    "special_bs-2": (SpecialBSParams(R0=0.8, R1=0.2),
-                     {"comp_loss_r1": (0.5, 1.0), "R0": (0.7, 0.85)}),
-    "mach_zehnder-1": (MZ_OFFSET, {"theta_H": (2.0, 3.0)}),
-    "mach_zehnder-2": (MZ_OFFSET, {"theta_V": (0.8, 1.3), "phase_offset_r1": (-1.0, 1.0)}),
-    "hybrid-1": (HybridParams(eta0=0.6), {"eta0": (0.4, 1.0)}),
-    "hybrid-2": (HybridParams(eta0=0.6), {"eta0": (0.4, 1.0), "nu0": (0.5, 1.0)}),
-    "fiber-1": (FiberParams(R_vrc0=0.7), {"R_vrc0": (0.6, 0.9)}),
-    "fiber-2": (FiberParams(R_vrc0=0.7, R_vrc1=0.25),
-                {"R_vrc0": (0.6, 0.9), "R_vrc1": (0.1, 0.3)}),
-    # the |0> input leaves a 50:50 splitter empty: a grid holding P_succ = 0 rows
-    "empty-rows": (SpecialBSParams(R0=0.6),
-                   {"R0": (0.3, 0.7), "comp_loss_r0": (0.0, 1.0)}, Qubit(0.0, 0.0), 5),
-}
+def batched_optimize(*args, **kwargs):
+    """``optimize_symmetry``, and the rows of each closed-form batch it ran."""
+    batches = []
+
+    def evaluate(params, inputs, *rest):
+        result = _evaluate_inputs(params, inputs, *rest)
+        batches.append(len(result[0].P_succ))
+        return result
+
+    with mock.patch.object(compensation, "_evaluate_inputs", evaluate):
+        return optimize_symmetry(*args, **kwargs), batches
 
 
 def assert_same_result(result, reference):
@@ -307,19 +317,64 @@ def assert_same_result(result, reference):
     assert np.array_equal(result.report.rho2.matrix, report.rho2.matrix)
 
 
+def assert_matches_scalar_loop(model, free, objective="min_fidelity_gap", input=None,
+                               grid_points=33):
+    result, batches = batched_optimize(model, free, objective, input=input,
+                                       grid_points=grid_points)
+    *reference, accepted = scalar_optimize(model, free, objective, input, grid_points)
+    assert_same_result(result, reference)
+    # one batch for the grid, then one compass ladder per incumbent
+    assert len(batches) <= 2 + accepted
+    assert max(batches) <= MAX_ROWS
+
+
+MZ_OFFSET = MachZehnderParams(theta_V=1.0, theta_H=2.6, phase_offset_r0=0.3,
+                              phase_offset_r1=-0.4)
+TILTED = Qubit(1.1, 0.7)
+REFERENCE_CASES = {
+    "special_bs-1": (SpecialBSParams(R0=0.8, R1=0.2), {"comp_loss_r1": (0.5, 1.0)}),
+    "special_bs-2": (SpecialBSParams(R0=0.8, R1=0.2),
+                     {"comp_loss_r1": (0.5, 1.0), "R0": (0.7, 0.85)}),
+    "special_bs-3": (SpecialBSParams(R0=0.8, R1=0.2),
+                     {"comp_loss_r1": (0.5, 1.0), "R0": (0.7, 0.85), "R1": (0.1, 0.3)},
+                     None, 7),
+    "mach_zehnder-1": (MZ_OFFSET, {"theta_H": (2.0, 3.0)}),
+    "mach_zehnder-2": (MZ_OFFSET, {"theta_V": (0.8, 1.3), "phase_offset_r1": (-1.0, 1.0)}),
+    "mach_zehnder-3": (MZ_OFFSET, {"theta_V": (0.8, 1.3), "theta_H": (2.0, 3.0),
+                                   "phase_offset_r0": (-1.0, 1.0)}, None, 7),
+    "hybrid-1": (HybridParams(eta0=0.6), {"eta0": (0.4, 1.0)}),
+    "hybrid-2": (HybridParams(eta0=0.6), {"eta0": (0.4, 1.0), "nu0": (0.5, 1.0)}),
+    "hybrid-3": (HybridParams(eta0=0.6),
+                 {"eta0": (0.4, 1.0), "nu0": (0.5, 1.0), "nu1": (0.5, 1.0)}, None, 7),
+    "fiber-1": (FiberParams(R_vrc0=0.7), {"R_vrc0": (0.6, 0.9)}),
+    "fiber-2": (FiberParams(R_vrc0=0.7, R_vrc1=0.25),
+                {"R_vrc0": (0.6, 0.9), "R_vrc1": (0.1, 0.3)}),
+    "fiber-3": (FiberParams(R_vrc0=0.7, R_vrc1=0.25),
+                {"R_vrc0": (0.6, 0.9), "R_vrc1": (0.1, 0.3),
+                 "detection_ratio_1": (0.4, 0.6)}, None, 7),
+    # the |0> input leaves a 50:50 splitter empty: a grid holding P_succ = 0 rows
+    "empty-rows": (SpecialBSParams(R0=0.6),
+                   {"R0": (0.3, 0.7), "comp_loss_r0": (0.0, 1.0)}, Qubit(0.0, 0.0), 5),
+    # the plate starts fully open, on the bound: the compass clamps there
+    "start-on-bound": (SpecialBSParams(R0=0.8, R1=0.2), {"comp_loss_r0": (0.5, 1.0)}),
+    # theta_V is pinned: the grid has one value on that axis and the compass
+    # never moves it
+    "degenerate": (MZ_OFFSET, {"theta_V": (1.0, 1.0), "theta_H": (2.0, 3.0)}),
+    # the amplitudes never read a detection ratio: every point scores alike
+    "detection-ratio": (FiberParams(R_vrc0=0.75), {"detection_ratio_1": (0.0, 0.5)}),
+}
+
+
 @pytest.mark.parametrize("objective", ["min_fidelity_gap", "max_avg_fidelity"])
 @pytest.mark.parametrize("input", [None, TILTED], ids=["equator", "tilted"])
 @pytest.mark.parametrize("case", list(REFERENCE_CASES))
 def test_batched_grid_matches_scalar_loop(case, input, objective):
     model, free, *rest = REFERENCE_CASES[case]
+    grid_points = 33
     if rest:
-        input, grid_points = rest
-    else:
-        grid_points = 33
-    result = optimize_symmetry(model, free, objective, input=input,
-                               grid_points=grid_points)
-    assert_same_result(result, scalar_optimize(model, free, objective, input,
-                                               grid_points))
+        input = rest[0] or input
+        grid_points = rest[1]
+    assert_matches_scalar_loop(model, free, objective, input, grid_points)
 
 
 def test_batched_grid_keeps_the_first_of_near_ties():
@@ -330,5 +385,62 @@ def test_batched_grid_keeps_the_first_of_near_ties():
     grid = [replace(model, R0=R_OPTIMAL + k * 1e-12 / 32) for k in range(33)]
     values = [-0.5 * (r.F1 + r.F2) for r in (run_model(p, EQ) for p in grid)]
     assert len(set(values)) > 1 and max(values) - min(values) < 1e-15
-    result = optimize_symmetry(model, free, "max_avg_fidelity")
-    assert_same_result(result, scalar_optimize(model, free, "max_avg_fidelity"))
+    assert_matches_scalar_loop(model, free, "max_avg_fidelity")
+
+
+#: per variant, the float fields a search may free and the domain of their values
+FREE_DOMAINS = {
+    "special_bs": dict.fromkeys(["R0", "R1", "comp_loss_r0", "comp_loss_r1"], (0.0, 1.0)),
+    "mach_zehnder": dict.fromkeys(
+        ["theta_V", "theta_H", "phase_offset_r0", "phase_offset_r1"], (-3.5, 3.5)),
+    "hybrid": dict.fromkeys(["eta0", "eta1", "nu0", "nu1"], (0.0, 1.0)),
+    "fiber": dict.fromkeys(
+        ["R_vrc0", "R_vrc1", "detection_ratio_1", "detection_ratio_2"], (0.0, 1.0)),
+}
+
+
+def test_every_variant_has_free_domains():
+    assert set(FREE_DOMAINS) == set(VARIANTS)
+
+
+@st.composite
+def searches(draw, variant):
+    """A model of ``variant``, 1-3 free fields and a grid size for them.
+
+    Each interval lies in the field's domain.  It is drawn freely, or has the
+    starting value as one bound, or is a single point.
+    """
+    model = draw(PARAMS[variant])
+    domains = FREE_DOMAINS[variant]
+    names = draw(st.lists(
+        st.sampled_from([n for n in domains if getattr(model, n) is not None]),
+        min_size=1, max_size=3, unique=True))
+    free = {}
+    for name in names:
+        lo, hi = domains[name]
+        a = draw(st.floats(lo, hi))
+        b = draw(st.sampled_from([draw(st.floats(lo, hi)), getattr(model, name), a]))
+        free[name] = (min(a, b), max(a, b))
+    return model, free, draw(st.integers(2, {1: 17, 2: 6, 3: 4}[len(names)]))
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("objective", OBJECTIVES)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_batched_compass_matches_scalar_loop(variant, objective, data):
+    model, free, grid_points = data.draw(searches(variant))
+    input = data.draw(st.none() | QUBITS)
+    assert_matches_scalar_loop(model, free, objective, input, grid_points)
+
+
+def test_compass_ladder_comes_in_windows_of_max_rows(monkeypatch):
+    # refine_tol 0 halves the steps down to zero: some 1100 passes, far more
+    # moves than one window of 4 rows holds
+    monkeypatch.setattr(compensation, "MAX_ROWS", 4)
+    model, free = SpecialBSParams(R0=0.8, R1=0.2), {"comp_loss_r1": (0.5, 1.0)}
+    result, batches = batched_optimize(model, free, grid_points=3, refine_tol=0.0)
+    *reference, accepted = scalar_optimize(model, free, grid_points=3, refine_tol=0.0)
+    assert_same_result(result, reference)
+    assert max(batches) == 4
+    assert len(batches) > 2 + accepted

@@ -114,6 +114,27 @@ def test_record_merge_refuses_records_of_one_seed():
         a.merged(CoincidenceRecord(1, 0, 0, 1, 5, 3))
 
 
+def test_merged_record_keeps_every_seed():
+    a = CoincidenceRecord(5, 1, 2, 0, 20, 3)
+    b = CoincidenceRecord(2, 2, 2, 2, 10, 1)
+    c = CoincidenceRecord(1, 0, 0, 1, 5, 7)
+    assert a.seeds == (3,)
+    merged = a.merged(c).merged(b)
+    assert (merged.seed, merged.seeds) == (1, (1, 3, 7))
+    # a draw already inside a merged record is not counted twice
+    with pytest.raises(ValueError, match=r"same seeds \[7\]"):
+        merged.merged(c)
+    with pytest.raises(ValueError, match=r"same seeds \[1, 3\]"):
+        a.merged(b).merged(merged)
+
+
+@pytest.mark.parametrize("seed, seeds", [(1, (1, 1)), (1, (3, 1)), (1, (2, 3)),
+                                         (1, (1, 2.0))])
+def test_record_seeds_must_be_distinct_and_ascending_from_seed(seed, seeds):
+    with pytest.raises(ValueError, match="seeds"):
+        CoincidenceRecord(1, 0, 0, 0, 10, seed, seeds)
+
+
 # ---------------------------------------------------------------------------
 # outcome distribution
 # ---------------------------------------------------------------------------

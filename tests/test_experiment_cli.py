@@ -388,6 +388,20 @@ def test_cli_optimize_rejects_non_float_parameter(tmp_path, capsys):
     assert "'sign_convention' must be a float field" in capsys.readouterr().err
 
 
+def test_cli_optimize_interval_outside_the_field_domain_exits_2(tmp_path, capsys):
+    # the grid over [0.9, 1.2] steps 0.009375: its twelfth point is the first past 1
+    payload = {
+        "model": {"variant": "special_bs"},
+        "free_parameters": {"R0": [0.9, 1.2]},
+        "objective": "min_fidelity_gap",
+    }
+    path = write_config(tmp_path, payload)
+    assert main(["optimize", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: optimize: R0 must lie in [0, 1], got 1.003125\n"
+
+
 def test_optimize_grid_over_the_cap_exits_2(tmp_path, capsys):
     # parsing only: 316 ** 2 points fit in MAX_ROWS, 317 ** 2 do not
     payload = {
