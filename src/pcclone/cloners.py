@@ -5,16 +5,18 @@ and keeps runs with one photon per output port.  Each parameter class
 describes its device once, in two independent forms:
 
 * ``sector_amplitudes`` -- the conditional output amplitudes written down
-  directly, per temporal detection sector.  :func:`conditional_sector_vectors`
-  turns them into the closed-form kernel behind ``via="closed_form"`` (the
-  default, exact and fast), the batched evaluation, partial
-  distinguishability and phase jitter.
+  directly, per temporal detection sector.  :func:`run_model_batch`, the one
+  closed-form kernel, evaluates them at any ancilla overlap; ``via="closed_form"``
+  (the default) is its one-row slice.  Under phase jitter
+  :func:`conditional_sector_vectors` gives them per trial.
 * ``transfer_matrix`` -- the same device as the 4x4 single-photon transfer
   matrix of one temporal bin, built from the couplers and attenuators of the
   Fock module; :func:`circuit_joint_state` propagates the photon pair
   through it and post-selects (``via="circuit"``).
 
-Both routes must agree to high precision; the tests enforce it.
+Both routes must agree to high precision; the tests enforce it.  Their
+states are density matrices by construction and skip the check that the
+public ``DensityMatrix`` and ``TwoQubitState`` constructors run.
 
 Sign convention: couplers use signed real (r, t) with a -> r a + t b,
 b -> r b - t a.  The relative minus sign required between the rail-r0 and
@@ -31,12 +33,12 @@ import numpy as np
 
 from .fock import (
     BUILD_TOL,
+    MIN_SUCCESS,
     DensityMatrix,
     Port,
     Qubit,
     TwoQubitState,
     attenuator,
-    check_density,
     coupler,
     fidelity,
     photon_pair,
@@ -427,7 +429,7 @@ class CloneReport:
 
     @classmethod
     def from_joint(cls, joint, p_succ: float, input: Qubit) -> "CloneReport":
-        if joint is None or p_succ <= 0.0:
+        if joint is None or p_succ <= MIN_SUCCESS:
             return cls.empty(input)
         rho1 = joint.reduced(Port.OUT1)
         rho2 = joint.reduced(Port.OUT2)
@@ -440,6 +442,16 @@ class CloneReport:
             rho2=rho2,
             joint=joint,
         )
+
+    @classmethod
+    def from_batch(cls, batch, input: Qubit, row: int = 0) -> "CloneReport":
+        """Row ``row`` of a :func:`run_model_batch` evaluation of ``input``."""
+        if batch.P_succ[row] <= 0.0:
+            return cls.empty(input)
+        joint = TwoQubitState._trusted(batch.joint[row].copy())
+        return cls(input, float(batch.P_succ[row]), float(batch.F1[row]),
+                   float(batch.F2[row]), joint.reduced(Port.OUT1),
+                   joint.reduced(Port.OUT2), joint)
 
 
 # ---------------------------------------------------------------------------
@@ -513,14 +525,16 @@ def conditional_sector_vectors(
 
 
 class CloneBatch(NamedTuple):
-    """F1, F2 and P_succ for a sequence of inputs, one array entry per input.
+    """F1, F2, P_succ and the (n, 4, 4) joint states, one entry per input.
 
-    Empty rows (P_succ <= 0) carry P_succ 0.0 and NaN fidelities.
+    Empty rows (P_succ <= ``MIN_SUCCESS``) carry P_succ 0.0, NaN fidelities
+    and a zero joint state.
     """
 
     P_succ: np.ndarray
     F1: np.ndarray
     F2: np.ndarray
+    joint: np.ndarray
 
     def rows(self) -> list[tuple]:
         """(F1, F2, P_succ) per input as floats; empty rows give F1 = F2 = None."""
@@ -531,17 +545,17 @@ class CloneBatch(NamedTuple):
         ]
 
 
-def _evaluate_inputs(params: ClonerParams, inputs, overlap_M: float = 1.0):
-    """Closed-form evaluation of many inputs at ancilla overlap ``overlap_M``.
+def run_model_batch(params: ClonerParams, inputs, overlap_M: float = 1.0) -> CloneBatch:
+    """The closed-form kernel: many inputs at ancilla overlap ``overlap_M``.
 
-    Fields of ``params`` may hold arrays of candidates, which broadcast
-    against the inputs: one input against n candidates gives n rows, unless
-    the amplitudes never read that field (a detection ratio).  Returns the :class:`CloneBatch` and the (n, 4, 4) joint states, zero on
-    empty rows.  The joint states (success-weighted over the temporal
-    sectors) and their marginals are built as stacked arrays and validated
-    once per batch.  The reductions are :func:`run_model`'s, stacked, so at
-    ``overlap_M`` = 1 every row is bit-identical to it.
+    :func:`run_model` and ``noise.evaluate`` are its one-row slices.  Fields
+    of ``params`` may hold arrays of candidates, which broadcast against the
+    inputs: one input against n candidates gives n rows, unless the
+    amplitudes never read that field (a detection ratio).  The joint states
+    (success-weighted over the temporal sectors), their marginals and the
+    fidelities are built as stacked arrays, density matrices by construction.
     """
+    _check_overlap(overlap_M)
     half = np.array([q.theta for q in inputs], dtype=float) / 2.0
     phi = np.array([q.phi for q in inputs], dtype=float)
     psi = np.stack([np.cos(half).astype(complex), np.sin(half) * np.exp(1j * phi)],
@@ -551,13 +565,11 @@ def _evaluate_inputs(params: ClonerParams, inputs, overlap_M: float = 1.0):
     # stacked (1 x k) @ (k x 1) products give np.vdot's bits
     flat = vectors.reshape(n, -1)
     p_succ = (flat.conj()[:, None, :] @ flat[:, :, None])[:, 0, 0].real
-    keep = p_succ > 0.0
+    keep = p_succ > MIN_SUCCESS
     v = vectors[keep] / np.sqrt(p_succ[keep])[:, None, None]
     kept = (v[:, :, :, None] * v.conj()[:, :, None, :]).sum(axis=1)
-    check_density(kept, "two-qubit state", imag_trace=False)
     r = kept.reshape(len(v), 2, 2, 2, 2)
     marginals = np.stack([np.einsum("nijkj->nik", r), np.einsum("nijil->njl", r)])
-    check_density(marginals, "density matrix")
     psi = np.broadcast_to(psi, (n, 2))[keep]
     # (psi^dagger rho) psi, in the order of fock.fidelity
     bra = psi.conj()[:, None, :] @ marginals
@@ -565,19 +577,8 @@ def _evaluate_inputs(params: ClonerParams, inputs, overlap_M: float = 1.0):
     fidelities[:, keep] = (bra @ psi[:, :, None])[..., 0, 0].real
     joint = np.zeros((n, 4, 4), dtype=complex)
     joint[keep] = kept
-    batch = CloneBatch(P_succ=np.where(keep, p_succ, 0.0),
-                       F1=fidelities[0], F2=fidelities[1])
-    return batch, joint
-
-
-def run_model_batch(params: ClonerParams, inputs) -> CloneBatch:
-    """Closed-form evaluation of many inputs at once.
-
-    Gives the numbers of ``run_model(params, q)`` for every ``q`` in
-    ``inputs``, bit-identical, with the joint states and marginals built as
-    stacked arrays and validated once per batch.
-    """
-    return _evaluate_inputs(params, inputs)[0]
+    return CloneBatch(P_succ=np.where(keep, p_succ, 0.0),
+                      F1=fidelities[0], F2=fidelities[1], joint=joint)
 
 
 # ---------------------------------------------------------------------------
@@ -617,13 +618,7 @@ def run_model(params: ClonerParams, input: Qubit,
     if not isinstance(params, ClonerParams):
         raise TypeError(f"unknown cloner parameter type: {type(params).__name__}")
     if via == "closed_form":
-        # 1-element arrays take the batch kernel's loops: numpy's scalar
-        # complex product rounds differently from its array one
-        vec = _sector_stack(params, *input.amplitudes()[:, None], 1.0, 0.0)[0, 0]
-        p = float(np.vdot(vec, vec).real)
-        if p <= 0.0:
-            return CloneReport.empty(input)
-        return CloneReport.from_joint(TwoQubitState.from_pure(vec), p, input)
+        return CloneReport.from_batch(run_model_batch(params, [input]), input)
     if via == "circuit":
         joint, p = circuit_joint_state(params, input)
         return CloneReport.from_joint(joint, p, input)

@@ -21,8 +21,8 @@ from .cloners import (
     CloneReport,
     ClonerParams,
     HybridParams,
-    _evaluate_inputs,
     run_model,
+    run_model_batch,
 )
 from .fock import Qubit
 
@@ -142,7 +142,7 @@ def optimize_symmetry(
     free parameter and at most ``MAX_ROWS`` points in all.  The incumbent
     starts at the unmodified model, so an already-optimal model is returned
     unchanged; a point replaces it only when it beats it by more than 1e-15,
-    in search order.  Points are evaluated in validated closed-form batches,
+    in search order.  Points are evaluated in :func:`run_model_batch` batches,
     bit-identical to :func:`run_model`: the start and the grid, then from
     each incumbent its :func:`_compass_ladder`.  Rows past the first
     improving move are dropped, so the result and ``evaluations`` are those
@@ -179,10 +179,10 @@ def optimize_symmetry(
     target = input if input is not None else Qubit.equatorial(0.0)
 
     def evaluate(points):
-        """Objective values of ``points``, from one validated batch."""
+        """Objective values of ``points``, from one batch."""
         columns = {name: np.array(column, dtype=float)
                    for name, column in zip(names, zip(*points))}
-        batch = _evaluate_inputs(replace(model, **columns), [target])[0]
+        batch = run_model_batch(replace(model, **columns), [target])
         values = np.where(batch.P_succ > 0.0, score(batch.F1, batch.F2), math.inf)
         # a field the amplitudes never read (a detection ratio) gives one row
         return np.broadcast_to(values, len(points)).tolist()
@@ -190,7 +190,9 @@ def optimize_symmetry(
     axes, steps = [], []
     for lo, hi in intervals:
         step = (hi - lo) / (grid_points - 1) if hi > lo else 0.0
-        axes.append([lo + k * step for k in range(grid_points)] if hi > lo else [lo])
+        # rounding may carry lo + k * step past hi, out of the field's domain
+        axes.append([min(hi, lo + k * step) for k in range(grid_points)]
+                    if hi > lo else [lo])
         steps.append(step)
     points = [[getattr(model, n) for n in names], *map(list, product(*axes))]
     values = evaluate(points)

@@ -37,15 +37,17 @@ import numpy as np
 
 from .cloners import (
     MAX_PAIRS,
+    CloneBatch,
     CloneReport,
     ClonerParams,
     _check_integer,
     _check_unit_interval,
     _standard_basis,
     conditional_sector_vectors,
+    run_model_batch,
 )
 from .fock import Qubit
-from .noise import NoiseConfig, _jitter_walk, evaluate_batch, jittered
+from .noise import NoiseConfig, _jitter_walk, jittered
 
 
 def _check_pairs(n_pairs):
@@ -228,17 +230,15 @@ def _static_pvals(w: np.ndarray, p_succ: np.ndarray, joints: np.ndarray,
 
 
 def _count_static(model: ClonerParams, inputs, n_pairs: int, detectors: DetectorBank,
-                  seeds, p_succ: np.ndarray, joints: np.ndarray,
-                  analysis=None) -> list[CoincidenceRecord]:
+                  seeds, batch: CloneBatch, analysis=None) -> list[CoincidenceRecord]:
     """Counts of static rows: one multinomial draw per row, seeded by its seed.
 
-    ``p_succ`` and ``joints`` are the rows' success probabilities and (n, 4, 4)
-    joint states, as :func:`evaluate_batch` returns them.  The registration
-    probabilities of every row come from one batched product; only the
-    draws run row by row.
+    ``batch`` is the :func:`run_model_batch` evaluation of ``inputs``.  The
+    registration probabilities of every row come from one batched product;
+    only the draws run row by row.
     """
     w = _pattern_vectors(*_analyzer_vectors(model, inputs, analysis))
-    pvals = _static_pvals(w, p_succ, joints, detectors.pattern_efficiencies())
+    pvals = _static_pvals(w, batch.P_succ, batch.joint, detectors.pattern_efficiencies())
     return [
         CoincidenceRecord(*np.random.default_rng(seed).multinomial(n_pairs, p)[:4].tolist(),
                           n_pairs, seed)
@@ -298,7 +298,7 @@ def simulate_counts(
     """Simulate ``n_pairs`` photon-pair trials and tally coincidences.
 
     Without jitter this is the one-row call of :func:`_count_static`, on the
-    row's :func:`evaluate_batch` evaluation.
+    row's :func:`run_model_batch` evaluation.
 
     Under jitter, a trial registers pattern k when its uniform draw u falls
     between the running sums reg_(k-1) and reg_k of the registration
@@ -311,9 +311,9 @@ def simulate_counts(
     _check_pairs(n_pairs)
     _check_seed(seed)
     if not jittered(model, noise):
-        batch, joints = evaluate_batch(model, noise, [input])
-        return _count_static(model, [input], n_pairs, detectors, [seed],
-                             batch.P_succ, joints, analysis)[0]
+        batch = run_model_batch(model, [input], noise.overlap_M)
+        return _count_static(model, [input], n_pairs, detectors, [seed], batch,
+                             analysis)[0]
     w = _pattern_vectors(*_analyzer_vectors(model, [input], analysis))[0]
     eff = detectors.pattern_efficiencies()
     seq_jitter, seq_outcome = np.random.SeedSequence(seed).spawn(2)

@@ -39,12 +39,12 @@ settings):
 Numeric output uses 10 significant digits; identical configuration and seed
 produce byte-identical files.
 
-Rows are evaluated and validated per batch at every ``overlap_M``: one
-closed-form call per configuration builds every row's joint state and
-marginals and checks them together.  Static counting rows are counted in one
-further batch call, which takes every row's registration probabilities from
-those joint states and leaves one seeded multinomial draw per row; rows
-under phase jitter each run their own jitter walk.
+Fields are checked when the configuration is read.  One
+:func:`run_model_batch` call per configuration evaluates every row at any
+``overlap_M``.  Static counting rows are counted in one further batch call,
+which takes every row's registration probabilities from its joint states
+and leaves one seeded multinomial draw per row; rows under phase jitter
+each run their own jitter walk.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from typing import Any, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .cloners import MAX_ROWS, ClonerParams
+from .cloners import MAX_ROWS, ClonerParams, run_model_batch
 from .compensation import OBJECTIVES, _check_grid
 from .counting import (
     DetectorBank,
@@ -71,7 +71,7 @@ from .counting import (
     success_probability_estimate,
 )
 from .fock import Qubit
-from .noise import NoiseConfig, evaluate_batch, jittered
+from .noise import NoiseConfig, jittered
 
 
 class ConfigError(ValueError):
@@ -334,7 +334,7 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
     """One result row per input state, in sweep order."""
     rows = []
     counting = config.counting
-    batch, joints = evaluate_batch(config.model, config.noise, config.inputs)
+    batch = run_model_batch(config.model, config.inputs, config.noise.overlap_M)
     if counting:
         seeds = _row_seeds(counting.seed, len(config.inputs))
         if jittered(config.model, config.noise):
@@ -343,7 +343,7 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
                        for qubit, seed in zip(config.inputs, seeds)]
         else:
             records = _count_static(config.model, config.inputs, counting.n_pairs,
-                                    counting.detectors, seeds, batch.P_succ, joints)
+                                    counting.detectors, seeds, batch)
     for index, (qubit, (f1, f2, p_succ)) in enumerate(zip(config.inputs, batch.rows())):
         row: dict[str, Any] = {
             "theta": qubit.theta,

@@ -30,6 +30,8 @@ import numpy as np
 CHECK_TOL = 1e-10
 #: tolerance used for construction-time preconditions (lossless couplers)
 BUILD_TOL = 1e-12
+#: every route reports a success probability at or below this as none
+MIN_SUCCESS = 1e-200
 
 
 class Port(IntEnum):
@@ -118,8 +120,6 @@ def check_density(m: np.ndarray, name: str, imag_trace: bool = True) -> None:
     Hermitian, have trace 1 (real part only when ``imag_trace`` is False)
     and no eigenvalue below -CHECK_TOL; ``name`` opens the error message.
     """
-    if m.size == 0:
-        return
     if np.abs(m - m.conj().swapaxes(-1, -2)).max() > CHECK_TOL:
         raise ValueError(f"{name} is not Hermitian")
     trace = m.trace(axis1=-2, axis2=-1)
@@ -148,6 +148,14 @@ class DensityMatrix:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
+    @classmethod
+    def _trusted(cls, m: np.ndarray) -> "DensityMatrix":
+        """Hold a kernel's own complex 2x2 density matrix read-only, unchecked."""
+        state = object.__new__(cls)
+        m.flags.writeable = False
+        object.__setattr__(state, "matrix", m)
+        return state
+
 
 class TwoQubitState:
     """Post-selected two-clone state over rail (x) rail.
@@ -171,6 +179,14 @@ class TwoQubitState:
         raise AttributeError("TwoQubitState is immutable")
 
     @classmethod
+    def _trusted(cls, rho: np.ndarray) -> "TwoQubitState":
+        """Hold a kernel's own complex 4x4 density matrix read-only, unchecked."""
+        state = object.__new__(cls)
+        rho.flags.writeable = False
+        object.__setattr__(state, "rho", rho)
+        return state
+
+    @classmethod
     def from_pure(cls, vector) -> "TwoQubitState":
         v = np.asarray(vector, dtype=complex)
         n2 = float(np.vdot(v, v).real)
@@ -182,8 +198,8 @@ class TwoQubitState:
     def reduced(self, which_port: Port) -> DensityMatrix:
         r = self.rho.reshape(2, 2, 2, 2)
         if which_port == Port.OUT1:
-            return DensityMatrix(np.einsum("ijkj->ik", r))
-        return DensityMatrix(np.einsum("ijil->jl", r))
+            return DensityMatrix._trusted(np.einsum("ijkj->ik", r))
+        return DensityMatrix._trusted(np.einsum("ijil->jl", r))
 
 
 def postselect_coincidence(amplitudes):
@@ -191,8 +207,8 @@ def postselect_coincidence(amplitudes):
 
     ``amplitudes`` is the symmetric matrix of a two-photon state over whole
     temporal bins of four modes.  Returns ``(two_qubit_state, probability)``.
-    When the kept component has zero norm the state slot is ``None`` and the
-    probability 0.0.
+    When the kept component's squared norm is at most ``MIN_SUCCESS`` the
+    state slot is ``None`` and the probability 0.0.
     """
     t = np.asarray(amplitudes)
     n = t.shape[0] if t.ndim == 2 else 0
@@ -201,14 +217,19 @@ def postselect_coincidence(amplitudes):
             f"amplitude matrix must be square over a multiple of 4 modes, got {t.shape}"
         )
     bins = n // 4
-    # the |1_k 1_l> amplitude of ports OUT1 x OUT2 is T_kl + T_lk = 2 T_kl
+    # the |1_k 1_l> amplitude of ports OUT1 x OUT2 is T_kl + T_lk = 2 T_kl;
+    # the factor 2 goes on the norm only, so no arithmetic touches a
+    # non-finite amplitude before it is rejected
     block = t.reshape(bins, 2, 2, bins, 2, 2)[:, Port.OUT1, :, :, Port.OUT2, :]
-    sectors = 2.0 * block.transpose(0, 2, 1, 3).reshape(bins * bins, 4)
-    prob = float(np.vdot(sectors, sectors).real)
-    if prob <= 1e-200:
+    sectors = block.transpose(0, 2, 1, 3).reshape(bins * bins, 4)
+    norm = float(np.vdot(sectors, sectors).real)
+    if not math.isfinite(norm):
+        raise ValueError(f"amplitude matrix must be finite, got norm {norm}")
+    prob = 4.0 * norm
+    if prob <= MIN_SUCCESS:
         return None, 0.0
-    rho = np.einsum("si,sj->ij", sectors, sectors.conj()) / prob
-    return TwoQubitState(rho), prob
+    rho = np.einsum("si,sj->ij", sectors, sectors.conj()) / norm
+    return TwoQubitState._trusted(rho), prob
 
 
 def fidelity(rho, target: Qubit) -> float:

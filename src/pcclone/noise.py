@@ -3,8 +3,8 @@
 Distinguishability is modeled by preparing the ancilla photon in a temporal
 wavepacket M * principal + sqrt(1 - M^2) * orthogonal; detectors sum over
 temporal bins incoherently.  Interference visibility on a balanced coupler
-is then V = M^2.  Evaluations at any M take the closed sector kernel
-(:func:`conditional_sector_vectors`); :func:`with_distinguishability` runs
+is then V = M^2.  :func:`evaluate` at any M is a one-row slice of the
+closed-form kernel ``run_model_batch``; :func:`with_distinguishability` runs
 the two-bin Fock circuit (8 modes) and serves as its independent check, and
 :func:`balanced_coincidence_probability` is the same engine on one coupler.
 
@@ -28,18 +28,17 @@ import numpy as np
 
 from .cloners import (
     MAX_PAIRS,
-    CloneBatch,
     CloneReport,
     ClonerParams,
     _check_integer,
     _check_overlap,
     _check_unit_interval,
-    _evaluate_inputs,
     circuit_joint_state,
     conditional_sector_vectors,
-    run_model,
+    run_model_batch,
 )
-from .fock import Qubit, TwoQubitState, coupler, photon_pair, postselect_coincidence
+from .fock import (MIN_SUCCESS, Qubit, TwoQubitState, coupler, photon_pair,
+                   postselect_coincidence)
 
 #: trials per piece of the jitter walk, and so per step of the jitter kernels:
 #: small enough that a piece's complex temporaries (128 kB each) stay in the
@@ -158,24 +157,6 @@ def sample_phase_jitter(config: NoiseConfig, rng_seed, n_trials: int) -> np.ndar
     return np.concatenate(list(_jitter_walk(config, rng_seed, n_trials)))
 
 
-def _pooled_report(chunks, n_trials: int, input: Qubit) -> CloneReport:
-    """Success-weighted mixture of the sector vectors of every chunk of trials."""
-    total = 0.0
-    moment = 0.0
-    for vectors in chunks:
-        v = vectors.reshape(-1, 4)
-        total += float(np.einsum("si,si->s", v.conj(), v).real.sum())
-        moment = moment + np.einsum("si,sj->ij", v, v.conj())
-    if total <= 0.0:
-        return CloneReport.empty(input)
-    return CloneReport.from_joint(TwoQubitState(moment / total), total / n_trials, input)
-
-
-def report_from_sectors(vectors: np.ndarray, input: Qubit) -> CloneReport:
-    """Pool trial sector vectors into one report (success-weighted mixture)."""
-    return _pooled_report((vectors,), vectors.shape[0], input)
-
-
 def average_over_jitter(
     model: ClonerParams,
     noise: NoiseConfig,
@@ -191,28 +172,23 @@ def average_over_jitter(
     """
     if not jittered(model, noise):
         return evaluate(model, noise, input)
-    chunks = (conditional_sector_vectors(model, input, noise.overlap_M, phases)
-              for phases in _jitter_walk(noise, rng_seed, n_trials))
-    return _pooled_report(chunks, n_trials, input)
-
-
-def _overlap(noise: NoiseConfig | None) -> float:
-    return 1.0 if noise is None else noise.overlap_M
+    total = 0.0
+    moment = 0.0
+    for phases in _jitter_walk(noise, rng_seed, n_trials):
+        v = conditional_sector_vectors(model, input, noise.overlap_M, phases)
+        v = v.reshape(-1, 4)
+        total += float(np.einsum("si,si->s", v.conj(), v).real.sum())
+        moment = moment + np.einsum("si,sj->ij", v, v.conj())
+    if total <= MIN_SUCCESS:
+        return CloneReport.empty(input)
+    return CloneReport.from_joint(TwoQubitState._trusted(moment / total),
+                                  total / n_trials, input)
 
 
 def evaluate(model: ClonerParams, noise: NoiseConfig | None, input: Qubit) -> CloneReport:
-    """Single deterministic evaluation honoring the distinguishability setting."""
-    overlap = _overlap(noise)
-    if overlap >= 1.0:
-        return run_model(model, input)
-    return report_from_sectors(conditional_sector_vectors(model, input, overlap), input)
+    """Single deterministic evaluation honoring the distinguishability setting.
 
-
-def evaluate_batch(model: ClonerParams, noise: NoiseConfig | None,
-                   inputs) -> tuple[CloneBatch, np.ndarray]:
-    """:func:`evaluate` over many inputs in one closed-form call.
-
-    Returns the :class:`CloneBatch` and the (n, 4, 4) joint states, zero on
-    rows with no success.
+    The one-row slice of :func:`run_model_batch` at the overlap of ``noise``.
     """
-    return _evaluate_inputs(model, inputs, _overlap(noise))
+    overlap = 1.0 if noise is None else noise.overlap_M
+    return CloneReport.from_batch(run_model_batch(model, [input], overlap), input)

@@ -4,11 +4,13 @@ The conformance suite (``test_conformance.py``, plus the batch properties in
 ``test_cloners.py`` and ``test_noise.py``) draws each device from ``PARAMS``;
 ``test_every_variant_has_a_strategy`` fails when a variant registered in
 ``ClonerParams.variants`` has no entry here.  The ranges are the ones the
-route-agreement tests have always sampled.
+route-agreement tests have always sampled.  ``pool_sectors`` is the plain
+pooling of sector vectors that the jitter tests hold the library to.
 """
 
 import math
 
+import numpy as np
 from hypothesis import strategies as st
 
 from pcclone.cloners import (
@@ -72,3 +74,10 @@ OVERLAPS = st.one_of(st.just(1.0), st.floats(0.0, 0.999))
 
 #: inputs away from the poles, where every device succeeds with P >~ 1e-3
 QUBITS = st.builds(Qubit, st.floats(0.2, 2.9), ANGLE)
+
+
+def pool_sectors(vectors):
+    """(P_succ, joint state) of trial sector vectors (n_trials, n_sectors, 4)."""
+    v = vectors.reshape(-1, 4)
+    total = np.vdot(v, v).real
+    return total / len(vectors), v.T @ v.conj() / total

@@ -17,7 +17,6 @@ from pcclone.cloners import (
     HybridParams,
     MachZehnderParams,
     SpecialBSParams,
-    _evaluate_inputs,
     analyzer_projection,
     circuit_joint_state,
     conditional_sector_vectors,
@@ -30,7 +29,6 @@ from pcclone.cloners import (
 )
 from pcclone.compensation import _float_fields
 from pcclone.fock import Port, Qubit, check_density, fidelity
-from pcclone.noise import evaluate_batch
 
 F_PC = 0.8535533905932737
 EQ = Qubit.equatorial(0.0)
@@ -383,8 +381,7 @@ def test_batch_matches_run_model(variant, data, thetas, phis):
     qubits += [Qubit(0.0, 0.0), Qubit(math.pi, 1.0)]
     batch = run_model_batch(params, qubits)
     assert batch.F1.shape == batch.F2.shape == batch.P_succ.shape == (len(qubits),)
-    joints = evaluate_batch(params, None, qubits)[1]
-    assert_rows_equal(batch, joints, [run_model(params, q) for q in qubits])
+    assert_rows_equal(batch, [run_model(params, q) for q in qubits])
 
 
 def stacked(model, names, candidates):
@@ -394,14 +391,15 @@ def stacked(model, names, candidates):
 
 
 def assert_stack_matches_run_model(model, names, candidates, qubit):
-    batch, joints = _evaluate_inputs(stacked(model, names, candidates), [qubit])
+    batch = run_model_batch(stacked(model, names, candidates), [qubit])
     assert batch.P_succ.shape == (len(candidates),)
-    assert_rows_equal(batch, joints, [run_model(c, qubit) for c in candidates])
+    assert_rows_equal(batch, [run_model(c, qubit) for c in candidates])
 
 
-def assert_rows_equal(batch, joints, reports):
+def assert_rows_equal(batch, reports):
     """Every batch row bit-identical to its scalar report."""
-    for (f1, f2, p), joint, report in zip(batch.rows(), joints, reports, strict=True):
+    for (f1, f2, p), joint, report in zip(batch.rows(), batch.joint, reports,
+                                          strict=True):
         assert p == report.P_succ
         if report.is_empty:
             assert (f1, f2) == (None, None)

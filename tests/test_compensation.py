@@ -17,8 +17,8 @@ from pcclone.cloners import (
     MachZehnderParams,
     SpecialBSParams,
     FiberParams,
-    _evaluate_inputs,
     run_model,
+    run_model_batch,
 )
 from pcclone.compensation import (
     OBJECTIVES,
@@ -258,7 +258,7 @@ def scalar_optimize(model, free_parameters, objective="min_fidelity_gap",
             axes.append([lo])
         else:
             step = (hi - lo) / (grid_points - 1)
-            axes.append([lo + k * step for k in range(grid_points)])
+            axes.append([min(hi, lo + k * step) for k in range(grid_points)])
     for point in product(*axes):
         value, candidate, report = evaluate_point(point)
         if value < best_value - 1e-15:
@@ -295,11 +295,11 @@ def batched_optimize(*args, **kwargs):
     batches = []
 
     def evaluate(params, inputs, *rest):
-        result = _evaluate_inputs(params, inputs, *rest)
-        batches.append(len(result[0].P_succ))
-        return result
+        batch = run_model_batch(params, inputs, *rest)
+        batches.append(len(batch.P_succ))
+        return batch
 
-    with mock.patch.object(compensation, "_evaluate_inputs", evaluate):
+    with mock.patch.object(compensation, "run_model_batch", evaluate):
         return optimize_symmetry(*args, **kwargs), batches
 
 
@@ -432,6 +432,16 @@ def test_batched_compass_matches_scalar_loop(variant, objective, data):
     model, free, grid_points = data.draw(searches(variant))
     input = data.draw(st.none() | QUBITS)
     assert_matches_scalar_loop(model, free, objective, input, grid_points)
+
+
+def test_grid_stays_inside_the_interval():
+    # 1e-12 + 12 * ((1 - 1e-12) / 12) rounds to 1.0000000000000002, outside
+    # the plate's domain [0, 1]
+    model = HybridParams(eta0=1.0)
+    free = {"eta0": (1e-12, 1.0)}
+    result = optimize_symmetry(model, free, "max_avg_fidelity", grid_points=13)
+    assert result.params.eta0 <= 1.0
+    assert_matches_scalar_loop(model, free, "max_avg_fidelity", None, 13)
 
 
 def test_compass_ladder_comes_in_windows_of_max_rows(monkeypatch):

@@ -6,13 +6,16 @@ its closed-form sectors agree with its circuit at any ancilla overlap and
 phase error, a device without an interferometer ignores the phase error
 exactly, the pattern probabilities of one with an interferometer are
 trigonometric polynomials of its declared ``jitter_degree``, and its
-configuration round-trips through JSON.  The batch
-properties live beside their kernels: ``test_batch_matches_run_model`` in
-``test_cloners.py`` and ``test_evaluate_batch_matches_circuit_at_partial_overlap``
-in ``test_noise.py``.
+configuration round-trips through JSON, and every state the closed-form
+kernel builds passes the density-matrix check that the kernel itself skips.
+The other batch properties live beside their kernels:
+``test_batch_matches_run_model`` in ``test_cloners.py`` and
+``test_evaluate_batch_matches_circuit_at_partial_overlap`` in
+``test_noise.py``.
 """
 
 import json
+import math
 import re
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -22,10 +25,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloner_strategies import CLASS_NAMES, OVERLAPS, PARAMS, QUBITS, VARIANTS
+from cloner_strategies import (
+    CLASS_NAMES,
+    OVERLAPS,
+    PARAMS,
+    QUBITS,
+    VARIANTS,
+    pool_sectors,
+)
 from pcclone import experiment
 from pcclone.cli import main
 from pcclone.cloners import (
+    CloneReport,
     ClonerParams,
     SpecialBSParams,
     _rail_couplings,
@@ -33,6 +44,7 @@ from pcclone.cloners import (
     circuit_joint_state,
     conditional_sector_vectors,
     run_model,
+    run_model_batch,
 )
 from pcclone.counting import (
     _analyzer_vectors,
@@ -41,7 +53,7 @@ from pcclone.counting import (
     _pattern_vectors,
 )
 from pcclone.experiment import ConfigError, parse_experiment, parse_model, run_experiment
-from pcclone.noise import report_from_sectors
+from pcclone.fock import Qubit, check_density
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -56,16 +68,37 @@ def test_every_variant_has_a_strategy():
 def test_sector_vectors_match_circuit(variant, data, m, delta, qubit):
     params = data.draw(PARAMS[variant])
     joint, prob = circuit_joint_state(params, qubit, m, arm_phase_error=delta)
-    from_sectors = report_from_sectors(
-        conditional_sector_vectors(params, qubit, m, [delta]), qubit
-    )
-    assert abs(prob - from_sectors.P_succ) < 1e-12
-    assert np.max(np.abs(joint.rho - from_sectors.joint.rho)) < 1e-12
+    p_succ, rho = pool_sectors(conditional_sector_vectors(params, qubit, m, [delta]))
+    assert abs(prob - p_succ) < 1e-12
+    assert np.max(np.abs(joint.rho - rho)) < 1e-12
     # the single-point closed form (M = 1, no phase error) against the circuit
     closed = run_model(params, qubit)
     joint, prob = circuit_joint_state(params, qubit)
     assert abs(prob - closed.P_succ) < 1e-12
     assert np.max(np.abs(joint.rho - closed.joint.rho)) < 1e-12
+
+
+#: a whole Bloch-sphere sweep, poles included
+SWEEP = [Qubit(theta, phi) for theta in np.linspace(0.0, math.pi, 9)
+         for phi in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)]
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("m", [1.0, 0.9, 0.5, 0.0])
+@pytest.mark.parametrize("variant", VARIANTS, ids=CLASS_NAMES)
+def test_kernel_states_are_density_matrices(variant, m, data):
+    # the kernel builds its states without checking them; this is the check
+    params = data.draw(PARAMS[variant])
+    batch = run_model_batch(params, SWEEP, m)
+    kept = batch.P_succ > 0.0
+    assert kept.any()
+    check_density(batch.joint[kept], "two-qubit state", imag_trace=False)
+    assert not batch.joint[~kept].any()
+    reports = [CloneReport.from_batch(batch, q, i) for i, q in enumerate(SWEEP)]
+    marginals = [rho for r in reports if not r.is_empty
+                 for rho in (r.rho1.matrix, r.rho2.matrix)]
+    check_density(np.array(marginals), "density matrix")
 
 
 STATIC = [v for v in VARIANTS if ClonerParams.variants[v].jitter_degree == 0]
@@ -169,3 +202,13 @@ def test_docs_list_every_variant_and_field():
     assert re.findall(r"`(\w+)`", sentence) == VARIANTS
     table = re.findall(r"^\| `(\w+)` ", readme, re.M)
     assert table == CLASS_NAMES
+
+
+def test_readme_python_blocks_run():
+    # the quick start runs as written, so a renamed API cannot leave it stale
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert len(blocks) == 3
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)

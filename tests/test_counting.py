@@ -18,6 +18,7 @@ from pcclone.cloners import (
     _standard_basis,
     conditional_sector_vectors,
     run_model,
+    run_model_batch,
 )
 from pcclone.counting import (
     MAX_PAIRS,
@@ -37,7 +38,7 @@ from pcclone.counting import (
     success_probability_estimate,
 )
 from pcclone.fock import Qubit, TwoQubitState
-from pcclone.noise import _CHUNK, NoiseConfig, evaluate_batch, sample_phase_jitter
+from pcclone.noise import _CHUNK, NoiseConfig, sample_phase_jitter
 
 EQ = Qubit.equatorial(0.0)
 F_PC = 0.8535533905932737
@@ -206,7 +207,7 @@ def test_simulate_counts_single_trial():
 
 def test_simulate_refuses_pairs_over_the_cap():
     # the check comes before any evaluation or draw
-    with mock.patch("pcclone.counting.evaluate_batch", side_effect=AssertionError):
+    with mock.patch("pcclone.counting.run_model_batch", side_effect=AssertionError):
         with pytest.raises(ValueError, match="n_pairs must lie in"):
             simulate_counts(IDEAL, NOISELESS, EQ, MAX_PAIRS + 1, DetectorBank(), seed=0)
 
@@ -267,8 +268,9 @@ ETAS = st.tuples(*[st.floats(0.3, 1.0)] * 4)
 def test_batched_pvals_equal_the_per_row_route(variant, data, m, analysis, etas,
                                                qubits, blocked):
     model = data.draw(PARAMS[variant])
-    batch, joints = evaluate_batch(model, NoiseConfig(overlap_M=m), qubits)
+    batch = run_model_batch(model, qubits, m)
     p_succ = batch.P_succ.copy()
+    joints = batch.joint.copy()
     # rows with no success carry P_succ 0 and a zero joint state, as the
     # batch gives them (see test_batched_pvals_of_empty_rows for real ones)
     for i, empty in enumerate(blocked[:len(qubits)]):
@@ -290,17 +292,16 @@ def test_batched_pvals_of_empty_rows():
     ]
     eff = BIASED_BANK.pattern_efficiencies()
     for model, qubits in cases:
-        batch, joints = evaluate_batch(model, NOISELESS, qubits)
+        batch = run_model_batch(model, qubits)
         assert batch.P_succ[0] == 0.0
         w = _pattern_vectors(*_analyzer_vectors(model, qubits))
-        pvals = _static_pvals(w, batch.P_succ, joints, eff)
+        pvals = _static_pvals(w, batch.P_succ, batch.joint, eff)
         assert pvals[0].tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
         for i, qubit in enumerate(qubits):
             expected = per_row_pvals(model, qubit, None, batch.P_succ.tolist()[i],
-                                     joints[i], eff)
+                                     batch.joint[i], eff)
             assert np.array_equal(pvals[i], expected)
-        records = _count_static(model, qubits, 1000, BIASED_BANK, [4, 5],
-                                batch.P_succ, joints)
+        records = _count_static(model, qubits, 1000, BIASED_BANK, [4, 5], batch)
         assert records[0] == CoincidenceRecord(0, 0, 0, 0, 1000, 4)
 
 
@@ -311,9 +312,9 @@ def test_simulate_counts_is_the_one_row_batch(analysis, overlap):
     model = HybridParams(eta0=0.7)
     noise = NoiseConfig(overlap_M=overlap)
     qubits = [Qubit(0.4, 0.2), EQ, Qubit(2.5, 4.0)]
-    batch, joints = evaluate_batch(model, noise, qubits)
+    batch = run_model_batch(model, qubits, overlap)
     records = _count_static(model, qubits, 20_000, BIASED_BANK, [11, 12, 13],
-                            batch.P_succ, joints, analysis)
+                            batch, analysis)
     for qubit, seed, record in zip(qubits, [11, 12, 13], records):
         assert record == simulate_counts(model, noise, qubit, 20_000, BIASED_BANK,
                                          seed, analysis)
@@ -329,9 +330,9 @@ def test_static_pvals_at_partial_overlap_match_the_sector_route(variant, data, m
     model = data.draw(PARAMS[variant])
     noise = NoiseConfig(overlap_M=m)
     eff = BIASED_BANK.pattern_efficiencies()
-    batch, joints = evaluate_batch(model, noise, qubits)
+    batch = run_model_batch(model, qubits, m)
     pvals = _static_pvals(_pattern_vectors(*_analyzer_vectors(model, qubits)),
-                          batch.P_succ, joints, eff)
+                          batch.P_succ, batch.joint, eff)
     for qubit, row in zip(qubits, pvals):
         report = noise_module.evaluate(model, noise, qubit)
         expected = per_row_pvals(model, qubit, None, report.P_succ, report.joint.rho, eff)

@@ -250,6 +250,16 @@ def test_cli_run_writes_expected_row(tmp_path, capsys):
     assert "0.3333333333" in out
 
 
+@pytest.mark.parametrize("loss", [1e-160, 1e-150])
+def test_cli_run_gives_an_empty_row_for_a_vanishing_success(tmp_path, capsys, loss):
+    path = write_config(tmp_path, {
+        "model": {"variant": "special_bs", "comp_loss_r0": loss, "comp_loss_r1": loss},
+        "input": {"theta": 0.0, "phi": 0.0},
+    })
+    assert main(["run", "--config", path]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "0,0,,,0"
+
+
 def test_cli_outputs_are_byte_identical(tmp_path):
     config = {
         "model": {"variant": "fiber", "R_vrc0": 0.79, "R_vrc1": 0.21},
@@ -437,7 +447,7 @@ def test_counted_rows_reuse_the_batch_evaluation(monkeypatch):
     def evaluate_again(*args):
         raise AssertionError("a counted row was evaluated a second time")
 
-    monkeypatch.setattr("pcclone.counting.evaluate_batch", evaluate_again)
+    monkeypatch.setattr("pcclone.counting.run_model_batch", evaluate_again)
     config = parse_experiment({
         "model": {"variant": "hybrid", "eta0": 0.7},
         "noise": {"overlap_M": 0.9},

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcclone.cloners import MachZehnderParams, SpecialBSParams, run_model
 from pcclone.fock import (
     DensityMatrix,
     Port,
@@ -16,6 +17,7 @@ from pcclone.fock import (
     photon_pair,
     postselect_coincidence,
 )
+from pcclone.noise import NoiseConfig, average_over_jitter, evaluate
 
 # modes of the principal bin, index 2 * port + rail
 M1R0, M1R1, M2R0, M2R1 = 0, 1, 2, 3
@@ -220,6 +222,15 @@ def test_postselect_rejects_non_mode_matrix(shape):
         postselect_coincidence(np.zeros(shape))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_postselect_rejects_non_finite_amplitudes(bad):
+    # the kept state is built unchecked, so a bad amplitude must not reach it
+    state = photon_pair(E[M1R0], E[M2R0])
+    state[M1R0, M2R0] = state[M2R0, M1R0] = bad
+    with pytest.raises(ValueError, match="amplitude matrix must be finite"):
+        postselect_coincidence(state)
+
+
 def test_reduced_product_state():
     q = Qubit(0.9, 2.2)
     chi = Qubit(2.0, 5.0)
@@ -318,3 +329,15 @@ def test_two_qubit_state_is_immutable():
         joint.rho = np.eye(4) / 4.0
     with pytest.raises(ValueError):
         joint.rho[0, 0] = 5.0
+    # the states the kernels build unchecked are read-only too
+    q = Qubit.equatorial(0.3)
+    jitter = NoiseConfig(overlap_M=0.9, phase_jitter_sigma=0.1)
+    reports = [
+        run_model(SpecialBSParams.ideal(), q),
+        evaluate(SpecialBSParams.ideal(), NoiseConfig(overlap_M=0.9), q),
+        average_over_jitter(MachZehnderParams.ideal(), jitter, q, 0, 100),
+    ]
+    for report in reports:
+        for array in (report.joint.rho, report.rho1.matrix, report.rho2.matrix):
+            with pytest.raises(ValueError):
+                array[0, 0] = 5.0

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloner_strategies import CLASS_NAMES, PARAMS, VARIANTS
+from cloner_strategies import CLASS_NAMES, PARAMS, VARIANTS, pool_sectors
 from pcclone import noise
 from pcclone.cloners import (
     MAX_PAIRS,
@@ -17,6 +17,7 @@ from pcclone.cloners import (
     SpecialBSParams,
     R_OPTIMAL,
     run_model,
+    run_model_batch,
 )
 from pcclone.counting import DetectorBank, simulate_counts
 from pcclone.fock import Qubit
@@ -28,9 +29,7 @@ from pcclone.noise import (
     balanced_coincidence_probability,
     conditional_sector_vectors,
     evaluate,
-    evaluate_batch,
     hom_visibility,
-    report_from_sectors,
     sample_phase_jitter,
     with_distinguishability,
 )
@@ -181,13 +180,26 @@ def test_distinguishability_preserves_phase_covariance():
 def test_evaluate_batch_matches_circuit_at_partial_overlap(variant, data, m, thetas, phis):
     params = data.draw(PARAMS[variant])
     qubits = [Qubit(th, ph) for th, ph in zip(thetas, phis)]
-    batch, joints = evaluate_batch(params, NoiseConfig(overlap_M=m), qubits)
-    for qubit, (f1, f2, p), joint in zip(qubits, batch.rows(), joints):
+    batch = run_model_batch(params, qubits, m)
+    for qubit, (f1, f2, p), joint in zip(qubits, batch.rows(), batch.joint):
         report = with_distinguishability(params, m, qubit)
         assert p == pytest.approx(report.P_succ, abs=1e-12)
         assert f1 == pytest.approx(report.F1, abs=1e-12)
         assert f2 == pytest.approx(report.F2, abs=1e-12)
         assert np.max(np.abs(joint - report.joint.rho)) < 1e-12
+
+
+@pytest.mark.parametrize("loss", [1e-160, 1e-155, 1e-150])
+def test_vanishing_success_is_empty_on_every_route(loss):
+    # P_succ ~ loss^2 / 3 is at most fock.MIN_SUCCESS, subnormal at 1e-160:
+    # every route gives an empty report instead of a failed check or a row
+    params = SpecialBSParams(comp_loss_r0=loss, comp_loss_r1=loss)
+    pole = Qubit(0.0, 0.0)
+    assert run_model(params, pole).is_empty
+    assert run_model(params, pole, via="circuit").is_empty
+    assert run_model_batch(params, [pole, EQ], 0.9).rows()[0] == (None, None, 0.0)
+    assert evaluate(params, NoiseConfig(overlap_M=0.9), pole).is_empty
+    assert with_distinguishability(params, 0.9, pole).is_empty
 
 
 def test_with_distinguishability_validates_overlap():
@@ -323,13 +335,11 @@ def test_chunked_jitter_average_matches_whole_array_pooling(params, overlap):
                          jitter_reset_period=60)
     qubit = Qubit(1.3, 0.4)
     phases = sample_phase_jitter(config, 8, 4500)
-    whole = report_from_sectors(
-        conditional_sector_vectors(params, qubit, overlap, phases), qubit
-    )
+    p_succ, rho = pool_sectors(conditional_sector_vectors(params, qubit, overlap, phases))
     with mock.patch.object(noise, "_CHUNK", 1000):
         chunked = average_over_jitter(params, config, qubit, 8, 4500)
-    assert chunked.P_succ == pytest.approx(whole.P_succ, abs=1e-12)
-    assert np.max(np.abs(chunked.joint.rho - whole.joint.rho)) < 1e-12
+    assert chunked.P_succ == pytest.approx(p_succ, abs=1e-12)
+    assert np.max(np.abs(chunked.joint.rho - rho)) < 1e-12
 
 
 def test_jitter_average_reduces_mz_fidelity():
