@@ -1,15 +1,11 @@
-"""Command-line interface.
+"""Command-line interface::
 
-Subcommands::
+    pcclone COMMAND --config FILE [--seed N] [--out PATH] [--format csv|json]
 
-    pcclone run        --config experiment.json [--seed N] [--out PATH] [--format csv|json]
-    pcclone sweep      --config experiment.json ...   (requires a sweep block)
-    pcclone montecarlo --config experiment.json ...   (requires a counting block)
-    pcclone compare    --config compare.json ...      (file holds {"configs": [...]})
-    pcclone optimize   --config optimize.json ...
-
-Exit codes: 0 success, 2 validation error, 3 I/O error.  ``--seed`` overrides
-the counting seed from the configuration; ``--out`` and ``--format`` override
+:data:`COMMANDS` names the commands and the line ``pcclone --help`` shows for
+each; options may come before or after the command.  Exit codes: 0 success,
+2 validation error, 3 I/O error.  ``--seed`` overrides the seed of every
+counting block and needs at least one; ``--out`` and ``--format`` override
 the output block ('-' writes to stdout).  Identical configuration and seed
 produce byte-identical output.
 """
@@ -23,6 +19,7 @@ from dataclasses import replace
 
 from .compensation import optimize_symmetry
 from .experiment import (
+    CompareConfig,
     ConfigError,
     CountingOptions,
     OptimizeConfig,
@@ -32,8 +29,6 @@ from .experiment import (
     render_rows,
     run_experiment,
     _read,
-    _reject_unknown,
-    _require_mapping,
 )
 
 EXIT_OK = 0
@@ -61,55 +56,47 @@ def _write_output(path: str, text: str):
         handle.write(text)
 
 
-def _reseed(config, seed):
-    """``config`` with its counting seed replaced by --seed, when both exist."""
-    if seed is None or config.counting is None:
-        return config
-    counting = _read(CountingOptions, {"seed": seed}, "counting", base=config.counting)
-    return replace(config, counting=counting)
+def _reseed(configs, seed):
+    """``configs`` with every counting seed replaced by --seed, if given."""
+    if seed is None:
+        return configs
+    if all(config.counting is None for config in configs):
+        raise ConfigError(
+            "counting: --seed given but the configuration has no counting block"
+        )
+    return tuple(
+        config if config.counting is None else replace(config, counting=_read(
+            CountingOptions, {"seed": seed}, "counting", base=config.counting))
+        for config in configs
+    )
 
 
 def _emit(rows, args, output):
     """Write ``rows`` as the output block says, after --out and --format."""
     overrides = {"path": args.out, "format": args.format}
     output = _read(OutputOptions, {k: v for k, v in overrides.items() if v is not None},
-                   "output", base=output)
+                   "output", base=output or OutputOptions())
     _write_output(output.path, render_rows(rows, output.format))
 
 
-def cmd_experiment(args) -> int:
+def cmd_experiment(args):
     """``run``, ``sweep`` and ``montecarlo``: one configuration, one row per input."""
-    config = parse_experiment(_load_json(args.config))
-    if args.seed is not None and config.counting is None:
-        raise ConfigError(
-            "counting: --seed given but the configuration has no counting block"
-        )
-    config = _reseed(config, args.seed)
-    if args.command == "sweep" and not config.is_sweep:
+    (config,) = _reseed((parse_experiment(_load_json(args.config)),), args.seed)
+    if args.command == "sweep" and config.sweep is None:
         raise ConfigError("sweep: this configuration has no sweep block")
     if args.command == "montecarlo" and config.counting is None:
         raise ConfigError("counting: required for the montecarlo subcommand")
     _emit(run_experiment(config), args, config.output)
-    return EXIT_OK
 
 
-def cmd_compare(args) -> int:
-    raw = _require_mapping(_load_json(args.config), "config")
-    _reject_unknown(raw, ("configs", "output"), "config")
-    if "configs" not in raw or not isinstance(raw["configs"], list):
-        raise ConfigError("configs: expected a list of configurations")
-    configs = [
-        _reseed(parse_experiment(entry, f"configs[{i}]"), args.seed)
-        for i, entry in enumerate(raw["configs"])
-    ]
-    output = _read(OutputOptions, raw.get("output"), "output")
-    _emit(compare_experiments(configs), args, output)
-    return EXIT_OK
+def cmd_compare(args):
+    config = _read(CompareConfig, _load_json(args.config), "")
+    _emit(compare_experiments(_reseed(config.configs, args.seed)), args, config.output)
 
 
-def cmd_optimize(args) -> int:
-    raw = _require_mapping(_load_json(args.config), "config")
-    config = _read(OptimizeConfig, raw, "")
+def cmd_optimize(args):
+    config = _read(OptimizeConfig, _load_json(args.config), "")
+    _reseed((), args.seed)  # an optimize document has no counting block
     try:
         result = optimize_symmetry(config.model, config.free_parameters,
                                    config.objective, input=config.input,
@@ -127,44 +114,46 @@ def cmd_optimize(args) -> int:
     for name in config.free_parameters:
         row[name] = getattr(result.params, name)
     _emit([row], args, config.output)
-    return EXIT_OK
+
+
+#: command -> (handler, the line ``--help`` shows for it)
+COMMANDS = {
+    "run": (cmd_experiment, "evaluate a configuration (single input or sweep)"),
+    "sweep": (cmd_experiment, "evaluate a sweep configuration"),
+    "compare": (cmd_compare, "summarize several labeled configurations"),
+    "optimize": (cmd_optimize, "tune free parameters against an objective"),
+    "montecarlo": (cmd_experiment, "simulate coincidence counting"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pcclone",
         description="Simulate symmetric phase-covariant cloning of photonic qubits.",
+        epilog="commands:\n" + "\n".join(
+            f"  {name:<12}{text}" for name, (_, text) in COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    handlers = {
-        "run": (cmd_experiment, "evaluate a configuration (single input or sweep)"),
-        "sweep": (cmd_experiment, "evaluate a sweep configuration"),
-        "compare": (cmd_compare, "summarize several labeled configurations"),
-        "optimize": (cmd_optimize, "tune free parameters against an objective"),
-        "montecarlo": (cmd_experiment, "simulate coincidence counting"),
-    }
-    for name, (handler, help_text) in handlers.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True, help="path to a JSON configuration")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the counting seed")
-        p.add_argument("--out", default=None, help="output path ('-' for stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default=None,
-                       help="output format override")
-        p.set_defaults(handler=handler)
+    parser.add_argument("command", choices=COMMANDS, help="what to do (see below)")
+    parser.add_argument("--config", required=True, help="path to a JSON configuration")
+    parser.add_argument("--seed", type=int, help="override the counting seed")
+    parser.add_argument("--out", help="output path ('-' for stdout)")
+    parser.add_argument("--format", choices=("csv", "json"),
+                        help="output format override")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        COMMANDS[args.command][0](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    return EXIT_OK
 
 
 if __name__ == "__main__":

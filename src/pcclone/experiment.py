@@ -25,10 +25,11 @@ default to theta = pi/2 (equator) and phi = 0.  ``noise``, ``counting`` and
 ``output`` are optional; unknown keys anywhere are rejected.  A sweep holds at
 most ``MAX_ROWS`` rows and a counting block at most ``MAX_PAIRS`` pairs.
 
-Every section, and the ``pcclone optimize`` document (:class:`OptimizeConfig`),
-is read from the fields and types of its frozen dataclass.  Model variants are
-``ClonerParams.variants``; their fields (all optional, defaults are the ideal
-settings):
+Every document (:class:`ExperimentConfig`, :class:`CompareConfig` for
+``pcclone compare``, :class:`OptimizeConfig` for ``pcclone optimize``) and
+every section of one is read by :func:`_read` from the fields and types of its
+frozen dataclass.  Model variants are ``ClonerParams.variants``; their fields
+(all optional, defaults are the ideal settings):
 
 * ``special_bs``:   R0, R1, sign_convention, comp_loss_r0, comp_loss_r1
 * ``mach_zehnder``: theta_V, theta_H, phase_offset_r0, phase_offset_r1
@@ -53,9 +54,10 @@ import dataclasses
 import functools
 import json
 import math
+import re
 import types
 from dataclasses import dataclass, replace
-from typing import Any, get_args, get_origin, get_type_hints
+from typing import Annotated, Any, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -115,19 +117,23 @@ def _reject_unknown(mapping: dict, allowed, field: str):
 def _reader(tp):
     """A function (value, field) -> value of the annotated field type ``tp``."""
     args = get_args(tp)
+    if get_origin(tp) is Annotated:  # the field names its own reader
+        return tp.__metadata__[0]
     if isinstance(tp, types.UnionType):  # X | None
         (inner,) = (_reader(a) for a in args if a is not type(None))
         return lambda value, field: None if value is None else inner(value, field)
     if get_origin(tp) is tuple:
-        items = [_reader(a) for a in args]
+        variadic = args[-1] is Ellipsis  # tuple[X, ...]: a list of any length
+        items = [_reader(a) for a in args if a is not Ellipsis]
+        expected = "a list" if variadic else f"a list of {len(items)} values"
 
         def read_tuple(value, field):
-            if not isinstance(value, (list, tuple)) or len(value) != len(items):
-                raise ConfigError(
-                    f"{field}: expected a list of {len(items)} values, got {value!r}"
-                )
+            if not isinstance(value, (list, tuple)) or (
+                    not variadic and len(value) != len(items)):
+                raise ConfigError(f"{field}: expected {expected}, got {value!r}")
+            readers = items * len(value) if variadic else items
             return tuple([read(v, f"{field}[{i}]")
-                          for i, (read, v) in enumerate(zip(items, value))])
+                          for i, (read, v) in enumerate(zip(readers, value))])
         return read_tuple
     if get_origin(tp) is dict:
         item = _reader(args[1])
@@ -145,8 +151,8 @@ def _reader(tp):
 @functools.cache
 def _schema(cls):
     """Field readers, required fields and the all-default instance of ``cls``."""
-    hints = get_type_hints(cls)
-    fields = dataclasses.fields(cls)
+    hints = get_type_hints(cls, include_extras=True)
+    fields = [f for f in dataclasses.fields(cls) if f.init]
     readers = {f.name: _reader(hints[f.name]) for f in fields}
     required = [f.name for f in fields if f.default is dataclasses.MISSING]
     return readers, required, None if required else cls()
@@ -156,14 +162,16 @@ def _read(cls, spec, field: str, base=None):
     """The frozen dataclass ``cls`` built from the JSON object ``spec``.
 
     Each key is a field of ``cls``, read by the field's type: a number, an
-    integer, a string, ``X | None``, a tuple, a ``dict[str, X]``, a nested
-    config dataclass or a :class:`ClonerParams` variant.  Omitted fields keep
-    their value in ``base`` or else their default; ``None`` stands for an
-    empty object.  A ValueError of ``cls`` becomes a :class:`ConfigError`
-    under ``field``, joined to the field name the message starts with.
+    integer, a string, ``X | None``, a fixed tuple, ``tuple[X, ...]`` (a
+    list), a ``dict[str, X]``, a nested config dataclass, a
+    :class:`ClonerParams` variant, or ``Annotated[X, reader]``.  Omitted
+    fields keep their value in ``base`` or else their default; below the
+    top level, ``None`` stands for an empty object.  A ValueError of ``cls``
+    becomes a :class:`ConfigError` under ``field``, joined to the field name
+    the message starts with.
     """
     readers, required, default = _schema(cls)
-    if spec is None or spec == {}:
+    if spec == {} or (spec is None and field):
         spec = {}
         if base is not None or default is not None:
             return default if base is None else base
@@ -175,15 +183,18 @@ def _read(cls, spec, field: str, base=None):
         for name in required:
             if name not in spec:
                 raise ConfigError(f"{prefix}{name}: required")
-    values = {}
-    for key, value in spec.items():
-        values[key] = readers[key](value, prefix + key)
+    values = {key: readers[key](value, prefix + key) for key, value in spec.items()}
     try:
         return cls(**values) if base is None else replace(base, **values)
     except ValueError as exc:
-        named = str(exc).split(" ", 1)[0] in readers
+        named = re.split(r"[ :./\[]", str(exc), maxsplit=1)[0] in readers
         where = prefix if named else f"{field or 'config'}: "
         raise ConfigError(f"{where}{exc}") from exc
+
+
+def _block(cls):
+    """The reader of an optional block ``cls | None`` whose JSON null is an error."""
+    return lambda value, field: _read(cls, _require_mapping(value, field), field)
 
 
 def parse_model(spec, field: str = "model") -> ClonerParams:
@@ -196,7 +207,12 @@ def parse_model(spec, field: str = "model") -> ClonerParams:
     return _read(cls, spec, field, base=cls.ideal())
 
 
-def _parse_axis(spec, field: str) -> list[float]:
+def _parse_axis(spec, field: str, domain=(-math.inf, math.inf)) -> tuple[float, ...]:
+    """One sweep axis: a number, a list of numbers or an inclusive range.
+
+    A range value that rounding carries past an endpoint and out of
+    ``domain`` is put back on the endpoint.
+    """
     if isinstance(spec, dict):
         _reject_unknown(spec, ("start", "stop", "count"), field)
         for key in ("start", "stop", "count"):
@@ -208,37 +224,33 @@ def _parse_axis(spec, field: str) -> list[float]:
         start = _require_number(spec["start"], f"{field}.start")
         stop = _require_number(spec["stop"], f"{field}.stop")
         if count == 1:
-            return [start]
+            return (start,)
         step = (stop - start) / (count - 1)
-        return [start + k * step for k in range(count)]
+        low, high = sorted((start, stop))
+        return tuple(v if domain[0] <= v <= domain[1] else min(max(v, low), high)
+                     for v in (start + k * step for k in range(count)))
     values = spec if isinstance(spec, list) else [spec]
     if not 1 <= len(values) <= MAX_ROWS:
         raise ConfigError(f"{field}: sweep list must be non-empty and hold at most "
                           f"{MAX_ROWS} values, got {len(values)}")
-    return [_require_number(v, field) for v in values]
+    return tuple([_require_number(v, field) for v in values])
 
 
-def parse_inputs(config: dict, field: str = "") -> list[Qubit]:
-    prefix = f"{field}." if field else ""
-    has_input = "input" in config
-    has_sweep = "sweep" in config
-    if has_input == has_sweep:
-        raise ConfigError(
-            f"{prefix}input/sweep: exactly one of 'input' or 'sweep' is required"
-        )
-    if has_input:
-        return [_read(Qubit, config["input"], f"{prefix}input")]
-    spec = _require_mapping(config["sweep"], f"{prefix}sweep")
-    _reject_unknown(spec, ("theta", "phi"), f"{prefix}sweep")
-    thetas = _parse_axis(spec.get("theta", math.pi / 2.0), f"{prefix}sweep.theta")
-    phis = _parse_axis(spec.get("phi", 0.0), f"{prefix}sweep.phi")
-    if len(thetas) * len(phis) > MAX_ROWS:
-        raise ConfigError(f"{prefix}sweep: at most {MAX_ROWS} rows, "
-                          f"got {len(thetas)} x {len(phis)}")
-    try:
-        return [Qubit(th, ph) for th in thetas for ph in phis]
-    except ValueError as exc:
-        raise ConfigError(f"{prefix}sweep: {exc}") from exc
+@dataclass(frozen=True)
+class Sweep:
+    """The ``sweep`` block: one input per (theta, phi) pair, theta-major."""
+
+    theta: Annotated[tuple[float, ...], functools.partial(
+        _parse_axis, domain=(0.0, math.pi))] = (math.pi / 2.0,)
+    phi: Annotated[tuple[float, ...], _parse_axis] = (0.0,)
+    inputs: tuple[Qubit, ...] = dataclasses.field(init=False, repr=False)
+
+    def __post_init__(self):
+        if len(self.theta) * len(self.phi) > MAX_ROWS:
+            raise ValueError(f"at most {MAX_ROWS} rows, "
+                             f"got {len(self.theta)} x {len(self.phi)}")
+        object.__setattr__(self, "inputs", tuple(
+            [Qubit(th, ph) for th in self.theta for ph in self.phi]))
 
 
 @dataclass(frozen=True)
@@ -266,13 +278,42 @@ class OutputOptions:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The document of ``pcclone run``, ``sweep`` and ``montecarlo``."""
+
     model: ClonerParams
-    noise: NoiseConfig
-    inputs: tuple[Qubit, ...]
-    is_sweep: bool
-    counting: CountingOptions | None
-    output: OutputOptions
+    noise: NoiseConfig = NoiseConfig()
+    input: Annotated[Qubit | None, _block(Qubit)] = None
+    sweep: Annotated[Sweep | None, _block(Sweep)] = None
+    counting: CountingOptions | None = None
+    output: OutputOptions | None = None
     label: str | None = None
+
+    def __post_init__(self):
+        if (self.input is None) == (self.sweep is None):
+            raise ValueError("input/sweep: exactly one of 'input' or 'sweep' "
+                             "is required")
+        if self.label is not None and any(c in self.label for c in ",\n\r"):
+            raise ValueError("label: must not contain a comma or a line break, "
+                             f"got {self.label!r}")
+
+    @property
+    def inputs(self) -> tuple[Qubit, ...]:
+        """The input states, one per output row."""
+        return (self.input,) if self.sweep is None else self.sweep.inputs
+
+
+@dataclass(frozen=True)
+class CompareConfig:
+    """The document of ``pcclone compare``: labeled configurations, one output."""
+
+    configs: tuple[ExperimentConfig, ...]
+    output: OutputOptions = OutputOptions()
+
+    def __post_init__(self):
+        for i, config in enumerate(self.configs):
+            if config.output is not None:
+                raise ValueError(f"configs[{i}].output: a compared configuration "
+                                 "takes no output block; the top-level one applies")
 
 
 @dataclass(frozen=True)
@@ -293,33 +334,8 @@ class OptimizeConfig:
         _check_grid(self.grid_points, len(self.free_parameters))
 
 
-_TOP_LEVEL_KEYS = ("label", "model", "noise", "input", "sweep", "counting", "output")
-
-
-def parse_experiment(config, field: str = "") -> ExperimentConfig:
-    prefix = f"{field}." if field else ""
-    config = _require_mapping(config, field or "config")
-    _reject_unknown(config, _TOP_LEVEL_KEYS, field or "config")
-    if "model" not in config:
-        raise ConfigError(f"{prefix}model: required")
-    label = config.get("label")
-    if label is not None and not isinstance(label, str):
-        raise ConfigError(f"{prefix}label: expected a string")
-    if label is not None and any(c in label for c in ",\n\r"):
-        raise ConfigError(
-            f"{prefix}label: must not contain a comma or a line break, got {label!r}"
-        )
-    counting = config.get("counting")
-    return ExperimentConfig(
-        model=parse_model(config["model"], f"{prefix}model"),
-        noise=_read(NoiseConfig, config.get("noise"), f"{prefix}noise"),
-        inputs=tuple(parse_inputs(config, field)),
-        is_sweep="sweep" in config,
-        counting=None if counting is None
-        else _read(CountingOptions, counting, f"{prefix}counting"),
-        output=_read(OutputOptions, config.get("output"), f"{prefix}output"),
-        label=label,
-    )
+def parse_experiment(config) -> ExperimentConfig:
+    return _read(ExperimentConfig, config, "")
 
 
 # ---------------------------------------------------------------------------

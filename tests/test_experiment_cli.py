@@ -97,6 +97,140 @@ def test_parse_model_variants():
         parse_experiment({"model": {"variant": ["fiber"]}, "input": {"theta": 1.0}})
 
 
+def _compare(*entries, **top):
+    return {"configs": [dict({"label": f"c{i}"}, **entry)
+                        for i, entry in enumerate(entries)], **top}
+
+
+_FREE = {"model": {"variant": "special_bs"}, "free_parameters": {"R0": [0.5, 1.0]},
+         "objective": "min_fidelity_gap"}
+_SWEEP = {"model": {"variant": "special_bs"}, "sweep": {"phi": [0.0]}}
+
+
+@pytest.mark.parametrize("command, payload, named", [
+    ("run", [ideal_single()], "config: expected an object"),
+    ("run", None, "config: expected an object"),
+    ("run", dict(ideal_single(), mistyped=1), "config: unknown key(s) ['mistyped']"),
+    ("run", {"input": {"theta": 1.0}}, "model: required"),
+    ("run", dict(ideal_single(), model={"variant": "fiber", "R0": 0.5}),
+     "model: unknown key(s) ['R0']"),
+    ("run", {"model": {"variant": "special_bs"}, "input": {"theta": 1.0, "psi": 0}},
+     "input: unknown key(s) ['psi']"),
+    ("run", dict(ideal_single(), noise={"M": 0.9}), "noise: unknown key(s) ['M']"),
+    ("run", dict(ideal_single(), counting={"n_pairs": 10, "detectors": {"eta": 1}}),
+     "counting.detectors: unknown key(s) ['eta']"),
+    ("run", dict(ideal_single(), output={"fmt": "csv"}), "output: unknown key(s) ['fmt']"),
+    ("run", dict(_SWEEP, sweep={"psi": 1.0}), "sweep: unknown key(s) ['psi']"),
+    ("run", dict(_SWEEP, sweep={"phi": {"start": 0, "stop": 1, "count": 2, "step": 1}}),
+     "sweep.phi: unknown key(s) ['step']"),
+    ("run", {"model": {"variant": "special_bs"}},
+     "input/sweep: exactly one of 'input' or 'sweep' is required"),
+    ("run", dict(ideal_single(), sweep={"phi": [0.0]}),
+     "input/sweep: exactly one of 'input' or 'sweep' is required"),
+    ("run", dict(_SWEEP, input=None), "input: expected an object"),
+    ("run", dict(ideal_single(), sweep=None), "sweep: expected an object"),
+    ("run", dict(_SWEEP, sweep={"theta": "pole"}), "sweep.theta: expected a number"),
+    ("run", dict(_SWEEP, sweep={"theta": {"start": 0, "stop": 1}}),
+     "sweep.theta.count: required"),
+    ("run", dict(_SWEEP, sweep={"theta": {"start": 0, "stop": 1, "count": 0}}),
+     "sweep.theta.count: must lie in"),
+    ("run", dict(_SWEEP, sweep={"theta": [0.5, 3.5]}),
+     "sweep.theta must lie in [0, pi], got 3.5"),
+    ("run", dict(_SWEEP, sweep={"theta": {"start": 0, "stop": 3.5, "count": 3}}),
+     "sweep.theta must lie in [0, pi], got 3.5"),
+    ("run", dict(ideal_single(), label=5), "label: expected a string"),
+    ("compare", {"configs": ideal_single()}, "configs: expected a list"),
+    ("compare", {}, "configs: required"),
+    ("compare", None, "config: expected an object"),
+    ("compare", _compare(ideal_single(), ideal_single(), mistyped=1),
+     "config: unknown key(s) ['mistyped']"),
+    ("compare", _compare(ideal_single(), dict(ideal_single(), q=1)),
+     "configs[1]: unknown key(s) ['q']"),
+    ("compare", _compare(ideal_single(), dict(ideal_single(), model={"variant": "x"})),
+     "configs[1].model.variant: must be one of"),
+    ("compare", _compare(dict(ideal_single(), sweep={"phi": [0.0]}), ideal_single()),
+     "configs[0].input/sweep: exactly one"),
+    ("compare", _compare(ideal_single(), {"model": {"variant": "fiber"}}),
+     "configs[1].input/sweep: exactly one"),
+    ("compare", _compare(ideal_single(), dict(_SWEEP, sweep={"theta": [4.0]})),
+     "configs[1].sweep.theta must lie in [0, pi], got 4.0"),
+    ("compare", _compare(ideal_single(), dict(_SWEEP, sweep={"phi": "x"})),
+     "configs[1].sweep.phi: expected a number"),
+    ("optimize", dict(_FREE, mistyped=1), "config: unknown key(s) ['mistyped']"),
+    ("optimize", None, "config: expected an object"),
+    ("optimize", {"model": {"variant": "special_bs"}, "objective": "min_fidelity_gap"},
+     "free_parameters: required"),
+    ("optimize", dict(_FREE, input={"theta": 1.0, "psi": 0.0}),
+     "input: unknown key(s) ['psi']"),
+    ("optimize", dict(_FREE, free_parameters={"R0": [0.5]}),
+     "free_parameters.R0: expected a list of 2 values"),
+    ("optimize", dict(_FREE, output={"format": "xml"}),
+     "output.format must be 'csv' or 'json'"),
+])
+def test_malformed_documents_exit_2_naming_the_field(tmp_path, capsys, command,
+                                                     payload, named):
+    assert main([command, "--config", write_config(tmp_path, payload)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {named}")
+
+
+def test_unknown_command_and_missing_config_exit_2(tmp_path, capsys):
+    path = write_config(tmp_path, ideal_single())
+    for argv in (["bogus", "--config", path], ["run"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+def test_options_may_precede_the_command(tmp_path, capsys):
+    path = write_config(tmp_path, ideal_single())
+    assert main(["--config", path, "run"]) == 0
+    assert F_PC_10 in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("count", [26, 42, 51, 80, 83, 96, 101, 1000])
+@pytest.mark.parametrize("start, stop", [(0.0, math.pi), (math.pi, 0.0)])
+def test_a_range_between_the_poles_stays_in_the_theta_domain(count, start, stop):
+    # start + k * step rounds just past pi (ascending) or below 0 (descending)
+    # at these counts; such a value is put back on the pole it overshot
+    config = parse_experiment({"model": {"variant": "fiber"},
+                               "sweep": {"theta": {"start": start, "stop": stop,
+                                                   "count": count}}})
+    thetas = [qubit.theta for qubit in config.inputs]
+    step = (stop - start) / (count - 1)
+    assert thetas == [min(max(start + k * step, 0.0), math.pi) for k in range(count)]
+    assert thetas[0] == start and thetas[-1] == stop
+
+
+def test_a_range_keeps_its_values_inside_the_theta_domain():
+    # only values rounded out of [0, pi] move: in-domain overshoots stay as written
+    start, stop, count = 0.1, 2.9, 36
+    step = (stop - start) / (count - 1)
+    assert stop < start + (count - 1) * step < math.pi
+    config = parse_experiment({"model": {"variant": "fiber"},
+                               "sweep": {"theta": {"start": start, "stop": stop,
+                                                   "count": count},
+                                         "phi": {"start": -7.0, "stop": 7.0,
+                                                 "count": 3}}})
+    assert [q.theta for q in config.inputs[::3]] == [start + k * step
+                                                     for k in range(count)]
+    assert [q.phi for q in config.inputs[:3]] == [
+        (-7.0 + k * 7.0) % (2 * math.pi) for k in range(3)]
+
+
+def test_cli_runs_a_theta_range_from_pole_to_pole(tmp_path, capsys):
+    path = write_config(tmp_path, {
+        "model": {"variant": "special_bs"},
+        "sweep": {"theta": {"start": 0, "stop": math.pi, "count": 26}},
+    })
+    assert main(["sweep", "--config", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 27
+    assert lines[-1].startswith("3.141592654,0,")
+
+
 # ---------------------------------------------------------------------------
 # execution
 # ---------------------------------------------------------------------------
@@ -285,6 +419,31 @@ def test_cli_seed_override_changes_counts(tmp_path):
         ["montecarlo", "--config", path, "--seed", "4", "--out", str(out2)]
     ) == 0
     assert out1.read_bytes() != out2.read_bytes()
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("run", ideal_single()),
+    ("optimize", _FREE),
+    ("compare", _compare(ideal_single(), dict(ideal_single(), model={"variant": "fiber"}))),
+], ids=["run", "optimize", "compare"])
+def test_seed_without_a_counting_block_exits_2(tmp_path, capsys, command, payload):
+    path = write_config(tmp_path, payload)
+    assert main([command, "--config", path, "--seed", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: counting: --seed given but the configuration "
+                            "has no counting block\n")
+
+
+def test_compare_rejects_an_output_block_in_an_entry(tmp_path, capsys):
+    target = tmp_path / "entry.json"
+    entry = dict(ideal_single(), output={"format": "json", "path": str(target)})
+    path = write_config(tmp_path, _compare(ideal_single(), entry))
+    assert main(["compare", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: configs[1].output: ")
+    assert not target.exists()
 
 
 def test_cli_validation_failures_exit_2(tmp_path, capsys):
