@@ -17,11 +17,14 @@ draw runs row by row; a :func:`simulate_counts` call is the one-row batch.
 With jitter the probabilities change from trial to trial.  Each is a
 trigonometric polynomial in the phase error delta of the device's
 ``jitter_degree`` K, fixed by its values at 2K+1 nodes, so the device is
-evaluated once, at those nodes.  The kernel then takes each chunk of the
-jitter walk from the harmonics cos(k delta), sin(k delta) to the running
-sums of the registration probabilities in one matrix product and tallies
-one uniform draw per trial against them.  It holds one chunk of trials at a
-time, and its cost does not depend on the number of temporal sectors.
+evaluated once, at those nodes.  The kernel draws the jitter walk and one
+uniform per trial, chunk by chunk, and tallies each draw against the running
+sums of the registration probabilities.  The running sums share one ceiling
+over all delta, read off their coefficients, and a trial whose draw lies at
+or above it registers nothing: it is settled without the polynomial.  Only
+the other trials take the harmonics cos(k delta), sin(k delta) to their
+running sums in one matrix product.  The kernel holds one chunk of trials
+at a time, and its cost does not depend on the number of temporal sectors.
 
 Counts are sampled with a seeded generator and are reproducible; records
 holding different seeds merge by field-wise addition.
@@ -168,6 +171,26 @@ class CountingSetup:
     seed: int
     analysis: Union[Qubit, tuple, None] = None
 
+    def __post_init__(self):
+        _analysis_pair(self.analysis)
+
+
+def _analysis_pair(analysis):
+    """The analysis states (clone 1, clone 2) that ``analysis`` sets, or None.
+
+    ``analysis`` is None (each device's own analyzers), a :class:`Qubit` for
+    both clones or a pair of them, one per clone; anything else raises
+    ValueError.
+    """
+    if analysis is None:
+        return None
+    if isinstance(analysis, Qubit):
+        return analysis, analysis
+    if (isinstance(analysis, (tuple, list)) and len(analysis) == 2
+            and all(isinstance(a, Qubit) for a in analysis)):
+        return tuple(analysis)
+    raise ValueError(f"analysis must be a Qubit or a pair of Qubits, got {analysis!r}")
+
 
 def _analyzer_vectors(model: ClonerParams, inputs, analysis=None):
     """Click vectors (plus, minus) of each clone's analyzer, one row per input.
@@ -176,13 +199,12 @@ def _analyzer_vectors(model: ClonerParams, inputs, analysis=None):
     row takes the device's own analyzers for its input; a :class:`Qubit` sets
     both clones' analyzers, a pair of them one analyzer per clone.
     """
-    if analysis is None:
+    pair = _analysis_pair(analysis)
+    if pair is None:
         sides = [model.analyzer_bases(q) for q in inputs]
         return np.array([s[0] for s in sides]), np.array([s[1] for s in sides])
-    if isinstance(analysis, Qubit):
-        analysis = (analysis, analysis)
     return tuple(np.repeat(np.array(_standard_basis(a))[None], len(inputs), axis=0)
-                 for a in analysis)
+                 for a in pair)
 
 
 def _pattern_vectors(side1: np.ndarray, side2: np.ndarray) -> np.ndarray:
@@ -264,6 +286,19 @@ def _harmonics(delta: np.ndarray, degree: int) -> np.ndarray:
     return h.reshape(2 * degree + 2, -1)[1:]  # sin(0 delta) = 0 is left out
 
 
+def _ceiling(coefficients: np.ndarray, degree: int) -> float:
+    """An upper bound on every row of ``coefficients @ _harmonics(delta, degree)``.
+
+    Row k is c_0 + sum_j (s_j sin(j delta) + c_j cos(j delta)), and no pair of
+    terms exceeds hypot(s_j, c_j) for any delta.  The relative margin lies far
+    above the rounding error of evaluating the 2K+1 terms, so no computed
+    row exceeds the bound either.
+    """
+    sin, cos = coefficients[:, :degree], coefficients[:, degree:]
+    bound = np.abs(cos[:, 0]) + np.hypot(sin, cos[:, 1:]).sum(axis=1)
+    return float(bound.max()) * (1.0 + 1e-9)
+
+
 def _pattern_polynomials(model: ClonerParams, input: Qubit, overlap_M: float,
                          w: np.ndarray) -> np.ndarray:
     """Coefficients of the pattern probabilities as polynomials in the phase error.
@@ -305,8 +340,11 @@ def simulate_counts(
     probabilities p_j * eff_j, so each pattern count is a difference of the
     numbers of draws below consecutive running sums.  The running sums are
     polynomials in the phase error, like the p_j: their coefficients are
-    summed once, and each chunk of trials needs only its harmonics and one
-    (4 x 2K+1) @ (2K+1 x chunk) product.
+    summed once, and bound the sums by one ceiling (:func:`_ceiling`).  The
+    walk and the uniforms are drawn for every trial, in the same order, but
+    a draw at or above the ceiling lies above every running sum and
+    registers nothing.  Only the trials drawn below it need their harmonics
+    and one (4 x 2K+1) @ (2K+1 x hits) product.
     """
     _check_pairs(n_pairs)
     _check_seed(seed)
@@ -320,10 +358,13 @@ def simulate_counts(
     rng = np.random.default_rng(seq_outcome)
     coefficients = np.cumsum(
         _pattern_polynomials(model, input, noise.overlap_M, w) * eff[:, None], axis=0)
+    ceiling = _ceiling(coefficients, model.jitter_degree)
     below = np.zeros(4, dtype=np.int64)
     for phases in _jitter_walk(noise, seq_jitter, n_pairs):
-        reg = coefficients @ _harmonics(phases, model.jitter_degree)
-        below += np.count_nonzero(rng.random(phases.size) < reg, axis=1)
+        u = rng.random(phases.size)
+        hit = np.flatnonzero(u < ceiling)
+        reg = coefficients @ _harmonics(phases[hit], model.jitter_degree)
+        below += np.count_nonzero(u[hit] < reg, axis=1)
     counts = np.diff(below, prepend=0)
     return CoincidenceRecord(*counts.tolist(), n_pairs, seed)
 
@@ -351,10 +392,12 @@ def success_probability_estimate(record: CoincidenceRecord) -> float:
 
 
 def estimator_sigma(f_hat: float, c_sum: int) -> float:
-    """Binomial standard error of a fidelity estimate."""
+    """Binomial standard error of a fidelity estimate ``f_hat`` in [0, 1]."""
+    if not (math.isfinite(f_hat) and 0.0 <= f_hat <= 1.0):
+        raise ValueError(f"f_hat must be a finite fraction in [0, 1], got {f_hat!r}")
     if c_sum <= 0:
         raise ValueError("need at least one coincidence")
-    return math.sqrt(max(f_hat * (1.0 - f_hat), 0.0) / c_sum)
+    return math.sqrt(f_hat * (1.0 - f_hat) / c_sum)
 
 
 def balance_detectors(method: str, record_or_setup, detectors: DetectorBank):
@@ -365,9 +408,11 @@ def balance_detectors(method: str, record_or_setup, detectors: DetectorBank):
     ``add_loss``   -- attenuate every detector to the worst efficiency and
                       re-simulate (takes a CountingSetup);
     ``basis_swap`` -- measure the four patterns sequentially with the single
-                      (D1+, D2+) pair, cycling the analyzer settings, so the
-                      efficiency product cancels (takes a CountingSetup
-                      whose ``n_pairs`` is a multiple of 4).
+                      (D1+, D2+) pair, cycling each clone's analysis state
+                      and its orthogonal complement, so the efficiency
+                      product cancels (takes a CountingSetup whose
+                      ``n_pairs`` is a multiple of 4; without an analysis
+                      state both clones are analyzed in the input's basis).
 
     Returns unbiased ``(F1, F2)``; raises ``ValueError`` when no coincidence
     is registered.
@@ -405,14 +450,9 @@ def balance_detectors(method: str, record_or_setup, detectors: DetectorBank):
                 "basis_swap splits the trials evenly over four analyzer settings; "
                 f"n_pairs must be a multiple of 4, got {setup.n_pairs}"
             )
-        analysis = setup.analysis if isinstance(setup.analysis, Qubit) else setup.input
-        orth = analysis.orthogonal()
-        settings = (
-            (analysis, analysis),
-            (analysis, orth),
-            (orth, analysis),
-            (orth, orth),
-        )
+        a1, a2 = _analysis_pair(setup.analysis) or (setup.input, setup.input)
+        settings = [(s1, s2) for s1 in (a1, a1.orthogonal())
+                    for s2 in (a2, a2.orthogonal())]
         n_each = setup.n_pairs // 4
         seeds = np.random.SeedSequence(setup.seed).generate_state(4)
         counts = []

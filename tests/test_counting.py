@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cloner_strategies import CLASS_NAMES, OVERLAPS, PARAMS, QUBITS, VARIANTS
+from pcclone import counting as counting_module
 from pcclone import noise as noise_module
 from pcclone.cloners import (
     FiberParams,
@@ -26,7 +27,10 @@ from pcclone.counting import (
     CountingSetup,
     DetectorBank,
     _analyzer_vectors,
+    _ceiling,
     _count_static,
+    _harmonics,
+    _pattern_polynomials,
     _pattern_vectors,
     _static_pvals,
     balance_detectors,
@@ -258,6 +262,8 @@ def per_row_pvals(model, input, analysis, p_succ, rho, eff):
 
 ANALYSES = st.none() | QUBITS | st.tuples(QUBITS, QUBITS)
 ETAS = st.tuples(*[st.floats(0.3, 1.0)] * 4)
+#: efficiencies that include the edges, where whole patterns register nothing
+EDGE_ETAS = st.tuples(*[st.sampled_from([0.0, 1.0]) | st.floats(0.3, 1.0)] * 4)
 
 
 @settings(max_examples=40, deadline=None)
@@ -385,10 +391,11 @@ def test_simulate_counts_with_jitter_is_deterministic():
     assert f_jit[0] < f_clean[0]
 
 
-def whole_array_jitter_counts(model, noise, input, n_pairs, detectors, seed):
+def whole_array_jitter_counts(model, noise, input, n_pairs, detectors, seed,
+                              analysis=None):
     """Reference jitter kernel: stacked complex sector vectors for every trial,
     complex einsums to the pattern probabilities, then cumsum and argmax."""
-    w = _pattern_vectors(*_analyzer_vectors(model, [input]))[0]
+    w = _pattern_vectors(*_analyzer_vectors(model, [input], analysis))[0]
     eff = detectors.pattern_efficiencies()
     seq_jitter, seq_outcome = np.random.SeedSequence(seed).spawn(2)
     phases = sample_phase_jitter(noise, seq_jitter, n_pairs)
@@ -416,18 +423,21 @@ JITTERED = {
     period=st.integers(1, 400),
     n_pairs=st.integers(1, 3000),
     chunk=st.integers(1, 700),
-    etas=st.tuples(*[st.floats(0.3, 1.0)] * 4),
+    etas=EDGE_ETAS,
     theta=st.floats(0.3, 2.8),
     phi=st.floats(0.0, 2 * math.pi),
     seed=st.integers(0, 2**32 - 1),
+    analysis=ANALYSES,
 )
 def test_streamed_jitter_counts_equal_whole_array_kernel(
-    variant, overlap, sigma, period, n_pairs, chunk, etas, theta, phi, seed
+    variant, overlap, sigma, period, n_pairs, chunk, etas, theta, phi, seed, analysis
 ):
+    # the streamed kernel settles trials drawn above the ceiling without the
+    # polynomial; the reference evaluates every trial
     noise = NoiseConfig(overlap_M=overlap, phase_jitter_sigma=sigma,
                         jitter_reset_period=period)
     args = (JITTERED[variant], noise, Qubit(theta, phi), n_pairs,
-            DetectorBank(*etas), seed)
+            DetectorBank(*etas), seed, analysis)
     with mock.patch.object(noise_module, "_CHUNK", chunk):
         record = simulate_counts(*args)
     assert np.array_equal(record.counts(), whole_array_jitter_counts(*args))
@@ -443,6 +453,72 @@ def test_streamed_jitter_counts_equal_whole_array_kernel_across_chunks(variant, 
             DetectorBank(0.9, 0.75, 0.85, 0.95), 14)
     assert np.array_equal(simulate_counts(*args).counts(),
                           whole_array_jitter_counts(*args))
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), input=QUBITS, analysis=ANALYSES, etas=EDGE_ETAS)
+@pytest.mark.parametrize("partial", [False, True], ids=["M=1", "M<1"])
+@pytest.mark.parametrize("variant", sorted(JITTERED))
+def test_ceiling_bounds_every_running_sum(variant, partial, data, input, analysis, etas):
+    model = data.draw(PARAMS[variant])
+    overlap = data.draw(st.floats(0.0, 0.999)) if partial else 1.0
+    degree = model.jitter_degree
+    w = _pattern_vectors(*_analyzer_vectors(model, [input], analysis))[0]
+    eff = DetectorBank(*etas).pattern_efficiencies()
+    coefficients = np.cumsum(
+        _pattern_polynomials(model, input, overlap, w) * eff[:, None], axis=0)
+    n = 2 * degree + 1
+    delta = np.concatenate([
+        np.linspace(-2.0 * np.pi, 2.0 * np.pi, 8001),
+        2.0 * np.pi * np.arange(n) / n,
+        [1e3, -7.5e4, 123456.789, -3e9, 1e15, 14e300, -14e300],
+    ])
+    reg = coefficients @ _harmonics(delta, degree)
+    assert np.all(reg <= _ceiling(coefficients, degree))
+
+
+def test_ceiling_settles_most_trials_without_the_polynomial():
+    # with half-efficient detectors the ideal Mach-Zehnder's running sums,
+    # and so its ceiling, stay near 1/8: only the trials drawn below the
+    # ceiling reach the polynomial
+    n_pairs = 3 * _CHUNK + 5
+    args = (MachZehnderParams.ideal(), JITTER, EQ, n_pairs, DetectorBank.uniform(0.5), 9)
+    with mock.patch.object(counting_module, "_harmonics",
+                           wraps=counting_module._harmonics) as harmonics:
+        record = simulate_counts(*args)
+    assert harmonics.call_count == 4
+    seen = sum(call.args[0].size for call in harmonics.call_args_list)
+    assert 0 < seen <= 0.2 * n_pairs
+    assert np.array_equal(record.counts(), whole_array_jitter_counts(*args))
+
+
+@pytest.mark.parametrize("variant", sorted(JITTERED))
+def test_zero_efficiency_jitter_run_counts_nothing(variant):
+    n_pairs = 2 * _CHUNK + 7
+    with mock.patch.object(counting_module, "_harmonics",
+                           wraps=counting_module._harmonics) as harmonics:
+        record = simulate_counts(JITTERED[variant], JITTER, EQ, n_pairs,
+                                 DetectorBank.uniform(0.0), 5)
+    assert record == CoincidenceRecord(0, 0, 0, 0, n_pairs, 5)
+    assert [call.args[0].size for call in harmonics.call_args_list] == [0, 0, 0]
+
+
+BAD_ANALYSES = [(EQ,), (EQ, EQ, EQ), "equator", (EQ, "equator"), 0.5]
+
+
+@pytest.mark.parametrize("analysis", BAD_ANALYSES,
+                         ids=["1-tuple", "3-tuple", "string", "pair-of-other", "number"])
+def test_malformed_analysis_is_a_value_error(analysis):
+    match = "analysis must be a Qubit or a pair of Qubits, got"
+    model = MachZehnderParams.ideal()
+    for noise in (NOISELESS, JITTER):
+        with pytest.raises(ValueError, match=match):
+            simulate_counts(model, noise, EQ, 100, DetectorBank(), 0, analysis)
+    with pytest.raises(ValueError, match=match):
+        _count_static(model, [EQ], 100, DetectorBank(), [0],
+                      run_model_batch(model, [EQ]), analysis)
+    with pytest.raises(ValueError, match=match):
+        CountingSetup(model, NOISELESS, EQ, 100, 0, analysis)
 
 
 def test_jitter_kernel_memory_does_not_grow_with_n_pairs():
@@ -472,6 +548,20 @@ def test_fiber_detection_ratio_biases_estimates():
 # ---------------------------------------------------------------------------
 # estimators
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("f_hat", [1.5, -0.1, 1.0 + 1e-12, math.nan, math.inf])
+def test_estimator_sigma_rejects_impossible_estimates(f_hat):
+    with pytest.raises(ValueError, match="f_hat must be a finite fraction"):
+        estimator_sigma(f_hat, 10)
+
+
+def test_estimator_sigma_edges():
+    assert estimator_sigma(0.0, 10) == 0.0
+    assert estimator_sigma(1.0, 10) == 0.0
+    assert estimator_sigma(0.5, 100) == 0.05
+    with pytest.raises(ValueError, match="coincidence"):
+        estimator_sigma(0.5, 0)
+
 
 def test_fidelity_from_counts_trivial_cases():
     assert fidelity_from_counts(CoincidenceRecord(100, 0, 0, 0, 100, 0)) == (1.0, 1.0)
@@ -536,13 +626,15 @@ def test_basis_swap_restores_fidelity():
     assert abs(f2 - F_PC) < 4 * sigma
 
 
+@pytest.mark.parametrize("analysis", [None, (EQ, Qubit(1.1, 0.4))], ids=["input", "pair"])
 @pytest.mark.parametrize("seed", [1, 2])
-def test_methods_agree_pairwise_for_general_banks(seed):
+def test_methods_agree_pairwise_for_general_banks(seed, analysis):
+    # with a pair, clone 2 is analyzed off the input (F2 ~ 0.904, F1 ~ F_PC)
     rng = np.random.default_rng(seed)
     bank = DetectorBank(*rng.uniform(0.5, 1.0, size=4))
     n = 10**6
-    setup = CountingSetup(IDEAL, NOISELESS, EQ, n, seed=seed)
-    record = simulate_counts(IDEAL, NOISELESS, EQ, n, bank, seed=seed)
+    setup = CountingSetup(IDEAL, NOISELESS, EQ, n, seed=seed, analysis=analysis)
+    record = simulate_counts(IDEAL, NOISELESS, EQ, n, bank, seed=seed, analysis=analysis)
     estimates = {
         "rescale": balance_detectors("rescale", record, bank),
         "add_loss": balance_detectors("add_loss", setup, bank),
