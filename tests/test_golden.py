@@ -30,6 +30,10 @@ CASES = {
     "montecarlo_fiber_jitter_hom": ("montecarlo", []),
     "montecarlo_mach_zehnder_chunks": ("montecarlo", []),
     "montecarlo_fiber_long_period": ("montecarlo", []),
+    # R0 = 1 with two dead detectors: empty F1_hat/F2_hat cells, integer-valued
+    # and tiny floats, in both formats
+    "montecarlo_special_bs_empty": ("montecarlo", []),
+    "montecarlo_special_bs_empty_json": ("montecarlo", ["--format", "json"]),
     "compare_variants": ("compare", ["--seed", "9"]),
     "optimize_hybrid_gap": ("optimize", []),
     "optimize_mach_zehnder_avg": ("optimize", []),
