@@ -25,11 +25,9 @@ from .cloners import (
     F_SEMICLASSICAL,
     F_UNIVERSAL,
     R_OPTIMAL,
-    analyzer_projection,
     circuit_joint_state,
     ideal_clone_report,
     ideal_pc_map,
-    mz_splitting,
     run_model,
     run_model_batch,
     theoretical_limits,

@@ -71,12 +71,12 @@ def _reseed(configs, seed):
     )
 
 
-def _emit(rows, args, output):
-    """Write ``rows`` as the output block says, after --out and --format."""
+def _emit(columns, args, output):
+    """Write result ``columns`` as the output block says, after --out and --format."""
     overrides = {"path": args.out, "format": args.format}
     output = _read(OutputOptions, {k: v for k, v in overrides.items() if v is not None},
                    "output", base=output or OutputOptions())
-    _write_output(output.path, render_rows(rows, output.format))
+    _write_output(output.path, render_rows(columns, output.format))
 
 
 def cmd_experiment(args):
@@ -104,16 +104,16 @@ def cmd_optimize(args):
     except ValueError as exc:
         raise ConfigError(f"optimize: {exc}") from exc
 
-    row = {
-        "objective": config.objective,
-        "objective_value": result.objective_value,
-        "F1": result.report.F1,
-        "F2": result.report.F2,
-        "P_succ": result.report.P_succ,
+    columns = {
+        "objective": [config.objective],
+        "objective_value": [result.objective_value],
+        "F1": [result.report.F1],
+        "F2": [result.report.F2],
+        "P_succ": [result.report.P_succ],
     }
     for name in config.free_parameters:
-        row[name] = getattr(result.params, name)
-    _emit([row], args, config.output)
+        columns[name] = [getattr(result.params, name)]
+    _emit(columns, args, config.output)
 
 
 #: command -> (handler, the line ``--help`` shows for it)

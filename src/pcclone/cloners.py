@@ -274,11 +274,6 @@ class MachZehnderParams(_Splitter, variant="mach_zehnder"):
                 self.phase_offset_r0, self.phase_offset_r1)
 
 
-def mz_splitting(theta_V: float, theta_H: float):
-    """Effective intensity reflectances (R_V, R_H) = (sin^2, sin^2)."""
-    return math.sin(theta_V) ** 2, math.sin(theta_H) ** 2
-
-
 @dataclass(frozen=True)
 class HybridParams(ClonerParams, variant="hybrid"):
     """Photon bunching on a balanced splitter followed by state filtering.
@@ -536,14 +531,6 @@ class CloneBatch(NamedTuple):
     F2: np.ndarray
     joint: np.ndarray
 
-    def rows(self) -> list[tuple]:
-        """(F1, F2, P_succ) per input as floats; empty rows give F1 = F2 = None."""
-        return [
-            (None, None, 0.0) if p <= 0.0 else (f1, f2, p)
-            for f1, f2, p in zip(self.F1.tolist(), self.F2.tolist(),
-                                 self.P_succ.tolist())
-        ]
-
 
 def run_model_batch(params: ClonerParams, inputs, overlap_M: float = 1.0) -> CloneBatch:
     """The closed-form kernel: many inputs at ancilla overlap ``overlap_M``.
@@ -623,12 +610,3 @@ def run_model(params: ClonerParams, input: Qubit,
         joint, p = circuit_joint_state(params, input)
         return CloneReport.from_joint(joint, p, input)
     raise ValueError(f"via must be 'closed_form' or 'circuit', got {via!r}")
-
-
-def analyzer_projection(report: CloneReport, which_port: Port,
-                        analysis: Qubit) -> float:
-    """Probability that the given clone passes a projection onto ``analysis``."""
-    if report.is_empty:
-        raise ValueError("cannot project an empty report")
-    rho = report.rho1 if which_port == Port.OUT1 else report.rho2
-    return fidelity(rho, analysis)

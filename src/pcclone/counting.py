@@ -411,8 +411,12 @@ def balance_detectors(method: str, record_or_setup, detectors: DetectorBank):
                       (D1+, D2+) pair, cycling each clone's analysis state
                       and its orthogonal complement, so the efficiency
                       product cancels (takes a CountingSetup whose
-                      ``n_pairs`` is a multiple of 4; without an analysis
-                      state both clones are analyzed in the input's basis).
+                      ``n_pairs`` is a multiple of 4).  Without an analysis
+                      state both clones are analyzed in the input's basis;
+                      when the device's own analyzers (``analyzer_bases``)
+                      measure in another basis, as a fiber device's
+                      equatorial detection blocks can, it raises
+                      ``ValueError`` and asks for an explicit analysis.
 
     Returns unbiased ``(F1, F2)``; raises ``ValueError`` when no coincidence
     is registered.
@@ -450,7 +454,16 @@ def balance_detectors(method: str, record_or_setup, detectors: DetectorBank):
                 "basis_swap splits the trials evenly over four analyzer settings; "
                 f"n_pairs must be a multiple of 4, got {setup.n_pairs}"
             )
-        a1, a2 = _analysis_pair(setup.analysis) or (setup.input, setup.input)
+        pair = _analysis_pair(setup.analysis)
+        if pair is None:
+            # each click vector of the device must be the input basis's, up to a phase
+            own = np.array(setup.model.analyzer_bases(setup.input))
+            overlaps = np.einsum("sij,ij->si", own.conj(), _standard_basis(setup.input))
+            if not np.allclose(np.abs(overlaps), 1.0, rtol=0.0, atol=1e-9):
+                raise ValueError("basis_swap: the device's own analyzers do not measure "
+                                 "in the input's basis; give an explicit analysis")
+            pair = setup.input, setup.input
+        a1, a2 = pair
         settings = [(s1, s2) for s1 in (a1, a1.orthogonal())
                     for s2 in (a2, a2.orthogonal())]
         n_each = setup.n_pairs // 4

@@ -37,27 +37,32 @@ frozen dataclass.  Model variants are ``ClonerParams.variants``; their fields
 * ``fiber``:        R_vrc0, R_vrc1, analysis_phases, detection_ratio_1,
                     detection_ratio_2
 
-Numeric output uses 10 significant digits; identical configuration and seed
-produce byte-identical files.
-
 Fields are checked when the configuration is read.  One
 :func:`run_model_batch` call per configuration evaluates every row at any
 ``overlap_M``.  Static counting rows are counted in one further batch call,
 which takes every row's registration probabilities from its joint states
 and leaves one seeded multinomial draw per row; rows under phase jitter
 each run their own jitter walk.
+
+Results are columns: :func:`run_experiment` and :func:`compare_experiments`
+return a mapping from column name to a list with one entry per row.
+:func:`render_rows` formats each column once and fills one row template.
+Numbers keep 10 significant digits: a float prints as ``"%.10g" % x`` in
+CSV and as ``repr(float("%.10g" % x))`` in JSON.  Identical configuration
+and seed produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import re
 import types
 from dataclasses import dataclass, replace
-from typing import Annotated, Any, get_args, get_origin, get_type_hints
+from typing import Annotated, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -346,48 +351,53 @@ def _row_seeds(seed: int, n_rows: int) -> list[int]:
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(n_rows)]
 
 
-def run_experiment(config: ExperimentConfig) -> list[dict]:
-    """One result row per input state, in sweep order."""
-    rows = []
+def run_experiment(config: ExperimentConfig) -> dict[str, list]:
+    """Columns theta, phi, F1, F2, P_succ (and, counted, C_pp, C_pm, C_mp,
+    C_mm, F1_hat, F2_hat, P_hat), one entry per input state in sweep order.
+    An empty row has fidelities None, a row without coincidences estimates None.
+    """
+    inputs = config.inputs
     counting = config.counting
-    batch = run_model_batch(config.model, config.inputs, config.noise.overlap_M)
+    batch = run_model_batch(config.model, inputs, config.noise.overlap_M)
+    fidelities = batch.F1.tolist(), batch.F2.tolist()
+    for i in np.flatnonzero(batch.P_succ <= 0.0).tolist():
+        fidelities[0][i] = fidelities[1][i] = None
+    columns = {
+        "theta": [q.theta for q in inputs],
+        "phi": [q.phi for q in inputs],
+        "F1": fidelities[0],
+        "F2": fidelities[1],
+        "P_succ": batch.P_succ.tolist(),
+    }
     if counting:
-        seeds = _row_seeds(counting.seed, len(config.inputs))
+        seeds = _row_seeds(counting.seed, len(inputs))
         if jittered(config.model, config.noise):
             records = [simulate_counts(config.model, config.noise, qubit,
                                        counting.n_pairs, counting.detectors, seed)
-                       for qubit, seed in zip(config.inputs, seeds)]
+                       for qubit, seed in zip(inputs, seeds)]
         else:
-            records = _count_static(config.model, config.inputs, counting.n_pairs,
+            records = _count_static(config.model, inputs, counting.n_pairs,
                                     counting.detectors, seeds, batch)
-    for index, (qubit, (f1, f2, p_succ)) in enumerate(zip(config.inputs, batch.rows())):
-        row: dict[str, Any] = {
-            "theta": qubit.theta,
-            "phi": qubit.phi,
-            "F1": f1,
-            "F2": f2,
-            "P_succ": p_succ,
-        }
-        if counting:
-            record = records[index]
-            estimates = fidelity_from_counts(record)
-            row.update(
-                {
-                    "C_pp": record.c_pp,
-                    "C_pm": record.c_pm,
-                    "C_mp": record.c_mp,
-                    "C_mm": record.c_mm,
-                    "F1_hat": None if estimates is None else estimates[0],
-                    "F2_hat": None if estimates is None else estimates[1],
-                    "P_hat": success_probability_estimate(record),
-                }
-            )
-        rows.append(row)
-    return rows
+        estimates = [fidelity_from_counts(r) or (None, None) for r in records]
+        columns.update({
+            **{name: [getattr(r, name.lower()) for r in records]
+               for name in ("C_pp", "C_pm", "C_mp", "C_mm")},
+            "F1_hat": [e[0] for e in estimates],
+            "F2_hat": [e[1] for e in estimates],
+            "P_hat": [success_probability_estimate(r) for r in records],
+        })
+    return columns
 
 
-def compare_experiments(configs: list[ExperimentConfig]) -> list[dict]:
-    """One summary row per labeled configuration."""
+def _mean(values):
+    """The mean of the entries that are not None, in order; None if there are none."""
+    present = [v for v in values if v is not None]
+    return sum(present) / len(present) if present else None
+
+
+def compare_experiments(configs: list[ExperimentConfig]) -> dict[str, list]:
+    """Columns label, F1_mean, F2_mean, P_succ (the mean over rows) and
+    rate_proxy (the mean P_hat, None uncounted), one entry per configuration."""
     if len(configs) < 2:
         raise ConfigError("configs: compare needs at least 2 configurations")
     labels = [c.label for c in configs]
@@ -395,82 +405,72 @@ def compare_experiments(configs: list[ExperimentConfig]) -> list[dict]:
         raise ConfigError("configs: every compared configuration needs a label")
     if len(set(labels)) != len(labels):
         raise ConfigError(f"configs: duplicate labels {sorted(labels)}")
-    summary = []
-    for config in configs:
-        rows = run_experiment(config)
-        f1 = [r["F1"] for r in rows if r["F1"] is not None]
-        f2 = [r["F2"] for r in rows if r["F2"] is not None]
-        p = [r["P_succ"] for r in rows]
-        row: dict[str, Any] = {
-            "label": config.label,
-            "F1_mean": sum(f1) / len(f1) if f1 else None,
-            "F2_mean": sum(f2) / len(f2) if f2 else None,
-            "P_succ": sum(p) / len(p) if p else None,
-            "rate_proxy": None,
-        }
-        if config.counting:
-            proxies = [r["P_hat"] for r in rows]
-            row["rate_proxy"] = sum(proxies) / len(proxies)
-        summary.append(row)
-    return summary
+    means = [[_mean(result.get(name, ())) for name in ("F1", "F2", "P_succ", "P_hat")]
+             for result in map(run_experiment, configs)]
+    return dict(zip(("label", "F1_mean", "F2_mean", "P_succ", "rate_proxy"),
+                    [labels, *map(list, zip(*means))]))
 
 
 # ---------------------------------------------------------------------------
 # emission
 # ---------------------------------------------------------------------------
 
-def format_number(value) -> str:
+def _cell(value, fmt: str) -> str:
+    """One cell: None is empty (null), a string and an integer print as
+    themselves and anything else as a float of 10 significant digits."""
     if value is None:
-        return ""
+        return "" if fmt == "csv" else "null"
+    if isinstance(value, str):
+        return value if fmt == "csv" else json.dumps(value)
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return "%.10g" % float(value)
+    text = "%.10g" % float(value)
+    return text if fmt == "csv" else json.dumps(float(text))
 
 
-def _rounded(value):
-    if value is None or isinstance(value, (str, int, np.integer)):
-        return int(value) if isinstance(value, np.integer) else value
-    return float("%.10g" % float(value))
+def _fixed_point(values) -> bool:
+    """Whether every float prints with ``"%.10g"`` as its JSON number does.
+
+    A magnitude of at least 1e-4 that lies farther than 1e-9 of itself from
+    every integer (so finite, below 5e8) prints in fixed point with a
+    fraction at 10 digits, and parses to a normal float whose ``repr`` has
+    the same digits: no two decimals of at most 15 digits parse to one float.
+    """
+    a = np.abs(np.array(values, dtype=float))
+    fraction = np.modf(a)[0]
+    return bool(((a >= 1e-4) & (np.minimum(fraction, 1.0 - fraction) > 1e-9 * a)).all())
 
 
-def render_rows(rows: list[dict], fmt: str) -> str:
-    """Serialize result rows; numeric precision is 10 significant digits."""
-    if not rows:
-        raise ValueError("no rows to render")
-    columns = list(rows[0].keys())
+def _column(values, fmt: str) -> tuple[str, list]:
+    """The row-template field of one column and the values it formats."""
+    types = set(map(type, values))
+    if all(issubclass(t, float) for t in types) and (fmt == "csv" or _fixed_point(values)):
+        return "%.10g", values
+    if all(issubclass(t, (int, np.integer)) for t in types):
+        return "%d", values
+    return "%s", [_cell(v, fmt) for v in values]
+
+
+def render_rows(columns: dict, fmt: str) -> str:
+    """CSV rows or a JSON array of row objects from ``columns``, a mapping
+    from column name to its list (or array) of values, one per row.
+
+    Each column is formatted once, into one row template.  A float prints
+    as ``"%.10g" % x`` in CSV and ``repr(float("%.10g" % x))`` in JSON
+    (``Infinity``, ``NaN`` when not finite); None is empty or ``null``.
+    """
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
+    lengths = {len(values) for values in columns.values()}
+    if len(lengths) != 1 or 0 in lengths:
+        raise ValueError(f"columns must hold one or more rows, all as many; "
+                         f"got lengths {sorted(lengths)}")
+    fields, cells = zip(*[_column(values, fmt) for values in columns.values()])
+    flat = tuple(itertools.chain.from_iterable(zip(*cells)))
+    (n,) = lengths
     if fmt == "csv":
-        lines = [",".join(columns)]
-        for row in rows:
-            lines.append(
-                ",".join(
-                    str(v) if isinstance(v, str) else format_number(v)
-                    for v in (row[c] for c in columns)
-                )
-            )
-        return "\n".join(lines) + "\n"
-    if fmt == "json":
-        payload = [{c: _rounded(row[c]) for c in columns} for row in rows]
-        return json.dumps(payload, indent=2) + "\n"
-    raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
-
-
-def parse_rows(text: str, fmt: str) -> list[dict]:
-    """Inverse of :func:`render_rows` (numbers come back as floats/ints)."""
-    if fmt == "json":
-        return json.loads(text)
-    lines = [line for line in text.splitlines() if line]
-    header = lines[0].split(",")
-    rows = []
-    for line in lines[1:]:
-        row = {}
-        for key, cell in zip(header, line.split(",")):
-            if cell == "":
-                row[key] = None
-            elif key in ("label",):
-                row[key] = cell
-            elif key.startswith("C_") or key in ("n_pairs", "seed"):
-                row[key] = int(cell)
-            else:
-                row[key] = float(cell)
-        rows.append(row)
-    return rows
+        return ",".join(columns) + "\n" + (",".join(fields) + "\n") * n % flat
+    row = "  {\n" + ",\n".join(
+        f"    {json.dumps(name).replace('%', '%%')}: {field}"
+        for name, field in zip(columns, fields)) + "\n  }"
+    return "[\n" + ",\n".join([row] * n) % flat + "\n]\n"

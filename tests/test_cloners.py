@@ -17,18 +17,16 @@ from pcclone.cloners import (
     HybridParams,
     MachZehnderParams,
     SpecialBSParams,
-    analyzer_projection,
     circuit_joint_state,
     conditional_sector_vectors,
     ideal_clone_report,
     ideal_pc_map,
-    mz_splitting,
     run_model,
     run_model_batch,
     theoretical_limits,
 )
 from pcclone.compensation import _float_fields
-from pcclone.fock import Port, Qubit, check_density, fidelity
+from pcclone.fock import Qubit, check_density, fidelity
 
 F_PC = 0.8535533905932737
 EQ = Qubit.equatorial(0.0)
@@ -155,12 +153,18 @@ def test_special_bs_parameter_validation():
 # Mach-Zehnder emulation
 # ---------------------------------------------------------------------------
 
-def test_mz_splitting_values():
-    assert mz_splitting(math.pi / 4, math.pi / 4)[0] == pytest.approx(0.5, abs=1e-12)
-    assert mz_splitting(math.pi / 2, 0.0) == (pytest.approx(1.0), pytest.approx(0.0))
+@pytest.mark.parametrize("theta_V", [math.pi / 4, 0.9, 1.3])
+def test_mz_splits_like_a_reflectance_of_sin_squared(theta_V):
+    # with theta_H = theta_V + pi/2 the interferometer is the special splitter
+    # with R0 = sin^2(theta_V) and R1 = sin^2(theta_H) = 1 - R0
+    mz = MachZehnderParams(theta_V=theta_V, theta_H=theta_V + math.pi / 2)
+    bs = SpecialBSParams(R0=math.sin(theta_V) ** 2)
+    for q in (EQ, Qubit(0.7, 2.1)):
+        a, b = run_model(mz, q), run_model(bs, q)
+        assert (a.F1, a.F2, a.P_succ) == pytest.approx((b.F1, b.F2, b.P_succ), abs=1e-12)
     theta_opt = math.asin(math.sqrt(R_OPTIMAL))
     assert theta_opt == pytest.approx(1.093138017732642, abs=1e-9)
-    assert mz_splitting(theta_opt, 0.0)[0] == pytest.approx(R_OPTIMAL, abs=1e-12)
+    assert MachZehnderParams.ideal().theta_V == pytest.approx(theta_opt, abs=1e-12)
 
 
 def test_mz_ideal_matches_special_bs():
@@ -302,9 +306,9 @@ def test_fiber_79_21_splitting():
 def test_fiber_matched_analyzer_is_maximal():
     q = Qubit.equatorial(1.7)
     report = run_model(FiberParams.ideal(), q)
-    matched = analyzer_projection(report, Port.OUT1, Qubit.equatorial(q.phi))
+    matched = fidelity(report.rho1, Qubit.equatorial(q.phi))
     for phi_m in np.linspace(0.0, 2 * math.pi, 24, endpoint=False):
-        other = analyzer_projection(report, Port.OUT1, Qubit.equatorial(phi_m))
+        other = fidelity(report.rho1, Qubit.equatorial(phi_m))
         assert other <= matched + 1e-12
     assert matched == pytest.approx(F_PC, abs=1e-10)
 
@@ -398,11 +402,12 @@ def assert_stack_matches_run_model(model, names, candidates, qubit):
 
 def assert_rows_equal(batch, reports):
     """Every batch row bit-identical to its scalar report."""
-    for (f1, f2, p), joint, report in zip(batch.rows(), batch.joint, reports,
-                                          strict=True):
+    for f1, f2, p, joint, report in zip(batch.F1.tolist(), batch.F2.tolist(),
+                                        batch.P_succ.tolist(), batch.joint, reports,
+                                        strict=True):
         assert p == report.P_succ
         if report.is_empty:
-            assert (f1, f2) == (None, None)
+            assert math.isnan(f1) and math.isnan(f2)
             continue
         assert (f1, f2) == (report.F1, report.F2)
         assert np.array_equal(joint, report.joint.rho)
@@ -453,11 +458,14 @@ def test_batch_zero_success_rows_are_empty():
     blocked = SpecialBSParams(comp_loss_r0=0.0, comp_loss_r1=0.0)
     qubits = [Qubit(0.3, 0.1), EQ, Qubit(math.pi, 0.0)]
     assert all(run_model(blocked, q).is_empty for q in qubits)
-    assert run_model_batch(blocked, qubits).rows() == [(None, None, 0.0)] * 3
+    batch = run_model_batch(blocked, qubits)
+    assert batch.P_succ.tolist() == [0.0] * 3
+    assert np.isnan(batch.F1).all() and np.isnan(batch.F2).all()
     # a 50:50 splitter cancels only the |0> input: one empty row in the batch
-    rows = run_model_batch(SpecialBSParams(R0=0.5), [Qubit(0.0, 0.0), EQ]).rows()
-    assert rows[0] == (None, None, 0.0)
-    assert rows[1][2] == pytest.approx(run_model(SpecialBSParams(R0=0.5), EQ).P_succ)
+    batch = run_model_batch(SpecialBSParams(R0=0.5), [Qubit(0.0, 0.0), EQ])
+    assert batch.P_succ[0] == 0.0 and np.isnan([batch.F1[0], batch.F2[0]]).all()
+    assert batch.P_succ[1] == pytest.approx(run_model(SpecialBSParams(R0=0.5), EQ).P_succ)
+    assert not np.isnan([batch.F1[1], batch.F2[1]]).any()
 
 
 def test_stacked_validator_rejects_one_bad_matrix():

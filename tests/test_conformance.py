@@ -169,9 +169,9 @@ def test_a_new_device_is_one_class(monkeypatch, tmp_path, capsys):
                                "input": {"theta": 1.0, "phi": 0.4}})
     assert config.model == ProbeParams(R=0.6)
     reference = run_model(SpecialBSParams(R0=0.6), config.inputs[0])
-    row = run_experiment(config)[0]
-    assert (row["F1"], row["F2"], row["P_succ"]) == pytest.approx(
-        (reference.F1, reference.F2, reference.P_succ), abs=1e-12)
+    columns = run_experiment(config)
+    assert columns["F1"] + columns["F2"] + columns["P_succ"] == pytest.approx(
+        [reference.F1, reference.F2, reference.P_succ], abs=1e-12)
     with pytest.raises(ConfigError, match="model.R: expected a number"):
         parse_model({"variant": "probe", "R": "high"})
     with pytest.raises(ConfigError, match="unknown key"):
@@ -208,7 +208,7 @@ def test_readme_python_blocks_run():
     # the quick start runs as written, so a renamed API cannot leave it stale
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
-    assert len(blocks) == 3
+    assert len(blocks) == 4
     namespace = {}
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)

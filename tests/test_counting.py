@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -11,6 +12,7 @@ from cloner_strategies import CLASS_NAMES, OVERLAPS, PARAMS, QUBITS, VARIANTS
 from pcclone import counting as counting_module
 from pcclone import noise as noise_module
 from pcclone.cloners import (
+    ClonerParams,
     FiberParams,
     HybridParams,
     MachZehnderParams,
@@ -671,6 +673,45 @@ def test_balance_rejects_bad_arguments():
     with pytest.raises(ValueError, match="method"):
         balance_detectors("other", CoincidenceRecord(1, 1, 1, 1, 10, 0),
                           DetectorBank())
+
+
+def test_basis_swap_refuses_a_device_analyzed_off_the_input_basis():
+    # the fiber's detection blocks sit at analysis_phases, not at the input:
+    # rescale and add_loss read (~0.716, ~0.352) through them, while cycling
+    # the input's basis would report ~(0.854, 0.851) for the same device
+    model = FiberParams(analysis_phases=(0.9, 2.0))
+    bank = DetectorBank(0.9, 0.8, 0.7, 0.6)
+    n = 400_000
+    setup = CountingSetup(model, NOISELESS, EQ, n, seed=5)
+    record = simulate_counts(model, NOISELESS, EQ, n, bank, seed=5)
+    sigma = estimator_sigma(0.5, int(n / 3 * 0.36))
+    for estimates in (balance_detectors("rescale", record, bank),
+                      balance_detectors("add_loss", setup, bank)):
+        assert estimates == pytest.approx((0.716, 0.352), abs=6 * sigma + 1e-3)
+    with pytest.raises(ValueError, match="explicit analysis"):
+        balance_detectors("basis_swap", setup, bank)
+    with pytest.raises(ValueError, match="explicit analysis"):
+        balance_detectors("basis_swap", CountingSetup(FiberParams(), NOISELESS,
+                                                      Qubit(1.0, 0.3), n, seed=5), bank)
+    pair = (Qubit.equatorial(0.9), Qubit.equatorial(2.0))
+    swapped = balance_detectors("basis_swap", replace(setup, analysis=pair), bank)
+    assert swapped == pytest.approx((0.716, 0.352), abs=6 * sigma + 1e-3)
+
+
+@pytest.mark.parametrize("variant", sorted(ClonerParams.variants))
+def test_basis_swap_runs_on_every_ideal_device(variant):
+    model = ClonerParams.variants[variant].ideal()
+    bank = DetectorBank(0.9, 0.8, 0.7, 0.6)
+    n = 400_000
+    inputs = [EQ, Qubit.equatorial(2.2)] + ([] if variant == "fiber" else [Qubit(0.8, 1.0)])
+    for q in inputs:
+        setup = CountingSetup(model, NOISELESS, q, n, seed=3)
+        record = simulate_counts(model, NOISELESS, q, n, bank, seed=3)
+        p = run_model(model, q).P_succ
+        sigma = estimator_sigma(F_PC, int(n * p * 0.36 / 4))
+        swapped = balance_detectors("basis_swap", setup, bank)
+        rescaled = balance_detectors("rescale", record, bank)
+        assert swapped == pytest.approx(rescaled, abs=6 * sigma)
 
 
 def test_basis_swap_rejects_trials_not_divisible_by_four():

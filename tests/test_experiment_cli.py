@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pcclone.cli import main
 from pcclone.cloners import ClonerParams, run_model
@@ -17,10 +19,10 @@ from pcclone.experiment import (
     _row_seeds,
     compare_experiments,
     parse_experiment,
-    parse_rows,
     render_rows,
     run_experiment,
 )
+from row_text import as_rows, parse_rows, render_row_dicts
 
 F_PC_10 = "0.8535533906"
 
@@ -236,11 +238,11 @@ def test_cli_runs_a_theta_range_from_pole_to_pole(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 def test_run_single_ideal_row():
-    rows = run_experiment(parse_experiment(ideal_single()))
-    assert len(rows) == 1
-    assert rows[0]["F1"] == pytest.approx(0.8535533905932737, abs=1e-9)
-    assert rows[0]["P_succ"] == pytest.approx(1.0 / 3.0, abs=1e-9)
-    assert "C_pp" not in rows[0]
+    columns = run_experiment(parse_experiment(ideal_single()))
+    assert list(columns) == ["theta", "phi", "F1", "F2", "P_succ"]
+    assert all(len(values) == 1 for values in columns.values())
+    assert columns["F1"][0] == pytest.approx(0.8535533905932737, abs=1e-9)
+    assert columns["P_succ"][0] == pytest.approx(1.0 / 3.0, abs=1e-9)
 
 
 def test_phase_sweep_is_flat_for_ideal_fiber():
@@ -248,9 +250,8 @@ def test_phase_sweep_is_flat_for_ideal_fiber():
         "model": {"variant": "fiber"},
         "sweep": {"phi": {"start": 0.0, "stop": 6.2, "count": 32}},
     }
-    rows = run_experiment(parse_experiment(config))
-    assert len(rows) == 32
-    values = [row["F1"] for row in rows]
+    values = run_experiment(parse_experiment(config))["F1"]
+    assert len(values) == 32
     assert max(values) - min(values) < 1e-9
 
 
@@ -260,8 +261,8 @@ def test_phase_sweep_with_distinguishability_below_universal():
         "noise": {"overlap_M": math.sqrt(0.92)},
         "sweep": {"phi": [0.0, 1.0, 2.0, 3.0]},
     }
-    rows = run_experiment(parse_experiment(config))
-    averages = [(row["F1"] + row["F2"]) / 2 for row in rows]
+    columns = run_experiment(parse_experiment(config))
+    averages = [(f1 + f2) / 2 for f1, f2 in zip(columns["F1"], columns["F2"])]
     assert max(averages) - min(averages) < 1e-9
     assert all(value < 5.0 / 6.0 for value in averages)
 
@@ -272,8 +273,7 @@ def test_theta_sweep_decreases_to_equator():
         "sweep": {"theta": {"start": 0.0, "stop": math.pi / 2, "count": 10},
                   "phi": 0.0},
     }
-    rows = run_experiment(parse_experiment(config))
-    values = [row["F1"] for row in rows]
+    values = run_experiment(parse_experiment(config))["F1"]
     assert values[0] == pytest.approx(1.0, abs=1e-9)
     assert values[-1] == pytest.approx(0.8535533905932737, abs=1e-9)
     assert all(a > b for a, b in zip(values, values[1:]))
@@ -282,8 +282,7 @@ def test_theta_sweep_decreases_to_equator():
 def test_counting_columns_present_and_consistent():
     config = dict(ideal_single())
     config["counting"] = {"n_pairs": 20_000, "seed": 9}
-    rows = run_experiment(parse_experiment(config))
-    row = rows[0]
+    row = as_rows(run_experiment(parse_experiment(config)))[0]
     c_sum = row["C_pp"] + row["C_pm"] + row["C_mp"] + row["C_mm"]
     assert row["P_hat"] == pytest.approx(c_sum / 20_000, abs=1e-12)
     assert row["F1_hat"] == pytest.approx((row["C_pp"] + row["C_pm"]) / c_sum,
@@ -302,13 +301,11 @@ def test_compare_ideal_architectures():
         for label, variant in
         (("special", "special_bs"), ("hybrid", "hybrid"), ("fiber", "fiber"))
     ]
-    rows = compare_experiments(configs)
-    assert [row["label"] for row in rows] == ["special", "hybrid", "fiber"]
-    for row in rows:
-        assert row["F1_mean"] == pytest.approx(0.8535533905932737, abs=1e-9)
-    assert rows[0]["P_succ"] == pytest.approx(1 / 3, abs=1e-9)
-    assert rows[1]["P_succ"] == pytest.approx(1 / 16, abs=1e-9)
-    assert rows[2]["P_succ"] == pytest.approx(1 / 3, abs=1e-9)
+    columns = compare_experiments(configs)
+    assert columns["label"] == ["special", "hybrid", "fiber"]
+    assert columns["F1_mean"] == pytest.approx([0.8535533905932737] * 3, abs=1e-9)
+    assert columns["P_succ"] == pytest.approx([1 / 3, 1 / 16, 1 / 3], abs=1e-9)
+    assert columns["rate_proxy"] == [None, None, None]
 
 
 def test_compare_filtered_vs_unfiltered_hybrid():
@@ -328,9 +325,9 @@ def test_compare_filtered_vs_unfiltered_hybrid():
             }
         ),
     ]
-    rows = compare_experiments(configs)
-    assert rows[0]["F1_mean"] == pytest.approx(0.8536, abs=1e-4)
-    assert rows[1]["F1_mean"] == pytest.approx(0.8333, abs=1e-4)
+    f1_means = compare_experiments(configs)["F1_mean"]
+    assert f1_means[0] == pytest.approx(0.8536, abs=1e-4)
+    assert f1_means[1] == pytest.approx(0.8333, abs=1e-4)
 
 
 def test_compare_rejects_single_and_duplicate_labels():
@@ -348,9 +345,10 @@ def test_compare_rejects_single_and_duplicate_labels():
 def test_render_round_trip_csv_and_json():
     config = dict(ideal_single())
     config["counting"] = {"n_pairs": 5_000, "seed": 1}
-    rows = run_experiment(parse_experiment(config))
+    columns = run_experiment(parse_experiment(config))
+    rows = as_rows(columns)
     for fmt in ("csv", "json"):
-        text = render_rows(rows, fmt)
+        text = render_rows(columns, fmt)
         assert text.endswith("\n")
         parsed = parse_rows(text, fmt)
         assert len(parsed) == len(rows)
@@ -363,12 +361,108 @@ def test_render_round_trip_csv_and_json():
 
 
 def test_csv_and_json_carry_identical_numbers():
-    rows = run_experiment(parse_experiment(ideal_single()))
-    csv_rows = parse_rows(render_rows(rows, "csv"), "csv")
-    json_rows = parse_rows(render_rows(rows, "json"), "json")
+    columns = run_experiment(parse_experiment(ideal_single()))
+    csv_rows = parse_rows(render_rows(columns, "csv"), "csv")
+    json_rows = parse_rows(render_rows(columns, "json"), "json")
     for a, b in zip(csv_rows, json_rows):
         for key in a:
             assert a[key] == pytest.approx(b[key], rel=1e-10)
+
+
+#: floats where "%.10g" and repr disagree or nearly do: integer-valued ones,
+#: magnitudes in [1e10, 1e16), values that round to an integer at 10 digits,
+#: the edges of fixed-point printing, subnormals, -0.0, infinities and NaN
+FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-10**12, 10**12).map(float),
+    st.floats(1e10, 1e16, exclude_max=True).flatmap(lambda x: st.sampled_from([x, -x])),
+    st.floats(1e-4, 1e9),
+    st.builds(lambda k, eps: k + eps, st.integers(-10**6, 10**6), st.floats(-1e-5, 1e-5)),
+    st.builds(lambda k, eps: k * (1.0 + eps), st.integers(-10**6, 10**6),
+              st.floats(-2e-9, 2e-9)),
+    st.floats(0.0, 2.3e-308),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-4, 9.9999999995e-5, 999999999.9,
+                     999999999.99999, 9999999999.5, 0.99999999996, 0.9999999994,
+                     2.99999999996, 3.00000000004, 12345.0000001, 1.00000000045,
+                     -10000.0000045]),
+)
+INTS = st.integers(-2**63, 2**63 - 1)
+CELLS = st.one_of(st.none(), FLOATS, FLOATS.map(np.float64), INTS, INTS.map(np.int64),
+                  st.text(max_size=6))
+#: column kind -> strategy for its n values
+COLUMN_KINDS = {
+    "floats": lambda n: st.lists(FLOATS, min_size=n, max_size=n),
+    "numpy floats": lambda n: st.lists(FLOATS.map(np.float64), min_size=n, max_size=n),
+    "float array": lambda n: st.lists(FLOATS, min_size=n, max_size=n).map(np.array),
+    "floats or None": lambda n: st.lists(st.none() | FLOATS, min_size=n, max_size=n),
+    "ints": lambda n: st.lists(INTS | INTS.map(np.int64), min_size=n, max_size=n),
+    "int array": lambda n: st.lists(INTS, min_size=n, max_size=n).map(
+        lambda v: np.array(v, dtype=np.int64)),
+    "labels": lambda n: st.lists(st.text(max_size=6), min_size=n, max_size=n),
+    "mixed": lambda n: st.lists(CELLS, min_size=n, max_size=n),
+}
+
+
+@st.composite
+def result_columns(draw):
+    n = draw(st.integers(1, 8))
+    names = draw(st.lists(st.text(alphabet='ab%"\\é,', min_size=1, max_size=4),
+                          min_size=1, max_size=6, unique=True))
+    return {name: draw(COLUMN_KINDS[draw(st.sampled_from(sorted(COLUMN_KINDS)))](n))
+            for name in names}
+
+
+#: one-row columns at the edges of the JSON spelling of floats
+EDGE_FLOATS = [1.0, 0.0, -0.0, 3.0e10, -2.5e15, 1e16, 1e-5, 5e-324, 2.2e-308, math.inf,
+               -math.inf, math.nan, 0.99999999996, 2.99999999996, 1.00000000045,
+               -10000.0000045, np.float64(7.0)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(result_columns())
+@example({f"x{i}": [value] for i, value in enumerate(EDGE_FLOATS)})
+@example({"F1": [None, 0.25], "C_pp": [np.int64(3), 4], "label": ["a", "é"]})
+def test_render_rows_writes_the_bytes_of_the_row_dict_renderer(columns):
+    rows = as_rows(columns)
+    for fmt in ("csv", "json"):
+        assert render_rows(columns, fmt) == render_row_dicts(rows, fmt)
+
+
+def test_render_rows_rejects_malformed_columns():
+    with pytest.raises(ValueError, match=r"got lengths \[\]"):
+        render_rows({}, "csv")
+    with pytest.raises(ValueError, match=r"got lengths \[0\]"):
+        render_rows({"F1": []}, "json")
+    with pytest.raises(ValueError, match=r"got lengths \[1, 2\]"):
+        render_rows({"F1": [0.5], "F2": [0.5, 0.6]}, "csv")
+    with pytest.raises(ValueError, match="format"):
+        render_rows({"F1": [0.5]}, "xml")
+
+
+def test_empty_rows_have_no_fidelities():
+    config = parse_experiment({
+        "model": {"variant": "special_bs", "comp_loss_r0": 0.0, "comp_loss_r1": 0.0},
+        "sweep": {"phi": [0.0, 1.0]},
+    })
+    columns = run_experiment(config)
+    assert (columns["F1"], columns["F2"], columns["P_succ"]) == \
+        ([None, None], [None, None], [0.0, 0.0])
+    assert render_rows(columns, "csv").splitlines()[1] == "1.570796327,0,,,0"
+    assert '"F1": null' in render_rows(columns, "json")
+
+
+def test_compare_means_sum_the_rows_in_order():
+    configs = [parse_experiment({
+        "label": label, "model": {"variant": variant},
+        "sweep": {"theta": [0.3, 1.2, 2.9], "phi": [0.1, 2.0]},
+        "counting": {"n_pairs": 2000, "seed": 4},
+    }) for label, variant in (("a", "mach_zehnder"), ("b", "hybrid"))]
+    summary = compare_experiments(configs)
+    for i, config in enumerate(configs):
+        columns = run_experiment(config)
+        for name, mean in (("F1", "F1_mean"), ("F2", "F2_mean"), ("P_succ", "P_succ"),
+                           ("P_hat", "rate_proxy")):
+            assert summary[mean][i] == sum(columns[name]) / len(columns[name])
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +687,7 @@ def test_sweep_rows_match_per_row_evaluation():
         "sweep": {"theta": {"start": 0.0, "stop": math.pi, "count": 5},
                   "phi": [0.0, 1.0, 4.0]},
     })
-    rows = run_experiment(config)
+    rows = as_rows(run_experiment(config))
     assert len(rows) == 15
     for row, qubit in zip(rows, config.inputs):
         report = run_model(config.model, qubit)
@@ -613,7 +707,7 @@ def test_counted_rows_reuse_the_batch_evaluation(monkeypatch):
         "sweep": {"phi": [0.0, 2.0]},
         "counting": {"n_pairs": 1000, "seed": 3},
     })
-    rows = run_experiment(config)
+    rows = as_rows(run_experiment(config))
     assert [row["C_pp"] + row["C_pm"] + row["C_mp"] + row["C_mm"] > 0 for row in rows] \
         == [True, True]
 
@@ -631,7 +725,7 @@ def test_counted_rows_equal_simulate_counts_for_their_row_seed(variant, noise):
                      "detectors": {"eta_1p": 0.9, "eta_2m": 0.8}},
     })
     counting = config.counting
-    rows = run_experiment(config)
+    rows = as_rows(run_experiment(config))
     for row, qubit, seed in zip(rows, config.inputs, _row_seeds(8, len(rows))):
         record = simulate_counts(config.model, config.noise, qubit, counting.n_pairs,
                                  counting.detectors, seed)

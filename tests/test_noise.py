@@ -181,7 +181,8 @@ def test_evaluate_batch_matches_circuit_at_partial_overlap(variant, data, m, the
     params = data.draw(PARAMS[variant])
     qubits = [Qubit(th, ph) for th, ph in zip(thetas, phis)]
     batch = run_model_batch(params, qubits, m)
-    for qubit, (f1, f2, p), joint in zip(qubits, batch.rows(), batch.joint):
+    for qubit, f1, f2, p, joint in zip(qubits, batch.F1.tolist(), batch.F2.tolist(),
+                                       batch.P_succ.tolist(), batch.joint):
         report = with_distinguishability(params, m, qubit)
         assert p == pytest.approx(report.P_succ, abs=1e-12)
         assert f1 == pytest.approx(report.F1, abs=1e-12)
@@ -197,7 +198,8 @@ def test_vanishing_success_is_empty_on_every_route(loss):
     pole = Qubit(0.0, 0.0)
     assert run_model(params, pole).is_empty
     assert run_model(params, pole, via="circuit").is_empty
-    assert run_model_batch(params, [pole, EQ], 0.9).rows()[0] == (None, None, 0.0)
+    batch = run_model_batch(params, [pole, EQ], 0.9)
+    assert batch.P_succ[0] == 0.0 and np.isnan([batch.F1[0], batch.F2[0]]).all()
     assert evaluate(params, NoiseConfig(overlap_M=0.9), pole).is_empty
     assert with_distinguishability(params, 0.9, pole).is_empty
 
