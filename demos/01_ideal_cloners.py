@@ -9,6 +9,9 @@ universal-cloner limit (5/6) and the best measure-and-prepare strategy
 import math
 
 from pcclone import (
+    F_PHASE_COVARIANT,
+    F_SEMICLASSICAL,
+    F_UNIVERSAL,
     FiberParams,
     HybridParams,
     MachZehnderParams,
@@ -16,14 +19,12 @@ from pcclone import (
     SpecialBSParams,
     run_model,
     solve_ideal_reflectance,
-    theoretical_limits,
 )
 
-limits = theoretical_limits()
 print("benchmark fidelities")
-print(f"  phase-covariant cloner : {limits['F_pc']:.10f}")
-print(f"  universal cloner       : {limits['F_univ']:.10f}")
-print(f"  semi-classical bound   : {limits['F_sc']:.10f}")
+print(f"  phase-covariant cloner : {F_PHASE_COVARIANT:.10f}")
+print(f"  universal cloner       : {F_UNIVERSAL:.10f}")
+print(f"  semi-classical bound   : {F_SEMICLASSICAL:.10f}")
 print()
 
 r_opt = solve_ideal_reflectance()

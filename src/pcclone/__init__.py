@@ -30,7 +30,6 @@ from .cloners import (
     ideal_pc_map,
     run_model,
     run_model_batch,
-    theoretical_limits,
 )
 from .noise import (
     NoiseConfig,

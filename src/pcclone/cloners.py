@@ -61,15 +61,6 @@ MAX_ROWS = 10**5
 MAX_PAIRS = 10**12
 
 
-def theoretical_limits() -> dict:
-    """The three benchmark fidelities as closed forms."""
-    return {
-        "F_pc": F_PHASE_COVARIANT,
-        "F_univ": F_UNIVERSAL,
-        "F_sc": F_SEMICLASSICAL,
-    }
-
-
 def _require(ok, value, message):
     """Raise ``ValueError(f"{message}, got {bad}")`` unless ``ok`` holds.
 
@@ -553,19 +544,17 @@ def run_model_batch(params: ClonerParams, inputs, overlap_M: float = 1.0) -> Clo
     flat = vectors.reshape(n, -1)
     p_succ = (flat.conj()[:, None, :] @ flat[:, :, None])[:, 0, 0].real
     keep = p_succ > MIN_SUCCESS
-    v = vectors[keep] / np.sqrt(p_succ[keep])[:, None, None]
-    kept = (v[:, :, :, None] * v.conj()[:, :, None, :]).sum(axis=1)
-    r = kept.reshape(len(v), 2, 2, 2, 2)
+    # every row takes the same path; an empty row is divided by 1, not by
+    # its vanishing norm, and masked at the end
+    v = vectors / np.sqrt(np.where(keep, p_succ, 1.0))[:, None, None]
+    joint = (v[:, :, :, None] * v.conj()[:, :, None, :]).sum(axis=1)
+    r = joint.reshape(n, 2, 2, 2, 2)
     marginals = np.stack([np.einsum("nijkj->nik", r), np.einsum("nijil->njl", r)])
-    psi = np.broadcast_to(psi, (n, 2))[keep]
     # (psi^dagger rho) psi, in the order of fock.fidelity
     bra = psi.conj()[:, None, :] @ marginals
-    fidelities = np.full((2, n), np.nan)
-    fidelities[:, keep] = (bra @ psi[:, :, None])[..., 0, 0].real
-    joint = np.zeros((n, 4, 4), dtype=complex)
-    joint[keep] = kept
-    return CloneBatch(P_succ=np.where(keep, p_succ, 0.0),
-                      F1=fidelities[0], F2=fidelities[1], joint=joint)
+    fidelities = np.where(keep, (bra @ psi[:, :, None])[..., 0, 0].real, np.nan)
+    return CloneBatch(P_succ=np.where(keep, p_succ, 0.0), F1=fidelities[0],
+                      F2=fidelities[1], joint=np.where(keep[:, None, None], joint, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -16,15 +16,17 @@ draw runs row by row; a :func:`simulate_counts` call is the one-row batch.
 
 With jitter the probabilities change from trial to trial.  Each is a
 trigonometric polynomial in the phase error delta of the device's
-``jitter_degree`` K, fixed by its values at 2K+1 nodes, so the device is
-evaluated once, at those nodes.  The kernel draws the jitter walk and one
-uniform per trial, chunk by chunk, and tallies each draw against the running
-sums of the registration probabilities.  The running sums share one ceiling
-over all delta, read off their coefficients, and a trial whose draw lies at
-or above it registers nothing: it is settled without the polynomial.  Only
-the other trials take the harmonics cos(k delta), sin(k delta) to their
-running sums in one matrix product.  The kernel holds one chunk of trials
-at a time, and its cost does not depend on the number of temporal sectors.
+``jitter_degree`` K: the contraction w^H C w of a pattern vector w with the
+moment polynomial C that ``noise`` reads off the device at 2K+1 phases, the
+one the jitter average weights too.  The kernel draws the jitter walk and
+one uniform per trial, chunk by chunk, and tallies each draw against the
+running sums of the registration probabilities.  The running sums share
+one ceiling over all delta, read off their coefficients, and a trial whose
+draw lies at or above it registers nothing: it is settled without the
+polynomial.  Only the other trials take the harmonics cos(k delta),
+sin(k delta) to their running sums in one matrix product.  The kernel holds
+one chunk of trials at a time, and its cost does not depend on the number
+of temporal sectors.
 
 Counts are sampled with a seeded generator and are reproducible; records
 holding different seeds merge by field-wise addition.
@@ -46,11 +48,10 @@ from .cloners import (
     _check_integer,
     _check_unit_interval,
     _standard_basis,
-    conditional_sector_vectors,
     run_model_batch,
 )
 from .fock import Qubit
-from .noise import NoiseConfig, _jitter_walk, jittered
+from .noise import NoiseConfig, _harmonics, _jitter_walk, _moment_polynomial, jittered
 
 
 def _check_pairs(n_pairs):
@@ -268,24 +269,6 @@ def _count_static(model: ClonerParams, inputs, n_pairs: int, detectors: Detector
     ]
 
 
-def _harmonics(delta: np.ndarray, degree: int) -> np.ndarray:
-    """Rows sin(k delta) for k = 1..K, then cos(k delta) for k = 0..K.
-
-    Only sin(delta) and cos(delta) are evaluated; the higher harmonics follow
-    from the Chebyshev recurrence f((k+1) d) = 2 cos(d) f(k d) - f((k-1) d),
-    for f = sin and for f = cos.
-    """
-    h = np.empty((2, degree + 1, delta.size))  # [sin, cos][k]
-    h[:, 0] = [[0.0], [1.0]]
-    np.sin(delta, out=h[0, 1])
-    np.cos(delta, out=h[1, 1])
-    twice = 2.0 * h[1, 1]
-    for k in range(2, degree + 1):
-        np.multiply(twice, h[:, k - 1], out=h[:, k])
-        h[:, k] -= h[:, k - 2]
-    return h.reshape(2 * degree + 2, -1)[1:]  # sin(0 delta) = 0 is left out
-
-
 def _ceiling(coefficients: np.ndarray, degree: int) -> float:
     """An upper bound on every row of ``coefficients @ _harmonics(delta, degree)``.
 
@@ -297,28 +280,6 @@ def _ceiling(coefficients: np.ndarray, degree: int) -> float:
     sin, cos = coefficients[:, :degree], coefficients[:, degree:]
     bound = np.abs(cos[:, 0]) + np.hypot(sin, cos[:, 1:]).sum(axis=1)
     return float(bound.max()) * (1.0 + 1e-9)
-
-
-def _pattern_polynomials(model: ClonerParams, input: Qubit, overlap_M: float,
-                         w: np.ndarray) -> np.ndarray:
-    """Coefficients of the pattern probabilities as polynomials in the phase error.
-
-    Row a holds the coefficients of p_a(delta), the probability of pattern
-    row ``a`` of ``w``, against :func:`_harmonics` of the device's
-    ``jitter_degree`` K: p = coefficients @ _harmonics(delta, K).  A
-    trigonometric polynomial of degree K is fixed by its values at the 2K+1
-    nodes 2 pi j / (2K+1); their discrete Fourier transform gives its
-    coefficients.
-    """
-    degree = model.jitter_degree
-    n = 2 * degree + 1
-    nodes = 2.0 * np.pi * np.arange(n) / n
-    amp = conditional_sector_vectors(model, input, overlap_M, nodes) @ w.conj().T
-    probs = (amp.real ** 2 + amp.imag ** 2).sum(axis=1)
-    c = np.fft.fft(probs, axis=0)[:degree + 1] / n
-    # c_k e^(ik d) + c_-k e^(-ik d) = 2 Re(c_k) cos(k d) - 2 Im(c_k) sin(k d)
-    c[1:] *= 2.0
-    return np.concatenate([-c[1:].imag, c.real]).T
 
 
 def simulate_counts(
@@ -356,8 +317,9 @@ def simulate_counts(
     eff = detectors.pattern_efficiencies()
     seq_jitter, seq_outcome = np.random.SeedSequence(seed).spawn(2)
     rng = np.random.default_rng(seq_outcome)
-    coefficients = np.cumsum(
-        _pattern_polynomials(model, input, noise.overlap_M, w) * eff[:, None], axis=0)
+    moment = _moment_polynomial(model, input, noise.overlap_M)
+    probabilities = np.einsum("ai,rij,aj->ar", w.conj(), moment, w).real
+    coefficients = np.cumsum(probabilities * eff[:, None], axis=0)
     ceiling = _ceiling(coefficients, model.jitter_degree)
     below = np.zeros(4, dtype=np.int64)
     for phases in _jitter_walk(noise, seq_jitter, n_pairs):

@@ -83,7 +83,8 @@ def photon_pair(x, y) -> np.ndarray:
 class Qubit:
     """Pure single-qubit state cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>.
 
-    theta in [0, pi]; phi is stored modulo 2 pi.
+    theta in [0, pi], stored without the sign of a zero; phi is stored
+    modulo 2 pi.
     """
 
     theta: float
@@ -94,6 +95,7 @@ class Qubit:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
         if not math.isfinite(self.phi):
             raise ValueError(f"phi must be finite, got {self.phi}")
+        object.__setattr__(self, "theta", self.theta + 0.0)  # -0.0 + 0.0 is 0.0
         object.__setattr__(self, "phi", self.phi % (2.0 * math.pi))
 
     @classmethod

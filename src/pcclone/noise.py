@@ -13,9 +13,13 @@ reset to zero at every stabilization step.  Only the interferometric
 architectures respond to it: a Mach-Zehnder model sees the error on both arm
 phases, a fiber model as a drift of the relative phase between its rails.
 The special-BS and hybrid devices have no stabilized interference path and
-are unaffected.  The walk is generated in pieces of at most ``_CHUNK``
-trials (:func:`_jitter_walk`), so the jitter average and the counting
-kernel hold one piece at a time whatever the number of trials and the reset
+are unaffected.  A device under jitter is described once: the pooled moment
+sum_s v_s v_s^H of its sector vectors is a trigonometric polynomial in the
+phase error, read off the device at 2K+1 phases (:func:`_moment_polynomial`).
+The jitter average weights its coefficients by the harmonics summed over the
+walk, and the counting kernel contracts them with its pattern vectors.  The
+walk is generated in pieces of at most ``_CHUNK`` trials (:func:`_jitter_walk`),
+so both hold one piece at a time whatever the number of trials and the reset
 period; :func:`sample_phase_jitter` joins the pieces into one array.
 """
 
@@ -157,6 +161,43 @@ def sample_phase_jitter(config: NoiseConfig, rng_seed, n_trials: int) -> np.ndar
     return np.concatenate(list(_jitter_walk(config, rng_seed, n_trials)))
 
 
+def _harmonics(delta: np.ndarray, degree: int) -> np.ndarray:
+    """Rows sin(k delta) for k = 1..K, then cos(k delta) for k = 0..K.
+
+    Only sin(delta) and cos(delta) are evaluated; the higher harmonics follow
+    from the Chebyshev recurrence f((k+1) d) = 2 cos(d) f(k d) - f((k-1) d),
+    for f = sin and for f = cos.
+    """
+    h = np.empty((2, degree + 1, delta.size))  # [sin, cos][k]
+    h[:, 0] = [[0.0], [1.0]]
+    np.sin(delta, out=h[0, 1])
+    np.cos(delta, out=h[1, 1])
+    twice = 2.0 * h[1, 1]
+    for k in range(2, degree + 1):
+        np.multiply(twice, h[:, k - 1], out=h[:, k])
+        h[:, k] -= h[:, k - 2]
+    return h.reshape(2 * degree + 2, -1)[1:]  # sin(0 delta) = 0 is left out
+
+
+def _moment_polynomial(model: ClonerParams, input: Qubit, overlap_M: float) -> np.ndarray:
+    """(2K+1, 4, 4) coefficients of sum_s v_s v_s^H against :func:`_harmonics`.
+
+    Each entry is a trigonometric polynomial of the device's ``jitter_degree``
+    K in the phase error, fixed by its values at the 2K+1 nodes 2 pi j / (2K+1).
+    Their discrete Fourier transform gives C_k, the coefficient of e^(ik delta),
+    and C_-k = C_k^H, so the sine rows are i (C_k - C_k^H) and the cosine rows
+    C_k + C_k^H (C_0 halved): each exactly Hermitian.
+    """
+    degree = model.jitter_degree
+    n = 2 * degree + 1
+    nodes = 2.0 * np.pi * np.arange(n) / n
+    v = conditional_sector_vectors(model, input, overlap_M, nodes)
+    c = np.fft.fft(np.einsum("nsi,nsj->nij", v, v.conj()), axis=0)[:degree + 1] / n
+    c[0] *= 0.5
+    ch = c.conj().swapaxes(-1, -2)
+    return np.concatenate([1j * (c[1:] - ch[1:]), c + ch])
+
+
 def average_over_jitter(
     model: ClonerParams,
     noise: NoiseConfig,
@@ -168,17 +209,18 @@ def average_over_jitter(
 
     The returned report carries the success-probability-weighted mixture of
     the per-trial clone states and the mean success probability.  The
-    sector vectors are pooled one chunk of the walk at a time.
+    harmonics of the walk are summed one chunk at a time and weight the
+    coefficients of :func:`_moment_polynomial`.
     """
     if not jittered(model, noise):
         return evaluate(model, noise, input)
-    total = 0.0
-    moment = 0.0
+    degree = model.jitter_degree
+    sums = 0.0
     for phases in _jitter_walk(noise, rng_seed, n_trials):
-        v = conditional_sector_vectors(model, input, noise.overlap_M, phases)
-        v = v.reshape(-1, 4)
-        total += float(np.einsum("si,si->s", v.conj(), v).real.sum())
-        moment = moment + np.einsum("si,sj->ij", v, v.conj())
+        sums = sums + _harmonics(phases, degree).sum(axis=1)
+    moment = np.einsum("r,rij->ij", sums,
+                       _moment_polynomial(model, input, noise.overlap_M))
+    total = float(np.trace(moment).real)
     if total <= MIN_SUCCESS:
         return CloneReport.empty(input)
     return CloneReport.from_joint(TwoQubitState._trusted(moment / total),

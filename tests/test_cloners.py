@@ -23,7 +23,6 @@ from pcclone.cloners import (
     ideal_pc_map,
     run_model,
     run_model_batch,
-    theoretical_limits,
 )
 from pcclone.compensation import _float_fields
 from pcclone.fock import Qubit, check_density, fidelity
@@ -77,10 +76,9 @@ def test_hemisphere_symmetry():
 
 
 def test_theoretical_limits():
-    limits = theoretical_limits()
-    assert limits["F_pc"] == pytest.approx(0.5 * (1 + 1 / math.sqrt(2)), abs=1e-15)
-    assert limits["F_univ"] == pytest.approx(5.0 / 6.0, abs=1e-15)
-    assert limits["F_sc"] == 0.75
+    assert F_PHASE_COVARIANT == pytest.approx(0.5 * (1 + 1 / math.sqrt(2)), abs=1e-15)
+    assert F_UNIVERSAL == pytest.approx(5.0 / 6.0, abs=1e-15)
+    assert F_SEMICLASSICAL == 0.75
     assert F_PHASE_COVARIANT > F_UNIVERSAL > F_SEMICLASSICAL
 
 

@@ -4,8 +4,8 @@ Each device enters ``ClonerParams.variants`` by naming itself in its class
 statement.  The properties below then hold for it without further code:
 its closed-form sectors agree with its circuit at any ancilla overlap and
 phase error, a device without an interferometer ignores the phase error
-exactly, the pattern probabilities of one with an interferometer are
-trigonometric polynomials of its declared ``jitter_degree``, and its
+exactly, the pooled sector moment of one with an interferometer is a
+trigonometric polynomial of its declared ``jitter_degree``, and its
 configuration round-trips through JSON, and every state the closed-form
 kernel builds passes the density-matrix check that the kernel itself skips.
 The other batch properties live beside their kernels:
@@ -46,14 +46,9 @@ from pcclone.cloners import (
     run_model,
     run_model_batch,
 )
-from pcclone.counting import (
-    _analyzer_vectors,
-    _harmonics,
-    _pattern_polynomials,
-    _pattern_vectors,
-)
 from pcclone.experiment import ConfigError, parse_experiment, parse_model, run_experiment
 from pcclone.fock import Qubit, check_density
+from pcclone.noise import _harmonics, _moment_polynomial
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -106,23 +101,24 @@ JITTERED = [v for v in VARIANTS if ClonerParams.variants[v].jitter_degree > 0]
 
 
 @settings(max_examples=40, deadline=None)
-@given(data=st.data(), m=OVERLAPS, qubit=QUBITS, analysis=st.none() | QUBITS,
+@given(data=st.data(), m=OVERLAPS, qubit=QUBITS,
        deltas=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=20))
 @pytest.mark.parametrize(
     "variant", JITTERED, ids=[ClonerParams.variants[v].__name__ for v in JITTERED]
 )
-def test_pattern_probabilities_are_polynomials_of_the_declared_degree(
-    variant, data, m, qubit, analysis, deltas
+def test_pooled_moment_is_a_polynomial_of_the_declared_degree(
+    variant, data, m, qubit, deltas
 ):
-    # the counting kernel interpolates each pattern probability from 2K+1
-    # nodes; a device whose degree is set too low fails here
+    # the counting kernel and the jitter average read the pooled moment
+    # sum_s v_s v_s^H from its values at 2K+1 nodes; a device whose degree is
+    # set too low fails here
     params = data.draw(PARAMS[variant])
-    w = _pattern_vectors(*_analyzer_vectors(params, [qubit], analysis))[0]
     vectors = conditional_sector_vectors(params, qubit, m, deltas)
-    amp = np.einsum("tsi,ai->tsa", vectors, w.conj())
-    direct = np.einsum("tsa,tsa->at", amp, amp.conj()).real
-    poly = _pattern_polynomials(params, qubit, m, w) @ _harmonics(
-        np.asarray(deltas), params.jitter_degree)
+    direct = np.einsum("tsi,tsj->tij", vectors, vectors.conj())
+    coefficients = _moment_polynomial(params, qubit, m)
+    assert np.array_equal(coefficients, coefficients.conj().swapaxes(-1, -2))
+    poly = np.einsum("rt,rij->tij", _harmonics(np.asarray(deltas), params.jitter_degree),
+                     coefficients)
     assert np.max(np.abs(poly - direct)) < 1e-12
 
 
@@ -212,3 +208,20 @@ def test_readme_python_blocks_run():
     namespace = {}
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
+
+
+@pytest.mark.parametrize("index, command, header, n_rows", [
+    (0, "montecarlo", "theta,phi,F1,F2,P_succ,C_pp,C_pm,C_mp,C_mm,F1_hat,F2_hat,P_hat", 32),
+    (1, "optimize", "objective,objective_value,F1,F2,P_succ,comp_loss_r1", 1),
+])
+def test_readme_json_blocks_run(tmp_path, capsys, index, command, header, n_rows):
+    # each example configuration runs as written with the command it is for
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```json\n(.*?)^```", readme, re.M | re.S)
+    assert len(blocks) == 2
+    path = tmp_path / "config.json"
+    path.write_text(blocks[index], encoding="utf-8")
+    assert main([command, "--config", str(path), "--out", "-"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == header
+    assert len(lines) == n_rows + 1

@@ -31,8 +31,6 @@ from pcclone.counting import (
     _analyzer_vectors,
     _ceiling,
     _count_static,
-    _harmonics,
-    _pattern_polynomials,
     _pattern_vectors,
     _static_pvals,
     balance_detectors,
@@ -44,7 +42,8 @@ from pcclone.counting import (
     success_probability_estimate,
 )
 from pcclone.fock import Qubit, TwoQubitState
-from pcclone.noise import _CHUNK, NoiseConfig, sample_phase_jitter
+from pcclone.noise import (_CHUNK, NoiseConfig, _harmonics, _moment_polynomial,
+                           sample_phase_jitter)
 
 EQ = Qubit.equatorial(0.0)
 F_PC = 0.8535533905932737
@@ -467,8 +466,9 @@ def test_ceiling_bounds_every_running_sum(variant, partial, data, input, analysi
     degree = model.jitter_degree
     w = _pattern_vectors(*_analyzer_vectors(model, [input], analysis))[0]
     eff = DetectorBank(*etas).pattern_efficiencies()
-    coefficients = np.cumsum(
-        _pattern_polynomials(model, input, overlap, w) * eff[:, None], axis=0)
+    moment = _moment_polynomial(model, input, overlap)
+    probabilities = np.einsum("ai,rij,aj->ar", w.conj(), moment, w).real
+    coefficients = np.cumsum(probabilities * eff[:, None], axis=0)
     n = 2 * degree + 1
     delta = np.concatenate([
         np.linspace(-2.0 * np.pi, 2.0 * np.pi, 8001),

@@ -488,6 +488,19 @@ def test_cli_run_gives_an_empty_row_for_a_vanishing_success(tmp_path, capsys, lo
     assert capsys.readouterr().out.splitlines()[1] == "0,0,,,0"
 
 
+@pytest.mark.parametrize("fmt, row", [
+    ("csv", "0,0,"),
+    ("json", '{\n    "theta": 0.0,\n    "phi": 0.0,\n'),
+], ids=["csv", "json"])
+def test_cli_prints_a_negative_zero_input_as_zero(tmp_path, capsys, fmt, row):
+    path = write_config(tmp_path, {"model": {"variant": "special_bs"},
+                                   "input": {"theta": -0.0, "phi": -0.0}})
+    assert main(["run", "--config", path, "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert row in out
+    assert "-0" not in out
+
+
 def test_cli_outputs_are_byte_identical(tmp_path):
     config = {
         "model": {"variant": "fiber", "R_vrc0": 0.79, "R_vrc1": 0.21},

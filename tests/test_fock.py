@@ -322,6 +322,14 @@ def test_qubit_validation_and_orthogonality():
     assert Qubit.equatorial(7.0).phi == pytest.approx(7.0 - 2.0 * math.pi)
 
 
+def test_qubit_drops_the_sign_of_a_zero_theta():
+    q = Qubit(-0.0, -0.0)
+    assert math.copysign(1.0, q.theta) == 1.0
+    assert math.copysign(1.0, q.phi) == 1.0
+    assert q == Qubit(0.0, 0.0)
+    assert Qubit(1.25, 0.5).theta == 1.25
+
+
 def test_two_qubit_state_is_immutable():
     state = photon_pair(E[M1R0], E[M2R0])
     joint, _ = postselect_coincidence(state)

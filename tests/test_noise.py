@@ -20,7 +20,7 @@ from pcclone.cloners import (
     run_model_batch,
 )
 from pcclone.counting import DetectorBank, simulate_counts
-from pcclone.fock import Qubit
+from pcclone.fock import Qubit, check_density
 from pcclone.noise import (
     _CHUNK,
     NoiseConfig,
@@ -333,6 +333,8 @@ def test_walk_memory_does_not_grow_with_reset_period():
     ids=lambda p: type(p).__name__,
 )
 def test_chunked_jitter_average_matches_whole_array_pooling(params, overlap):
+    # the average reads the moment polynomial; the pooling of per-trial
+    # sector vectors over the same walk is the independent route
     config = NoiseConfig(overlap_M=overlap, phase_jitter_sigma=0.1,
                          jitter_reset_period=60)
     qubit = Qubit(1.3, 0.4)
@@ -342,6 +344,18 @@ def test_chunked_jitter_average_matches_whole_array_pooling(params, overlap):
         chunked = average_over_jitter(params, config, qubit, 8, 4500)
     assert chunked.P_succ == pytest.approx(p_succ, abs=1e-12)
     assert np.max(np.abs(chunked.joint.rho - rho)) < 1e-12
+    check_density(chunked.joint.rho, "two-qubit state")
+
+
+@pytest.mark.parametrize("params", [MachZehnderParams.ideal(), FiberParams.ideal()],
+                         ids=lambda p: type(p).__name__)
+def test_jitter_average_reads_the_device_at_its_nodes_only(params):
+    config = NoiseConfig(overlap_M=0.9, phase_jitter_sigma=0.05)
+    with mock.patch.object(noise, "conditional_sector_vectors",
+                           wraps=noise.conditional_sector_vectors) as sectors:
+        average_over_jitter(params, config, EQ, 2, 3 * _CHUNK + 1)
+    (call,) = sectors.call_args_list
+    assert len(call.args[3]) == 2 * params.jitter_degree + 1
 
 
 def test_jitter_average_reduces_mz_fidelity():
