@@ -6,19 +6,17 @@ universal-cloner limit (5/6) and the best measure-and-prepare strategy
 (75%).  They differ in success probability and in which knobs exist.
 """
 
-import math
-
 from pcclone import (
     F_PHASE_COVARIANT,
     F_SEMICLASSICAL,
     F_UNIVERSAL,
+    R_OPTIMAL,
     FiberParams,
     HybridParams,
     MachZehnderParams,
     Qubit,
     SpecialBSParams,
     run_model,
-    solve_ideal_reflectance,
 )
 
 print("benchmark fidelities")
@@ -27,9 +25,8 @@ print(f"  universal cloner       : {F_UNIVERSAL:.10f}")
 print(f"  semi-classical bound   : {F_SEMICLASSICAL:.10f}")
 print()
 
-r_opt = solve_ideal_reflectance()
-print(f"optimal splitter reflectance: R0 = {r_opt:.10f} (~79:21),"
-      f" R1 = {1 - r_opt:.10f} (~21:79)")
+print(f"optimal splitter reflectance: R0 = {R_OPTIMAL:.10f} (~79:21),"
+      f" R1 = {1 - R_OPTIMAL:.10f} (~21:79)")
 print()
 
 state = Qubit.equatorial(0.0)

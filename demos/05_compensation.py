@@ -9,17 +9,16 @@ some cost in success probability.
 import math
 
 from pcclone import (
+    R_OPTIMAL,
     Qubit,
     SpecialBSParams,
     optimize_symmetry,
     run_model,
     solve_hybrid_compensation,
-    solve_ideal_reflectance,
 )
 
-r_opt = solve_ideal_reflectance()
-print(f"design reflectance: {r_opt:.10f}; success at design point:"
-      f" {(2 * r_opt - 1) ** 2:.6f}")
+print(f"design reflectance: {R_OPTIMAL:.10f}; success at design point:"
+      f" {(2 * R_OPTIMAL - 1) ** 2:.6f}")
 print()
 
 print("hybrid separating splitter off its 50:50 spec (52:48 vs 48:52)")
@@ -38,7 +37,7 @@ print()
 print("unbalanced splitter whose rail-r0 ratio drifted to 80:20 while")
 print("rail r1 stayed at the design value; the clones disagree until a")
 print("lossy plate on one output rail restores symmetry.")
-broken = SpecialBSParams(R0=0.80, R1=1.0 - r_opt)
+broken = SpecialBSParams(R0=0.80, R1=1.0 - R_OPTIMAL)
 before = run_model(broken, Qubit.equatorial(0.0))
 print(f"  before: F1 = {before.F1:.6f}, F2 = {before.F2:.6f},"
       f" P_succ = {before.P_succ:.6f}")
@@ -53,5 +52,5 @@ print()
 print("the same optimizer recovers the design reflectance from scratch:")
 result = optimize_symmetry(SpecialBSParams(R0=0.6), {"R0": (0.5, 1.0)},
                            "max_avg_fidelity")
-print(f"  best R0 = {result.params.R0:.8f} (design {r_opt:.8f}),"
+print(f"  best R0 = {result.params.R0:.8f} (design {R_OPTIMAL:.8f}),"
       f" F = {result.report.F1:.8f}")

@@ -56,7 +56,6 @@ from .compensation import (
     OptimizationResult,
     optimize_symmetry,
     solve_hybrid_compensation,
-    solve_ideal_reflectance,
 )
 
 __version__ = "0.1.0"

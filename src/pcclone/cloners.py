@@ -6,13 +6,14 @@ describes its device once, in two independent forms:
 
 * ``sector_amplitudes`` -- the conditional output amplitudes written down
   directly, per temporal detection sector.  :func:`run_model_batch`, the one
-  closed-form kernel, evaluates them at any ancilla overlap; ``via="closed_form"``
-  (the default) is its one-row slice.  Under phase jitter
+  closed-form kernel, evaluates them at any ancilla overlap, and
+  :func:`run_model` (``via="closed_form"``, the default) is its one-row
+  slice at the same overlap.  Under phase jitter
   :func:`conditional_sector_vectors` gives them per trial.
 * ``transfer_matrix`` -- the same device as the 4x4 single-photon transfer
   matrix of one temporal bin, built from the couplers and attenuators of the
   Fock module; :func:`circuit_joint_state` propagates the photon pair
-  through it and post-selects (``via="circuit"``).
+  through it and post-selects (``run_model(..., via="circuit")``).
 
 Both routes must agree to high precision; the tests enforce it.  Their
 states are density matrices by construction and skip the check that the
@@ -45,7 +46,8 @@ from .fock import (
     postselect_coincidence,
 )
 
-#: intensity reflectance of the optimal unbalanced splitter, (1 + 1/sqrt(3))/2
+#: intensity reflectance of the optimal unbalanced splitter, (1 + 1/sqrt(3))/2:
+#: the root of 6 R^2 - 6 R + 1 = 0 in (1/2, 1]; the other root is 1 - R_OPTIMAL
 R_OPTIMAL = 0.5 * (1.0 + 1.0 / math.sqrt(3.0))
 #: equatorial fidelity of the optimal phase-covariant cloner, (1 + 1/sqrt(2))/2
 F_PHASE_COVARIANT = 0.5 * (1.0 + 1.0 / math.sqrt(2.0))
@@ -392,52 +394,39 @@ class FiberParams(_Splitter, variant="fiber"):
 class CloneReport:
     """Fidelities, success probability and clone states for one evaluation.
 
-    ``joint`` is the post-selected two-clone state; ``rho1``/``rho2`` are its
-    marginals.  A zero-success evaluation leaves all state fields ``None``.
+    ``joint`` is the post-selected two-clone state; ``rho1``/``rho2`` read its
+    marginals.  A zero-success evaluation leaves F1, F2 and the states ``None``.
     """
 
     input: Qubit
     P_succ: float
     F1: float | None
     F2: float | None
-    rho1: DensityMatrix | None
-    rho2: DensityMatrix | None
     joint: TwoQubitState | None
 
     @property
     def is_empty(self) -> bool:
         return self.joint is None
 
+    @property
+    def rho1(self) -> DensityMatrix | None:
+        return None if self.is_empty else self.joint.reduced(Port.OUT1)
+
+    @property
+    def rho2(self) -> DensityMatrix | None:
+        return None if self.is_empty else self.joint.reduced(Port.OUT2)
+
     @classmethod
     def empty(cls, input: Qubit) -> "CloneReport":
-        return cls(input=input, P_succ=0.0, F1=None, F2=None,
-                   rho1=None, rho2=None, joint=None)
+        return cls(input=input, P_succ=0.0, F1=None, F2=None, joint=None)
 
     @classmethod
     def from_joint(cls, joint, p_succ: float, input: Qubit) -> "CloneReport":
+        """The report of ``joint``, post-selected with probability ``p_succ``."""
         if joint is None or p_succ <= MIN_SUCCESS:
             return cls.empty(input)
-        rho1 = joint.reduced(Port.OUT1)
-        rho2 = joint.reduced(Port.OUT2)
-        return cls(
-            input=input,
-            P_succ=float(p_succ),
-            F1=fidelity(rho1, input),
-            F2=fidelity(rho2, input),
-            rho1=rho1,
-            rho2=rho2,
-            joint=joint,
-        )
-
-    @classmethod
-    def from_batch(cls, batch, input: Qubit, row: int = 0) -> "CloneReport":
-        """Row ``row`` of a :func:`run_model_batch` evaluation of ``input``."""
-        if batch.P_succ[row] <= 0.0:
-            return cls.empty(input)
-        joint = TwoQubitState._trusted(batch.joint[row].copy())
-        return cls(input, float(batch.P_succ[row]), float(batch.F1[row]),
-                   float(batch.F2[row]), joint.reduced(Port.OUT1),
-                   joint.reduced(Port.OUT2), joint)
+        F1, F2 = (fidelity(joint.reduced(port), input) for port in Port)
+        return cls(input=input, P_succ=float(p_succ), F1=F1, F2=F2, joint=joint)
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +515,7 @@ class CloneBatch(NamedTuple):
 def run_model_batch(params: ClonerParams, inputs, overlap_M: float = 1.0) -> CloneBatch:
     """The closed-form kernel: many inputs at ancilla overlap ``overlap_M``.
 
-    :func:`run_model` and ``noise.evaluate`` are its one-row slices.  Fields
+    :func:`run_model` is its one-row slice, at any overlap.  Fields
     of ``params`` may hold arrays of candidates, which broadcast against the
     inputs: one input against n candidates gives n rows, unless the
     amplitudes never read that field (a detection ratio).  The joint states
@@ -588,14 +577,20 @@ def circuit_joint_state(params: ClonerParams, input: Qubit,
 # single-input evaluation
 # ---------------------------------------------------------------------------
 
-def run_model(params: ClonerParams, input: Qubit,
-              via: str = "closed_form") -> CloneReport:
-    """Clone ``input`` on the architecture that ``params`` describes."""
+def run_model(params: ClonerParams, input: Qubit, via: str = "closed_form",
+              overlap_M: float = 1.0) -> CloneReport:
+    """Clone ``input`` on the architecture that ``params`` describes.
+
+    ``overlap_M`` is the ancilla's temporal-mode overlap with the signal.
+    The closed form is the one-row slice of :func:`run_model_batch`, the
+    circuit route :func:`circuit_joint_state`.
+    """
     if not isinstance(params, ClonerParams):
         raise TypeError(f"unknown cloner parameter type: {type(params).__name__}")
     if via == "closed_form":
-        return CloneReport.from_batch(run_model_batch(params, [input]), input)
+        batch = run_model_batch(params, [input], overlap_M)
+        return CloneReport.from_joint(TwoQubitState._trusted(batch.joint[0]),
+                                      batch.P_succ[0], input)
     if via == "circuit":
-        joint, p = circuit_joint_state(params, input)
-        return CloneReport.from_joint(joint, p, input)
+        return CloneReport.from_joint(*circuit_joint_state(params, input, overlap_M), input)
     raise ValueError(f"via must be 'closed_form' or 'circuit', got {via!r}")

@@ -1,7 +1,7 @@
 """Design-condition solvers and numeric symmetrization.
 
-Covers the closed-form design points (the optimal splitting ratio and the
-glass-plate ratios that symmetrize an imperfect separating splitter) and a
+Covers the closed-form design point of the hybrid device (the glass-plate
+ratios that symmetrize an imperfect separating splitter) and a
 derivative-free optimizer for re-tuning any architecture parameter against a
 fidelity objective.
 """
@@ -32,14 +32,6 @@ _OBJECTIVES = {
     "max_avg_fidelity": lambda f1, f2: -0.5 * (f1 + f2),
 }
 OBJECTIVES = tuple(_OBJECTIVES)
-
-
-def solve_ideal_reflectance() -> float:
-    """Root of 6 R^2 - 6 R + 1 = 0 lying in (1/2, 1].
-
-    The complementary root is 1 minus this value.
-    """
-    return 0.5 * (1.0 + 1.0 / math.sqrt(3.0))
 
 
 @dataclass(frozen=True)

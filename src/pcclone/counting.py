@@ -224,18 +224,19 @@ def _pattern_probabilities(w: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return np.clip(np.einsum("nai,nij,naj->na", w.conj(), rho, w).real, 0.0, None)
 
 
-def outcome_distribution(report: CloneReport, analysis: Qubit,
-                         analysis_2: Qubit | None = None) -> np.ndarray:
+def outcome_distribution(report: CloneReport, analysis) -> np.ndarray:
     """Detector-pattern probabilities conditioned on post-selection success.
 
-    Order: (p_pp, p_pm, p_mp, p_mm); each clone is projected onto the
-    analysis state / its orthogonal complement.
+    Order: (p_pp, p_pm, p_mp, p_mm); each clone is projected onto its
+    analysis state / its orthogonal complement.  ``analysis`` is a
+    :class:`Qubit` for both clones or a pair of them, one per clone.
     """
+    pair = _analysis_pair(analysis)
+    if pair is None:
+        raise ValueError("analysis must be a Qubit or a pair of Qubits, got None")
     if report.is_empty:
         raise ValueError("cannot analyze an empty report")
-    side1 = np.array(_standard_basis(analysis))
-    side2 = np.array(_standard_basis(analysis_2)) if analysis_2 is not None else side1
-    w = _pattern_vectors(side1, side2)
+    w = _pattern_vectors(*(np.array(_standard_basis(a)) for a in pair))
     return _pattern_probabilities(w[None], report.joint.rho[None])[0]
 
 

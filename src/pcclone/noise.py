@@ -3,9 +3,9 @@
 Distinguishability is modeled by preparing the ancilla photon in a temporal
 wavepacket M * principal + sqrt(1 - M^2) * orthogonal; detectors sum over
 temporal bins incoherently.  Interference visibility on a balanced coupler
-is then V = M^2.  :func:`evaluate` at any M is a one-row slice of the
-closed-form kernel ``run_model_batch``; :func:`with_distinguishability` runs
-the two-bin Fock circuit (8 modes) and serves as its independent check, and
+is then V = M^2.  ``run_model(..., overlap_M=M)`` evaluates any M in closed
+form; :func:`with_distinguishability`, its circuit route through the two-bin
+Fock circuit (8 modes), is the independent check, and
 :func:`balanced_coincidence_probability` is the same engine on one coupler.
 
 Phase jitter is a zero-mean Gaussian random walk of the interferometer phase,
@@ -37,9 +37,8 @@ from .cloners import (
     _check_integer,
     _check_overlap,
     _check_unit_interval,
-    circuit_joint_state,
     conditional_sector_vectors,
-    run_model_batch,
+    run_model,
 )
 from .fock import (MIN_SUCCESS, Qubit, TwoQubitState, coupler, photon_pair,
                    postselect_coincidence)
@@ -99,8 +98,7 @@ def jittered(model: ClonerParams, noise: NoiseConfig) -> bool:
 
 def with_distinguishability(model: ClonerParams, M: float, input: Qubit) -> CloneReport:
     """Evaluate a cloner with ancilla temporal overlap M via the 8-mode circuit."""
-    joint, p = circuit_joint_state(model, input, ancilla_overlap=M)
-    return CloneReport.from_joint(joint, p, input)
+    return run_model(model, input, "circuit", M)
 
 
 def balanced_coincidence_probability(M: float) -> float:
@@ -118,6 +116,12 @@ def hom_visibility(M: float) -> float:
     return 1.0 - balanced_coincidence_probability(M) / baseline
 
 
+def _check_trials(n_trials):
+    _check_integer("n_trials", n_trials)
+    if not 1 <= n_trials <= MAX_PAIRS:
+        raise ValueError(f"n_trials must lie in [1, {MAX_PAIRS}], got {n_trials}")
+
+
 def _jitter_walk(config: NoiseConfig, rng_seed, n_trials: int):
     """Yield the walk of :func:`sample_phase_jitter` in pieces of ``_CHUNK`` trials.
 
@@ -127,9 +131,7 @@ def _jitter_walk(config: NoiseConfig, rng_seed, n_trials: int):
     value of the previous piece, whole blocks follow, and a cut block at
     the end carries over.  Only one piece is held at a time.
     """
-    _check_integer("n_trials", n_trials)
-    if not 1 <= n_trials <= MAX_PAIRS:
-        raise ValueError(f"n_trials must lie in [1, {MAX_PAIRS}], got {n_trials}")
+    _check_trials(n_trials)
     rng = np.random.default_rng(rng_seed)
     period = config.jitter_reset_period
     level = 0.0
@@ -210,10 +212,12 @@ def average_over_jitter(
     The returned report carries the success-probability-weighted mixture of
     the per-trial clone states and the mean success probability.  The
     harmonics of the walk are summed one chunk at a time and weight the
-    coefficients of :func:`_moment_polynomial`.
+    coefficients of :func:`_moment_polynomial`.  When the jitter does not
+    reach ``model`` this is ``run_model`` at the overlap of ``noise``.
     """
+    _check_trials(n_trials)
     if not jittered(model, noise):
-        return evaluate(model, noise, input)
+        return run_model(model, input, overlap_M=noise.overlap_M)
     degree = model.jitter_degree
     sums = 0.0
     for phases in _jitter_walk(noise, rng_seed, n_trials):
@@ -225,12 +229,3 @@ def average_over_jitter(
         return CloneReport.empty(input)
     return CloneReport.from_joint(TwoQubitState._trusted(moment / total),
                                   total / n_trials, input)
-
-
-def evaluate(model: ClonerParams, noise: NoiseConfig | None, input: Qubit) -> CloneReport:
-    """Single deterministic evaluation honoring the distinguishability setting.
-
-    The one-row slice of :func:`run_model_batch` at the overlap of ``noise``.
-    """
-    overlap = 1.0 if noise is None else noise.overlap_M
-    return CloneReport.from_batch(run_model_batch(model, [input], overlap), input)

@@ -11,6 +11,7 @@ import time
 import numpy as np
 
 from pcclone import (
+    R_OPTIMAL,
     CountingSetup,
     DetectorBank,
     FiberParams,
@@ -29,7 +30,6 @@ from pcclone import (
     outcome_distribution,
     run_model,
     simulate_counts,
-    solve_ideal_reflectance,
     with_distinguishability,
 )
 
@@ -83,18 +83,21 @@ def test_criterion_02_success_probabilities():
 
 
 def test_criterion_03_optimal_reflectance_and_constraints():
-    r_opt = solve_ideal_reflectance()
+    r_opt = R_OPTIMAL
     r0, t0 = math.sqrt(r_opt), math.sqrt(1 - r_opt)
     r1, t1 = math.sqrt(1 - r_opt), -math.sqrt(r_opt)
+    c0 = abs(6 * r_opt * r_opt - 6 * r_opt + 1)
     c1 = abs(r0 * r1 + t0 * t1)
     c2 = abs((r0 * r0 - t0 * t0) - math.sqrt(2.0) * r0 * r1)
-    ok = abs(r_opt - 0.7886751346) < 1e-9 and c1 < 1e-12 and c2 < 1e-12
+    ok = (abs(r_opt - 0.7886751346) < 1e-9 and 0.5 < r_opt <= 1.0
+          and c0 < 1e-12 and c1 < 1e-12 and c2 < 1e-12)
     check(
         3,
-        "optimal reflectance 0.7886751346 (tol 1e-9) satisfying both "
-        "design constraints (tol 1e-12)",
+        "optimal reflectance 0.7886751346 (tol 1e-9), the root of "
+        "6R^2 - 6R + 1 = 0 in (1/2, 1], satisfying both design constraints "
+        "(tol 1e-12)",
         ok,
-        f"R = {r_opt:.12f}, |r0r1 + t0t1| = {c1:.1e}, "
+        f"R = {r_opt:.12f}, |6R^2 - 6R + 1| = {c0:.1e}, |r0r1 + t0t1| = {c1:.1e}, "
         f"|(r0^2 - t0^2) - sqrt(2) r0r1| = {c2:.1e}",
     )
 

@@ -375,15 +375,18 @@ def test_conditional_triple_matches_report_probability():
 
 @settings(max_examples=30, deadline=None)
 @given(data=st.data(), thetas=st.lists(st.floats(0.0, math.pi), min_size=1, max_size=24),
-       phis=st.lists(st.floats(0.0, 2 * math.pi), min_size=24, max_size=24))
+       phis=st.lists(st.floats(0.0, 2 * math.pi), min_size=24, max_size=24),
+       m=st.sampled_from([1.0, 0.999, 0.9, 0.5, 0.0]))
 @pytest.mark.parametrize("variant", VARIANTS, ids=CLASS_NAMES)
-def test_batch_matches_run_model(variant, data, thetas, phis):
+def test_batch_matches_run_model(variant, data, thetas, phis, m):
+    # run_model is the one-row slice of the batch: its report, rebuilt from
+    # the row's joint state alone, keeps every bit of the row at any overlap
     params = data.draw(PARAMS[variant])
     qubits = [Qubit(th, ph) for th, ph in zip(thetas, phis)]
     qubits += [Qubit(0.0, 0.0), Qubit(math.pi, 1.0)]
-    batch = run_model_batch(params, qubits)
+    batch = run_model_batch(params, qubits, m)
     assert batch.F1.shape == batch.F2.shape == batch.P_succ.shape == (len(qubits),)
-    assert_rows_equal(batch, [run_model(params, q) for q in qubits])
+    assert_rows_equal(batch, [run_model(params, q, overlap_M=m) for q in qubits])
 
 
 def stacked(model, names, candidates):

@@ -25,7 +25,6 @@ from pcclone.compensation import (
     _objective_function,
     optimize_symmetry,
     solve_hybrid_compensation,
-    solve_ideal_reflectance,
 )
 from pcclone.fock import Qubit
 
@@ -45,7 +44,7 @@ def equatorial_fidelity(r0_intensity):
 # ---------------------------------------------------------------------------
 
 def test_reflectance_value_and_polynomial():
-    r = solve_ideal_reflectance()
+    r = R_OPTIMAL
     assert r == pytest.approx(0.7886751346, abs=1e-9)
     assert abs(6 * r * r - 6 * r + 1) < 1e-12
     assert 0.5 < r <= 1.0
@@ -53,7 +52,7 @@ def test_reflectance_value_and_polynomial():
 
 
 def test_reflectance_satisfies_design_constraints():
-    r = solve_ideal_reflectance()
+    r = R_OPTIMAL
     r0, t0 = math.sqrt(r), math.sqrt(1 - r)
     r1, t1 = math.sqrt(1 - r), -math.sqrt(r)
     assert abs(r0 * r1 + t0 * t1) < 1e-12

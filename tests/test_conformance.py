@@ -36,7 +36,6 @@ from cloner_strategies import (
 from pcclone import experiment
 from pcclone.cli import main
 from pcclone.cloners import (
-    CloneReport,
     ClonerParams,
     SpecialBSParams,
     _rail_couplings,
@@ -90,7 +89,7 @@ def test_kernel_states_are_density_matrices(variant, m, data):
     assert kept.any()
     check_density(batch.joint[kept], "two-qubit state", imag_trace=False)
     assert not batch.joint[~kept].any()
-    reports = [CloneReport.from_batch(batch, q, i) for i, q in enumerate(SWEEP)]
+    reports = [run_model(params, q, overlap_M=m) for q in SWEEP]
     marginals = [rho for r in reports if not r.is_empty
                  for rho in (r.rho1.matrix, r.rho2.matrix)]
     check_density(np.array(marginals), "density matrix")

@@ -189,6 +189,30 @@ def test_outcome_distribution_rejects_empty_report():
         outcome_distribution(empty, EQ)
 
 
+@pytest.mark.parametrize("analysis", [None, (EQ,), (EQ, EQ, EQ), (EQ, "EQ"), "EQ", 0.5])
+def test_outcome_distribution_requires_an_analysis(analysis):
+    with pytest.raises(ValueError, match="analysis must be a Qubit or a pair"):
+        outcome_distribution(run_model(IDEAL, EQ), analysis)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), m=OVERLAPS, qubit=QUBITS, pair=st.tuples(QUBITS, QUBITS))
+@pytest.mark.parametrize("variant", VARIANTS, ids=CLASS_NAMES)
+def test_outcome_distribution_of_a_pair_matches_static_pvals(variant, data, m, qubit, pair):
+    # one analysis state per clone, as simulate_counts takes it
+    model = data.draw(PARAMS[variant])
+    report = run_model(model, qubit, overlap_M=m)
+    eff = BIASED_BANK.pattern_efficiencies()
+    batch = run_model_batch(model, [qubit], m)
+    w = _pattern_vectors(*_analyzer_vectors(model, [qubit], pair))
+    expected = _static_pvals(w, batch.P_succ, batch.joint, eff)[0]
+    got = report.P_succ * outcome_distribution(report, pair) * eff
+    assert got == pytest.approx(expected[:4], rel=1e-12, abs=1e-15)
+    # a Qubit is the pair that repeats it, to the bit
+    single = outcome_distribution(report, pair[0])
+    assert single.tobytes() == outcome_distribution(report, (pair[0], pair[0])).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # simulation
 # ---------------------------------------------------------------------------
@@ -333,15 +357,14 @@ def test_simulate_counts_is_the_one_row_batch(analysis, overlap):
 @pytest.mark.parametrize("variant", VARIANTS, ids=CLASS_NAMES)
 def test_static_pvals_at_partial_overlap_match_the_sector_route(variant, data, m, qubits):
     # static counts take their state from the closed-form batch; at M < 1
-    # that agrees with noise.evaluate's sector pooling up to float order
+    # that agrees with run_model's report at that overlap up to float order
     model = data.draw(PARAMS[variant])
-    noise = NoiseConfig(overlap_M=m)
     eff = BIASED_BANK.pattern_efficiencies()
     batch = run_model_batch(model, qubits, m)
     pvals = _static_pvals(_pattern_vectors(*_analyzer_vectors(model, qubits)),
                           batch.P_succ, batch.joint, eff)
     for qubit, row in zip(qubits, pvals):
-        report = noise_module.evaluate(model, noise, qubit)
+        report = run_model(model, qubit, overlap_M=m)
         expected = per_row_pvals(model, qubit, None, report.P_succ, report.joint.rho, eff)
         assert row == pytest.approx(expected, rel=1e-12, abs=1e-15)
 

@@ -17,7 +17,7 @@ from pcclone.fock import (
     photon_pair,
     postselect_coincidence,
 )
-from pcclone.noise import NoiseConfig, average_over_jitter, evaluate
+from pcclone.noise import NoiseConfig, average_over_jitter
 
 # modes of the principal bin, index 2 * port + rail
 M1R0, M1R1, M2R0, M2R1 = 0, 1, 2, 3
@@ -342,7 +342,7 @@ def test_two_qubit_state_is_immutable():
     jitter = NoiseConfig(overlap_M=0.9, phase_jitter_sigma=0.1)
     reports = [
         run_model(SpecialBSParams.ideal(), q),
-        evaluate(SpecialBSParams.ideal(), NoiseConfig(overlap_M=0.9), q),
+        run_model(SpecialBSParams.ideal(), q, overlap_M=0.9),
         average_over_jitter(MachZehnderParams.ideal(), jitter, q, 0, 100),
     ]
     for report in reports:

@@ -28,7 +28,6 @@ from pcclone.noise import (
     average_over_jitter,
     balanced_coincidence_probability,
     conditional_sector_vectors,
-    evaluate,
     hom_visibility,
     sample_phase_jitter,
     with_distinguishability,
@@ -200,7 +199,8 @@ def test_vanishing_success_is_empty_on_every_route(loss):
     assert run_model(params, pole, via="circuit").is_empty
     batch = run_model_batch(params, [pole, EQ], 0.9)
     assert batch.P_succ[0] == 0.0 and np.isnan([batch.F1[0], batch.F2[0]]).all()
-    assert evaluate(params, NoiseConfig(overlap_M=0.9), pole).is_empty
+    assert run_model(params, pole, overlap_M=0.9).is_empty
+    assert run_model(params, pole, via="circuit", overlap_M=0.9).is_empty
     assert with_distinguishability(params, 0.9, pole).is_empty
 
 
@@ -245,6 +245,20 @@ def test_jitter_accumulates_between_resets():
 def test_jitter_requires_trials():
     with pytest.raises(ValueError, match="n_trials"):
         sample_phase_jitter(NoiseConfig(), 1, 0)
+
+
+@pytest.mark.parametrize("sigma", [0.1, 0.0])
+@pytest.mark.parametrize("n_trials", [0, -5, MAX_PAIRS + 1, 2.5])
+@pytest.mark.parametrize(
+    "model",
+    [SpecialBSParams.ideal(), MachZehnderParams.ideal(), HybridParams.ideal(),
+     FiberParams.ideal()],
+    ids=lambda p: type(p).__name__,
+)
+def test_jitter_average_checks_trials_on_every_device(model, n_trials, sigma):
+    # also where the jitter does not reach the device and no walk is drawn
+    with pytest.raises(ValueError, match="n_trials"):
+        average_over_jitter(model, NoiseConfig(phase_jitter_sigma=sigma), EQ, 0, n_trials)
 
 
 @pytest.mark.parametrize("n_trials", [2.5, 10.0, True, np.float64(3.0), "10"])
@@ -382,8 +396,8 @@ def test_zero_jitter_leaves_report_unchanged():
     assert np.max(np.abs(averaged.joint.rho - clean.joint.rho)) < 1e-12
 
 
-def test_evaluate_dispatches_on_overlap():
-    clean = evaluate(SpecialBSParams.ideal(), NoiseConfig(), EQ)
+def test_run_model_honours_overlap():
+    clean = run_model(SpecialBSParams.ideal(), EQ)
     assert clean.F1 == pytest.approx(F_PC, abs=1e-10)
-    noisy = evaluate(SpecialBSParams.ideal(), NoiseConfig(overlap_M=0.9), EQ)
+    noisy = run_model(SpecialBSParams.ideal(), EQ, overlap_M=0.9)
     assert noisy.F1 < clean.F1
