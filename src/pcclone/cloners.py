@@ -6,9 +6,10 @@ describes its device once, in two independent forms:
 
 * ``sector_amplitudes`` -- the conditional output amplitudes written down
   directly, per temporal detection sector.  :func:`run_model_batch`, the one
-  closed-form kernel, evaluates them at any ancilla overlap, and
-  :func:`run_model` (``via="closed_form"``, the default) is its one-row
-  slice at the same overlap.  Under phase jitter
+  closed-form kernel, evaluates them at any ancilla overlap for a batch of
+  inputs held as one :class:`Qubit` of arrays, and :func:`run_model`
+  (``via="closed_form"``, the default) is its one-row call at the same
+  overlap.  Under phase jitter
   :func:`conditional_sector_vectors` gives them per trial.
 * ``transfer_matrix`` -- the same device as the 4x4 single-photon transfer
   matrix of one temporal bin, built from the couplers and attenuators of the
@@ -39,6 +40,7 @@ from .fock import (
     Port,
     Qubit,
     TwoQubitState,
+    _require,
     attenuator,
     coupler,
     fidelity,
@@ -61,22 +63,6 @@ MAX_ROWS = 10**5
 #: most photon pairs one counting run, and trials one jitter walk, may hold
 #: (the samplers count in int64)
 MAX_PAIRS = 10**12
-
-
-def _require(ok, value, message):
-    """Raise ``ValueError(f"{message}, got {bad}")`` unless ``ok`` holds.
-
-    ``ok`` and ``value`` are scalars, or arrays of one shape when a field
-    holds an array of candidates; ``bad`` is then the first entry of
-    ``value`` where ``ok`` fails, as a Python number.
-    """
-    if isinstance(ok, np.ndarray):
-        if ok.all():
-            return
-        value = np.extract(~ok, value)[0].item()
-    elif ok:
-        return
-    raise ValueError(f"{message}, got {value}")
 
 
 def _check_unit_interval(name, value):
@@ -102,8 +88,15 @@ def _check_overlap(M):
     _check_unit_interval("overlap M", M)
 
 
+def _check_single(input: Qubit):
+    """Raise ValueError when ``input`` holds a batch of states, not one."""
+    if np.ndim(input.theta):
+        raise ValueError(f"input must be one state, got a batch of shape "
+                         f"{np.shape(input.theta)}")
+
+
 def _standard_basis(analysis: Qubit):
-    """(plus, minus) click vectors of an analyzer set to ``analysis``."""
+    """(plus, minus) click vectors of an analyzer set to ``analysis``, per state."""
     return analysis.amplitudes(), analysis.orthogonal().amplitudes()
 
 
@@ -155,7 +148,10 @@ class ClonerParams:
     def analyzer_bases(self, input: Qubit):
         """Click vectors of both clones' analyzers when no analysis state is set.
 
-        By default each clone is analyzed in the basis of the input state.
+        Returns (clone 1, clone 2), each a (plus, minus) pair of vectors
+        shaped like ``input.amplitudes()``, or of one shape (2,) when they
+        do not depend on the input.  By default each clone is analyzed in
+        the basis of the input state.
         """
         basis = _standard_basis(input)
         return basis, basis
@@ -332,13 +328,13 @@ class HybridParams(ClonerParams, variant="hybrid"):
         return nu @ bs2 @ eta @ bs1
 
 
-def _ratio_basis(phi: float, ratio: float):
-    """Click basis of a detection block: coupler ratio + phase modulator."""
+def _ratio_basis(phi, ratio: float):
+    """Click basis of a detection block: coupler ratio + phase modulator(s) ``phi``."""
     a = math.sqrt(ratio)
     b = math.sqrt(1.0 - ratio)
-    phase = np.exp(1j * phi)
-    plus = np.array([a, b * phase], dtype=complex)
-    minus = np.array([b, -a * phase], dtype=complex)
+    phase = np.exp(1j * np.asarray(phi, dtype=float))
+    plus = np.stack([np.full_like(phase, a), b * phase], axis=-1)
+    minus = np.stack([np.full_like(phase, b), -a * phase], axis=-1)
     return plus, minus
 
 
@@ -440,6 +436,7 @@ def ideal_pc_map(input: Qubit, hemisphere: str = "north") -> np.ndarray:
     swaps the roles of |0> and |1>.  The output is normalized and indexed
     |q1 q2> -> 2*q1 + q2.
     """
+    _check_single(input)
     alpha, beta = input.amplitudes()
     s = 1.0 / math.sqrt(2.0)
     if hemisphere == "north":
@@ -493,6 +490,7 @@ def conditional_sector_vectors(
     below.  ``phase_errors`` feeds per-trial jitter into the architectures
     that respond to it; without it there is one trial.
     """
+    _check_single(input)
     _check_overlap(overlap_M)
     delta = 0.0 if phase_errors is None else np.asarray(phase_errors, float)
     vectors = _sector_stack(params, *input.amplitudes(), overlap_M, delta)
@@ -512,21 +510,21 @@ class CloneBatch(NamedTuple):
     joint: np.ndarray
 
 
-def run_model_batch(params: ClonerParams, inputs, overlap_M: float = 1.0) -> CloneBatch:
+def run_model_batch(params: ClonerParams, inputs: Qubit,
+                    overlap_M: float = 1.0) -> CloneBatch:
     """The closed-form kernel: many inputs at ancilla overlap ``overlap_M``.
 
-    :func:`run_model` is its one-row slice, at any overlap.  Fields
-    of ``params`` may hold arrays of candidates, which broadcast against the
-    inputs: one input against n candidates gives n rows, unless the
-    amplitudes never read that field (a detection ratio).  The joint states
-    (success-weighted over the temporal sectors), their marginals and the
-    fidelities are built as stacked arrays, density matrices by construction.
+    ``inputs`` is one :class:`Qubit`, one row per entry of its fields (a
+    Qubit of two floats is one row); :func:`run_model` is the one-row call,
+    at any overlap.  Fields of ``params`` may hold arrays of candidates,
+    which broadcast against the inputs: one input against n candidates
+    gives n rows, unless the amplitudes never read that field (a detection
+    ratio).  The joint states (success-weighted over the temporal sectors),
+    their marginals and the fidelities are built as stacked arrays, density
+    matrices by construction.
     """
     _check_overlap(overlap_M)
-    half = np.array([q.theta for q in inputs], dtype=float) / 2.0
-    phi = np.array([q.phi for q in inputs], dtype=float)
-    psi = np.stack([np.cos(half).astype(complex), np.sin(half) * np.exp(1j * phi)],
-                   axis=-1)
+    psi = inputs.amplitudes().reshape(-1, 2)
     vectors = _sector_stack(params, psi[:, 0], psi[:, 1], overlap_M, 0.0)
     n = len(vectors)
     # stacked (1 x k) @ (k x 1) products give np.vdot's bits
@@ -536,9 +534,14 @@ def run_model_batch(params: ClonerParams, inputs, overlap_M: float = 1.0) -> Clo
     # every row takes the same path; an empty row is divided by 1, not by
     # its vanishing norm, and masked at the end
     v = vectors / np.sqrt(np.where(keep, p_succ, 1.0))[:, None, None]
-    joint = (v[:, :, :, None] * v.conj()[:, :, None, :]).sum(axis=1)
-    r = joint.reshape(n, 2, 2, 2, 2)
-    marginals = np.stack([np.einsum("nijkj->nik", r), np.einsum("nijil->njl", r)])
+    if v.shape[1] == 1:  # one sector (M = 1): the joint state is a projector
+        joint = v[:, 0, :, None] * v[:, 0, None, :].conj()
+    else:
+        joint = (v[:, :, :, None] * v.conj()[:, :, None, :]).sum(axis=1)
+    r = joint.reshape(n, 2, 2, 2, 2)  # [row, q1, q2, q1', q2']
+    # the partial traces over clone 2 and over clone 1
+    marginals = np.stack([r[:, :, 0, :, 0] + r[:, :, 1, :, 1],
+                          r[:, 0, :, 0, :] + r[:, 1, :, 1, :]])
     # (psi^dagger rho) psi, in the order of fock.fidelity
     bra = psi.conj()[:, None, :] @ marginals
     fidelities = np.where(keep, (bra @ psi[:, :, None])[..., 0, 0].real, np.nan)
@@ -582,13 +585,14 @@ def run_model(params: ClonerParams, input: Qubit, via: str = "closed_form",
     """Clone ``input`` on the architecture that ``params`` describes.
 
     ``overlap_M`` is the ancilla's temporal-mode overlap with the signal.
-    The closed form is the one-row slice of :func:`run_model_batch`, the
+    The closed form is the one-row call of :func:`run_model_batch`, the
     circuit route :func:`circuit_joint_state`.
     """
     if not isinstance(params, ClonerParams):
         raise TypeError(f"unknown cloner parameter type: {type(params).__name__}")
+    _check_single(input)
     if via == "closed_form":
-        batch = run_model_batch(params, [input], overlap_M)
+        batch = run_model_batch(params, input, overlap_M)
         return CloneReport.from_joint(TwoQubitState._trusted(batch.joint[0]),
                                       batch.P_succ[0], input)
     if via == "circuit":

@@ -174,7 +174,7 @@ def optimize_symmetry(
         """Objective values of ``points``, from one batch."""
         columns = {name: np.array(column, dtype=float)
                    for name, column in zip(names, zip(*points))}
-        batch = run_model_batch(replace(model, **columns), [target])
+        batch = run_model_batch(replace(model, **columns), target)
         values = np.where(batch.P_succ > 0.0, score(batch.F1, batch.F2), math.inf)
         # a field the amplitudes never read (a detection ratio) gives one row
         return np.broadcast_to(values, len(points)).tolist()

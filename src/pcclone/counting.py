@@ -9,10 +9,12 @@ dark-count free, so a trial either contributes one coincidence or nothing.
 
 Without phase jitter every trial sees the same pattern probabilities, so the
 counts of a row are one multinomial draw.  Such static rows are counted as
-one batch: the analyzer vectors of every row are stacked, their pattern
-vectors come from one broadcast product, and one einsum over the rows'
-joint states gives every row's registration probabilities.  Only the seeded
-draw runs row by row; a :func:`simulate_counts` call is the one-row batch.
+one batch: one ``analyzer_bases`` call on the batch's inputs gives the
+analyzer vectors of every row, their pattern vectors come from one
+broadcast product, and one einsum over the rows' joint states gives every
+row's registration probabilities.  Only the seeded draw, and the record it
+fills without re-checking, runs row by row; a :func:`simulate_counts` call
+is the one-row batch.
 
 With jitter the probabilities change from trial to trial.  Each is a
 trigonometric polynomial in the phase error delta of the device's
@@ -46,6 +48,7 @@ from .cloners import (
     CloneReport,
     ClonerParams,
     _check_integer,
+    _check_single,
     _check_unit_interval,
     _standard_basis,
     run_model_batch,
@@ -130,6 +133,14 @@ class CoincidenceRecord:
         if self.c_sum > self.n_pairs:
             raise ValueError("total coincidences cannot exceed n_pairs")
 
+    @classmethod
+    def _trusted(cls, c_pp, c_pm, c_mp, c_mm, n_pairs, seed) -> "CoincidenceRecord":
+        """The record of one seeded draw that a sampler made valid, unchecked."""
+        record = object.__new__(cls)
+        record.__dict__.update(c_pp=c_pp, c_pm=c_pm, c_mp=c_mp, c_mm=c_mm,
+                               n_pairs=n_pairs, seed=seed, seeds=(seed,))
+        return record
+
     @property
     def c_sum(self) -> int:
         return self.c_pp + self.c_pm + self.c_mp + self.c_mm
@@ -193,19 +204,19 @@ def _analysis_pair(analysis):
     raise ValueError(f"analysis must be a Qubit or a pair of Qubits, got {analysis!r}")
 
 
-def _analyzer_vectors(model: ClonerParams, inputs, analysis=None):
+def _analyzer_vectors(model: ClonerParams, inputs: Qubit, analysis=None):
     """Click vectors (plus, minus) of each clone's analyzer, one row per input.
 
-    Returns two (n, 2, 2) arrays, one per clone.  Without ``analysis`` each
-    row takes the device's own analyzers for its input; a :class:`Qubit` sets
-    both clones' analyzers, a pair of them one analyzer per clone.
+    Returns two (n, 2, 2) arrays, one per clone, for the n entries of
+    ``inputs``.  Without ``analysis`` every row takes the device's own
+    analyzers for its input, from one ``analyzer_bases`` call on the whole
+    batch; a :class:`Qubit` sets both clones' analyzers, a pair of them one
+    analyzer per clone.
     """
     pair = _analysis_pair(analysis)
-    if pair is None:
-        sides = [model.analyzer_bases(q) for q in inputs]
-        return np.array([s[0] for s in sides]), np.array([s[1] for s in sides])
-    return tuple(np.repeat(np.array(_standard_basis(a))[None], len(inputs), axis=0)
-                 for a in pair)
+    sides = model.analyzer_bases(inputs) if pair is None else map(_standard_basis, pair)
+    n = np.size(inputs.theta)
+    return tuple(np.broadcast_to(np.stack(side, axis=-2), (n, 2, 2)) for side in sides)
 
 
 def _pattern_vectors(side1: np.ndarray, side2: np.ndarray) -> np.ndarray:
@@ -253,19 +264,21 @@ def _static_pvals(w: np.ndarray, p_succ: np.ndarray, joints: np.ndarray,
     return pvals / pvals.sum(axis=1, keepdims=True)
 
 
-def _count_static(model: ClonerParams, inputs, n_pairs: int, detectors: DetectorBank,
-                  seeds, batch: CloneBatch, analysis=None) -> list[CoincidenceRecord]:
+def _count_static(model: ClonerParams, inputs: Qubit, n_pairs: int,
+                  detectors: DetectorBank, seeds, batch: CloneBatch,
+                  analysis=None) -> list[CoincidenceRecord]:
     """Counts of static rows: one multinomial draw per row, seeded by its seed.
 
     ``batch`` is the :func:`run_model_batch` evaluation of ``inputs``.  The
     registration probabilities of every row come from one batched product;
-    only the draws run row by row.
+    only the draws, and the records they fill, run row by row.
     """
     w = _pattern_vectors(*_analyzer_vectors(model, inputs, analysis))
     pvals = _static_pvals(w, batch.P_succ, batch.joint, detectors.pattern_efficiencies())
     return [
-        CoincidenceRecord(*np.random.default_rng(seed).multinomial(n_pairs, p)[:4].tolist(),
-                          n_pairs, seed)
+        CoincidenceRecord._trusted(
+            *np.random.default_rng(seed).multinomial(n_pairs, p)[:4].tolist(),
+            n_pairs, seed)
         for seed, p in zip(seeds, pvals)
     ]
 
@@ -310,11 +323,12 @@ def simulate_counts(
     """
     _check_pairs(n_pairs)
     _check_seed(seed)
+    _check_single(input)
     if not jittered(model, noise):
-        batch = run_model_batch(model, [input], noise.overlap_M)
-        return _count_static(model, [input], n_pairs, detectors, [seed], batch,
+        batch = run_model_batch(model, input, noise.overlap_M)
+        return _count_static(model, input, n_pairs, detectors, [seed], batch,
                              analysis)[0]
-    w = _pattern_vectors(*_analyzer_vectors(model, [input], analysis))[0]
+    w = _pattern_vectors(*_analyzer_vectors(model, input, analysis))[0]
     eff = detectors.pattern_efficiencies()
     seq_jitter, seq_outcome = np.random.SeedSequence(seed).spawn(2)
     rng = np.random.default_rng(seq_outcome)

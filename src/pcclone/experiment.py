@@ -37,12 +37,14 @@ frozen dataclass.  Model variants are ``ClonerParams.variants``; their fields
 * ``fiber``:        R_vrc0, R_vrc1, analysis_phases, detection_ratio_1,
                     detection_ratio_2
 
-Fields are checked when the configuration is read.  One
+Fields are checked when the configuration is read; a sweep's inputs become
+one theta-major :class:`Qubit` of arrays, validated in one pass.  One
 :func:`run_model_batch` call per configuration evaluates every row at any
-``overlap_M``.  Static counting rows are counted in one further batch call,
-which takes every row's registration probabilities from its joint states
-and leaves one seeded multinomial draw per row; rows under phase jitter
-each run their own jitter walk.
+``overlap_M``, and the theta and phi columns come straight from the arrays.
+Static counting rows are counted in one further batch call, which takes
+every row's registration probabilities from its joint states and leaves one
+seeded multinomial draw per row; rows under phase jitter each run their own
+jitter walk.
 
 Results are columns: :func:`run_experiment` and :func:`compare_experiments`
 return a mapping from column name to a list with one entry per row.
@@ -248,14 +250,14 @@ class Sweep:
     theta: Annotated[tuple[float, ...], functools.partial(
         _parse_axis, domain=(0.0, math.pi))] = (math.pi / 2.0,)
     phi: Annotated[tuple[float, ...], _parse_axis] = (0.0,)
-    inputs: tuple[Qubit, ...] = dataclasses.field(init=False, repr=False)
+    inputs: Qubit = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.theta) * len(self.phi) > MAX_ROWS:
             raise ValueError(f"at most {MAX_ROWS} rows, "
                              f"got {len(self.theta)} x {len(self.phi)}")
-        object.__setattr__(self, "inputs", tuple(
-            [Qubit(th, ph) for th in self.theta for ph in self.phi]))
+        object.__setattr__(self, "inputs", Qubit(np.repeat(self.theta, len(self.phi)),
+                                                 np.tile(self.phi, len(self.theta))))
 
 
 @dataclass(frozen=True)
@@ -302,9 +304,9 @@ class ExperimentConfig:
                              f"got {self.label!r}")
 
     @property
-    def inputs(self) -> tuple[Qubit, ...]:
-        """The input states, one per output row."""
-        return (self.input,) if self.sweep is None else self.sweep.inputs
+    def inputs(self) -> Qubit:
+        """The input states, one per output row: one Qubit, of arrays for a sweep."""
+        return self.input if self.sweep is None else self.sweep.inputs
 
 
 @dataclass(frozen=True)
@@ -363,18 +365,19 @@ def run_experiment(config: ExperimentConfig) -> dict[str, list]:
     for i in np.flatnonzero(batch.P_succ <= 0.0).tolist():
         fidelities[0][i] = fidelities[1][i] = None
     columns = {
-        "theta": [q.theta for q in inputs],
-        "phi": [q.phi for q in inputs],
+        "theta": np.ravel(inputs.theta).tolist(),
+        "phi": np.ravel(inputs.phi).tolist(),
         "F1": fidelities[0],
         "F2": fidelities[1],
         "P_succ": batch.P_succ.tolist(),
     }
     if counting:
-        seeds = _row_seeds(counting.seed, len(inputs))
+        seeds = _row_seeds(counting.seed, len(batch.P_succ))
         if jittered(config.model, config.noise):
-            records = [simulate_counts(config.model, config.noise, qubit,
+            # each row's own walk, on the row's entries of the validated inputs
+            records = [simulate_counts(config.model, config.noise, Qubit._trusted(th, ph),
                                        counting.n_pairs, counting.detectors, seed)
-                       for qubit, seed in zip(inputs, seeds)]
+                       for th, ph, seed in zip(columns["theta"], columns["phi"], seeds)]
         else:
             records = _count_static(config.model, inputs, counting.n_pairs,
                                     counting.detectors, seeds, batch)

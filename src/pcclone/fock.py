@@ -16,6 +16,9 @@ single-photon transfer matrix U (a_j^+ -> sum_i U_ij a_i^+) maps
 T -> U T U^T, the two-photon case of the permanent rule.  The elements
 below act on the four modes of one temporal bin; ``np.kron(np.eye(bins), U)``
 applies one to every bin.
+
+A :class:`Qubit` is one input state, or a batch of them held as arrays (a
+sweep), which the closed-form kernel evaluates in one call.
 """
 
 from __future__ import annotations
@@ -79,37 +82,73 @@ def photon_pair(x, y) -> np.ndarray:
     return (t + t.T) / 2.0
 
 
+def _require(ok, value, message):
+    """Raise ``ValueError(f"{message}, got {bad}")`` unless ``ok`` holds.
+
+    ``ok`` and ``value`` are scalars, or arrays of one shape when a field
+    holds an array (a batch of inputs or of candidates); ``bad`` is then the
+    first entry of ``value`` where ``ok`` fails, as a Python number.
+    """
+    if isinstance(ok, np.ndarray):
+        if ok.all():
+            return
+        value = np.extract(~ok, value)[0].item()
+    elif ok:
+        return
+    raise ValueError(f"{message}, got {value}")
+
+
 @dataclass(frozen=True)
 class Qubit:
     """Pure single-qubit state cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>.
 
     theta in [0, pi], stored without the sign of a zero; phi is stored
-    modulo 2 pi.
+    modulo 2 pi.  The fields are two floats, or two arrays of one shape
+    that hold a batch of inputs (a sweep), one state per entry; each entry
+    follows the scalar rules, and an error names the first bad value.
     """
 
     theta: float
     phi: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.theta <= math.pi:
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
-        if not math.isfinite(self.phi):
-            raise ValueError(f"phi must be finite, got {self.phi}")
-        object.__setattr__(self, "theta", self.theta + 0.0)  # -0.0 + 0.0 is 0.0
-        object.__setattr__(self, "phi", self.phi % (2.0 * math.pi))
+        theta = np.asarray(self.theta, dtype=float)
+        phi = np.asarray(self.phi, dtype=float)
+        _require((0.0 <= theta) & (theta <= math.pi), self.theta,
+                 "theta must lie in [0, pi]")
+        _require(np.isfinite(phi), self.phi, "phi must be finite")
+        theta, phi = np.broadcast_arrays(theta, phi)
+        theta = theta + 0.0  # -0.0 + 0.0 is 0.0
+        phi = np.remainder(phi, 2.0 * math.pi)  # rounds as Python's float % does
+        if theta.ndim == 0:
+            theta, phi = theta.item(), phi.item()
+        else:
+            theta.flags.writeable = phi.flags.writeable = False
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "phi", phi)
 
     @classmethod
-    def equatorial(cls, phi: float) -> "Qubit":
+    def _trusted(cls, theta, phi) -> "Qubit":
+        """Hold fields that a Qubit already validated and reduced, unchecked."""
+        state = object.__new__(cls)
+        state.__dict__.update(theta=theta, phi=phi)
+        return state
+
+    @classmethod
+    def equatorial(cls, phi) -> "Qubit":
         return cls(math.pi / 2.0, phi)
 
     def amplitudes(self) -> np.ndarray:
-        return np.array(
-            [
-                math.cos(self.theta / 2.0),
-                math.sin(self.theta / 2.0) * np.exp(1j * self.phi),
-            ],
-            dtype=complex,
-        )
+        """(cos(theta/2), e^{i phi} sin(theta/2)) along a last axis of length 2.
+
+        A single state is computed as a batch of one, so that it keeps the
+        bits of its row in a batch: numpy's scalar arithmetic can differ
+        from its array loops in the sign of a zero.
+        """
+        half = np.ravel(self.theta) / 2.0
+        phase = np.exp(1j * np.ravel(self.phi))
+        psi = np.stack([np.cos(half) + 0j, np.sin(half) * phase], axis=-1)
+        return psi.reshape(np.shape(self.theta) + (2,))
 
     def orthogonal(self) -> "Qubit":
         return Qubit(math.pi - self.theta, self.phi + math.pi)

@@ -5,7 +5,9 @@ The conformance suite (``test_conformance.py``, plus the batch properties in
 ``test_every_variant_has_a_strategy`` fails when a variant registered in
 ``ClonerParams.variants`` has no entry here.  The ranges are the ones the
 route-agreement tests have always sampled.  ``pool_sectors`` is the plain
-pooling of sector vectors that the jitter tests hold the library to.
+pooling of sector vectors that the jitter tests hold the library to, and
+``stack`` turns a list of single inputs into the one Qubit of arrays that
+the batch kernels take.
 """
 
 import math
@@ -74,6 +76,15 @@ OVERLAPS = st.one_of(st.just(1.0), st.floats(0.0, 0.999))
 
 #: inputs away from the poles, where every device succeeds with P >~ 1e-3
 QUBITS = st.builds(Qubit, st.floats(0.2, 2.9), ANGLE)
+
+
+def stack(qubits):
+    """One Qubit whose entries are the states of ``qubits``, in order.
+
+    Their stored phi lies in [0, 2 pi) unless an input just below 0 rounded
+    up onto 2 pi; none of the strategies here draws one.
+    """
+    return Qubit(np.array([q.theta for q in qubits]), np.array([q.phi for q in qubits]))
 
 
 def pool_sectors(vectors):

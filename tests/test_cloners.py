@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloner_strategies import CLASS_NAMES, PARAMS, QUBITS, VARIANTS
+from cloner_strategies import CLASS_NAMES, PARAMS, QUBITS, VARIANTS, stack
 from pcclone.cloners import (
     F_PHASE_COVARIANT,
     F_SEMICLASSICAL,
@@ -47,6 +47,11 @@ def test_ideal_map_basis_states():
     north1 = ideal_pc_map(Qubit(math.pi, 0.0), "north")
     s = 1 / math.sqrt(2)
     assert np.allclose(north1, [0, s, s, 0], atol=1e-12)
+
+
+def test_ideal_map_refuses_a_batch():
+    with pytest.raises(ValueError, match="input must be one state"):
+        ideal_pc_map(Qubit.equatorial(np.array([0.0, 1.0])))
 
 
 def test_ideal_map_equatorial_fidelity():
@@ -379,14 +384,15 @@ def test_conditional_triple_matches_report_probability():
        m=st.sampled_from([1.0, 0.999, 0.9, 0.5, 0.0]))
 @pytest.mark.parametrize("variant", VARIANTS, ids=CLASS_NAMES)
 def test_batch_matches_run_model(variant, data, thetas, phis, m):
-    # run_model is the one-row slice of the batch: its report, rebuilt from
+    # run_model is the one-row call of the batch: its report, rebuilt from
     # the row's joint state alone, keeps every bit of the row at any overlap
     params = data.draw(PARAMS[variant])
-    qubits = [Qubit(th, ph) for th, ph in zip(thetas, phis)]
-    qubits += [Qubit(0.0, 0.0), Qubit(math.pi, 1.0)]
-    batch = run_model_batch(params, qubits, m)
-    assert batch.F1.shape == batch.F2.shape == batch.P_succ.shape == (len(qubits),)
-    assert_rows_equal(batch, [run_model(params, q, overlap_M=m) for q in qubits])
+    thetas = thetas + [0.0, math.pi]
+    phis = phis[:len(thetas) - 2] + [0.0, 1.0]
+    batch = run_model_batch(params, Qubit(np.array(thetas), np.array(phis)), m)
+    assert batch.F1.shape == batch.F2.shape == batch.P_succ.shape == (len(thetas),)
+    assert_rows_equal(batch, [run_model(params, Qubit(th, ph), overlap_M=m)
+                              for th, ph in zip(thetas, phis)])
 
 
 def stacked(model, names, candidates):
@@ -396,7 +402,7 @@ def stacked(model, names, candidates):
 
 
 def assert_stack_matches_run_model(model, names, candidates, qubit):
-    batch = run_model_batch(stacked(model, names, candidates), [qubit])
+    batch = run_model_batch(stacked(model, names, candidates), qubit)
     assert batch.P_succ.shape == (len(candidates),)
     assert_rows_equal(batch, [run_model(c, qubit) for c in candidates])
 
@@ -459,11 +465,11 @@ def test_batch_zero_success_rows_are_empty():
     blocked = SpecialBSParams(comp_loss_r0=0.0, comp_loss_r1=0.0)
     qubits = [Qubit(0.3, 0.1), EQ, Qubit(math.pi, 0.0)]
     assert all(run_model(blocked, q).is_empty for q in qubits)
-    batch = run_model_batch(blocked, qubits)
+    batch = run_model_batch(blocked, stack(qubits))
     assert batch.P_succ.tolist() == [0.0] * 3
     assert np.isnan(batch.F1).all() and np.isnan(batch.F2).all()
     # a 50:50 splitter cancels only the |0> input: one empty row in the batch
-    batch = run_model_batch(SpecialBSParams(R0=0.5), [Qubit(0.0, 0.0), EQ])
+    batch = run_model_batch(SpecialBSParams(R0=0.5), stack([Qubit(0.0, 0.0), EQ]))
     assert batch.P_succ[0] == 0.0 and np.isnan([batch.F1[0], batch.F2[0]]).all()
     assert batch.P_succ[1] == pytest.approx(run_model(SpecialBSParams(R0=0.5), EQ).P_succ)
     assert not np.isnan([batch.F1[1], batch.F2[1]]).any()

@@ -32,6 +32,7 @@ from cloner_strategies import (
     QUBITS,
     VARIANTS,
     pool_sectors,
+    stack,
 )
 from pcclone import experiment
 from pcclone.cli import main
@@ -75,6 +76,7 @@ def test_sector_vectors_match_circuit(variant, data, m, delta, qubit):
 #: a whole Bloch-sphere sweep, poles included
 SWEEP = [Qubit(theta, phi) for theta in np.linspace(0.0, math.pi, 9)
          for phi in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)]
+SWEEP_BATCH = stack(SWEEP)
 
 
 @settings(max_examples=10, deadline=None)
@@ -84,7 +86,7 @@ SWEEP = [Qubit(theta, phi) for theta in np.linspace(0.0, math.pi, 9)
 def test_kernel_states_are_density_matrices(variant, m, data):
     # the kernel builds its states without checking them; this is the check
     params = data.draw(PARAMS[variant])
-    batch = run_model_batch(params, SWEEP, m)
+    batch = run_model_batch(params, SWEEP_BATCH, m)
     kept = batch.P_succ > 0.0
     assert kept.any()
     check_density(batch.joint[kept], "two-qubit state", imag_trace=False)
@@ -163,7 +165,7 @@ def test_a_new_device_is_one_class(monkeypatch, tmp_path, capsys):
     config = parse_experiment({"model": {"variant": "probe", "R": 0.6, "plate": None},
                                "input": {"theta": 1.0, "phi": 0.4}})
     assert config.model == ProbeParams(R=0.6)
-    reference = run_model(SpecialBSParams(R0=0.6), config.inputs[0])
+    reference = run_model(SpecialBSParams(R0=0.6), config.inputs)
     columns = run_experiment(config)
     assert columns["F1"] + columns["F2"] + columns["P_succ"] == pytest.approx(
         [reference.F1, reference.F2, reference.P_succ], abs=1e-12)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloner_strategies import CLASS_NAMES, OVERLAPS, PARAMS, QUBITS, VARIANTS
+from cloner_strategies import CLASS_NAMES, OVERLAPS, PARAMS, QUBITS, VARIANTS, stack
 from pcclone import counting as counting_module
 from pcclone import noise as noise_module
 from pcclone.cloners import (
@@ -134,6 +134,38 @@ def test_merged_record_keeps_every_seed():
         a.merged(b).merged(merged)
 
 
+@pytest.mark.parametrize("values, match", [
+    ((-1, 1, 1, 1, 10, 3), "c_pp must be non-negative"),
+    ((1, -1, 1, 1, 10, 3), "c_pm must be non-negative"),
+    ((1, 1, -1, 1, 10, 3), "c_mp must be non-negative"),
+    ((1, 1, 1, -1, 10, 3), "c_mm must be non-negative"),
+    ((1, 0, 0, 0, -20, 3), "n_pairs must be >= 1"),
+    ((6, 6, 0, 0, 10, 3), "total coincidences cannot exceed n_pairs"),
+    ((1.5, 0, 0, 0, 10, 3), "c_pp must be an integer"),
+    ((1, 0, 0, 0, 10.0, 3), "n_pairs must be an integer"),
+    ((1, 0, 0, 0, 10, 3.0), "seed must be an integer"),
+])
+def test_public_constructor_and_merge_reject_each_bad_field(values, match):
+    with pytest.raises(ValueError, match=match):
+        CoincidenceRecord(*values)
+    # merged checks its result, even when one part was built unchecked
+    with pytest.raises(ValueError, match=match):
+        CoincidenceRecord._trusted(*values).merged(CoincidenceRecord(0, 0, 0, 0, 1, 4))
+
+
+def test_counted_records_pass_every_public_check():
+    # _count_static fills its records unchecked; each is one the checks accept
+    model = HybridParams(eta0=0.7)
+    inputs = stack([Qubit(0.4, 0.2), EQ, Qubit(2.5, 4.0), Qubit(0.0, 0.0)])
+    records = _count_static(model, inputs, 20_000, BIASED_BANK, [11, 12, 13, 2**63],
+                            run_model_batch(model, inputs, 0.9))
+    for record in records:
+        fields = [getattr(record, name) for name in RECORD_FIELDS]
+        assert [type(v) for v in fields] == [int] * 6
+        assert record == CoincidenceRecord(*fields)
+        assert record.seeds == (record.seed,)
+
+
 @pytest.mark.parametrize("seed, seeds", [(1, (1, 1)), (1, (3, 1)), (1, (2, 3)),
                                          (1, (1, 2.0))])
 def test_record_seeds_must_be_distinct_and_ascending_from_seed(seed, seeds):
@@ -203,8 +235,8 @@ def test_outcome_distribution_of_a_pair_matches_static_pvals(variant, data, m, q
     model = data.draw(PARAMS[variant])
     report = run_model(model, qubit, overlap_M=m)
     eff = BIASED_BANK.pattern_efficiencies()
-    batch = run_model_batch(model, [qubit], m)
-    w = _pattern_vectors(*_analyzer_vectors(model, [qubit], pair))
+    batch = run_model_batch(model, qubit, m)
+    w = _pattern_vectors(*_analyzer_vectors(model, qubit, pair))
     expected = _static_pvals(w, batch.P_succ, batch.joint, eff)[0]
     got = report.P_succ * outcome_distribution(report, pair) * eff
     assert got == pytest.approx(expected[:4], rel=1e-12, abs=1e-15)
@@ -266,6 +298,36 @@ def test_simulate_requires_a_non_negative_integer_seed(noise):
     assert record == simulate_counts(model, noise, EQ, 100, DetectorBank(), seed=5)
 
 
+#: inputs where a rule of Qubit shows: the poles, a negative phi, phi = 2 pi,
+#: -1e-300 (its phi rounds up onto 2 pi) and huge phi
+EDGE_INPUTS = st.tuples(
+    st.sampled_from([0.0, -0.0, math.pi]) | st.floats(0.0, math.pi),
+    st.sampled_from([-0.0, 2 * math.pi, -1e-300, -2.5, 1e300, -1e300])
+    | st.floats(-50.0, 50.0))
+#: every device, the fiber one with and without fixed analysis phases
+ANALYZER_MODELS = {
+    **{v: PARAMS[v] for v in VARIANTS if v != "fiber"},
+    "fiber": PARAMS["fiber"].map(lambda p: replace(p, analysis_phases=None)),
+    "fiber-phases": st.builds(lambda p, a, b: replace(p, analysis_phases=(a, b)),
+                              PARAMS["fiber"], st.floats(-7.0, 7.0), st.floats(-7.0, 7.0)),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), rows=st.lists(EDGE_INPUTS, min_size=1, max_size=16))
+@pytest.mark.parametrize("name", sorted(ANALYZER_MODELS))
+def test_batched_analyzer_vectors_equal_per_row_analyzer_bases(name, data, rows):
+    # counts depend on these bits: one analyzer_bases call on the whole batch
+    # gives each row the vectors of that row's own call
+    model = data.draw(ANALYZER_MODELS[name])
+    thetas, phis = map(list, zip(*rows))
+    side1, side2 = _analyzer_vectors(model, Qubit(np.array(thetas), np.array(phis)))
+    assert side1.shape == side2.shape == (len(rows), 2, 2)
+    for i, (theta, phi) in enumerate(rows):
+        own = np.array(model.analyzer_bases(Qubit(theta, phi)))
+        assert np.stack([side1[i], side2[i]]).tobytes() == own.tobytes()
+
+
 def per_row_pvals(model, input, analysis, p_succ, rho, eff):
     """Reference: the per-row static route, with Kronecker pattern vectors."""
     if analysis is None:
@@ -299,7 +361,7 @@ EDGE_ETAS = st.tuples(*[st.sampled_from([0.0, 1.0]) | st.floats(0.3, 1.0)] * 4)
 def test_batched_pvals_equal_the_per_row_route(variant, data, m, analysis, etas,
                                                qubits, blocked):
     model = data.draw(PARAMS[variant])
-    batch = run_model_batch(model, qubits, m)
+    batch = run_model_batch(model, stack(qubits), m)
     p_succ = batch.P_succ.copy()
     joints = batch.joint.copy()
     # rows with no success carry P_succ 0 and a zero joint state, as the
@@ -309,7 +371,7 @@ def test_batched_pvals_equal_the_per_row_route(variant, data, m, analysis, etas,
             p_succ[i] = 0.0
             joints[i] = 0.0
     eff = DetectorBank(*etas).pattern_efficiencies()
-    w = _pattern_vectors(*_analyzer_vectors(model, qubits, analysis))
+    w = _pattern_vectors(*_analyzer_vectors(model, stack(qubits), analysis))
     pvals = _static_pvals(w, p_succ, joints, eff)
     for i, qubit in enumerate(qubits):
         expected = per_row_pvals(model, qubit, analysis, p_succ.tolist()[i], joints[i], eff)
@@ -323,16 +385,16 @@ def test_batched_pvals_of_empty_rows():
     ]
     eff = BIASED_BANK.pattern_efficiencies()
     for model, qubits in cases:
-        batch = run_model_batch(model, qubits)
+        batch = run_model_batch(model, stack(qubits))
         assert batch.P_succ[0] == 0.0
-        w = _pattern_vectors(*_analyzer_vectors(model, qubits))
+        w = _pattern_vectors(*_analyzer_vectors(model, stack(qubits)))
         pvals = _static_pvals(w, batch.P_succ, batch.joint, eff)
         assert pvals[0].tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
         for i, qubit in enumerate(qubits):
             expected = per_row_pvals(model, qubit, None, batch.P_succ.tolist()[i],
                                      batch.joint[i], eff)
             assert np.array_equal(pvals[i], expected)
-        records = _count_static(model, qubits, 1000, BIASED_BANK, [4, 5], batch)
+        records = _count_static(model, stack(qubits), 1000, BIASED_BANK, [4, 5], batch)
         assert records[0] == CoincidenceRecord(0, 0, 0, 0, 1000, 4)
 
 
@@ -343,8 +405,8 @@ def test_simulate_counts_is_the_one_row_batch(analysis, overlap):
     model = HybridParams(eta0=0.7)
     noise = NoiseConfig(overlap_M=overlap)
     qubits = [Qubit(0.4, 0.2), EQ, Qubit(2.5, 4.0)]
-    batch = run_model_batch(model, qubits, overlap)
-    records = _count_static(model, qubits, 20_000, BIASED_BANK, [11, 12, 13],
+    batch = run_model_batch(model, stack(qubits), overlap)
+    records = _count_static(model, stack(qubits), 20_000, BIASED_BANK, [11, 12, 13],
                             batch, analysis)
     for qubit, seed, record in zip(qubits, [11, 12, 13], records):
         assert record == simulate_counts(model, noise, qubit, 20_000, BIASED_BANK,
@@ -360,8 +422,8 @@ def test_static_pvals_at_partial_overlap_match_the_sector_route(variant, data, m
     # that agrees with run_model's report at that overlap up to float order
     model = data.draw(PARAMS[variant])
     eff = BIASED_BANK.pattern_efficiencies()
-    batch = run_model_batch(model, qubits, m)
-    pvals = _static_pvals(_pattern_vectors(*_analyzer_vectors(model, qubits)),
+    batch = run_model_batch(model, stack(qubits), m)
+    pvals = _static_pvals(_pattern_vectors(*_analyzer_vectors(model, stack(qubits))),
                           batch.P_succ, batch.joint, eff)
     for qubit, row in zip(qubits, pvals):
         report = run_model(model, qubit, overlap_M=m)
@@ -419,7 +481,7 @@ def whole_array_jitter_counts(model, noise, input, n_pairs, detectors, seed,
                               analysis=None):
     """Reference jitter kernel: stacked complex sector vectors for every trial,
     complex einsums to the pattern probabilities, then cumsum and argmax."""
-    w = _pattern_vectors(*_analyzer_vectors(model, [input], analysis))[0]
+    w = _pattern_vectors(*_analyzer_vectors(model, input, analysis))[0]
     eff = detectors.pattern_efficiencies()
     seq_jitter, seq_outcome = np.random.SeedSequence(seed).spawn(2)
     phases = sample_phase_jitter(noise, seq_jitter, n_pairs)
@@ -487,7 +549,7 @@ def test_ceiling_bounds_every_running_sum(variant, partial, data, input, analysi
     model = data.draw(PARAMS[variant])
     overlap = data.draw(st.floats(0.0, 0.999)) if partial else 1.0
     degree = model.jitter_degree
-    w = _pattern_vectors(*_analyzer_vectors(model, [input], analysis))[0]
+    w = _pattern_vectors(*_analyzer_vectors(model, input, analysis))[0]
     eff = DetectorBank(*etas).pattern_efficiencies()
     moment = _moment_polynomial(model, input, overlap)
     probabilities = np.einsum("ai,rij,aj->ar", w.conj(), moment, w).real
@@ -540,8 +602,8 @@ def test_malformed_analysis_is_a_value_error(analysis):
         with pytest.raises(ValueError, match=match):
             simulate_counts(model, noise, EQ, 100, DetectorBank(), 0, analysis)
     with pytest.raises(ValueError, match=match):
-        _count_static(model, [EQ], 100, DetectorBank(), [0],
-                      run_model_batch(model, [EQ]), analysis)
+        _count_static(model, EQ, 100, DetectorBank(), [0],
+                      run_model_batch(model, EQ), analysis)
     with pytest.raises(ValueError, match=match):
         CountingSetup(model, NOISELESS, EQ, 100, 0, analysis)
 

@@ -22,6 +22,7 @@ from pcclone.experiment import (
     render_rows,
     run_experiment,
 )
+from pcclone.fock import Qubit
 from row_text import as_rows, parse_rows, render_row_dicts
 
 F_PC_10 = "0.8535533906"
@@ -38,6 +39,11 @@ def ideal_single():
         "model": {"variant": "special_bs"},
         "input": {"theta": math.pi / 2, "phi": 0.0},
     }
+
+
+def row_inputs(config):
+    """One validated Qubit per row of a sweep configuration, theta-major."""
+    return [Qubit(th, ph) for th in config.sweep.theta for ph in config.sweep.phi]
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +206,7 @@ def test_a_range_between_the_poles_stays_in_the_theta_domain(count, start, stop)
     config = parse_experiment({"model": {"variant": "fiber"},
                                "sweep": {"theta": {"start": start, "stop": stop,
                                                    "count": count}}})
-    thetas = [qubit.theta for qubit in config.inputs]
+    thetas = config.inputs.theta.tolist()
     step = (stop - start) / (count - 1)
     assert thetas == [min(max(start + k * step, 0.0), math.pi) for k in range(count)]
     assert thetas[0] == start and thetas[-1] == stop
@@ -216,10 +222,57 @@ def test_a_range_keeps_its_values_inside_the_theta_domain():
                                                    "count": count},
                                          "phi": {"start": -7.0, "stop": 7.0,
                                                  "count": 3}}})
-    assert [q.theta for q in config.inputs[::3]] == [start + k * step
-                                                     for k in range(count)]
-    assert [q.phi for q in config.inputs[:3]] == [
+    assert config.inputs.theta[::3].tolist() == [start + k * step for k in range(count)]
+    assert config.inputs.phi[:3].tolist() == [
         (-7.0 + k * 7.0) % (2 * math.pi) for k in range(3)]
+
+
+#: axis values where a rule of Qubit shows: signed zeros, the poles, a
+#: negative phi, phi = 2 pi, -1e-300 (its phi rounds up onto 2 pi) and huge phi
+EDGE_THETAS = st.sampled_from([-0.0, 0.0, 5e-324, math.pi]) | st.floats(0.0, math.pi)
+EDGE_PHIS = (st.sampled_from([-0.0, 0.0, -1e-300, 1e-300, 2 * math.pi, -2 * math.pi,
+                              -math.pi, 1e300, -1e300])
+             | st.floats(-20.0, 20.0) | st.floats(-1e300, 1e300))
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=60, deadline=None)
+@given(thetas=st.lists(EDGE_THETAS, min_size=1, max_size=6),
+       phis=st.lists(EDGE_PHIS, min_size=1, max_size=6))
+def test_sweep_input_columns_equal_one_qubit_per_row(thetas, phis):
+    # the sweep validates and reduces its inputs as one Qubit of arrays; every
+    # entry keeps the bits a Qubit of that row alone would hold
+    config = parse_experiment({"model": {"variant": "special_bs"},
+                               "sweep": {"theta": thetas, "phi": phis}})
+    rows = row_inputs(config)
+    columns = run_experiment(config)
+    for got in (config.inputs.theta, columns["theta"]):
+        assert bits(got) == bits(q.theta for q in rows)
+    for got in (config.inputs.phi, columns["phi"]):
+        assert bits(got) == bits(q.phi for q in rows)
+
+
+@pytest.mark.parametrize("counting", [None, {"n_pairs": 100}], ids=["plain", "counted"])
+def test_qubit_constructions_do_not_grow_with_the_rows(monkeypatch, counting):
+    constructions = []
+    post_init = Qubit.__post_init__
+    monkeypatch.setattr(Qubit, "__post_init__",
+                        lambda self: constructions.append(1) or post_init(self))
+    made = []
+    for count in (2, 40):
+        constructions.clear()
+        config = {"model": {"variant": "special_bs"},
+                  "sweep": {"theta": {"start": 0.1, "stop": 3.0, "count": count},
+                            "phi": {"start": -1.0, "stop": 6.0, "count": count}}}
+        if counting:
+            config["counting"] = counting
+        assert len(run_experiment(parse_experiment(config))["theta"]) == count * count
+        made.append(len(constructions))
+    # one for the sweep; counting adds one for the analyzers' orthogonal states
+    assert made == ([1, 1] if counting is None else [2, 2])
 
 
 def test_cli_runs_a_theta_range_from_pole_to_pole(tmp_path, capsys):
@@ -702,7 +755,7 @@ def test_sweep_rows_match_per_row_evaluation():
     })
     rows = as_rows(run_experiment(config))
     assert len(rows) == 15
-    for row, qubit in zip(rows, config.inputs):
+    for row, qubit in zip(rows, row_inputs(config), strict=True):
         report = run_model(config.model, qubit)
         assert row["P_succ"] == pytest.approx(report.P_succ, abs=1e-12)
         assert row["F1"] == pytest.approx(report.F1, abs=1e-12)
@@ -739,7 +792,8 @@ def test_counted_rows_equal_simulate_counts_for_their_row_seed(variant, noise):
     })
     counting = config.counting
     rows = as_rows(run_experiment(config))
-    for row, qubit, seed in zip(rows, config.inputs, _row_seeds(8, len(rows))):
+    for row, qubit, seed in zip(rows, row_inputs(config), _row_seeds(8, len(rows)),
+                                strict=True):
         record = simulate_counts(config.model, config.noise, qubit, counting.n_pairs,
                                  counting.detectors, seed)
         assert CoincidenceRecord(row["C_pp"], row["C_pm"], row["C_mp"], row["C_mm"],

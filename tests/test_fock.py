@@ -330,6 +330,51 @@ def test_qubit_drops_the_sign_of_a_zero_theta():
     assert Qubit(1.25, 0.5).theta == 1.25
 
 
+def test_a_qubit_of_arrays_holds_one_state_per_entry():
+    theta = np.array([0.0, -0.0, 1.0, math.pi, 2.0, 0.3])
+    phi = np.array([-0.0, -1e-300, 7.0, 2 * math.pi, -2.5, 1e300])
+    batch = Qubit(theta, phi)
+    rows = [Qubit(t, p) for t, p in zip(theta.tolist(), phi.tolist())]
+    assert [x.hex() for x in batch.theta.tolist()] == [q.theta.hex() for q in rows]
+    assert [x.hex() for x in batch.phi.tolist()] == [q.phi.hex() for q in rows]
+    assert batch.amplitudes().tobytes() == np.array([q.amplitudes() for q in rows]).tobytes()
+    orthogonal = batch.orthogonal()
+    assert orthogonal.amplitudes().tobytes() == np.array(
+        [q.orthogonal().amplitudes() for q in rows]).tobytes()
+    # a scalar field broadcasts against an array one; the arrays are read-only
+    assert Qubit.equatorial(phi).theta.tolist() == [math.pi / 2] * 6
+    with pytest.raises(ValueError):
+        batch.theta[0] = 1.0
+    # an error names the first bad entry
+    with pytest.raises(ValueError, match=r"theta must lie in \[0, pi\], got 3.5"):
+        Qubit(np.array([0.5, 3.5, -1.0]), 0.0)
+    with pytest.raises(ValueError, match="phi must be finite, got nan"):
+        Qubit(1.0, np.array([0.0, np.nan, np.inf]))
+
+
+def test_amplitudes_keep_the_bits_of_scalar_libm_cos_and_sin():
+    # the analyzer vectors, and so the counts, depend on these bits: numpy's
+    # array cos and sin must give math.cos's and math.sin's, entry by entry
+    rng = np.random.default_rng(11)
+    theta = np.concatenate([rng.uniform(0.0, math.pi, 200_000),
+                            [0.0, 5e-324, math.pi / 2, math.pi]])
+    phi = rng.uniform(-10.0, 10.0, theta.size)
+    half = (theta / 2.0).tolist()
+    cos = np.array([math.cos(x) for x in half])
+    sin = np.array([math.sin(x) for x in half])
+    assert np.cos(theta / 2.0).tobytes() == cos.tobytes()
+    assert np.sin(theta / 2.0).tobytes() == sin.tobytes()
+    batch = Qubit(theta, phi)
+    expected = np.stack([cos + 0j, sin * np.exp(1j * batch.phi)], axis=-1)
+    assert batch.amplitudes().tobytes() == expected.tobytes()
+    # a single Qubit keeps the bits of the scalar formula
+    for t, p in zip(theta[-2000:].tolist(), phi[-2000:].tolist()):
+        q = Qubit(t, p)
+        scalar = np.array([math.cos(q.theta / 2.0),
+                           math.sin(q.theta / 2.0) * np.exp(1j * q.phi)], dtype=complex)
+        assert q.amplitudes().tobytes() == scalar.tobytes()
+
+
 def test_two_qubit_state_is_immutable():
     state = photon_pair(E[M1R0], E[M2R0])
     joint, _ = postselect_coincidence(state)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloner_strategies import CLASS_NAMES, PARAMS, VARIANTS, pool_sectors
+from cloner_strategies import CLASS_NAMES, PARAMS, VARIANTS, pool_sectors, stack
 from pcclone import noise
 from pcclone.cloners import (
     MAX_PAIRS,
@@ -179,7 +179,7 @@ def test_distinguishability_preserves_phase_covariance():
 def test_evaluate_batch_matches_circuit_at_partial_overlap(variant, data, m, thetas, phis):
     params = data.draw(PARAMS[variant])
     qubits = [Qubit(th, ph) for th, ph in zip(thetas, phis)]
-    batch = run_model_batch(params, qubits, m)
+    batch = run_model_batch(params, stack(qubits), m)
     for qubit, f1, f2, p, joint in zip(qubits, batch.F1.tolist(), batch.F2.tolist(),
                                        batch.P_succ.tolist(), batch.joint):
         report = with_distinguishability(params, m, qubit)
@@ -197,7 +197,7 @@ def test_vanishing_success_is_empty_on_every_route(loss):
     pole = Qubit(0.0, 0.0)
     assert run_model(params, pole).is_empty
     assert run_model(params, pole, via="circuit").is_empty
-    batch = run_model_batch(params, [pole, EQ], 0.9)
+    batch = run_model_batch(params, stack([pole, EQ]), 0.9)
     assert batch.P_succ[0] == 0.0 and np.isnan([batch.F1[0], batch.F2[0]]).all()
     assert run_model(params, pole, overlap_M=0.9).is_empty
     assert run_model(params, pole, via="circuit", overlap_M=0.9).is_empty
@@ -207,6 +207,26 @@ def test_vanishing_success_is_empty_on_every_route(loss):
 def test_with_distinguishability_validates_overlap():
     with pytest.raises(ValueError, match="overlap"):
         with_distinguishability(SpecialBSParams.ideal(), 1.5, EQ)
+
+
+def test_single_input_entry_points_refuse_a_batch():
+    # a batch of two would otherwise unpack as one state's (alpha, beta)
+    pair = Qubit.equatorial(np.array([0.0, 1.0]))
+    model = MachZehnderParams.ideal()
+    jitter = NoiseConfig(phase_jitter_sigma=0.05)
+    calls = [
+        lambda: run_model(model, pair),
+        lambda: run_model(model, pair, via="circuit"),
+        lambda: conditional_sector_vectors(model, pair),
+        lambda: simulate_counts(model, NoiseConfig(), pair, 100, DetectorBank(), 0),
+        lambda: simulate_counts(model, jitter, pair, 100, DetectorBank(), 0),
+        lambda: average_over_jitter(model, NoiseConfig(), pair, 0, 100),
+        lambda: average_over_jitter(model, jitter, pair, 0, 100),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"input must be one state, got a batch "
+                                             r"of shape \(2,\)"):
+            call()
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package, every test file and every demo uses each
+name it imports.
 
-``__init__.py`` imports to re-export and is exempt, as are ``__future__``
-imports.  A name counts as used when it is read anywhere in the module's
-syntax tree, annotations included.
+The package's ``__init__.py`` imports to re-export and is exempt, as are
+``__future__`` imports.  A name counts as used when it is read anywhere in
+the module's syntax tree, annotations included.
 """
 
 import ast
@@ -10,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "pcclone"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "pcclone"
 MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted(p for folder in ("tests", "demos") for p in (ROOT / folder).glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -37,6 +40,16 @@ def test_the_package_has_modules():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_tests_and_demos_are_scanned():
+    assert {p.parent.name for p in SCRIPTS} == {"tests", "demos"}
+    assert Path(__file__).resolve() in SCRIPTS
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_script_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
