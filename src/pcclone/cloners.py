@@ -40,6 +40,7 @@ from .fock import (
     Port,
     Qubit,
     TwoQubitState,
+    _check_single,
     _require,
     attenuator,
     coupler,
@@ -86,13 +87,6 @@ def _check_lossless(name_r, r, name_t, t):
 
 def _check_overlap(M):
     _check_unit_interval("overlap M", M)
-
-
-def _check_single(input: Qubit):
-    """Raise ValueError when ``input`` holds a batch of states, not one."""
-    if np.ndim(input.theta):
-        raise ValueError(f"input must be one state, got a batch of shape "
-                         f"{np.shape(input.theta)}")
 
 
 def _standard_basis(analysis: Qubit):
@@ -563,6 +557,7 @@ def circuit_joint_state(params: ClonerParams, input: Qubit,
     ``arm_phase_error`` is the interferometer phase error of one trial; it
     reaches only the devices that respond to jitter.
     """
+    _check_single(input)
     _check_overlap(ancilla_overlap)
     m = float(ancilla_overlap)
     bins = 2 if m < 1.0 else 1

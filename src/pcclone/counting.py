@@ -48,12 +48,11 @@ from .cloners import (
     CloneReport,
     ClonerParams,
     _check_integer,
-    _check_single,
     _check_unit_interval,
     _standard_basis,
     run_model_batch,
 )
-from .fock import Qubit
+from .fock import Qubit, _check_single
 from .noise import NoiseConfig, _harmonics, _jitter_walk, _moment_polynomial, jittered
 
 

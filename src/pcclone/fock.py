@@ -154,6 +154,13 @@ class Qubit:
         return Qubit(math.pi - self.theta, self.phi + math.pi)
 
 
+def _check_single(input: Qubit):
+    """Raise ValueError when ``input`` holds a batch of states, not one."""
+    if np.ndim(input.theta):
+        raise ValueError(f"input must be one state, got a batch of shape "
+                         f"{np.shape(input.theta)}")
+
+
 def check_density(m: np.ndarray, name: str, imag_trace: bool = True) -> None:
     """Raise ValueError unless every matrix of ``m`` is a density matrix.
 
@@ -279,5 +286,6 @@ def fidelity(rho, target: Qubit) -> float:
         m = rho.matrix
     else:
         m = DensityMatrix(np.asarray(rho, dtype=complex)).matrix
+    _check_single(target)
     psi = target.amplitudes()
     return float(np.real(psi.conj() @ m @ psi))

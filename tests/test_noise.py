@@ -16,11 +16,12 @@ from pcclone.cloners import (
     MachZehnderParams,
     SpecialBSParams,
     R_OPTIMAL,
+    circuit_joint_state,
     run_model,
     run_model_batch,
 )
 from pcclone.counting import DetectorBank, simulate_counts
-from pcclone.fock import Qubit, check_density
+from pcclone.fock import Qubit, check_density, fidelity
 from pcclone.noise import (
     _CHUNK,
     NoiseConfig,
@@ -217,6 +218,8 @@ def test_single_input_entry_points_refuse_a_batch():
     calls = [
         lambda: run_model(model, pair),
         lambda: run_model(model, pair, via="circuit"),
+        lambda: circuit_joint_state(model, pair),
+        lambda: fidelity(np.eye(2) / 2.0, pair),
         lambda: conditional_sector_vectors(model, pair),
         lambda: simulate_counts(model, NoiseConfig(), pair, 100, DetectorBank(), 0),
         lambda: simulate_counts(model, jitter, pair, 100, DetectorBank(), 0),
