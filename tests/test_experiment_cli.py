@@ -800,6 +800,26 @@ def test_counted_rows_equal_simulate_counts_for_their_row_seed(variant, noise):
                                  counting.n_pairs, seed) == record
 
 
+def test_jitter_rows_are_counted_on_the_states_the_sweep_holds(monkeypatch):
+    # phi = -1e-300 is held as 2 pi; reducing that again would give 0
+    states = []
+
+    def record(model, noise, qubit, n_pairs, detectors, seed):
+        states.append((qubit.theta, qubit.phi))
+        return CoincidenceRecord(0, 0, 0, 0, n_pairs, seed)
+
+    monkeypatch.setattr("pcclone.experiment.simulate_counts", record)
+    config = parse_experiment({
+        "model": {"variant": "mach_zehnder"},
+        "noise": {"phase_jitter_sigma": 0.05},
+        "sweep": {"theta": [0.4, 1.5], "phi": [-1e-300, 2.5]},
+        "counting": {"n_pairs": 10},
+    })
+    run_experiment(config)
+    assert states == list(zip(config.inputs.theta.tolist(), config.inputs.phi.tolist()))
+    assert states[0][1] == 2 * math.pi
+
+
 def test_negative_counting_seed_exits_2(tmp_path, capsys):
     config = dict(ideal_single())
     config["counting"] = {"n_pairs": 100, "seed": -1}
