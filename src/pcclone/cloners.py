@@ -326,7 +326,7 @@ def _ratio_basis(phi, ratio: float):
     """Click basis of a detection block: coupler ratio + phase modulator(s) ``phi``."""
     a = math.sqrt(ratio)
     b = math.sqrt(1.0 - ratio)
-    phase = np.exp(1j * np.asarray(phi, dtype=float))
+    phase = np.exp(1j * phi)
     plus = np.stack([np.full_like(phase, a), b * phase], axis=-1)
     minus = np.stack([np.full_like(phase, b), -a * phase], axis=-1)
     return plus, minus
