@@ -567,7 +567,9 @@ def circuit_joint_state(params: ClonerParams, input: Qubit,
     ancilla[2] = m
     if bins == 2:
         ancilla[6] = math.sqrt(max(0.0, 1.0 - m * m))
-    u = np.kron(np.eye(bins), params.transfer_matrix(arm_phase_error))
+    u = params.transfer_matrix(arm_phase_error)
+    if bins == 2:
+        u = np.kron(np.eye(2), u)
     return postselect_coincidence(u @ photon_pair(signal, ancilla) @ u.T)
 
 

@@ -21,14 +21,14 @@ trigonometric polynomial in the phase error delta of the device's
 ``jitter_degree`` K: the contraction w^H C w of a pattern vector w with the
 moment polynomial C that ``noise`` reads off the device at 2K+1 phases, the
 one the jitter average weights too.  The kernel draws the jitter walk and
-one uniform per trial, chunk by chunk, and tallies each draw against the
-running sums of the registration probabilities.  The running sums share
-one ceiling over all delta, read off their coefficients, and a trial whose
-draw lies at or above it registers nothing: it is settled without the
-polynomial.  Only the other trials take the harmonics cos(k delta),
-sin(k delta) to their running sums in one matrix product.  The kernel holds
-one chunk of trials at a time, and its cost does not depend on the number
-of temporal sectors.
+one uniform per trial, piece by piece into two buffers it reuses for every
+piece, and tallies each draw against the running sums of the registration
+probabilities.  The running sums share one ceiling over all delta, read off
+their coefficients, and a trial whose draw lies at or above it registers
+nothing: it is settled without the polynomial.  Only the other trials take
+the harmonics cos(k delta), sin(k delta) to their running sums in one matrix
+product.  The kernel holds one piece of trials at a time, and its cost does
+not depend on the number of temporal sectors.
 
 Counts are sampled with a seeded generator and are reproducible; records
 holding different seeds merge by field-wise addition.
@@ -336,8 +336,11 @@ def simulate_counts(
     coefficients = np.cumsum(probabilities * eff[:, None], axis=0)
     ceiling = _ceiling(coefficients, model.jitter_degree)
     below = np.zeros(4, dtype=np.int64)
+    uniforms = np.empty(0)
     for phases in _jitter_walk(noise, seq_jitter, n_pairs):
-        u = rng.random(phases.size)
+        if uniforms.size < phases.size:  # the first piece is the largest
+            uniforms = np.empty(phases.size)
+        u = rng.random(out=uniforms[:phases.size])
         hit = np.flatnonzero(u < ceiling)
         reg = coefficients @ _harmonics(phases[hit], model.jitter_degree)
         below += np.count_nonzero(u[hit] < reg, axis=1)

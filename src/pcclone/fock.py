@@ -127,6 +127,18 @@ class Qubit:
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "phi", phi)
 
+    def __eq__(self, other):
+        """One bool: the same shape and every entry equal."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (np.array_equal(self.theta, other.theta)
+                and np.array_equal(self.phi, other.phi))
+
+    def __hash__(self):
+        if np.ndim(self.theta):
+            raise TypeError("a batch of Qubit states (array fields) is unhashable")
+        return hash((self.theta, self.phi))
+
     @classmethod
     def _trusted(cls, theta, phi) -> "Qubit":
         """Hold fields that a Qubit already validated and reduced, unchecked."""

@@ -20,7 +20,9 @@ The jitter average weights its coefficients by the harmonics summed over the
 walk, and the counting kernel contracts them with its pattern vectors.  The
 walk is generated in pieces of at most ``_CHUNK`` trials (:func:`_jitter_walk`),
 so both hold one piece at a time whatever the number of trials and the reset
-period; :func:`sample_phase_jitter` joins the pieces into one array.
+period.  The pieces of one walk share one buffer, each overwriting the last;
+:func:`sample_phase_jitter` copies them, in order, into the one array it
+returns.
 """
 
 from __future__ import annotations
@@ -43,10 +45,12 @@ from .cloners import (
 from .fock import (MIN_SUCCESS, Qubit, TwoQubitState, coupler, photon_pair,
                    postselect_coincidence)
 
-#: trials per piece of the jitter walk, and so per step of the jitter kernels:
-#: small enough that a piece's complex temporaries (128 kB each) stay in the
-#: core's cache, large enough that the Python work per piece stays small
-_CHUNK = 1 << 13
+#: trials per piece of the jitter walk, and so per step of the jitter kernels.
+#: A piece's temporaries are real: its walk and uniforms (128 kB each, in
+#: buffers reused for every piece) and the harmonics of the ~30% of trials
+#: below the counting ceiling (~80 bytes each).  2^14 halves the ~35 numpy
+#: calls per trial that 2^13 paid; 2^15 gains little more and costs ~1 MB
+_CHUNK = 1 << 14
 
 #: largest phase_jitter_sigma * jitter_reset_period.  A walk sums fewer than
 #: ``period`` steps, and numpy's standard normal draws stay below 14 in
@@ -125,19 +129,24 @@ def _check_trials(n_trials):
 def _jitter_walk(config: NoiseConfig, rng_seed, n_trials: int):
     """Yield the walk of :func:`sample_phase_jitter` in pieces of ``_CHUNK`` trials.
 
-    The steps come from one ``normal`` stream, drawn piece by piece.  Each
-    piece is summed in place in the order of one cumulative sum per reset
-    block: the block cut by the start of the piece continues from the last
-    value of the previous piece, whole blocks follow, and a cut block at
-    the end carries over.  Only one piece is held at a time.
+    The steps come from one standard normal stream, drawn piece by piece
+    into one buffer and scaled there by sigma: bit for bit the steps of
+    ``normal(0, sigma)``, up to the sign of a zero step, which no sum
+    below can see.  Each piece is summed in place in the order of one
+    cumulative sum per reset block: the block cut by the start of the piece
+    continues from the last value of the previous piece, whole blocks
+    follow, and a cut block at the end carries over.  Every piece is a view
+    of the same buffer, valid until the next one is drawn.
     """
     _check_trials(n_trials)
     rng = np.random.default_rng(rng_seed)
     period = config.jitter_reset_period
+    buffer = np.empty(min(_CHUNK, n_trials))
     level = 0.0
-    for start in range(0, n_trials, _CHUNK):
-        walk = rng.normal(0.0, config.phase_jitter_sigma,
-                          size=min(_CHUNK, n_trials - start))
+    for start in range(0, n_trials, buffer.size):
+        walk = buffer[:min(buffer.size, n_trials - start)]
+        rng.standard_normal(out=walk)
+        walk *= config.phase_jitter_sigma
         head = min(-start % period, walk.size)
         if head:
             walk[0] += level
@@ -160,7 +169,13 @@ def sample_phase_jitter(config: NoiseConfig, rng_seed, n_trials: int) -> np.ndar
     The walk restarts at zero on every stabilization trial (trial indices
     0, period, 2*period, ...).  Deterministic for a fixed seed.
     """
-    return np.concatenate(list(_jitter_walk(config, rng_seed, n_trials)))
+    _check_trials(n_trials)
+    phases = np.empty(n_trials)
+    start = 0
+    for piece in _jitter_walk(config, rng_seed, n_trials):
+        phases[start:start + piece.size] = piece
+        start += piece.size
+    return phases
 
 
 def _harmonics(delta: np.ndarray, degree: int) -> np.ndarray:
@@ -211,9 +226,11 @@ def average_over_jitter(
 
     The returned report carries the success-probability-weighted mixture of
     the per-trial clone states and the mean success probability.  The
-    harmonics of the walk are summed one chunk at a time and weight the
-    coefficients of :func:`_moment_polynomial`.  When the jitter does not
-    reach ``model`` this is ``run_model`` at the overlap of ``noise``.
+    harmonics of the walk are summed one piece at a time and weight the
+    coefficients of :func:`_moment_polynomial`; the grouping of those sums,
+    and so the last bits of the report, follow the piece size.  When the
+    jitter does not reach ``model`` this is ``run_model`` at the overlap of
+    ``noise``.
     """
     _check_trials(n_trials)
     if not jittered(model, noise):

@@ -25,7 +25,7 @@ from pcclone.cloners import (
     run_model_batch,
 )
 from pcclone.compensation import _float_fields
-from pcclone.fock import Qubit, check_density, fidelity
+from pcclone.fock import Qubit, check_density, fidelity, photon_pair, postselect_coincidence
 
 F_PC = 0.8535533905932737
 EQ = Qubit.equatorial(0.0)
@@ -459,6 +459,26 @@ def test_dense_grids_match_run_model(model, axes):
 def test_circuit_joint_state_validates_overlap(overlap):
     with pytest.raises(ValueError, match="overlap M"):
         circuit_joint_state(SpecialBSParams.ideal(), EQ, overlap)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), input=QUBITS,
+       delta=st.sampled_from([0.0, 0.37, -1.2]) | st.floats(-7.0, 7.0))
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_one_bin_circuit_equals_the_kronecker_build(variant, data, input, delta):
+    # at M = 1 the circuit applies the transfer matrix itself, with no
+    # Kronecker product over one bin; the bytes stay those of that product
+    params = data.draw(PARAMS[variant])
+    signal = np.zeros(4, dtype=complex)
+    signal[:2] = input.amplitudes()
+    u = np.kron(np.eye(1), params.transfer_matrix(delta))
+    expected, p_expected = postselect_coincidence(
+        u @ photon_pair(signal, np.eye(4)[2]) @ u.T)
+    joint, prob = circuit_joint_state(params, input, 1.0, delta)
+    assert prob == p_expected
+    assert (joint is None) == (expected is None)
+    if joint is not None:
+        assert joint.rho.tobytes() == expected.rho.tobytes()
 
 
 def test_batch_zero_success_rows_are_empty():

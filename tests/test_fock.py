@@ -352,6 +352,25 @@ def test_a_qubit_of_arrays_holds_one_state_per_entry():
         Qubit(1.0, np.array([0.0, np.nan, np.inf]))
 
 
+def test_qubit_equality_is_one_bool_and_only_single_states_hash():
+    phi = np.array([0.0, 1.0, 2.0])
+    batch = Qubit.equatorial(phi)
+    assert (batch == Qubit.equatorial(phi.copy())) is True
+    assert (batch != Qubit.equatorial(phi.copy())) is False
+    assert (batch == Qubit.equatorial(np.array([0.0, 1.0, 2.5]))) is False
+    assert (batch == Qubit.equatorial(phi[:2])) is False
+    assert (Qubit.equatorial(phi[:1]) == Qubit.equatorial(0.0)) is False
+    assert (batch == Qubit(phi, 0.0)) is False
+    assert batch != "equator"
+    with pytest.raises(TypeError, match="batch of Qubit states .* is unhashable"):
+        hash(batch)
+    # a single state keeps the dataclass's equality and hash of its fields
+    q = Qubit(1.25, 7.0)
+    assert q == Qubit(1.25, 7.0) and q != Qubit(1.25, 0.5)
+    assert hash(q) == hash((q.theta, q.phi)) == hash(Qubit(1.25, 7.0))
+    assert len({q, Qubit(1.25, 7.0), Qubit(0.5, 7.0)}) == 2
+
+
 def test_amplitudes_keep_the_bits_of_scalar_libm_cos_and_sin():
     # the analyzer vectors, and so the counts, depend on these bits: numpy's
     # array cos and sin must give math.cos's and math.sin's, entry by entry

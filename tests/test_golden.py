@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from pcclone import noise
 from pcclone.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -50,3 +51,22 @@ def test_cli_output_matches_golden_file(name, tmp_path):
                  "--out", str(out), *extra])
     assert code == 0
     assert out.read_bytes() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+#: the cases that count under phase jitter
+JITTER_CASES = [
+    "montecarlo_mach_zehnder_jitter",
+    "montecarlo_fiber_jitter_hom",
+    "montecarlo_mach_zehnder_chunks",
+    "montecarlo_fiber_long_period",
+]
+
+
+@pytest.mark.parametrize("chunk", [1000, 1 << 16])
+@pytest.mark.parametrize("name", JITTER_CASES)
+def test_jitter_output_does_not_depend_on_the_piece_size(name, chunk, tmp_path,
+                                                         monkeypatch):
+    # every trial's phase and uniform draw are the same whatever the size of
+    # the pieces the walk is drawn in, so the counts are too
+    monkeypatch.setattr(noise, "_CHUNK", chunk)
+    test_cli_output_matches_golden_file(name, tmp_path)

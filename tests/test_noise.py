@@ -343,11 +343,32 @@ def test_streamed_walk_is_bit_identical_to_whole_array_walk(period, n_trials):
 )
 def test_walk_pieces_join_to_whole_array_walk(period, n_trials, chunk, seed):
     config = NoiseConfig(phase_jitter_sigma=0.2, jitter_reset_period=period)
+    # the pieces share one buffer, so each is copied as it is yielded
     with mock.patch.object(noise, "_CHUNK", chunk):
-        pieces = list(_jitter_walk(config, seed, n_trials))
+        pieces = [piece.copy() for piece in _jitter_walk(config, seed, n_trials)]
     assert all(0 < piece.size <= chunk for piece in pieces)
     joined = np.concatenate(pieces)
     assert joined.tobytes() == whole_array_walk(config, seed, n_trials).tobytes()
+
+
+def test_walk_pieces_share_one_buffer():
+    config = NoiseConfig(phase_jitter_sigma=0.2, jitter_reset_period=7)
+    with mock.patch.object(noise, "_CHUNK", 100):
+        pieces = list(_jitter_walk(config, 3, 250))
+    assert [piece.size for piece in pieces] == [100, 100, 50]
+    assert all(np.shares_memory(pieces[0], piece) for piece in pieces[1:])
+
+
+@pytest.mark.parametrize("chunk", [100, _CHUNK])
+def test_second_walk_leaves_the_first_sample_alone(chunk):
+    config = NoiseConfig(phase_jitter_sigma=0.2, jitter_reset_period=7)
+    with mock.patch.object(noise, "_CHUNK", chunk):
+        first = sample_phase_jitter(config, 3, 250)
+        kept = first.copy()
+        second = sample_phase_jitter(config, 4, 250)
+    assert first.tobytes() == kept.tobytes()
+    assert not np.shares_memory(first, second)
+    assert first.tobytes() == whole_array_walk(config, 3, 250).tobytes()
 
 
 def test_walk_memory_does_not_grow_with_reset_period():
