@@ -582,16 +582,18 @@ def run_model(params: ClonerParams, input: Qubit, via: str = "closed_form",
     """Clone ``input`` on the architecture that ``params`` describes.
 
     ``overlap_M`` is the ancilla's temporal-mode overlap with the signal.
-    The closed form is the one-row call of :func:`run_model_batch`, the
-    circuit route :func:`circuit_joint_state`.
+    The closed form is the one-row call of :func:`run_model_batch`, whose
+    row gives the report's fidelities too; the circuit route is
+    :func:`circuit_joint_state`.
     """
     if not isinstance(params, ClonerParams):
         raise TypeError(f"unknown cloner parameter type: {type(params).__name__}")
     _check_single(input)
     if via == "closed_form":
-        batch = run_model_batch(params, input, overlap_M)
-        return CloneReport.from_joint(TwoQubitState._trusted(batch.joint[0]),
-                                      batch.P_succ[0], input)
+        row = [column[0] for column in run_model_batch(params, input, overlap_M)]
+        if row[0] <= 0.0:
+            return CloneReport.empty(input)
+        return CloneReport(input, *map(float, row[:3]), TwoQubitState._trusted(row[3]))
     if via == "circuit":
         return CloneReport.from_joint(*circuit_joint_state(params, input, overlap_M), input)
     raise ValueError(f"via must be 'closed_form' or 'circuit', got {via!r}")

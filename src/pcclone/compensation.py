@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, fields, replace
-from itertools import islice, product
 from typing import Mapping, get_type_hints
 
 import numpy as np
@@ -136,9 +135,10 @@ def optimize_symmetry(
     unchanged; a point replaces it only when it beats it by more than 1e-15,
     in search order.  Points are evaluated in :func:`run_model_batch` batches,
     bit-identical to :func:`run_model`: the start and the grid, then from
-    each incumbent its :func:`_compass_ladder`.  Rows past the first
-    improving move are dropped, so the result and ``evaluations`` are those
-    of a one-point-at-a-time search, never worse than the best grid point.
+    each incumbent its compass ladder, a slice of the search's one
+    :class:`_CompassTable`.  Rows past the first improving move are dropped,
+    so the result and ``evaluations`` are those of a one-point-at-a-time
+    search, never worse than the best grid point.
     """
     if not free_parameters:
         raise ValueError("free_parameters must name at least one parameter")
@@ -164,6 +164,9 @@ def optimize_symmetry(
         lo, hi = (float(interval[0]), float(interval[1]))
         if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
             raise ValueError(f"empty search interval for {name!r}: [{lo}, {hi}]")
+        if not math.isfinite(hi - lo):
+            # an infinite step never halves below refine_tol
+            raise ValueError(f"search interval for {name!r} is too wide: [{lo}, {hi}]")
         names.append(name)
         intervals.append((lo, hi))
 
@@ -171,39 +174,44 @@ def optimize_symmetry(
     target = input if input is not None else Qubit.equatorial(0.0)
 
     def evaluate(points):
-        """Objective values of ``points``, from one batch."""
-        columns = {name: np.array(column, dtype=float)
-                   for name, column in zip(names, zip(*points))}
+        """Objective values of the rows of ``points``, from one batch."""
+        columns = {name: points[:, j] for j, name in enumerate(names)}
         batch = run_model_batch(replace(model, **columns), target)
         values = np.where(batch.P_succ > 0.0, score(batch.F1, batch.F2), math.inf)
         # a field the amplitudes never read (a detection ratio) gives one row
-        return np.broadcast_to(values, len(points)).tolist()
+        return np.broadcast_to(values, len(points))
 
-    axes, steps = [], []
-    for lo, hi in intervals:
-        step = (hi - lo) / (grid_points - 1) if hi > lo else 0.0
-        # rounding may carry lo + k * step past hi, out of the field's domain
-        axes.append([min(hi, lo + k * step) for k in range(grid_points)]
-                    if hi > lo else [lo])
-        steps.append(step)
-    points = [[getattr(model, n) for n in names], *map(list, product(*axes))]
-    values = evaluate(points)
+    steps = [(hi - lo) / (grid_points - 1) if hi > lo else 0.0 for lo, hi in intervals]
+    axes = []
+    for (lo, hi), step in zip(intervals, steps):
+        # rounding may carry lo + k * step past hi, out of the field's domain;
+        # clamped as min(hi, x) would, so that a -0.0 bound keeps its sign
+        axis = lo + np.arange(grid_points) * step
+        axes.append(np.where(axis < hi, axis, hi) if hi > lo else [lo])
+    start = [getattr(model, n) for n in names]
+    points = np.vstack([start, np.stack(np.meshgrid(*axes, indexing="ij"), -1)
+                        .reshape(-1, len(names))])
+    values = evaluate(points).tolist()
     evaluations = len(points)
-    best_value, best_point = values[0], points[0]
-    for value, point in zip(values, points):
+    best, best_value = 0, values[0]
+    for i, value in enumerate(values):
         if value < best_value - 1e-15:
-            best_value, best_point = value, point
+            best, best_value = i, value
+    best_point = points[best].tolist() if best else start
 
-    ladder = _compass_ladder(best_point, steps, 0, False, intervals, refine_tol)
-    while rows := list(islice(ladder, MAX_ROWS)):
-        for (trial, trial_steps, move), value in zip(
-                rows, evaluate([row[0] for row in rows])):
-            evaluations += 1
-            if value < best_value - 1e-15:
-                best_value, best_point = value, trial
-                ladder = _compass_ladder(trial, trial_steps, move + 1, True,
-                                         intervals, refine_tol)
-                break
+    table = _CompassTable(steps, intervals, refine_tol)
+    rows, entries = table.ladder(best_point)
+    while len(rows):
+        values = evaluate(rows[:MAX_ROWS])
+        better = values < best_value - 1e-15
+        if not better.any():
+            evaluations += len(values)
+            rows, entries = rows[MAX_ROWS:], entries[MAX_ROWS:]
+            continue
+        i = int(better.argmax())
+        evaluations += i + 1
+        best_value, best_point = values[i].item(), rows[i].tolist()
+        rows, entries = table.ladder(best_point, entries[i])
 
     best_params = replace(model, **dict(zip(names, best_point)))
     return OptimizationResult(
@@ -214,24 +222,43 @@ def optimize_symmetry(
     )
 
 
-def _compass_ladder(point, steps, first, improved, intervals, refine_tol):
-    """Compass moves ``(trial, steps, move)`` from ``point`` while none improves.
+class _CompassTable:
+    """Every compass move of one search, one flat table entry per move.
 
-    Move ``2 * axis`` steps down ``axis`` and ``2 * axis + 1`` up, clamped to the
-    interval; one that clamps onto ``point`` is skipped.  The pass goes on from
-    move ``first``; a pass that has not ``improved`` halves the steps, and no
-    pass starts once all of them are at most ``refine_tol``.
+    Entry ``2 * n * p + 2 * axis`` steps down ``axis`` and the next entry up,
+    by the grid step halved ``p`` times, in passes ``p`` that run while some
+    step exceeds ``refine_tol``.
     """
-    while any(s > refine_tol for s in steps):
-        for move in range(first, 2 * len(steps)):
-            axis, up = divmod(move, 2)
-            if steps[axis] == 0.0:
-                continue
-            lo, hi = intervals[axis]
-            trial = list(point)
-            trial[axis] = min(hi, max(lo, point[axis] + (-1.0, 1.0)[up] * steps[axis]))
-            if trial[axis] != point[axis]:
-                yield trial, steps, move
-        if not improved:
+
+    def __init__(self, steps, intervals, refine_tol):
+        levels = []
+        while max(steps) > refine_tol:
+            levels.append(steps)
             steps = [s / 2.0 for s in steps]
-        first, improved = 0, False
+        self.width = 2 * len(steps)
+        self.axis = np.arange(self.width * len(levels)) % self.width // 2
+        self.offset = np.repeat(np.ravel(levels), 2) * np.resize([-1.0, 1.0], len(self.axis))
+        self.lo, self.hi = np.array(intervals, dtype=float)[self.axis].T
+
+    def ladder(self, point, entry=None):
+        """Rows of the ladder from ``point``, and the table entry of each row.
+
+        From the grid's best point it is the whole table.  After an accepted
+        ``entry`` it is the rest of that entry's pass, then that pass again
+        (a pass that improved is not halved) and every later pass.  A move is
+        clamped as ``min(hi, max(lo, x))`` clamps, so a -0.0 bound keeps its
+        sign; a zero step, or a move that clamps onto ``point``, is skipped.
+        """
+        first = 0 if entry is None else entry - entry % self.width
+        head = first + self.width if entry is None else entry + 1
+        order = np.concatenate([np.arange(head, first + self.width),
+                                np.arange(first, len(self.offset))])
+        axis, offset, lo, hi = (a[order] for a in (self.axis, self.offset, self.lo, self.hi))
+        point = np.array(point, dtype=float)
+        trial = point[axis] + offset
+        trial = np.where(trial > lo, trial, lo)
+        trial = np.where(trial < hi, trial, hi)
+        keep = (offset != 0.0) & (trial != point[axis])
+        rows = np.repeat(point[None], np.count_nonzero(keep), axis=0)
+        rows[np.arange(len(rows)), axis[keep]] = trial[keep]
+        return rows, order[keep]

@@ -155,12 +155,17 @@ class Qubit:
 
         A single state is computed as a batch of one, so that it keeps the
         bits of its row in a batch: numpy's scalar arithmetic can differ
-        from its array loops in the sign of a zero.
+        from its array loops in the sign of a zero.  The array is computed
+        once per instance and returned read-only on every call.
         """
-        half = np.ravel(self.theta) / 2.0
-        phase = np.exp(1j * np.ravel(self.phi))
-        psi = np.stack([np.cos(half) + 0j, np.sin(half) * phase], axis=-1)
-        return psi.reshape(np.shape(self.theta) + (2,))
+        if "_amplitudes" not in self.__dict__:
+            half = np.ravel(self.theta) / 2.0
+            phase = np.exp(1j * np.ravel(self.phi))
+            psi = np.stack([np.cos(half) + 0j, np.sin(half) * phase], axis=-1)
+            psi = psi.reshape(np.shape(self.theta) + (2,))
+            psi.flags.writeable = False
+            self.__dict__["_amplitudes"] = psi
+        return self.__dict__["_amplitudes"]
 
     def orthogonal(self) -> "Qubit":
         return Qubit(math.pi - self.theta, self.phi + math.pi)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cloner_strategies import CLASS_NAMES, PARAMS, QUBITS, VARIANTS, stack
 from pcclone.cloners import (
     F_PHASE_COVARIANT,
+    ClonerParams,
     F_SEMICLASSICAL,
     F_UNIVERSAL,
     R_OPTIMAL,
@@ -78,6 +79,19 @@ def test_hemisphere_symmetry():
             south = ideal_clone_report(Qubit(math.pi - theta, phi), "south")
             assert abs(north.F1 - south.F1) < 1e-10
             assert abs(north.F2 - south.F2) < 1e-10
+
+
+@pytest.mark.parametrize("via", ["closed_form", "circuit"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_ideal_devices_post_select_the_ideal_map(variant, via):
+    # a device-free oracle: at its design setting every device keeps the
+    # optimal phase-covariant map's state, poles included
+    model = ClonerParams.variants[variant].ideal()
+    for theta in (0.0, 0.3, math.pi / 2, 2.5, math.pi):
+        q = Qubit(theta, 0.7)
+        vec = ideal_pc_map(q)
+        joint = run_model(model, q, via).joint.rho
+        assert np.abs(joint - np.outer(vec, vec.conj())).max() <= 1e-15
 
 
 def test_theoretical_limits():
@@ -393,6 +407,33 @@ def test_batch_matches_run_model(variant, data, thetas, phis, m):
     assert batch.F1.shape == batch.F2.shape == batch.P_succ.shape == (len(thetas),)
     assert_rows_equal(batch, [run_model(params, Qubit(th, ph), overlap_M=m)
                               for th, ph in zip(thetas, phis)])
+
+
+#: per variant, its design setting and a device far from it
+DEVICES = {
+    "special_bs": [SpecialBSParams.ideal(),
+                   SpecialBSParams(R0=0.8, R1=0.2, comp_loss_r1=0.7)],
+    "mach_zehnder": [MachZehnderParams.ideal(),
+                     MachZehnderParams(theta_V=1.0, theta_H=2.6, phase_offset_r0=0.3,
+                                       phase_offset_r1=-0.4)],
+    "hybrid": [HybridParams.ideal(), HybridParams(eta0=0.6, nu1=0.8)],
+    "fiber": [FiberParams.ideal(), FiberParams(R_vrc0=0.7, R_vrc1=0.25)],
+}
+
+
+@pytest.mark.parametrize("m", [1.0, 0.9, 0.0])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_run_model_fidelities_are_those_of_its_clone_states(variant, m):
+    # the closed form takes F1 and F2 from its kernel row: they keep every
+    # bit of fidelity() on the report's own clone states, at the poles too
+    thetas = np.linspace(0.0, math.pi, 8).tolist()
+    phis = np.linspace(0.0, 2.0 * math.pi, 9, endpoint=False).tolist()
+    for model in DEVICES[variant]:
+        for q in (Qubit(th, ph) for th in thetas for ph in phis):
+            report = run_model(model, q, overlap_M=m)
+            assert not report.is_empty
+            assert report.F1 == fidelity(report.rho1, q)
+            assert report.F2 == fidelity(report.rho2, q)
 
 
 def stacked(model, names, candidates):

@@ -181,6 +181,8 @@ def test_optimizer_validates_arguments():
     with pytest.raises(ValueError, match="empty search interval"):
         optimize_symmetry(SpecialBSParams.ideal(), {"R0": (0.9, 0.2)},
                           "min_fidelity_gap")
+    with pytest.raises(ValueError, match="'theta_H' is too wide"):
+        optimize_symmetry(MachZehnderParams.ideal(), {"theta_H": (-1e308, 1e308)})
     with pytest.raises(ValueError, match="objective"):
         optimize_symmetry(SpecialBSParams.ideal(), {"R0": (0.5, 1.0)}, "fastest")
     for tol in (-1e-9, math.nan):
@@ -443,6 +445,21 @@ def test_grid_stays_inside_the_interval():
     assert_matches_scalar_loop(model, free, "max_avg_fidelity", None, 13)
 
 
+def test_grid_keeps_the_sign_of_a_zero_bound():
+    # -1 + 2 * 0.5 is 0.0, which min(-0.0, 0.0) puts on the bound -0.0
+    model, free = MZ_OFFSET, {"phase_offset_r1": (-1.0, -0.0)}
+    columns = []
+
+    def evaluate(params, *args):
+        columns.append(params.phase_offset_r1)
+        return run_model_batch(params, *args)
+
+    with mock.patch.object(compensation, "run_model_batch", evaluate):
+        optimize_symmetry(model, free, grid_points=3)
+    assert [math.copysign(1.0, x) for x in columns[0].tolist()] == [-1.0] * 4
+    assert_matches_scalar_loop(model, free, grid_points=3)
+
+
 def test_compass_ladder_comes_in_windows_of_max_rows(monkeypatch):
     # refine_tol 0 halves the steps down to zero: some 1100 passes, far more
     # moves than one window of 4 rows holds
@@ -453,3 +470,122 @@ def test_compass_ladder_comes_in_windows_of_max_rows(monkeypatch):
     assert_same_result(result, reference)
     assert max(batches) == 4
     assert len(batches) > 2 + accepted
+
+
+# ---------------------------------------------------------------------------
+# the compass table against the per-row ladder generator it replaced
+# ---------------------------------------------------------------------------
+
+def compass_ladder(point, steps, first, improved, intervals, refine_tol):
+    """Compass moves ``(trial, steps, move)`` from ``point`` while none improves.
+
+    Move ``2 * axis`` steps down ``axis`` and ``2 * axis + 1`` up, clamped to the
+    interval; one that clamps onto ``point`` is skipped.  The pass goes on from
+    move ``first``; a pass that has not ``improved`` halves the steps, and no
+    pass starts once all of them are at most ``refine_tol``.
+    """
+    while any(s > refine_tol for s in steps):
+        for move in range(first, 2 * len(steps)):
+            axis, up = divmod(move, 2)
+            if steps[axis] == 0.0:
+                continue
+            lo, hi = intervals[axis]
+            trial = list(point)
+            trial[axis] = min(hi, max(lo, point[axis] + (-1.0, 1.0)[up] * steps[axis]))
+            if trial[axis] != point[axis]:
+                yield trial, steps, move
+        if not improved:
+            steps = [s / 2.0 for s in steps]
+        first, improved = 0, False
+
+
+def assert_ladder_matches_generator(point, steps, intervals, refine_tol, entry):
+    """The table's ladder from ``point`` after ``entry`` (None: from the grid;
+    negative: from the end of the table) holds the generator's rows, bit for
+    bit, in its order and with its restarts."""
+    table = compensation._CompassTable(steps, intervals, refine_tol)
+    if entry is not None and entry < 0:
+        entry += len(table.offset)
+    rows, entries = table.ladder(point, entry)
+    levels = []
+    while any(s > refine_tol for s in steps):
+        levels.append(steps)
+        steps = [s / 2.0 for s in steps]
+    width = 2 * len(point)
+    if entry is None:
+        expected = list(compass_ladder(point, levels[0] if levels else steps, 0, False,
+                                       intervals, refine_tol))
+    else:
+        pass_, move = divmod(entry, width)
+        expected = list(compass_ladder(point, levels[pass_], move + 1, True,
+                                       intervals, refine_tol))
+    assert len(table.offset) == width * len(levels)
+    assert rows.shape == (len(expected), len(point))
+    assert rows.tobytes() == np.array([trial for trial, _, _ in expected],
+                                      dtype=float).reshape(rows.shape).tobytes()
+    assert entries.tolist() == [width * levels.index(s) + move for _, s, move in expected]
+
+
+@pytest.mark.parametrize("point, steps, intervals, refine_tol, entry", [
+    # a pinned axis never moves, even from a start outside its interval
+    ([0.7, 0.5], [0.0, 0.25], [(0.5, 0.5), (0.0, 1.0)], 1e-9, None),
+    ([0.7, 0.5], [0.0, 0.25], [(0.5, 0.5), (0.0, 1.0)], 1e-9, 9),
+    # refine_tol 0 halves the steps down to zero: some 1075 passes
+    ([0.3], [0.25], [(0.0, 1.0)], 0.0, None),
+    ([0.3, 0.6], [0.25, 1e-300], [(0.0, 1.0), (0.5, 0.7)], 0.0, 1001),
+    # an accept on the last move of the last pass runs that pass once more
+    ([0.3, 0.6], [0.25, 0.125], [(0.0, 1.0), (0.5, 0.7)], 1e-3, -1),
+    ([0.3], [0.25], [(0.0, 1.0)], 0.0, -1),
+    # moves landing exactly on a bound, and moves clamped onto one
+    ([0.5], [0.25], [(0.25, 0.75)], 1e-2, None),
+    ([0.5, 0.9], [0.375, 0.25], [(0.25, 0.75), (0.0, 1.0)], 1e-2, 2),
+    # a -0.0 bound keeps its sign, as Python's min and max keep it
+    ([0.25], [0.25], [(-0.0, 1.0)], 1e-3, None),
+    ([-0.25], [0.25], [(-1.0, -0.0)], 1e-3, 0),
+    ([-0.0, 0.5], [0.125, 0.25], [(0.0, 1.0), (-0.0, 0.5)], 1e-3, None),
+])
+def test_compass_table_matches_the_ladder_generator(point, steps, intervals,
+                                                    refine_tol, entry):
+    assert_ladder_matches_generator(point, steps, intervals, refine_tol, entry)
+
+
+BOUND = st.sampled_from([-1.0, -0.0, 0.0, 0.25, 1.0]) | st.floats(-2.0, 2.0)
+
+
+@st.composite
+def compass_axes(draw):
+    """An interval, a step (possibly 0) and a point, often on a bound or a
+    step away from one, and sometimes outside the interval."""
+    lo, hi = sorted([draw(BOUND), draw(BOUND)])
+    step = draw(st.sampled_from([0.0, 0.25, 0.1]) | st.floats(1e-6, 2.0))
+    point = draw(st.sampled_from([lo, hi, lo + step, hi - step])
+                 | st.floats(lo - 0.5, hi + 0.5))
+    return (lo, hi), step, point
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_compass_table_matches_the_ladder_generator_everywhere(data):
+    axes = data.draw(st.lists(compass_axes(), min_size=1, max_size=3))
+    intervals, steps, point = (list(column) for column in zip(*axes))
+    refine_tol = data.draw(st.sampled_from([0.0, 1e-9, 1e-3, 0.3]))
+    table = compensation._CompassTable(steps, intervals, refine_tol)
+    entry = data.draw(st.none() | st.integers(0, max(0, len(table.offset) - 1)))
+    if not len(table.offset):
+        entry = None
+    assert_ladder_matches_generator(point, steps, intervals, refine_tol, entry)
+
+
+@pytest.mark.parametrize("case", list(REFERENCE_CASES))
+def test_ladder_windows_leave_the_search_unchanged(case, monkeypatch):
+    model, free, *rest = REFERENCE_CASES[case]
+    input, grid_points = rest if rest else (None, 33)
+    result = optimize_symmetry(model, free, input=input, grid_points=grid_points)
+    reference = (result.params, result.report, result.objective_value,
+                 result.evaluations)
+    # the grid stays one batch; only the ladder comes in smaller windows
+    monkeypatch.setattr(compensation, "_check_grid", lambda *args: None)
+    for rows in (1, 3, 10**5):
+        monkeypatch.setattr(compensation, "MAX_ROWS", rows)
+        assert_same_result(optimize_symmetry(model, free, input=input,
+                                             grid_points=grid_points), reference)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -392,6 +393,36 @@ def test_amplitudes_keep_the_bits_of_scalar_libm_cos_and_sin():
         scalar = np.array([math.cos(q.theta / 2.0),
                            math.sin(q.theta / 2.0) * np.exp(1j * q.phi)], dtype=complex)
         assert q.amplitudes().tobytes() == scalar.tobytes()
+
+
+def fresh_amplitudes(q):
+    """The amplitudes of ``q``'s fields, computed apart from any Qubit."""
+    half = np.ravel(q.theta) / 2.0
+    psi = np.stack([np.cos(half) + 0j, np.sin(half) * np.exp(1j * np.ravel(q.phi))], -1)
+    return psi.reshape(np.shape(q.theta) + (2,))
+
+
+def test_amplitudes_are_computed_once_and_read_only():
+    batch = Qubit(np.array([0.0, 1.0, math.pi]), np.array([0.5, -1.0, 7.0]))
+    single = Qubit(1.25, 7.0)
+    states = [single, batch, single.orthogonal(), batch.orthogonal(),
+              Qubit._trusted(1.25, single.phi), replace(single, theta=0.5),
+              replace(batch, phi=np.array([2.0, 3.0, 4.0]))]
+    for q in states:
+        psi = q.amplitudes()
+        assert q.amplitudes() is psi
+        assert psi.tobytes() == fresh_amplitudes(q).tobytes()
+        with pytest.raises(ValueError):
+            psi[0] = 1.0
+    # a state built from a memoised one computes its own amplitudes
+    assert replace(single, theta=0.5).amplitudes().tobytes() \
+        == fresh_amplitudes(Qubit(0.5, 7.0)).tobytes()
+    # equality, hash and repr read the fields only
+    memoised, bare = Qubit(0.75, 2.0), Qubit(0.75, 2.0)
+    memoised.amplitudes()
+    assert memoised == bare and hash(memoised) == hash(bare)
+    assert repr(memoised) == repr(bare) == "Qubit(theta=0.75, phi=2.0)"
+    assert batch == Qubit(batch.theta.copy(), batch.phi.copy())
 
 
 def test_two_qubit_state_is_immutable():
