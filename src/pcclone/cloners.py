@@ -7,10 +7,11 @@ describes its device once, in two independent forms:
 * ``sector_amplitudes`` -- the conditional output amplitudes written down
   directly, per temporal detection sector.  :func:`run_model_batch`, the one
   closed-form kernel, evaluates them at any ancilla overlap for a batch of
-  inputs held as one :class:`Qubit` of arrays, and :func:`run_model`
+  inputs held as one :class:`Qubit` of arrays: fidelities and marginals at
+  once, joint states on first read, with unchanged bits.  :func:`run_model`
   (``via="closed_form"``, the default) is its one-row call at the same
-  overlap.  Under phase jitter
-  :func:`conditional_sector_vectors` gives them per trial.
+  overlap.  Under phase jitter :func:`conditional_sector_vectors` gives
+  them per trial.
 * ``transfer_matrix`` -- the same device as the 4x4 single-photon transfer
   matrix of one temporal bin, built from the couplers and attenuators of the
   Fock module; :func:`circuit_joint_state` propagates the photon pair
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -460,8 +460,7 @@ def _sector_stack(params: ClonerParams, alpha, beta, overlap_M: float, delta):
     """
     m_orth = math.sqrt(max(0.0, 1.0 - overlap_M * overlap_M))
     sectors = params.sector_amplitudes(alpha, beta, overlap_M, m_orth, delta)
-    shape = np.broadcast_shapes(np.shape(alpha), np.shape(delta),
-                                *(np.shape(a) for sector in sectors for a in sector))
+    shape = np.broadcast(alpha, delta, *(a for sector in sectors for a in sector)).shape
     out = np.zeros(shape + (len(sectors), 4), dtype=complex)
     for s, (a00, a10, a01) in enumerate(sectors):
         out[..., s, 0] = a00
@@ -491,17 +490,46 @@ def conditional_sector_vectors(
     return vectors.reshape((-1,) + vectors.shape[-2:])
 
 
-class CloneBatch(NamedTuple):
-    """F1, F2, P_succ and the (n, 4, 4) joint states, one entry per input.
+#: [clone, traced rail c, kept rail a] -> the flat sector position 2 q1 + q2
+_TRACE_INDEX = np.array([[[0, 2], [1, 3]], [[0, 1], [2, 3]]])
 
+
+def _joint_states(v: np.ndarray) -> np.ndarray:
+    """(n, 4, 4) joint states of normalised sector vectors ``v`` (n, n_sectors, 4)."""
+    if v.shape[1] == 1:  # one sector (M = 1): the joint state is a projector
+        return v[:, 0, :, None] * v[:, 0, None, :].conj()
+    return (v[:, :, :, None] * v.conj()[:, :, None, :]).sum(axis=1)
+
+
+class CloneBatch:
+    """F1, F2 and P_succ, one entry per input, and the joint states on read.
+
+    The kernel builds the three columns; ``joint``, the (n, 4, 4) states, is
+    built from its sector vectors when first read, with the bits an eager
+    build gives, and kept read-only.  ``report(input, row)`` builds one row's state only.
     Empty rows (P_succ <= ``MIN_SUCCESS``) carry P_succ 0.0, NaN fidelities
     and a zero joint state.
     """
 
-    P_succ: np.ndarray
-    F1: np.ndarray
-    F2: np.ndarray
-    joint: np.ndarray
+    def __init__(self, P_succ, F1, F2, vectors):
+        self.P_succ, self.F1, self.F2, self._vectors = P_succ, F1, F2, vectors
+        self._joint = None
+
+    @property
+    def joint(self) -> np.ndarray:
+        if self._joint is None:
+            keep = self.P_succ[:, None, None] > 0.0
+            self._joint = np.where(keep, _joint_states(self._vectors), 0.0)
+            self._joint.flags.writeable = False
+        return self._joint
+
+    def report(self, input: Qubit, row: int = 0) -> CloneReport:
+        """Row ``row`` as the report of its input ``input``."""
+        if self.P_succ[row] <= 0.0:
+            return CloneReport.empty(input)
+        joint = TwoQubitState._trusted(_joint_states(self._vectors[row:row + 1])[0])
+        return CloneReport(input, *(float(c[row]) for c in (self.P_succ, self.F1, self.F2)),
+                           joint)
 
 
 def run_model_batch(params: ClonerParams, inputs: Qubit,
@@ -513,34 +541,33 @@ def run_model_batch(params: ClonerParams, inputs: Qubit,
     at any overlap.  Fields of ``params`` may hold arrays of candidates,
     which broadcast against the inputs: one input against n candidates
     gives n rows, unless the amplitudes never read that field (a detection
-    ratio).  The joint states (success-weighted over the temporal sectors),
-    their marginals and the fidelities are built as stacked arrays, density
-    matrices by construction.
+    ratio).  P_succ, the marginals and the fidelities come from the sector
+    vectors, by the products and sums of the joint's partial traces in their
+    order (the bits are unchanged); the joint states (success-weighted over
+    the temporal sectors) are built on first read (:class:`CloneBatch`).
     """
     _check_overlap(overlap_M)
     psi = inputs.amplitudes().reshape(-1, 2)
     vectors = _sector_stack(params, psi[:, 0], psi[:, 1], overlap_M, 0.0)
-    n = len(vectors)
     # stacked (1 x k) @ (k x 1) products give np.vdot's bits
-    flat = vectors.reshape(n, -1)
+    flat = vectors.reshape(len(vectors), -1)
     p_succ = (flat.conj()[:, None, :] @ flat[:, :, None])[:, 0, 0].real
     keep = p_succ > MIN_SUCCESS
-    # every row takes the same path; an empty row is divided by 1, not by
-    # its vanishing norm, and masked at the end
-    v = vectors / np.sqrt(np.where(keep, p_succ, 1.0))[:, None, None]
-    if v.shape[1] == 1:  # one sector (M = 1): the joint state is a projector
-        joint = v[:, 0, :, None] * v[:, 0, None, :].conj()
-    else:
-        joint = (v[:, :, :, None] * v.conj()[:, :, None, :]).sum(axis=1)
-    r = joint.reshape(n, 2, 2, 2, 2)  # [row, q1, q2, q1', q2']
-    # the partial traces over clone 2 and over clone 1
-    marginals = np.stack([r[:, :, 0, :, 0] + r[:, :, 1, :, 1],
-                          r[:, 0, :, 0, :] + r[:, 1, :, 1, :]])
+    empty = not keep.all()
+    # an empty row is divided by 1, not by its vanishing norm, and masked last
+    v = vectors / np.sqrt(np.where(keep, p_succ, 1.0) if empty else p_succ)[:, None, None]
+    # u[sector, clone, c, a, row]: the joint's products v_i conj(v_j) summed
+    # over the sectors, then over the traced rail c, as the partial traces add
+    u = np.take(v.transpose(1, 2, 0), _TRACE_INDEX, axis=1)
+    products = u[:, :, :, :, None, :] * u.conj()[:, :, :, None, :, :]
+    terms = products[0] if len(products) == 1 else products.sum(axis=0)
+    # contiguous (clone, row, 2, 2): other layouts may move numpy's last bits
+    marginals = (terms[:, 0] + terms[:, 1]).transpose(0, 3, 1, 2).copy()
     # (psi^dagger rho) psi, in the order of fock.fidelity
-    bra = psi.conj()[:, None, :] @ marginals
-    fidelities = np.where(keep, (bra @ psi[:, :, None])[..., 0, 0].real, np.nan)
-    return CloneBatch(P_succ=np.where(keep, p_succ, 0.0), F1=fidelities[0],
-                      F2=fidelities[1], joint=np.where(keep[:, None, None], joint, 0.0))
+    fidelities = ((psi.conj()[:, None, :] @ marginals) @ psi[:, :, None])[..., 0, 0].real
+    if empty:
+        p_succ, fidelities = np.where(keep, p_succ, 0.0), np.where(keep, fidelities, np.nan)
+    return CloneBatch(p_succ, fidelities[0], fidelities[1], v)
 
 
 # ---------------------------------------------------------------------------
@@ -590,10 +617,7 @@ def run_model(params: ClonerParams, input: Qubit, via: str = "closed_form",
         raise TypeError(f"unknown cloner parameter type: {type(params).__name__}")
     _check_single(input)
     if via == "closed_form":
-        row = [column[0] for column in run_model_batch(params, input, overlap_M)]
-        if row[0] <= 0.0:
-            return CloneReport.empty(input)
-        return CloneReport(input, *map(float, row[:3]), TwoQubitState._trusted(row[3]))
+        return run_model_batch(params, input, overlap_M).report(input)
     if via == "circuit":
         return CloneReport.from_joint(*circuit_joint_state(params, input, overlap_M), input)
     raise ValueError(f"via must be 'closed_form' or 'circuit', got {via!r}")

@@ -137,8 +137,8 @@ def optimize_symmetry(
     bit-identical to :func:`run_model`: the start and the grid, then from
     each incumbent its compass ladder, a slice of the search's one
     :class:`_CompassTable`.  Rows past the first improving move are dropped,
-    so the result and ``evaluations`` are those of a one-point-at-a-time
-    search, never worse than the best grid point.
+    so ``evaluations`` and the result, whose report is the incumbent's batch
+    row, are those of a one-point search, never worse than the best grid point.
     """
     if not free_parameters:
         raise ValueError("free_parameters must name at least one parameter")
@@ -174,12 +174,13 @@ def optimize_symmetry(
     target = input if input is not None else Qubit.equatorial(0.0)
 
     def evaluate(points):
-        """Objective values of the rows of ``points``, from one batch."""
+        """The batch of the rows of ``points``, and their objective values."""
         columns = {name: points[:, j] for j, name in enumerate(names)}
         batch = run_model_batch(replace(model, **columns), target)
         values = np.where(batch.P_succ > 0.0, score(batch.F1, batch.F2), math.inf)
-        # a field the amplitudes never read (a detection ratio) gives one row
-        return np.broadcast_to(values, len(points))
+        if len(values) < len(points):  # a field the amplitudes never read: one row
+            values = np.broadcast_to(values, len(points))
+        return batch, values
 
     steps = [(hi - lo) / (grid_points - 1) if hi > lo else 0.0 for lo, hi in intervals]
     axes = []
@@ -191,18 +192,19 @@ def optimize_symmetry(
     start = [getattr(model, n) for n in names]
     points = np.vstack([start, np.stack(np.meshgrid(*axes, indexing="ij"), -1)
                         .reshape(-1, len(names))])
-    values = evaluate(points).tolist()
+    batch, values = evaluate(points)
     evaluations = len(points)
-    best, best_value = 0, values[0]
-    for i, value in enumerate(values):
+    best, best_value = 0, values[0].item()
+    for i, value in enumerate(values.tolist()):
         if value < best_value - 1e-15:
             best, best_value = i, value
     best_point = points[best].tolist() if best else start
+    best_batch, best_row = batch, best
 
     table = _CompassTable(steps, intervals, refine_tol)
     rows, entries = table.ladder(best_point)
     while len(rows):
-        values = evaluate(rows[:MAX_ROWS])
+        batch, values = evaluate(rows[:MAX_ROWS])
         better = values < best_value - 1e-15
         if not better.any():
             evaluations += len(values)
@@ -211,12 +213,12 @@ def optimize_symmetry(
         i = int(better.argmax())
         evaluations += i + 1
         best_value, best_point = values[i].item(), rows[i].tolist()
+        best_batch, best_row = batch, i
         rows, entries = table.ladder(best_point, entries[i])
 
-    best_params = replace(model, **dict(zip(names, best_point)))
     return OptimizationResult(
-        params=best_params,
-        report=run_model(best_params, target),
+        params=replace(model, **dict(zip(names, best_point))),
+        report=best_batch.report(target, min(best_row, len(best_batch.P_succ) - 1)),
         objective_value=best_value,
         evaluations=evaluations,
     )

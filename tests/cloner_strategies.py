@@ -7,7 +7,10 @@ The conformance suite (``test_conformance.py``, plus the batch properties in
 route-agreement tests have always sampled.  ``pool_sectors`` is the plain
 pooling of sector vectors that the jitter tests hold the library to, and
 ``stack`` turns a list of single inputs into the one Qubit of arrays that
-the batch kernels take.
+the batch kernels take.  ``oracle_batch`` is the closed-form kernel as it
+was written before it stopped building the joint states eagerly: every
+stacked intermediate, partial traces of the (n, 4, 4) joint included.  The
+kernel is held to its bits.
 """
 
 import math
@@ -22,7 +25,7 @@ from pcclone.cloners import (
     MachZehnderParams,
     SpecialBSParams,
 )
-from pcclone.fock import Qubit
+from pcclone.fock import MIN_SUCCESS, Qubit
 
 
 def _hybrid(a, a0, a1, eta0, eta1, nu0, nu1):
@@ -92,3 +95,39 @@ def pool_sectors(vectors):
     v = vectors.reshape(-1, 4)
     total = np.vdot(v, v).real
     return total / len(vectors), v.T @ v.conj() / total
+
+
+def oracle_sector_stack(params, alpha, beta, overlap_M, delta):
+    """Sector vectors (..., n_sectors, 4), shaped by ``np.broadcast_shapes``."""
+    m_orth = math.sqrt(max(0.0, 1.0 - overlap_M * overlap_M))
+    sectors = params.sector_amplitudes(alpha, beta, overlap_M, m_orth, delta)
+    shape = np.broadcast_shapes(np.shape(alpha), np.shape(delta),
+                                *(np.shape(a) for sector in sectors for a in sector))
+    out = np.zeros(shape + (len(sectors), 4), dtype=complex)
+    for s, (a00, a10, a01) in enumerate(sectors):
+        out[..., s, 0] = a00
+        out[..., s, 1] = a01
+        out[..., s, 2] = a10
+    return out
+
+
+def oracle_batch(params, inputs, overlap_M=1.0):
+    """(P_succ, F1, F2, joint) of every row, through the stacked joint states."""
+    psi = inputs.amplitudes().reshape(-1, 2)
+    vectors = oracle_sector_stack(params, psi[:, 0], psi[:, 1], overlap_M, 0.0)
+    n = len(vectors)
+    flat = vectors.reshape(n, -1)
+    p_succ = (flat.conj()[:, None, :] @ flat[:, :, None])[:, 0, 0].real
+    keep = p_succ > MIN_SUCCESS
+    v = vectors / np.sqrt(np.where(keep, p_succ, 1.0))[:, None, None]
+    if v.shape[1] == 1:
+        joint = v[:, 0, :, None] * v[:, 0, None, :].conj()
+    else:
+        joint = (v[:, :, :, None] * v.conj()[:, :, None, :]).sum(axis=1)
+    r = joint.reshape(n, 2, 2, 2, 2)
+    marginals = np.stack([r[:, :, 0, :, 0] + r[:, :, 1, :, 1],
+                          r[:, 0, :, 0, :] + r[:, 1, :, 1, :]])
+    bra = psi.conj()[:, None, :] @ marginals
+    fidelities = np.where(keep, (bra @ psi[:, :, None])[..., 0, 0].real, np.nan)
+    return (np.where(keep, p_succ, 0.0), fidelities[0], fidelities[1],
+            np.where(keep[:, None, None], joint, 0.0))

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloner_strategies import CLASS_NAMES, PARAMS, QUBITS, VARIANTS, stack
+from cloner_strategies import CLASS_NAMES, PARAMS, QUBITS, VARIANTS, oracle_batch, stack
+from pcclone import cloners
 from pcclone.cloners import (
     F_PHASE_COVARIANT,
     ClonerParams,
@@ -25,7 +26,8 @@ from pcclone.cloners import (
     run_model,
     run_model_batch,
 )
-from pcclone.compensation import _float_fields
+from pcclone.compensation import _float_fields, optimize_symmetry
+from pcclone.experiment import parse_experiment, run_experiment
 from pcclone.fock import Qubit, check_density, fidelity, photon_pair, postselect_coincidence
 
 F_PC = 0.8535533905932737
@@ -534,6 +536,141 @@ def test_batch_zero_success_rows_are_empty():
     assert batch.P_succ[0] == 0.0 and np.isnan([batch.F1[0], batch.F2[0]]).all()
     assert batch.P_succ[1] == pytest.approx(run_model(SpecialBSParams(R0=0.5), EQ).P_succ)
     assert not np.isnan([batch.F1[1], batch.F2[1]]).any()
+
+
+def assert_oracle_bits(batch, oracle):
+    """P_succ, F1, F2 and joint byte-equal to the oracle's, NaN positions included."""
+    for got, want in zip((batch.P_succ, batch.F1, batch.F2, batch.joint), oracle,
+                         strict=True):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+#: the overlaps the kernel oracle is held at: three sectors below M = 1
+ORACLE_OVERLAPS = st.sampled_from([0.0, 0.3, 0.9, 1.0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), m=ORACLE_OVERLAPS,
+       thetas=st.lists(st.floats(0.0, math.pi), max_size=12),
+       phis=st.lists(st.floats(0.0, 2 * math.pi), min_size=14, max_size=14))
+@pytest.mark.parametrize("variant", VARIANTS, ids=CLASS_NAMES)
+def test_kernel_keeps_the_bits_of_the_stacked_joint(variant, data, m, thetas, phis):
+    # the marginals come from the sector vectors, not from the joint states:
+    # every bit stays that of the partial traces of the stacked joint
+    params = data.draw(PARAMS[variant])
+    thetas = thetas + [0.0, math.pi]
+    inputs = Qubit(np.array(thetas), np.array(phis[:len(thetas)]))
+    assert_oracle_bits(run_model_batch(params, inputs, m), oracle_batch(params, inputs, m))
+
+
+#: candidate columns as the optimizer stacks them, each drawn around a base
+#: device; the detection ratio is a field the amplitudes never read (one row)
+CANDIDATE_COLUMNS = {
+    "special_bs-R0": (SpecialBSParams(), {"R0": st.floats(0.0, 1.0)}),
+    "hybrid-eta0-nu0": (HybridParams(), {"eta0": st.floats(0.0, 1.0),
+                                         "nu0": st.floats(0.0, 1.0)}),
+    "fiber-detection_ratio_1": (FiberParams(R_vrc0=0.7),
+                                {"detection_ratio_1": st.floats(0.0, 1.0)}),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), m=ORACLE_OVERLAPS, n=st.integers(1, 12),
+       input=QUBITS | st.sampled_from([Qubit(0.0, 0.0), Qubit(math.pi, 0.0)]))
+@pytest.mark.parametrize("case", list(CANDIDATE_COLUMNS))
+def test_kernel_keeps_the_bits_on_candidate_columns(case, data, m, n, input):
+    model, columns = CANDIDATE_COLUMNS[case]
+    params = replace(model, **{name: np.array(data.draw(st.lists(values, min_size=n,
+                                                                 max_size=n)))
+                               for name, values in columns.items()})
+    batch = run_model_batch(params, input, m)
+    assert len(batch.P_succ) == (1 if case.startswith("fiber") else n)
+    assert_oracle_bits(batch, oracle_batch(params, input, m))
+
+
+#: batches with empty and non-empty rows, and the overlaps at which they have both
+MIXED_EMPTY = {
+    # a 50:50 splitter cancels the |0> input, by interference: at M = 1 only
+    "splitter": (SpecialBSParams(R0=0.5),
+                 Qubit(np.array([0.0, 1.0, 0.0, math.pi]), np.zeros(4)), [1.0]),
+    # the closed r0 plate blocks the |0> input at any overlap
+    "plate": (SpecialBSParams(comp_loss_r0=0.0),
+              Qubit(np.array([0.0, 0.4, 0.0, math.pi]), np.array([0.0, 2.0, 1.0, 0.5])),
+              [0.0, 0.3, 0.9, 1.0]),
+    # candidates against the |0> input, every third plate closed
+    "candidates": (SpecialBSParams(R0=np.linspace(0.0, 1.0, 9),
+                                   comp_loss_r0=np.resize([0.0, 1.0, 1.0], 9)),
+                   Qubit(0.0, 0.0), [0.0, 0.3, 0.9, 1.0]),
+}
+
+
+@pytest.mark.parametrize("case, m", [(case, m) for case, (*_, overlaps) in MIXED_EMPTY.items()
+                                     for m in overlaps])
+def test_kernel_keeps_the_bits_of_mixed_empty_batches(case, m):
+    model, inputs, _ = MIXED_EMPTY[case]
+    batch = run_model_batch(model, inputs, m)
+    assert 0 < np.count_nonzero(batch.P_succ == 0.0) < len(batch.P_succ)
+    assert_oracle_bits(batch, oracle_batch(model, inputs, m))
+
+
+# ---------------------------------------------------------------------------
+# joint states on read
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def joint_builds(monkeypatch):
+    """The row counts of every joint-state build, in order."""
+    builds = []
+    build = cloners._joint_states
+
+    def spy(v):
+        builds.append(len(v))
+        return build(v)
+
+    monkeypatch.setattr(cloners, "_joint_states", spy)
+    return builds
+
+
+def test_joint_is_built_once_on_read_and_read_only(joint_builds):
+    batch = run_model_batch(SpecialBSParams(R0=0.5), Qubit(np.array([0.0, 1.0, 2.0]), 0.3))
+    assert joint_builds == []
+    joint = batch.joint
+    assert batch.joint is joint and joint_builds == [3]
+    assert not joint.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        joint[0, 0, 0] = 1.0
+    assert not joint[0].any()  # the |0> row is empty
+
+
+SWEEP = {"model": {"variant": "hybrid"}, "noise": {"overlap_M": 0.9},
+         "sweep": {"theta": {"start": 0.0, "stop": math.pi, "count": 5},
+                   "phi": [0.0, 1.0]}}
+
+
+def test_uncounted_sweeps_never_build_the_joint(joint_builds):
+    run_experiment(parse_experiment(SWEEP))
+    assert joint_builds == []
+
+
+def test_counted_sweeps_build_the_joint_once(joint_builds):
+    run_experiment(parse_experiment(dict(SWEEP, counting={"n_pairs": 1000, "seed": 4})))
+    assert joint_builds == [10]
+
+
+def test_run_model_builds_its_one_row(joint_builds):
+    assert not run_model(HybridParams(), EQ, overlap_M=0.9).is_empty
+    assert joint_builds == [1]
+
+
+@pytest.mark.parametrize("model, free", [
+    (HybridParams(eta0=0.6), {"eta0": (0.4, 1.0), "nu0": (0.5, 1.0)}),
+    (FiberParams(R_vrc0=0.7), {"detection_ratio_1": (0.4, 0.6)}),
+])
+def test_optimizer_builds_only_its_report_row(joint_builds, model, free):
+    # no search batch builds its joint states; the report builds its own row
+    assert not optimize_symmetry(model, free, grid_points=9).report.is_empty
+    assert joint_builds == [1]
 
 
 def test_stacked_validator_rejects_one_bad_matrix():

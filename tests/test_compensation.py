@@ -366,6 +366,35 @@ REFERENCE_CASES = {
 }
 
 
+#: the reference searches, and two whose report row needs care
+REPORT_CASES = {
+    **REFERENCE_CASES,
+    # one row for every point, from a second detection ratio, off the equator
+    "detection-ratio-2": (FiberParams(R_vrc0=0.65, R_vrc1=0.3),
+                          {"detection_ratio_2": (0.2, 0.8)}, TILTED, 9),
+    # every plate closed: every point is empty, the start too
+    "empty-incumbent": (SpecialBSParams(comp_loss_r0=0.0, comp_loss_r1=0.0),
+                        {"R0": (0.3, 0.9)}, None, 9),
+}
+
+
+@pytest.mark.parametrize("objective", ["min_fidelity_gap", "max_avg_fidelity"])
+@pytest.mark.parametrize("case", list(REPORT_CASES))
+def test_report_is_run_model_at_the_result(case, objective):
+    # the report is the incumbent's row of its own batch: a grid row, the
+    # start row or an improving ladder row, never a second evaluation
+    model, free, *rest = REPORT_CASES[case]
+    input, grid_points = rest if rest else (None, 33)
+    result = optimize_symmetry(model, free, objective, input=input, grid_points=grid_points)
+    expected = run_model(result.params, input or EQ)
+    report = result.report
+    assert report.input == expected.input
+    assert (report.P_succ, report.F1, report.F2) == (expected.P_succ, expected.F1, expected.F2)
+    assert report.is_empty == expected.is_empty == (case == "empty-incumbent")
+    if not expected.is_empty:
+        assert report.joint.rho.tobytes() == expected.joint.rho.tobytes()
+
+
 @pytest.mark.parametrize("objective", ["min_fidelity_gap", "max_avg_fidelity"])
 @pytest.mark.parametrize("input", [None, TILTED], ids=["equator", "tilted"])
 @pytest.mark.parametrize("case", list(REFERENCE_CASES))

@@ -465,6 +465,81 @@ def test_unit_efficiency_estimator_is_unbiased_analytically():
     assert f2 == pytest.approx(report.F2, abs=1e-12)
 
 
+def chi2_tail(x, dof):
+    """P(X > x) for X ~ chi^2 with an even number ``dof`` of degrees of freedom.
+
+    The tail is the Poisson sum e^(-x/2) sum_(k < dof/2) (x/2)^k / k!; for 4
+    degrees of freedom e^(-x/2) (1 + x/2).
+    """
+    half = x / 2.0
+    term = total = math.exp(-half)
+    for k in range(1, dof // 2):
+        term *= half / k
+        total += term
+    return total
+
+
+def test_chi2_tail_closed_forms():
+    assert chi2_tail(0.0, 8) == 1.0
+    for x in (0.5, 3.0, 9.49, 40.0):
+        assert chi2_tail(x, 4) == pytest.approx(math.exp(-x / 2) * (1 + x / 2), rel=1e-14)
+        assert chi2_tail(x, 2) == pytest.approx(math.exp(-x / 2), rel=1e-14)
+    # the 95th percentile of chi^2 with 4 and with 80 degrees of freedom
+    assert chi2_tail(9.487729, 4) == pytest.approx(0.05, rel=1e-5)
+    assert chi2_tail(101.879474, 80) == pytest.approx(0.05, rel=1e-5)
+
+
+#: off-design static rows, each with an explicit analysis: (model, input,
+#: overlap, analysis), every cell expecting at least 20 of ``LAW_PAIRS`` counts
+STATIC_LAW_CASES = {
+    "special_bs": (SpecialBSParams(R0=0.7, R1=0.25, comp_loss_r1=0.85),
+                   Qubit(1.2, 0.4), 0.9, Qubit(1.0, 1.1)),
+    "mach_zehnder": (MachZehnderParams(theta_V=1.0, theta_H=2.6, phase_offset_r0=0.3,
+                                       phase_offset_r1=-0.4),
+                     Qubit(1.9, 2.0), 1.0, (Qubit(1.5, 2.4), Qubit(2.0, 1.6))),
+    "hybrid": (HybridParams(eta0=0.6, nu1=0.8), Qubit(0.8, 5.0), 0.7, Qubit(1.3, 4.6)),
+    "fiber": (FiberParams(R_vrc0=0.7, R_vrc1=0.25, detection_ratio_1=0.4),
+              Qubit(2.3, 3.1), 0.95, (Qubit(2.0, 3.5), Qubit(2.5, 2.9))),
+}
+#: unbalanced detectors, so that a wrong pattern order changes the law
+LAW_DETECTORS = DetectorBank(eta_1p=0.9, eta_1m=0.6, eta_2p=0.75, eta_2m=0.45)
+LAW_PAIRS = 10**6
+LAW_SEEDS = range(32)
+#: the chance that any case fails on a correct program
+FAMILY_ALPHA = 1e-6
+
+
+def exact_cells(model, input, overlap, analysis, d):
+    """Probabilities of the patterns (++, +-, -+, --) and of no coincidence.
+
+    The conditional pattern law is that of the circuit route's state; the
+    pattern efficiencies are written out from the bank's four detectors.
+    """
+    report = run_model(model, input, via="circuit", overlap_M=overlap)
+    eff = np.array([d.eta_1p * d.eta_2p, d.eta_1p * d.eta_2m,
+                    d.eta_1m * d.eta_2p, d.eta_1m * d.eta_2m])
+    registered = report.P_succ * outcome_distribution(report, analysis) * eff
+    return np.append(registered, 1.0 - registered.sum())
+
+
+@pytest.mark.parametrize("case", list(STATIC_LAW_CASES))
+def test_static_counts_follow_their_exact_multinomial_law(case):
+    # a static row's counts are Multinomial(n_pairs, p): Pearson's chi^2 of
+    # each seed has 4 degrees of freedom and their sum over the seeds 4 S,
+    # tested at one family-wise false-alarm rate over the cases
+    model, input, overlap, analysis = STATIC_LAW_CASES[case]
+    expected = LAW_PAIRS * exact_cells(model, input, overlap, analysis, LAW_DETECTORS)
+    assert expected.min() >= 20
+    statistic = 0.0
+    for seed in LAW_SEEDS:
+        r = simulate_counts(model, NoiseConfig(overlap_M=overlap), input, LAW_PAIRS,
+                            LAW_DETECTORS, seed, analysis)
+        observed = np.array([r.c_pp, r.c_pm, r.c_mp, r.c_mm, LAW_PAIRS - r.c_sum])
+        statistic += float((((observed - expected) ** 2) / expected).sum())
+    p_value = chi2_tail(statistic, 4 * len(LAW_SEEDS))
+    assert p_value > FAMILY_ALPHA / len(STATIC_LAW_CASES), (statistic, p_value)
+
+
 def test_simulate_counts_with_jitter_is_deterministic():
     noise = NoiseConfig(phase_jitter_sigma=0.03, jitter_reset_period=200)
     model = MachZehnderParams.ideal()
