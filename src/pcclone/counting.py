@@ -12,9 +12,9 @@ counts of a row are one multinomial draw.  Such static rows are counted as
 one batch: one ``analyzer_bases`` call on the batch's inputs gives the
 analyzer vectors of every row, their pattern vectors come from one
 broadcast product, and one einsum over the rows' joint states gives every
-row's registration probabilities.  Only the seeded draw, and the record it
-fills without re-checking, runs row by row; a :func:`simulate_counts` call
-is the one-row batch.
+row's registration probabilities.  One vectorised SeedSequence hash gives
+each row the state of ``default_rng(seed)``, and one generator draws the rows
+into one (n, 4) count array; a :func:`simulate_counts` call is one row.
 
 With jitter the probabilities change from trial to trial.  Each is a
 trigonometric polynomial in the phase error delta of the device's
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -131,14 +131,6 @@ class CoincidenceRecord:
             raise ValueError(f"n_pairs must be >= 1, got {self.n_pairs}")
         if self.c_sum > self.n_pairs:
             raise ValueError("total coincidences cannot exceed n_pairs")
-
-    @classmethod
-    def _trusted(cls, c_pp, c_pm, c_mp, c_mm, n_pairs, seed) -> "CoincidenceRecord":
-        """The record of one seeded draw that a sampler made valid, unchecked."""
-        record = object.__new__(cls)
-        record.__dict__.update(c_pp=c_pp, c_pm=c_pm, c_mp=c_mp, c_mm=c_mm,
-                               n_pairs=n_pairs, seed=seed, seeds=(seed,))
-        return record
 
     @property
     def c_sum(self) -> int:
@@ -263,23 +255,81 @@ def _static_pvals(w: np.ndarray, p_succ: np.ndarray, joints: np.ndarray,
     return pvals / pvals.sum(axis=1, keepdims=True)
 
 
+def _hash_keys(init: int, mult: int, start: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """uint32 (xor, multiply) keys of hash calls start .. start + n - 1."""
+    keys = np.array([init * pow(mult, k, 1 << 32) % (1 << 32)
+                     for k in range(start, start + n + 1)], dtype=np.uint32)
+    return keys[:-1], keys[1:]
+
+
+# numpy's SeedSequence hash (bit_generator.pyx) on uint32 arrays, which wrap as
+# its C integers do.  Hash call k xors with init * mult**k and multiplies by
+# init * mult**(k + 1) mod 2**32, whatever the entropy: the keys are constants.
+# Round src hashes pool word src once per other word; its own column is kept.
+_MIX_HASH, _OUTPUT_HASH = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)
+_POOL = _hash_keys(*_MIX_HASH, 0, 4)
+_ROUNDS = [tuple(np.insert(keys, src, 0) for keys in _hash_keys(*_MIX_HASH, 4 + 3 * src, 3))
+           for src in range(4)]
+_OUTPUT = tuple(keys.reshape(2, 4) for keys in _hash_keys(*_OUTPUT_HASH, 0, 8))
+_MIX_L, _MIX_R, _SHIFT = (np.array(c, np.uint32) for c in (0xCA01F9DD, 0x4973F715, 16))
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hashmix(values, xor, mul):
+    v = (values ^ xor) * mul
+    return v ^ (v >> _SHIFT)
+
+
+def _mix(x, y):
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ (r >> _SHIFT)
+
+
+def _seed_words(seeds) -> np.ndarray:
+    """(n, 4) ``SeedSequence(seed).generate_state(4, np.uint64)``, one row per seed;
+    entropy words past the pool's four are mixed in on their own rows only."""
+    n_words = max(4, -(-int(max(seeds)).bit_length() // 32))
+    data = b"".join(int(s).to_bytes(4 * n_words, "little") for s in seeds)
+    entropy = np.frombuffer(data, "<u4").reshape(len(seeds), n_words)
+    pool = _hashmix(entropy[:, :4], *_POOL)
+    for src, (xor, mul) in enumerate(_ROUNDS):
+        mixed = _mix(pool, _hashmix(pool[:, src:src + 1], xor, mul))
+        mixed[:, src] = pool[:, src]
+        pool = mixed
+    for src in range(4, n_words):
+        h = _hashmix(entropy[:, src:src + 1], *_hash_keys(*_MIX_HASH, 4 * src, 4))
+        pool = np.where(entropy[:, src:].any(axis=1, keepdims=True), _mix(pool, h), pool)
+    words = _hashmix(pool[:, None, :], *_OUTPUT)
+    return words.reshape(len(seeds), 8).astype("<u4", copy=False).view("<u8")
+
+
+def _pcg64_states(seeds) -> Iterator[dict]:
+    """``np.random.default_rng(seed).bit_generator.state`` of each seed: from
+    words (w0, w1, w2, w3), PCG64 takes s = w0 2**64 + w1 and the odd increment
+    inc = 2 (w2 2**64 + w3) + 1, steps its LCG from 0, adds s and steps again."""
+    for w0, w1, w2, w3 in _seed_words(seeds).tolist():
+        inc = (w2 << 65 | w3 << 1 | 1) % (1 << 128)
+        state = ((inc + (w0 << 64 | w1)) * _PCG64_MULTIPLIER + inc) % (1 << 128)
+        yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+               "has_uint32": 0, "uinteger": 0}
+
+
 def _count_static(model: ClonerParams, inputs: Qubit, n_pairs: int,
                   detectors: DetectorBank, seeds, batch: CloneBatch,
-                  analysis=None) -> list[CoincidenceRecord]:
-    """Counts of static rows: one multinomial draw per row, seeded by its seed.
+                  analysis=None) -> np.ndarray:
+    """(n, 4) int64 counts of static rows, in pattern order (++, +-, -+, --).
 
-    ``batch`` is the :func:`run_model_batch` evaluation of ``inputs``.  The
-    registration probabilities of every row come from one batched product;
-    only the draws, and the records they fill, run row by row.
+    ``batch`` is the :func:`run_model_batch` evaluation of ``inputs``.  Row i is
+    the draw of ``np.random.default_rng(seeds[i])``, by one generator set to its state.
     """
     w = _pattern_vectors(*_analyzer_vectors(model, inputs, analysis))
     pvals = _static_pvals(w, batch.P_succ, batch.joint, detectors.pattern_efficiencies())
-    return [
-        CoincidenceRecord._trusted(
-            *np.random.default_rng(seed).multinomial(n_pairs, p)[:4].tolist(),
-            n_pairs, seed)
-        for seed, p in zip(seeds, pvals)
-    ]
+    rng = np.random.default_rng(0)
+    counts = np.empty((len(pvals), 4), dtype=np.int64)
+    for i, (state, p) in enumerate(zip(_pcg64_states(seeds), pvals)):
+        rng.bit_generator.state = state
+        counts[i] = rng.multinomial(n_pairs, p)[:4]
+    return counts
 
 
 def _ceiling(coefficients: np.ndarray, degree: int) -> float:
@@ -306,7 +356,7 @@ def simulate_counts(
 ) -> CoincidenceRecord:
     """Simulate ``n_pairs`` photon-pair trials and tally coincidences.
 
-    Without jitter this is the one-row call of :func:`_count_static`, on the
+    Without jitter this is the one-row :func:`_count_static` call, on the
     row's :func:`run_model_batch` evaluation.
 
     Under jitter, a trial registers pattern k when its uniform draw u falls
@@ -325,8 +375,8 @@ def simulate_counts(
     _check_single(input)
     if not jittered(model, noise):
         batch = run_model_batch(model, input, noise.overlap_M)
-        return _count_static(model, input, n_pairs, detectors, [seed], batch,
-                             analysis)[0]
+        counts = _count_static(model, input, n_pairs, detectors, [seed], batch, analysis)
+        return CoincidenceRecord(*counts[0].tolist(), n_pairs, seed)
     w = _pattern_vectors(*_analyzer_vectors(model, input, analysis))[0]
     eff = detectors.pattern_efficiencies()
     seq_jitter, seq_outcome = np.random.SeedSequence(seed).spawn(2)

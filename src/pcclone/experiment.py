@@ -75,9 +75,7 @@ from .counting import (
     _check_pairs,
     _check_seed,
     _count_static,
-    fidelity_from_counts,
     simulate_counts,
-    success_probability_estimate,
 )
 from .fock import Qubit
 from .noise import NoiseConfig, jittered
@@ -375,19 +373,22 @@ def run_experiment(config: ExperimentConfig) -> dict[str, list]:
         seeds = _row_seeds(counting.seed, len(batch.P_succ))
         if jittered(config.model, config.noise):
             # each row's own walk, on the row's entries of the validated inputs
-            records = [simulate_counts(config.model, config.noise, Qubit._trusted(th, ph),
-                                       counting.n_pairs, counting.detectors, seed)
-                       for th, ph, seed in zip(columns["theta"], columns["phi"], seeds)]
+            counts = np.array([
+                simulate_counts(config.model, config.noise, Qubit._trusted(th, ph),
+                                counting.n_pairs, counting.detectors, seed).counts()
+                for th, ph, seed in zip(columns["theta"], columns["phi"], seeds)])
         else:
-            records = _count_static(config.model, inputs, counting.n_pairs,
-                                    counting.detectors, seeds, batch)
-        estimates = [fidelity_from_counts(r) or (None, None) for r in records]
+            counts = _count_static(config.model, inputs, counting.n_pairs,
+                                   counting.detectors, seeds, batch)
+        c_pp, c_pm, c_mp, _ = counts.T
+        total = counts.sum(axis=1)
+        # counts below 2**53 are exact floats: the quotients are Python's int division's
+        some = np.maximum(total, 1)
         columns.update({
-            **{name: [getattr(r, name.lower()) for r in records]
-               for name in ("C_pp", "C_pm", "C_mp", "C_mm")},
-            "F1_hat": [e[0] for e in estimates],
-            "F2_hat": [e[1] for e in estimates],
-            "P_hat": [success_probability_estimate(r) for r in records],
+            **dict(zip(("C_pp", "C_pm", "C_mp", "C_mm"), counts.T.tolist())),
+            "F1_hat": np.where(total == 0, None, (c_pp + c_pm) / some).tolist(),
+            "F2_hat": np.where(total == 0, None, (c_pp + c_mp) / some).tolist(),
+            "P_hat": (total / counting.n_pairs).tolist(),
         })
     return columns
 

@@ -32,6 +32,8 @@ from pcclone.counting import (
     _ceiling,
     _count_static,
     _pattern_vectors,
+    _pcg64_states,
+    _seed_words,
     _static_pvals,
     balance_detectors,
     estimator_sigma,
@@ -149,21 +151,25 @@ def test_public_constructor_and_merge_reject_each_bad_field(values, match):
     with pytest.raises(ValueError, match=match):
         CoincidenceRecord(*values)
     # merged checks its result, even when one part was built unchecked
+    unchecked = object.__new__(CoincidenceRecord)
+    unchecked.__dict__.update(zip(RECORD_FIELDS, values), seeds=(values[5],))
     with pytest.raises(ValueError, match=match):
-        CoincidenceRecord._trusted(*values).merged(CoincidenceRecord(0, 0, 0, 0, 1, 4))
+        unchecked.merged(CoincidenceRecord(0, 0, 0, 0, 1, 4))
 
 
 def test_counted_records_pass_every_public_check():
-    # _count_static fills its records unchecked; each is one the checks accept
+    # each row of _count_static's array, with its pairs and seed, is a record
     model = HybridParams(eta0=0.7)
     inputs = stack([Qubit(0.4, 0.2), EQ, Qubit(2.5, 4.0), Qubit(0.0, 0.0)])
-    records = _count_static(model, inputs, 20_000, BIASED_BANK, [11, 12, 13, 2**63],
-                            run_model_batch(model, inputs, 0.9))
-    for record in records:
-        fields = [getattr(record, name) for name in RECORD_FIELDS]
+    seeds = [11, 12, 13, 2**63]
+    counts = _count_static(model, inputs, 20_000, BIASED_BANK, seeds,
+                           run_model_batch(model, inputs, 0.9))
+    assert counts.dtype == np.int64 and counts.shape == (4, 4)
+    for row, seed in zip(counts.tolist(), seeds):
+        fields = [*row, 20_000, seed]
         assert [type(v) for v in fields] == [int] * 6
-        assert record == CoincidenceRecord(*fields)
-        assert record.seeds == (record.seed,)
+        record = CoincidenceRecord(*fields)
+        assert record.counts().tolist() == row and record.seeds == (seed,)
 
 
 @pytest.mark.parametrize("seed, seeds", [(1, (1, 1)), (1, (3, 1)), (1, (2, 3)),
@@ -394,23 +400,88 @@ def test_batched_pvals_of_empty_rows():
             expected = per_row_pvals(model, qubit, None, batch.P_succ.tolist()[i],
                                      batch.joint[i], eff)
             assert np.array_equal(pvals[i], expected)
-        records = _count_static(model, stack(qubits), 1000, BIASED_BANK, [4, 5], batch)
-        assert records[0] == CoincidenceRecord(0, 0, 0, 0, 1000, 4)
+        counts = _count_static(model, stack(qubits), 1000, BIASED_BANK, [4, 5], batch)
+        assert counts[0].tolist() == [0, 0, 0, 0]
+        CoincidenceRecord(*counts[1].tolist(), 1000, 5)
 
 
-@pytest.mark.parametrize("analysis", [None, Qubit(1.1, 0.4), (EQ, Qubit(0.7, 2.0))],
-                         ids=["device", "qubit", "pair"])
+#: the analysis kinds _count_static takes: the device's own, one state, a pair
+STATIC_ANALYSES = [None, Qubit(1.1, 0.4), (EQ, Qubit(0.7, 2.0))]
+ANALYSIS_IDS = ["device", "qubit", "pair"]
+
+
+@pytest.mark.parametrize("analysis", STATIC_ANALYSES, ids=ANALYSIS_IDS)
 @pytest.mark.parametrize("overlap", [1.0, 0.9])
 def test_simulate_counts_is_the_one_row_batch(analysis, overlap):
     model = HybridParams(eta0=0.7)
     noise = NoiseConfig(overlap_M=overlap)
     qubits = [Qubit(0.4, 0.2), EQ, Qubit(2.5, 4.0)]
     batch = run_model_batch(model, stack(qubits), overlap)
-    records = _count_static(model, stack(qubits), 20_000, BIASED_BANK, [11, 12, 13],
-                            batch, analysis)
-    for qubit, seed, record in zip(qubits, [11, 12, 13], records):
-        assert record == simulate_counts(model, noise, qubit, 20_000, BIASED_BANK,
-                                         seed, analysis)
+    counts = _count_static(model, stack(qubits), 20_000, BIASED_BANK, [11, 12, 13],
+                           batch, analysis)
+    for qubit, seed, row in zip(qubits, [11, 12, 13], counts.tolist()):
+        assert CoincidenceRecord(*row, 20_000, seed) == simulate_counts(
+            model, noise, qubit, 20_000, BIASED_BANK, seed, analysis)
+
+
+#: the seeds numpy's SeedSequence treats apart: one entropy word, two, the
+#: pool's four and more than four, each at its edges
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**128 - 1, 2**128, 2**1000]
+#: seeds of every bit length from 1 to 700
+SEEDS = st.integers(1, 700).flatmap(lambda bits: st.integers(2 ** (bits - 1), 2**bits - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=st.lists(SEEDS, min_size=1, max_size=8))
+def test_seed_words_and_states_equal_numpy_for_every_row(drawn):
+    seeds = EDGE_SEEDS + drawn
+    words = _seed_words(seeds)
+    assert words.shape == (len(seeds), 4)
+    for seed, row, state in zip(seeds, words, _pcg64_states(seeds)):
+        assert np.array_equal(row, np.random.SeedSequence(seed).generate_state(4, np.uint64))
+        assert state == np.random.default_rng(seed).bit_generator.state
+
+
+def oracle_static_counts(model, inputs, n_pairs, detectors, seeds, batch, analysis=None):
+    """The static counts as drawn before the vectorised seed hash: one
+    ``np.random.default_rng(seed)`` per row, on the batched pattern probabilities."""
+    w = _pattern_vectors(*_analyzer_vectors(model, inputs, analysis))
+    pvals = _static_pvals(w, batch.P_succ, batch.joint, detectors.pattern_efficiencies())
+    return np.array([np.random.default_rng(seed).multinomial(n_pairs, p)[:4]
+                     for seed, p in zip(seeds, pvals)])
+
+
+@settings(max_examples=8, deadline=None)
+@given(data=st.data(), m=OVERLAPS, etas=EDGE_ETAS,
+       qubits=st.lists(QUBITS, min_size=1, max_size=6),
+       seeds=st.lists(st.integers(0, 2**200), min_size=6, max_size=6, unique=True))
+@pytest.mark.parametrize("n_pairs", [1, 20_000, MAX_PAIRS])
+@pytest.mark.parametrize("analysis", STATIC_ANALYSES, ids=ANALYSIS_IDS)
+@pytest.mark.parametrize("variant", VARIANTS, ids=CLASS_NAMES)
+def test_static_counts_equal_the_per_row_generators(variant, analysis, n_pairs, data, m,
+                                                    etas, qubits, seeds):
+    model = data.draw(PARAMS[variant])
+    inputs, bank = stack(qubits), DetectorBank(*etas)
+    batch = run_model_batch(model, inputs, m)
+    args = model, inputs, n_pairs, bank, seeds[:len(qubits)], batch, analysis
+    counts = _count_static(*args)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, oracle_static_counts(*args))
+
+
+@pytest.mark.parametrize("n_pairs", [1, 20_000, MAX_PAIRS])
+@pytest.mark.parametrize("analysis", STATIC_ANALYSES, ids=ANALYSIS_IDS)
+def test_static_counts_of_mixed_empty_rows_equal_the_per_row_generators(analysis, n_pairs):
+    # Qubit(0, 0) is lost on a balanced special BS; the others are not
+    model = SpecialBSParams(R0=0.5)
+    qubits = [Qubit(0.0, 0.0), EQ, Qubit(0.0, 0.0), Qubit(2.0, 1.0), Qubit(0.3, 0.1)]
+    batch = run_model_batch(model, stack(qubits))
+    assert (batch.P_succ == 0.0).tolist() == [True, False, True, False, False]
+    args = model, stack(qubits), n_pairs, BIASED_BANK, [9, 2**64, 0, 2**130, 5], batch, analysis
+    counts = _count_static(*args)
+    assert np.array_equal(counts, oracle_static_counts(*args))
+    assert counts[[0, 2]].tolist() == [[0, 0, 0, 0]] * 2
+    assert n_pairs == 1 or counts[[1, 3, 4]].sum() > 0
 
 
 @settings(max_examples=20, deadline=None)

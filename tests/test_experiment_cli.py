@@ -1,14 +1,26 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pcclone
 from pcclone.cli import main
 from pcclone.cloners import ClonerParams, run_model
-from pcclone.counting import MAX_PAIRS, CoincidenceRecord, DetectorBank, simulate_counts
+from pcclone.counting import (
+    MAX_PAIRS,
+    CoincidenceRecord,
+    DetectorBank,
+    fidelity_from_counts,
+    simulate_counts,
+    success_probability_estimate,
+)
 from pcclone.experiment import (
     MAX_ROWS,
     ConfigError,
@@ -190,6 +202,16 @@ def test_unknown_command_and_missing_config_exit_2(tmp_path, capsys):
             main(argv)
         assert exc.value.code == 2
     assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # numpy.random loads on the first counted row, not with every process
+    src = str(Path(pcclone.__file__).resolve().parents[1])
+    code = "import sys, pcclone.cli; print('numpy.random' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout == "False\n"
 
 
 def test_options_may_precede_the_command(tmp_path, capsys):
@@ -798,6 +820,9 @@ def test_counted_rows_equal_simulate_counts_for_their_row_seed(variant, noise):
                                  counting.detectors, seed)
         assert CoincidenceRecord(row["C_pp"], row["C_pm"], row["C_mp"], row["C_mm"],
                                  counting.n_pairs, seed) == record
+        # the estimate columns, divided as arrays, carry the record's bits
+        assert (row["F1_hat"], row["F2_hat"]) == (fidelity_from_counts(record) or (None, None))
+        assert row["P_hat"] == success_probability_estimate(record)
 
 
 def test_jitter_rows_are_counted_on_the_states_the_sweep_holds(monkeypatch):
