@@ -191,6 +191,39 @@ def test_optimizer_validates_arguments():
                               refine_tol=tol)
 
 
+#: searches whose candidates leave a field's domain, the message that names
+#: the first bad value, and the rows of the batches evaluated before it
+INVALID_CANDIDATES = {
+    # r0 = ±sqrt(1/2) with t0 = sqrt(1/2) is lossless, so the grid passes; the
+    # ladder's first move, r0 = 0, is not
+    "lossless-pair": ((HybridParams(), {"r0": (-math.sqrt(0.5), math.sqrt(0.5))}, 2),
+                      "(r0, t0) must satisfy r^2 + t^2 = 1, got 0.5000000000000001", [3]),
+    "plate-in-grid": ((HybridParams(), {"eta0": (0.5, 1.2)}, 33),
+                      "eta0 must lie in [0, 1], got 1.0031249999999998", []),
+    # both columns leave [0, 1] at 1.025; the model checks R0 first
+    "first-checked-field": ((SpecialBSParams(R0=0.8, R1=0.2),
+                             {"comp_loss_r1": (0.5, 1.2), "R0": (0.5, 1.2)}, 5),
+                            "R0 must lie in [0, 1], got 1.025", []),
+}
+
+
+@pytest.mark.parametrize("case", list(INVALID_CANDIDATES))
+def test_optimizer_rejects_invalid_candidates(case):
+    (model, free, grid_points), message, rows = INVALID_CANDIDATES[case]
+    batches = []
+
+    def evaluate(params, inputs, *rest):
+        batch = run_model_batch(params, inputs, *rest)
+        batches.append(len(batch.P_succ))
+        return batch
+
+    with mock.patch.object(compensation, "run_model_batch", evaluate):
+        with pytest.raises(ValueError) as error:
+            optimize_symmetry(model, free, grid_points=grid_points)
+    assert str(error.value) == message
+    assert batches == rows
+
+
 @pytest.mark.parametrize(
     "model, name",
     [(SpecialBSParams.ideal(), "R1"), (FiberParams.ideal(), "R_vrc1"),

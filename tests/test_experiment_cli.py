@@ -753,6 +753,22 @@ def test_cli_optimize_interval_outside_the_field_domain_exits_2(tmp_path, capsys
     assert captured.err == "error: optimize: R0 must lie in [0, 1], got 1.003125\n"
 
 
+def test_cli_optimize_invalid_ladder_candidate_exits_2(tmp_path, capsys):
+    # the grid's r0 = ±sqrt(1/2) pass with t0 = sqrt(1/2); the ladder's r0 = 0 does not
+    payload = {
+        "model": {"variant": "hybrid"},
+        "free_parameters": {"r0": [-math.sqrt(0.5), math.sqrt(0.5)]},
+        "objective": "min_fidelity_gap",
+        "grid_points": 2,
+    }
+    path = write_config(tmp_path, payload)
+    assert main(["optimize", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: optimize: (r0, t0) must satisfy r^2 + t^2 = 1, "
+                            "got 0.5000000000000001\n")
+
+
 def test_optimize_grid_over_the_cap_exits_2(tmp_path, capsys):
     # parsing only: 316 ** 2 points fit in MAX_ROWS, 317 ** 2 do not
     payload = {
