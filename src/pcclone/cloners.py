@@ -79,10 +79,38 @@ def _check_amplitude(name, value):
     _require((-1.0 <= value) & (value <= 1.0), value, f"{name} must lie in [-1, 1]")
 
 
-def _check_lossless(name_r, r, name_t, t):
+def _check_unit_interval_or_none(name, value):
+    if value is not None:
+        _check_unit_interval(name, value)
+
+
+def _check_finite(name, value):
+    _require(np.isfinite(value), value, f"{name} must be finite")
+
+
+def _check_sign(name, value):
+    if value not in (-1, 1):
+        raise ValueError(f"{name} must be +1 or -1, got {value}")
+
+
+def _check_lossless(name_r, name_t, r, t):
     norm = r * r + t * t
     _require(abs(norm - 1.0) <= BUILD_TOL, norm,
              f"({name_r}, {name_t}) must satisfy r^2 + t^2 = 1")
+
+
+def _check_phase_pair(name, value):
+    if value is not None:
+        phases = [float(p) for p in value]
+        if len(phases) != 2 or not all(math.isfinite(p) for p in phases):
+            raise ValueError(f"{name} must be two finite angles")
+
+
+def _run_checks(checks, values):
+    """Run each ``(check, *fields)`` of ``checks`` in order on the field ``values``,
+    as ``check(*fields, *their values)``."""
+    for check, *names in checks:
+        check(*names, *[values[name] for name in names])
 
 
 def _check_overlap(M):
@@ -102,7 +130,13 @@ def _rail_couplings(R0: float, R1: float | None, sign: int):
     transmittance.
     """
     R1 = (1.0 - R0) if R1 is None else R1
-    return np.sqrt(R0), np.sqrt(1.0 - R0), np.sqrt(R1), sign * np.sqrt(1.0 - R1)
+    return _sqrt(R0), _sqrt(1.0 - R0), _sqrt(R1), sign * _sqrt(1.0 - R1)
+
+
+def _sqrt(x):
+    """np.sqrt of an array, math.sqrt of a number: both round correctly, so
+    their bits agree, and a number skips numpy's scalar call."""
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 
 
 class ClonerParams:
@@ -118,9 +152,11 @@ class ClonerParams:
     probabilities: each is a trigonometric polynomial in ``delta`` with
     harmonics up to cos(K delta) and sin(K delta), and K = 0 means that
     ``delta`` does not reach the device at all.
-    A numeric field may also hold an array of candidates (the optimizer's
-    batches): ``dataclasses.replace`` then validates every entry, and the
-    amplitudes broadcast over it.
+    ``_checks`` lists the field checks, ``(check, *fields)``, in the order
+    ``__post_init__`` runs them.  A numeric field may also hold an array of
+    candidates (the optimizer's batches), which the amplitudes broadcast
+    over: the optimizer runs only the checks that read a candidate column,
+    on every entry, and holds the columns with :meth:`_trusted`.
 
     A subclass that names a ``variant`` in its class statement enters
     ``variants``, the registry under which the experiment schema reads it.
@@ -128,11 +164,22 @@ class ClonerParams:
 
     variants: dict = {}
     jitter_degree = 0
+    _checks = ()
 
     def __init_subclass__(cls, variant: str | None = None, **kwargs):
         super().__init_subclass__(**kwargs)
         if variant is not None:
             ClonerParams.variants[variant] = cls
+
+    def __post_init__(self):
+        _run_checks(self._checks, vars(self))
+
+    @classmethod
+    def _trusted(cls, values):
+        """A model of the field ``values``, unchecked: their checks have passed."""
+        model = object.__new__(cls)
+        vars(model).update(values)
+        return model
 
     @classmethod
     def ideal(cls):
@@ -201,16 +248,9 @@ class SpecialBSParams(_Splitter, variant="special_bs"):
     comp_loss_r0: float = 1.0
     comp_loss_r1: float = 1.0
 
-    def __post_init__(self):
-        _check_unit_interval("R0", self.R0)
-        if self.R1 is not None:
-            _check_unit_interval("R1", self.R1)
-        if self.sign_convention not in (-1, 1):
-            raise ValueError(
-                f"sign_convention must be +1 or -1, got {self.sign_convention}"
-            )
-        _check_unit_interval("comp_loss_r0", self.comp_loss_r0)
-        _check_unit_interval("comp_loss_r1", self.comp_loss_r1)
+    _checks = ((_check_unit_interval, "R0"), (_check_unit_interval_or_none, "R1"),
+               (_check_sign, "sign_convention"), (_check_unit_interval, "comp_loss_r0"),
+               (_check_unit_interval, "comp_loss_r1"))
 
     def couplings(self, delta=0.0):
         """No stabilized interference path: ``delta`` does not enter."""
@@ -239,10 +279,8 @@ class MachZehnderParams(_Splitter, variant="mach_zehnder"):
     phase_offset_r0: float = 0.0
     phase_offset_r1: float = 0.0
 
-    def __post_init__(self):
-        for name in ("theta_V", "theta_H", "phase_offset_r0", "phase_offset_r1"):
-            value = getattr(self, name)
-            _require(np.isfinite(value), value, f"{name} must be finite")
+    _checks = tuple((_check_finite, name) for name in
+                    ("theta_V", "theta_H", "phase_offset_r0", "phase_offset_r1"))
 
     @classmethod
     def ideal(cls) -> "MachZehnderParams":
@@ -279,14 +317,10 @@ class HybridParams(ClonerParams, variant="hybrid"):
     nu0: float = 1.0
     nu1: float = 1.0
 
-    def __post_init__(self):
-        for name in ("r", "t", "r0", "t0", "r1", "t1"):
-            _check_amplitude(name, getattr(self, name))
-        _check_lossless("r", self.r, "t", self.t)
-        _check_lossless("r0", self.r0, "t0", self.t0)
-        _check_lossless("r1", self.r1, "t1", self.t1)
-        for name in ("eta0", "eta1", "nu0", "nu1"):
-            _check_unit_interval(name, getattr(self, name))
+    _checks = (*((_check_amplitude, name) for name in ("r", "t", "r0", "t0", "r1", "t1")),
+               (_check_lossless, "r", "t"), (_check_lossless, "r0", "t0"),
+               (_check_lossless, "r1", "t1"),
+               *((_check_unit_interval, name) for name in ("eta0", "eta1", "nu0", "nu1")))
 
     @classmethod
     def universal(cls) -> "HybridParams":
@@ -296,8 +330,9 @@ class HybridParams(ClonerParams, variant="hybrid"):
     def sector_amplitudes(self, alpha, beta, m, m_orth, delta):
         p = self
         a00 = alpha * 2.0 * p.r * p.t * (p.eta0 * p.eta0) * p.t0 * p.nu0 * p.r0
-        a10 = beta * p.r * p.t * p.eta0 * p.eta1 * p.t1 * p.nu1 * p.r0
-        a01 = beta * p.r * p.t * p.eta0 * p.eta1 * p.t0 * p.nu0 * p.r1
+        bunched = beta * p.r * p.t * p.eta0 * p.eta1  # both |1> paths, up to BS2
+        a10 = bunched * p.t1 * p.nu1 * p.r0
+        a01 = bunched * p.t0 * p.nu0 * p.r1
         sectors = [(m * a00, m * a10, m * a01)]
         if m_orth > 0.0:
             # a bunched pair in different temporal bins leaves BS2 one photon
@@ -353,17 +388,16 @@ class FiberParams(_Splitter, variant="fiber"):
     detection_ratio_1: float = 0.5
     detection_ratio_2: float = 0.5
 
+    _checks = ((_check_unit_interval, "R_vrc0"), (_check_unit_interval_or_none, "R_vrc1"),
+               (_check_phase_pair, "analysis_phases"),
+               (_check_unit_interval, "detection_ratio_1"),
+               (_check_unit_interval, "detection_ratio_2"))
+
     def __post_init__(self):
-        _check_unit_interval("R_vrc0", self.R_vrc0)
-        if self.R_vrc1 is not None:
-            _check_unit_interval("R_vrc1", self.R_vrc1)
+        super().__post_init__()
         if self.analysis_phases is not None:
-            phases = tuple(float(p) for p in self.analysis_phases)
-            if len(phases) != 2 or not all(math.isfinite(p) for p in phases):
-                raise ValueError("analysis_phases must be two finite angles")
-            object.__setattr__(self, "analysis_phases", phases)
-        _check_unit_interval("detection_ratio_1", self.detection_ratio_1)
-        _check_unit_interval("detection_ratio_2", self.detection_ratio_2)
+            object.__setattr__(self, "analysis_phases",
+                               tuple(float(p) for p in self.analysis_phases))
 
     def couplings(self, delta=0.0):
         """A phase error ``delta`` drifts the phase of rail r1 against r0."""
@@ -460,7 +494,7 @@ def _sector_stack(params: ClonerParams, alpha, beta, overlap_M: float, delta):
     """
     m_orth = math.sqrt(max(0.0, 1.0 - overlap_M * overlap_M))
     sectors = params.sector_amplitudes(alpha, beta, overlap_M, m_orth, delta)
-    shape = np.broadcast(alpha, delta, *(a for sector in sectors for a in sector)).shape
+    shape = np.broadcast(alpha, delta, *[a for sector in sectors for a in sector]).shape
     out = np.zeros(shape + (len(sectors), 4), dtype=complex)
     for s, (a00, a10, a01) in enumerate(sectors):
         out[..., s, 0] = a00
@@ -532,6 +566,17 @@ class CloneBatch:
                            joint)
 
 
+def _input_rows(inputs: Qubit):
+    """(alpha, beta, bra, ket) of ``inputs``, one row per state, kept in the
+    instance: an optimizer's batches all read one input."""
+    rows = vars(inputs).get("_rows")
+    if rows is None:
+        psi = inputs.amplitudes().reshape(-1, 2)
+        rows = vars(inputs)["_rows"] = (psi[:, 0], psi[:, 1], psi.conj()[:, None, :],
+                                         psi[:, :, None])
+    return rows
+
+
 def run_model_batch(params: ClonerParams, inputs: Qubit,
                     overlap_M: float = 1.0) -> CloneBatch:
     """The closed-form kernel: many inputs at ancilla overlap ``overlap_M``.
@@ -547,24 +592,24 @@ def run_model_batch(params: ClonerParams, inputs: Qubit,
     the temporal sectors) are built on first read (:class:`CloneBatch`).
     """
     _check_overlap(overlap_M)
-    psi = inputs.amplitudes().reshape(-1, 2)
-    vectors = _sector_stack(params, psi[:, 0], psi[:, 1], overlap_M, 0.0)
+    alpha, beta, bra, ket = _input_rows(inputs)
+    vectors = _sector_stack(params, alpha, beta, overlap_M, 0.0)
     # stacked (1 x k) @ (k x 1) products give np.vdot's bits
     flat = vectors.reshape(len(vectors), -1)
     p_succ = (flat.conj()[:, None, :] @ flat[:, :, None])[:, 0, 0].real
     keep = p_succ > MIN_SUCCESS
-    empty = not keep.all()
+    empty = np.count_nonzero(keep) < len(keep)
     # an empty row is divided by 1, not by its vanishing norm, and masked last
     v = vectors / np.sqrt(np.where(keep, p_succ, 1.0) if empty else p_succ)[:, None, None]
     # u[sector, clone, c, a, row]: the joint's products v_i conj(v_j) summed
     # over the sectors, then over the traced rail c, as the partial traces add
-    u = np.take(v.transpose(1, 2, 0), _TRACE_INDEX, axis=1)
+    u = v.transpose(1, 2, 0).take(_TRACE_INDEX, axis=1)
     products = u[:, :, :, :, None, :] * u.conj()[:, :, :, None, :, :]
     terms = products[0] if len(products) == 1 else products.sum(axis=0)
     # contiguous (clone, row, 2, 2): other layouts may move numpy's last bits
     marginals = (terms[:, 0] + terms[:, 1]).transpose(0, 3, 1, 2).copy()
     # (psi^dagger rho) psi, in the order of fock.fidelity
-    fidelities = ((psi.conj()[:, None, :] @ marginals) @ psi[:, :, None])[..., 0, 0].real
+    fidelities = ((bra @ marginals) @ ket)[..., 0, 0].real
     if empty:
         p_succ, fidelities = np.where(keep, p_succ, 0.0), np.where(keep, fidelities, np.nan)
     return CloneBatch(p_succ, fidelities[0], fidelities[1], v)

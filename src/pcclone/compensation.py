@@ -20,10 +20,12 @@ from .cloners import (
     CloneReport,
     ClonerParams,
     HybridParams,
+    _check_integer,
+    _run_checks,
     run_model,
     run_model_batch,
 )
-from .fock import Qubit
+from .fock import Qubit, _check_single
 
 #: objective name -> value to minimize, from the clone fidelities (floats or arrays)
 _OBJECTIVES = {
@@ -102,6 +104,7 @@ def _objective_function(name: str):
 
 def _check_grid(grid_points: int, n_free: int) -> None:
     """Raise ValueError unless a grid of ``grid_points`` per axis fits one batch."""
+    _check_integer("grid_points", grid_points)
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
     if grid_points ** n_free > MAX_ROWS:
@@ -172,11 +175,16 @@ def optimize_symmetry(
 
     score = _objective_function(objective)
     target = input if input is not None else Qubit.equatorial(0.0)
+    _check_single(target)
+    # the fixed fields passed the model's checks; a batch runs those that
+    # read a free field, in the model's order, on every candidate
+    checks = [check for check in model._checks if not set(names).isdisjoint(check[1:])]
 
     def evaluate(points):
         """The batch of the rows of ``points``, and their objective values."""
-        columns = {name: points[:, j] for j, name in enumerate(names)}
-        batch = run_model_batch(replace(model, **columns), target)
+        candidates = {**vars(model), **{name: points[:, j] for j, name in enumerate(names)}}
+        _run_checks(checks, candidates)
+        batch = run_model_batch(model._trusted(candidates), target)
         values = np.where(batch.P_succ > 0.0, score(batch.F1, batch.F2), math.inf)
         if len(values) < len(points):  # a field the amplitudes never read: one row
             values = np.broadcast_to(values, len(points))
@@ -190,8 +198,13 @@ def optimize_symmetry(
         axis = lo + np.arange(grid_points) * step
         axes.append(np.where(axis < hi, axis, hi) if hi > lo else [lo])
     start = [getattr(model, n) for n in names]
-    points = np.vstack([start, np.stack(np.meshgrid(*axes, indexing="ij"), -1)
-                        .reshape(-1, len(names))])
+    sizes = [len(axis) for axis in axes]
+    points = np.empty((1 + math.prod(sizes), len(names)))
+    points[0] = start
+    # the grid in itertools.product order: axis j runs along dimension j
+    grid = points[1:].reshape(*sizes, len(names))
+    for j, axis in enumerate(axes):
+        grid[..., j] = np.reshape(axis, [-1 if k == j else 1 for k in range(len(names))])
     batch, values = evaluate(points)
     evaluations = len(points)
     best, best_value = 0, values[0].item()
@@ -206,11 +219,11 @@ def optimize_symmetry(
     while len(rows):
         batch, values = evaluate(rows[:MAX_ROWS])
         better = values < best_value - 1e-15
-        if not better.any():
+        i = int(better.argmax())
+        if not better[i]:
             evaluations += len(values)
             rows, entries = rows[MAX_ROWS:], entries[MAX_ROWS:]
             continue
-        i = int(better.argmax())
         evaluations += i + 1
         best_value, best_point = values[i].item(), rows[i].tolist()
         best_batch, best_row = batch, i
@@ -229,18 +242,29 @@ class _CompassTable:
 
     Entry ``2 * n * p + 2 * axis`` steps down ``axis`` and the next entry up,
     by the grid step halved ``p`` times, in passes ``p`` that run while some
-    step exceeds ``refine_tol``.
+    step exceeds ``refine_tol``.  An entry of zero step has infinite bounds,
+    so that its move never leaves the point.
     """
 
     def __init__(self, steps, intervals, refine_tol):
-        levels = []
-        while max(steps) > refine_tol:
-            levels.append(steps)
-            steps = [s / 2.0 for s in steps]
-        self.width = 2 * len(steps)
-        self.axis = np.arange(self.width * len(levels)) % self.width // 2
-        self.offset = np.repeat(np.ravel(levels), 2) * np.resize([-1.0, 1.0], len(self.axis))
-        self.lo, self.hi = np.array(intervals, dtype=float)[self.axis].T
+        n = len(steps)
+        # halving is monotone: a step below 2**top halved p times is at most
+        # 2**(top - p) (0 past the smallest subnormal), so no pass from
+        # top - bottom + 1 on runs, where refine_tol >= 2**(bottom - 1)
+        top = math.frexp(max(steps))[1]
+        bottom = math.frexp(refine_tol)[1] if refine_tol > 0.0 else -1074
+        levels = np.full((max(0, top - bottom + 1), n), 0.5)
+        levels[:1] = steps
+        # one halving after another: a subnormal step rounds at each of them
+        levels = np.multiply.accumulate(levels)
+        levels = levels[:np.count_nonzero(levels.max(axis=1) > refine_tol)]
+        self.offset = np.stack([-levels, levels], axis=-1).ravel()
+        self.width = 2 * n
+        self.axis = np.arange(len(self.offset)) % self.width // 2
+        lo, hi = np.array(intervals, dtype=float)[self.axis].T
+        moving = self.offset != 0.0
+        self.lo = np.where(moving, lo, -math.inf)
+        self.hi = np.where(moving, hi, math.inf)
 
     def ladder(self, point, entry=None):
         """Rows of the ladder from ``point``, and the table entry of each row.
@@ -252,15 +276,19 @@ class _CompassTable:
         sign; a zero step, or a move that clamps onto ``point``, is skipped.
         """
         first = 0 if entry is None else entry - entry % self.width
-        head = first + self.width if entry is None else entry + 1
-        order = np.concatenate([np.arange(head, first + self.width),
-                                np.arange(first, len(self.offset))])
-        axis, offset, lo, hi = (a[order] for a in (self.axis, self.offset, self.lo, self.hi))
+        rest = 0 if entry is None else first + self.width - entry - 1
+        index = np.arange(first - rest, len(self.offset))
+        if rest:  # the rest of the pass, then the pass again
+            index[:rest] += self.width
+        axis, lo, hi = self.axis[index], self.lo[index], self.hi[index]
         point = np.array(point, dtype=float)
-        trial = point[axis] + offset
+        start = point[axis]
+        trial = start + self.offset[index]
         trial = np.where(trial > lo, trial, lo)
         trial = np.where(trial < hi, trial, hi)
-        keep = (offset != 0.0) & (trial != point[axis])
-        rows = np.repeat(point[None], np.count_nonzero(keep), axis=0)
-        rows[np.arange(len(rows)), axis[keep]] = trial[keep]
-        return rows, order[keep]
+        kept = (trial != start).nonzero()[0]
+        if len(point) == 1:
+            return trial[kept, None], index[kept]
+        rows = np.repeat(point[None], len(kept), axis=0)
+        rows[np.arange(len(kept)), axis[kept]] = trial[kept]
+        return rows, index[kept]

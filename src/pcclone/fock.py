@@ -90,7 +90,7 @@ def _require(ok, value, message):
     first entry of ``value`` where ``ok`` fails, as a Python number.
     """
     if isinstance(ok, np.ndarray):
-        if ok.all():
+        if np.count_nonzero(ok) == ok.size:
             return
         value = np.extract(~ok, value)[0].item()
     elif ok:

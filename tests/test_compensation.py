@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 from itertools import product
 from unittest import mock
@@ -256,6 +257,103 @@ def test_optimizer_grid_is_capped():
                           grid_points=317)
     with pytest.raises(ValueError, match="grid_points must be >= 2"):
         optimize_symmetry(SpecialBSParams.ideal(), {"R0": (0.5, 1.0)}, grid_points=1)
+
+
+@pytest.mark.parametrize("grid_points", [2.5, 33.0, True, "33", None])
+def test_optimizer_grid_points_must_be_an_integer(grid_points):
+    # 2.5 would build np.arange(2.5): three points, at a step nobody asked for
+    message = f"grid_points must be an integer, got {grid_points!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        optimize_symmetry(SpecialBSParams.ideal(), {"R0": (0.5, 1.0)}, grid_points=grid_points)
+
+
+def test_optimizer_takes_a_numpy_integer_grid():
+    model, free = SpecialBSParams(R0=0.6), {"R0": (0.5, 1.0)}
+    result = optimize_symmetry(model, free, grid_points=np.int64(5))
+    reference = optimize_symmetry(model, free, grid_points=5)
+    assert (result.params, result.objective_value, result.evaluations) \
+        == (reference.params, reference.objective_value, reference.evaluations)
+
+
+@pytest.mark.parametrize("shape", [(34,), (1,)])
+def test_optimizer_refuses_a_batch_input(shape):
+    # a search scores every candidate against one input, as run_model does
+    input = Qubit(np.full(shape, 1.1), np.full(shape, 0.7))
+    message = f"input must be one state, got a batch of shape {shape}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        optimize_symmetry(SpecialBSParams(R0=0.8, R1=0.2), {"comp_loss_r1": (0.5, 1.0)},
+                          input=input)
+
+
+def test_a_batch_runs_only_the_checks_that_read_a_free_field(monkeypatch):
+    # r0 is pinned at its lossless value: its own rule and the (r0, t0) rule
+    # read it; the fixed fields passed their checks when the model was built
+    reads = []
+
+    def spy(check):
+        def run(*args):
+            reads.append(args[:len(args) // 2])
+            return check(*args)
+        return run
+
+    checks = HybridParams._checks
+    monkeypatch.setattr(HybridParams, "_checks",
+                        tuple((spy(check), *names) for check, *names in checks))
+    model = HybridParams(eta0=0.6)
+    reads.clear()
+    free = {"eta0": (0.4, 1.0), "r0": (math.sqrt(0.5), math.sqrt(0.5))}
+    result, batches = batched_optimize(model, free, "max_avg_fidelity", grid_points=5)
+    assert len(batches) > 5
+    # the result's parameters are built once, with every check
+    assert reads == [("r0",), ("r0", "t0"), ("eta0",)] * len(batches) \
+        + [tuple(names) for _, *names in checks]
+    assert result.params == replace(model, eta0=result.params.eta0)
+
+
+def same_field(a, b):
+    return a.tobytes() == b.tobytes() if isinstance(a, np.ndarray) else a == b
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_batch_checks_agree_with_replace(variant, data):
+    # each batch's candidates hold the fields replace() would build, or raise
+    # its message: intervals reach past [0, 1] and break lossless pairs
+    model = data.draw(PARAMS[variant])
+    names = data.draw(st.lists(
+        st.sampled_from(sorted(n for n in compensation._float_fields(type(model))
+                               if getattr(model, n) is not None)),
+        min_size=1, max_size=2, unique=True))
+    free = {name: tuple(sorted(data.draw(st.lists(st.floats(-0.5, 1.5), min_size=2,
+                                                  max_size=2))))
+            for name in names}
+    run_checks = compensation._run_checks
+    batches = []
+
+    def checked(checks, values):
+        columns = {name: values[name] for name in names}
+        outcomes = []
+        for build in (lambda: vars(replace(model, **columns)),
+                      lambda: run_checks(checks, values) or values):
+            try:
+                outcomes.append(build())
+            except ValueError as error:
+                outcomes.append(str(error))
+        expected, got = outcomes
+        batches.append(expected)
+        if isinstance(expected, str):
+            assert got == expected
+            raise ValueError(got)
+        assert got.keys() == expected.keys()
+        assert all(same_field(got[name], expected[name]) for name in expected)
+
+    with mock.patch.object(compensation, "_run_checks", checked):
+        try:
+            optimize_symmetry(model, free, grid_points=3, refine_tol=1e-2)
+        except ValueError as error:
+            assert str(error) == batches[-1]
+    assert batches
 
 
 # ---------------------------------------------------------------------------
