@@ -210,7 +210,9 @@ class _Splitter(ClonerParams):
 
     def sector_amplitudes(self, alpha, beta, m, m_orth, delta):
         r0, t0, r1, t1, loss0, loss1, phase0, phase1 = self.couplings(delta)
-        phase = np.exp(1j * (phase1 - phase0))
+        turn = phase1 - phase0
+        # exp(+-0i) is exactly 1 + 0i: no numpy call for rails in phase
+        phase = np.exp(1j * turn) if isinstance(turn, np.ndarray) or turn else 1 + 0j
         a00 = alpha * (r0 * r0 - t0 * t0) * loss0
         a10 = beta * (r0 * r1) * loss1 * phase
         a01 = -beta * (t0 * t1) * loss0 * phase

@@ -208,7 +208,10 @@ def optimize_symmetry(
     batch, values = evaluate(points)
     evaluations = len(points)
     best, best_value = 0, values[0].item()
-    for i, value in enumerate(values.tolist()):
+    # a point replaces the incumbent, in grid order, when it beats it by more
+    # than 1e-15; such a point is below every earlier one, kept or not
+    lower = (values[1:] < np.minimum.accumulate(values)[:-1]).nonzero()[0] + 1
+    for i, value in zip(lower.tolist(), values[lower].tolist()):
         if value < best_value - 1e-15:
             best, best_value = i, value
     best_point = points[best].tolist() if best else start
@@ -258,13 +261,14 @@ class _CompassTable:
         # one halving after another: a subnormal step rounds at each of them
         levels = np.multiply.accumulate(levels)
         levels = levels[:np.count_nonzero(levels.max(axis=1) > refine_tol)]
-        self.offset = np.stack([-levels, levels], axis=-1).ravel()
+        offset = levels[:, :, None] * np.array([-1.0, 1.0])  # [pass, axis, down/up]
+        moving = offset != 0.0
+        bounds = np.array(intervals, dtype=float)
+        self.offset = offset.ravel()
+        self.lo = np.where(moving, bounds[:, :1], -math.inf).ravel()
+        self.hi = np.where(moving, bounds[:, 1:], math.inf).ravel()
         self.width = 2 * n
         self.axis = np.arange(len(self.offset)) % self.width // 2
-        lo, hi = np.array(intervals, dtype=float)[self.axis].T
-        moving = self.offset != 0.0
-        self.lo = np.where(moving, lo, -math.inf)
-        self.hi = np.where(moving, hi, math.inf)
 
     def ladder(self, point, entry=None):
         """Rows of the ladder from ``point``, and the table entry of each row.
@@ -276,19 +280,18 @@ class _CompassTable:
         sign; a zero step, or a move that clamps onto ``point``, is skipped.
         """
         first = 0 if entry is None else entry - entry % self.width
-        rest = 0 if entry is None else first + self.width - entry - 1
-        index = np.arange(first - rest, len(self.offset))
-        if rest:  # the rest of the pass, then the pass again
-            index[:rest] += self.width
-        axis, lo, hi = self.axis[index], self.lo[index], self.hi[index]
+        axis, lo, hi = self.axis[first:], self.lo[first:], self.hi[first:]
         point = np.array(point, dtype=float)
         start = point[axis]
-        trial = start + self.offset[index]
+        trial = start + self.offset[first:]
         trial = np.where(trial > lo, trial, lo)
         trial = np.where(trial < hi, trial, hi)
         kept = (trial != start).nonzero()[0]
+        if entry is not None:  # the moves after ``entry`` in its pass come first
+            kept = np.concatenate([kept[kept.searchsorted(entry - first, "right"):
+                                        kept.searchsorted(self.width)], kept])
         if len(point) == 1:
-            return trial[kept, None], index[kept]
+            return trial[kept, None], kept + first
         rows = np.repeat(point[None], len(kept), axis=0)
         rows[np.arange(len(kept)), axis[kept]] = trial[kept]
-        return rows, index[kept]
+        return rows, kept + first

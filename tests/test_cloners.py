@@ -564,6 +564,80 @@ def test_kernel_keeps_the_bits_of_the_stacked_joint(variant, data, m, thetas, ph
     assert_oracle_bits(run_model_batch(params, inputs, m), oracle_batch(params, inputs, m))
 
 
+def numpy_sector_amplitudes(params, alpha, beta, m, m_orth, delta):
+    """Each device's sector amplitudes as first written: numpy's sqrt and exp
+    on every value, and every hybrid product in full.  The kernel may skip
+    numpy on numbers and share a product only where these bits stay."""
+    if isinstance(params, HybridParams):
+        p = params
+        a00 = alpha * 2.0 * p.r * p.t * (p.eta0 * p.eta0) * p.t0 * p.nu0 * p.r0
+        a10 = beta * p.r * p.t * p.eta0 * p.eta1 * p.t1 * p.nu1 * p.r0
+        a01 = beta * p.r * p.t * p.eta0 * p.eta1 * p.t0 * p.nu0 * p.r1
+        sectors = [(m * a00, m * a10, m * a01)]
+        if m_orth > 0.0:
+            c = m_orth * p.r * p.t * p.eta0
+            sectors.append((c * (alpha * p.eta0 * p.t0 * p.nu0 * p.r0),
+                            c * (beta * p.eta1 * p.t1 * p.nu1 * p.r0), 0.0))
+            sectors.append((c * (alpha * p.eta0 * p.r0 * p.t0 * p.nu0), 0.0,
+                            c * (beta * p.eta1 * p.r1 * p.t0 * p.nu0)))
+        return sectors
+    if isinstance(params, MachZehnderParams):
+        r0, t0, r1, t1, loss0, loss1, phase0, phase1 = params.couplings(delta)
+    else:
+        if isinstance(params, SpecialBSParams):
+            R0, R1, sign = params.R0, params.R1, params.sign_convention
+            loss0, loss1, phase0, phase1 = params.comp_loss_r0, params.comp_loss_r1, 0.0, 0.0
+        else:
+            R0, R1, sign = params.R_vrc0, params.R_vrc1, -1
+            loss0, loss1, phase0, phase1 = 1.0, 1.0, 0.0, delta
+        R1 = (1.0 - R0) if R1 is None else R1
+        r0, t0, r1, t1 = np.sqrt(R0), np.sqrt(1.0 - R0), np.sqrt(R1), sign * np.sqrt(1.0 - R1)
+    phase = np.exp(1j * (phase1 - phase0))
+    a00 = alpha * (r0 * r0 - t0 * t0) * loss0
+    a10 = beta * (r0 * r1) * loss1 * phase
+    a01 = -beta * (t0 * t1) * loss0 * phase
+    sectors = [(m * a00, m * a10, m * a01)]
+    if m_orth > 0.0:
+        sectors.append((m_orth * alpha * r0**2 * loss0, m_orth * a10, 0.0))
+        sectors.append((-m_orth * alpha * t0**2 * loss0, 0.0, m_orth * a01))
+    return sectors
+
+
+#: per variant, fields a candidate column may replace, and their values
+AMPLITUDE_COLUMNS = {
+    "special_bs": (["R0", "R1", "comp_loss_r0", "comp_loss_r1"], st.floats(0.0, 1.0)),
+    "mach_zehnder": (["theta_V", "theta_H", "phase_offset_r0", "phase_offset_r1"],
+                     st.floats(-3.5, 3.5)),
+    "hybrid": (["eta0", "eta1", "nu0", "nu1"], st.floats(0.0, 1.0)),
+    "fiber": (["R_vrc0", "R_vrc1"], st.floats(0.0, 1.0)),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), m=ORACLE_OVERLAPS,
+       input=QUBITS | st.sampled_from([Qubit(0.0, 0.0), Qubit(math.pi, 0.0), Qubit(0.0, 2.0)]))
+@pytest.mark.parametrize("variant", VARIANTS, ids=CLASS_NAMES)
+def test_sector_amplitudes_keep_the_bits_of_their_numpy_formulas(variant, data, m, input):
+    params = data.draw(PARAMS[variant])
+    names, values = AMPLITUDE_COLUMNS[variant]
+    n = data.draw(st.integers(1, 5))
+    free = data.draw(st.lists(st.sampled_from(names), max_size=2, unique=True))
+    params = replace(params, **{name: np.array(data.draw(st.lists(values, min_size=n,
+                                                                  max_size=n)))
+                                for name in free})
+    delta = data.draw(st.sampled_from([0.0, -0.0]) | st.just(np.linspace(-0.3, 0.4, n)))
+    m_orth = math.sqrt(max(0.0, 1.0 - m * m))
+    psi = input.amplitudes()
+    # the input as two numbers (the jitter kernels) and as one row (the batch kernel)
+    for alpha, beta in ((psi[0], psi[1]), (psi[None, 0], psi[None, 1])):
+        got = params.sector_amplitudes(alpha, beta, m, m_orth, delta)
+        want = numpy_sector_amplitudes(params, alpha, beta, m, m_orth, delta)
+        assert len(got) == len(want)
+        for a, b in zip(itertools.chain(*got), itertools.chain(*want), strict=True):
+            assert type(a) is type(b) and np.shape(a) == np.shape(b)
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
 #: candidate columns as the optimizer stacks them, each drawn around a base
 #: device; the detection ratio is a field the amplitudes never read (one row)
 CANDIDATE_COLUMNS = {
