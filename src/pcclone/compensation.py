@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Mapping, get_type_hints
 
 import numpy as np
@@ -139,9 +139,12 @@ def optimize_symmetry(
     in search order.  Points are evaluated in :func:`run_model_batch` batches,
     bit-identical to :func:`run_model`: the start and the grid, then from
     each incumbent its compass ladder, a slice of the search's one
-    :class:`_CompassTable`.  Rows past the first improving move are dropped,
-    so ``evaluations`` and the result, whose report is the incumbent's batch
-    row, are those of a one-point search, never worse than the best grid point.
+    :class:`_CompassTable`.  Each batch runs, on every candidate, the model's
+    checks that read a free field, in the model's order and with its
+    messages; the fixed fields are not checked again.  Rows past the first
+    improving move are dropped, so ``evaluations`` and the result, whose
+    report is the incumbent's batch row, are those of a one-point search,
+    never worse than the best grid point.  ``input`` must be one state.
     """
     if not free_parameters:
         raise ValueError("free_parameters must name at least one parameter")
@@ -178,7 +181,8 @@ def optimize_symmetry(
     _check_single(target)
     # the fixed fields passed the model's checks; a batch runs those that
     # read a free field, in the model's order, on every candidate
-    checks = [check for check in model._checks if not set(names).isdisjoint(check[1:])]
+    free = set(names)
+    checks = [check for check in model._checks if not free.isdisjoint(check[1:])]
 
     def evaluate(points):
         """The batch of the rows of ``points``, and their objective values."""
@@ -210,7 +214,7 @@ def optimize_symmetry(
     best, best_value = 0, values[0].item()
     # a point replaces the incumbent, in grid order, when it beats it by more
     # than 1e-15; such a point is below every earlier one, kept or not
-    lower = (values[1:] < np.minimum.accumulate(values)[:-1]).nonzero()[0] + 1
+    lower = (values[1:] < np.fmin.accumulate(values)[:-1]).nonzero()[0] + 1
     for i, value in zip(lower.tolist(), values[lower].tolist()):
         if value < best_value - 1e-15:
             best, best_value = i, value
@@ -232,8 +236,9 @@ def optimize_symmetry(
         best_batch, best_row = batch, i
         rows, entries = table.ladder(best_point, entries[i])
 
+    # the best point's values passed their checks in the batch that held them
     return OptimizationResult(
-        params=replace(model, **dict(zip(names, best_point))),
+        params=model._trusted({**vars(model), **dict(zip(names, best_point))}),
         report=best_batch.report(target, min(best_row, len(best_batch.P_succ) - 1)),
         objective_value=best_value,
         evaluations=evaluations,
@@ -250,17 +255,18 @@ class _CompassTable:
     """
 
     def __init__(self, steps, intervals, refine_tol):
-        n = len(steps)
+        n, widest = len(steps), max(steps)
         # halving is monotone: a step below 2**top halved p times is at most
         # 2**(top - p) (0 past the smallest subnormal), so no pass from
         # top - bottom + 1 on runs, where refine_tol >= 2**(bottom - 1)
-        top = math.frexp(max(steps))[1]
+        top = math.frexp(widest)[1]
         bottom = math.frexp(refine_tol)[1] if refine_tol > 0.0 else -1074
         levels = np.full((max(0, top - bottom + 1), n), 0.5)
         levels[:1] = steps
-        # one halving after another: a subnormal step rounds at each of them
+        # one halving after another: a subnormal step rounds at each of them;
+        # the widest step stays the widest, and its passes are the table's
         levels = np.multiply.accumulate(levels)
-        levels = levels[:np.count_nonzero(levels.max(axis=1) > refine_tol)]
+        levels = levels[:np.count_nonzero(levels[:, steps.index(widest)] > refine_tol)]
         offset = levels[:, :, None] * np.array([-1.0, 1.0])  # [pass, axis, down/up]
         moving = offset != 0.0
         bounds = np.array(intervals, dtype=float)
