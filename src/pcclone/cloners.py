@@ -496,7 +496,7 @@ def _sector_stack(params: ClonerParams, alpha, beta, overlap_M: float, delta):
     """
     m_orth = math.sqrt(max(0.0, 1.0 - overlap_M * overlap_M))
     sectors = params.sector_amplitudes(alpha, beta, overlap_M, m_orth, delta)
-    shape = np.broadcast(alpha, delta, *[a for sector in sectors for a in sector]).shape
+    shape = np.broadcast(alpha, delta, *(a for sector in sectors for a in sector)).shape
     out = np.zeros(shape + (len(sectors), 4), dtype=complex)
     for s, (a00, a10, a01) in enumerate(sectors):
         out[..., s, 0] = a00
