@@ -3,7 +3,6 @@ single-photon qubits, including the dominant imperfections of four
 linear-optical implementations and their coincidence-counting statistics."""
 
 from .fock import (
-    DensityMatrix,
     Port,
     Qubit,
     TwoQubitState,
@@ -26,8 +25,6 @@ from .cloners import (
     F_UNIVERSAL,
     R_OPTIMAL,
     circuit_joint_state,
-    ideal_clone_report,
-    ideal_pc_map,
     run_model,
     run_model_batch,
 )
@@ -46,7 +43,6 @@ from .counting import (
     balance_detectors,
     estimator_sigma,
     fidelity_from_counts,
-    fidelity_from_rates,
     outcome_distribution,
     simulate_counts,
     success_probability_estimate,

@@ -19,7 +19,8 @@ describes its device once, in two independent forms:
 
 Both routes must agree to high precision; the tests enforce it.  Their
 states are density matrices by construction and skip the check that the
-public ``DensityMatrix`` and ``TwoQubitState`` constructors run.
+public ``TwoQubitState`` constructor and :func:`fock.fidelity` run on a
+caller's matrix.
 
 Sign convention: couplers use signed real (r, t) with a -> r a + t b,
 b -> r b - t a.  The relative minus sign required between the rail-r0 and
@@ -36,15 +37,14 @@ import numpy as np
 from .fock import (
     BUILD_TOL,
     MIN_SUCCESS,
-    DensityMatrix,
     Port,
     Qubit,
     TwoQubitState,
     _check_single,
+    _fidelity,
     _require,
     attenuator,
     coupler,
-    fidelity,
     photon_pair,
     postselect_coincidence,
 )
@@ -418,10 +418,11 @@ class FiberParams(_Splitter, variant="fiber"):
 
 @dataclass(frozen=True)
 class CloneReport:
-    """Fidelities, success probability and clone states for one evaluation.
+    """Fidelities, success probability and clone state for one evaluation.
 
-    ``joint`` is the post-selected two-clone state; ``rho1``/``rho2`` read its
-    marginals.  A zero-success evaluation leaves F1, F2 and the states ``None``.
+    ``joint`` is the post-selected two-clone state; ``joint.reduced(port)``
+    reads one clone.  A zero-success evaluation leaves F1, F2 and ``joint``
+    ``None``.
     """
 
     input: Qubit
@@ -434,14 +435,6 @@ class CloneReport:
     def is_empty(self) -> bool:
         return self.joint is None
 
-    @property
-    def rho1(self) -> DensityMatrix | None:
-        return None if self.is_empty else self.joint.reduced(Port.OUT1)
-
-    @property
-    def rho2(self) -> DensityMatrix | None:
-        return None if self.is_empty else self.joint.reduced(Port.OUT2)
-
     @classmethod
     def empty(cls, input: Qubit) -> "CloneReport":
         return cls(input=input, P_succ=0.0, F1=None, F2=None, joint=None)
@@ -451,37 +444,8 @@ class CloneReport:
         """The report of ``joint``, post-selected with probability ``p_succ``."""
         if joint is None or p_succ <= MIN_SUCCESS:
             return cls.empty(input)
-        F1, F2 = (fidelity(joint.reduced(port), input) for port in Port)
+        F1, F2 = (_fidelity(joint.reduced(port), input) for port in Port)
         return cls(input=input, P_succ=float(p_succ), F1=F1, F2=F2, joint=joint)
-
-
-# ---------------------------------------------------------------------------
-# ideal phase-covariant map
-# ---------------------------------------------------------------------------
-
-def ideal_pc_map(input: Qubit, hemisphere: str = "north") -> np.ndarray:
-    """Optimal symmetric phase-covariant map as a pure two-qubit vector.
-
-    North: |0> -> |00>,  |1> -> (|10> + |01>)/sqrt(2); the southern variant
-    swaps the roles of |0> and |1>.  The output is normalized and indexed
-    |q1 q2> -> 2*q1 + q2.
-    """
-    _check_single(input)
-    alpha, beta = input.amplitudes()
-    s = 1.0 / math.sqrt(2.0)
-    if hemisphere == "north":
-        vec = np.array([alpha, beta * s, beta * s, 0.0], dtype=complex)
-    elif hemisphere == "south":
-        vec = np.array([0.0, alpha * s, alpha * s, beta], dtype=complex)
-    else:
-        raise ValueError(f"hemisphere must be 'north' or 'south', got {hemisphere!r}")
-    return vec
-
-
-def ideal_clone_report(input: Qubit, hemisphere: str = "north") -> CloneReport:
-    """CloneReport for the abstract (deterministic) optimal map."""
-    joint = TwoQubitState.from_pure(ideal_pc_map(input, hemisphere))
-    return CloneReport.from_joint(joint, 1.0, input)
 
 
 # ---------------------------------------------------------------------------
@@ -517,12 +481,15 @@ def conditional_sector_vectors(
     |00>, |01>, |10>, |11>.  Sectors are the temporal patterns of the two
     detected photons and mix incoherently: one at ``overlap_M`` = 1, three
     below.  ``phase_errors`` feeds per-trial jitter into the architectures
-    that respond to it; without it there is one trial.
+    that respond to it; without it there is one trial.  The input is read as
+    the one-element row of :func:`_input_rows`, so that one trial keeps the
+    bits of its row in :func:`run_model_batch`.
     """
     _check_single(input)
     _check_overlap(overlap_M)
+    alpha, beta = _input_rows(input)[:2]
     delta = 0.0 if phase_errors is None else np.asarray(phase_errors, float)
-    vectors = _sector_stack(params, *input.amplitudes(), overlap_M, delta)
+    vectors = _sector_stack(params, alpha, beta, overlap_M, delta)
     return vectors.reshape((-1,) + vectors.shape[-2:])
 
 

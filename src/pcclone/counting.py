@@ -30,8 +30,7 @@ the harmonics cos(k delta), sin(k delta) to their running sums in one matrix
 product.  The kernel holds one piece of trials at a time, and its cost does
 not depend on the number of temporal sectors.
 
-Counts are sampled with a seeded generator and are reproducible; records
-holding different seeds merge by field-wise addition.
+Counts are sampled with a seeded generator and are reproducible.
 """
 
 from __future__ import annotations
@@ -99,12 +98,7 @@ class DetectorBank:
 
 @dataclass(frozen=True)
 class CoincidenceRecord:
-    """Raw coincidence counts C++, C+-, C-+, C-- plus trial metadata.
-
-    ``seeds`` lists, ascending, every seed whose draw the record holds: one
-    draw gives ``(seed,)``, the default, and a merged record all of its
-    parts' seeds.  ``seed`` is the smallest of them.
-    """
+    """Raw coincidence counts C++, C+-, C-+, C-- plus trial metadata."""
 
     c_pp: int
     c_pm: int
@@ -112,18 +106,10 @@ class CoincidenceRecord:
     c_mm: int
     n_pairs: int
     seed: int
-    seeds: tuple[int, ...] = ()
 
     def __post_init__(self):
         for name in ("c_pp", "c_pm", "c_mp", "c_mm", "n_pairs", "seed"):
             _check_integer(name, getattr(self, name))
-        seeds = tuple(self.seeds) or (self.seed,)
-        for seed in seeds:
-            _check_integer("seeds", seed)
-        if list(seeds) != sorted(set(seeds)) or seeds[0] != self.seed:
-            raise ValueError(f"seeds must be distinct and ascending from seed "
-                             f"{self.seed}, got {seeds}")
-        object.__setattr__(self, "seeds", seeds)
         for name in ("c_pp", "c_pm", "c_mp", "c_mm"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
@@ -138,29 +124,6 @@ class CoincidenceRecord:
 
     def counts(self) -> np.ndarray:
         return np.array([self.c_pp, self.c_pm, self.c_mp, self.c_mm])
-
-    def merged(self, other: "CoincidenceRecord") -> "CoincidenceRecord":
-        """Field-wise sum; associative and commutative for partitioned runs.
-
-        The result holds the seeds of both records.  Records that share a
-        seed hold the same draw, not independent data, so merging them
-        raises ValueError.
-        """
-        shared = set(self.seeds) & set(other.seeds)
-        if shared:
-            raise ValueError(
-                f"cannot merge two records holding the same seeds {sorted(shared)}"
-            )
-        seeds = tuple(sorted(self.seeds + other.seeds))
-        return CoincidenceRecord(
-            self.c_pp + other.c_pp,
-            self.c_pm + other.c_pm,
-            self.c_mp + other.c_mp,
-            self.c_mm + other.c_mm,
-            self.n_pairs + other.n_pairs,
-            seeds[0],
-            seeds,
-        )
 
 
 @dataclass(frozen=True)
@@ -398,7 +361,7 @@ def simulate_counts(
     return CoincidenceRecord(*counts.tolist(), n_pairs, seed)
 
 
-def fidelity_from_rates(c_pp, c_pm, c_mp, c_mm):
+def _fidelity_from_rates(c_pp, c_pm, c_mp, c_mm):
     """Estimator F1 = (C++ + C+-)/C_sum, F2 = (C++ + C-+)/C_sum.
 
     Accepts real-valued rates (e.g. efficiency-rescaled counts); returns
@@ -412,7 +375,7 @@ def fidelity_from_rates(c_pp, c_pm, c_mp, c_mm):
 
 def fidelity_from_counts(record: CoincidenceRecord):
     """Clone-fidelity estimates from a coincidence record (None if empty)."""
-    return fidelity_from_rates(record.c_pp, record.c_pm, record.c_mp, record.c_mm)
+    return _fidelity_from_rates(record.c_pp, record.c_pm, record.c_mp, record.c_mm)
 
 
 def success_probability_estimate(record: CoincidenceRecord) -> float:
@@ -460,7 +423,7 @@ def balance_detectors(method: str, record_or_setup, detectors: DetectorBank):
         eff = detectors.pattern_efficiencies()
         if np.any(eff <= 0.0):
             raise ValueError("rescale requires strictly positive efficiencies")
-        estimates = fidelity_from_rates(*(record_or_setup.counts() / eff))
+        estimates = _fidelity_from_rates(*(record_or_setup.counts() / eff))
     elif not isinstance(record_or_setup, CountingSetup):
         raise TypeError(f"{method} requires a CountingSetup")
     elif method == "add_loss":
@@ -504,7 +467,7 @@ def balance_detectors(method: str, record_or_setup, detectors: DetectorBank):
                 detectors, int(child), analysis=setting,
             )
             counts.append(record.c_pp)
-        estimates = fidelity_from_rates(*counts)
+        estimates = _fidelity_from_rates(*counts)
     if estimates is None:
         raise ValueError(
             f"{method} registered no coincidence in {record_or_setup.n_pairs} trials"

@@ -24,7 +24,7 @@ sweep), which the closed-form kernel evaluates in one call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -199,29 +199,6 @@ def check_density(m: np.ndarray, name: str, imag_trace: bool = True) -> None:
         raise ValueError(f"{name} has a negative eigenvalue")
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Validated 2x2 density matrix over the rail basis {|0>, |1>}."""
-
-    matrix: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError(f"density matrix must be 2x2, got {m.shape}")
-        check_density(m, "density matrix")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def _trusted(cls, m: np.ndarray) -> "DensityMatrix":
-        """Hold a kernel's own complex 2x2 density matrix read-only, unchecked."""
-        state = object.__new__(cls)
-        m.flags.writeable = False
-        object.__setattr__(state, "matrix", m)
-        return state
-
-
 class TwoQubitState:
     """Post-selected two-clone state over rail (x) rail.
 
@@ -251,20 +228,12 @@ class TwoQubitState:
         object.__setattr__(state, "rho", rho)
         return state
 
-    @classmethod
-    def from_pure(cls, vector) -> "TwoQubitState":
-        v = np.asarray(vector, dtype=complex)
-        n2 = float(np.vdot(v, v).real)
-        if n2 <= 0.0:
-            raise ValueError("cannot normalize a zero vector")
-        v = v / math.sqrt(n2)
-        return cls(np.outer(v, v.conj()))
-
-    def reduced(self, which_port: Port) -> DensityMatrix:
+    def reduced(self, which_port: Port) -> np.ndarray:
+        """The clone at ``which_port``: the partial trace, a read-only 2x2 array."""
         r = self.rho.reshape(2, 2, 2, 2)
-        if which_port == Port.OUT1:
-            return DensityMatrix._trusted(np.einsum("ijkj->ik", r))
-        return DensityMatrix._trusted(np.einsum("ijil->jl", r))
+        m = np.einsum("ijkj->ik" if which_port == Port.OUT1 else "ijil->jl", r)
+        m.flags.writeable = False
+        return m
 
 
 def postselect_coincidence(amplitudes):
@@ -298,11 +267,17 @@ def postselect_coincidence(amplitudes):
 
 
 def fidelity(rho, target: Qubit) -> float:
-    """Overlap <psi| rho |psi> between a clone state and the target qubit."""
-    if isinstance(rho, DensityMatrix):
-        m = rho.matrix
-    else:
-        m = DensityMatrix(np.asarray(rho, dtype=complex)).matrix
+    """Overlap <psi| rho |psi> between a caller's 2x2 density matrix and the
+    target qubit; ``rho`` is checked first."""
+    m = np.asarray(rho, dtype=complex)
+    if m.shape != (2, 2):
+        raise ValueError(f"density matrix must be 2x2, got {m.shape}")
+    check_density(m, "density matrix")
+    return _fidelity(m, target)
+
+
+def _fidelity(m: np.ndarray, target: Qubit) -> float:
+    """<psi| m |psi> of the one state ``target``; ``m`` is not checked."""
     _check_single(target)
     psi = target.amplitudes()
     return float(np.real(psi.conj() @ m @ psi))

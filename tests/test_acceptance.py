@@ -25,13 +25,13 @@ from pcclone import (
     circuit_joint_state,
     estimator_sigma,
     fidelity_from_counts,
-    fidelity_from_rates,
     hom_visibility,
     outcome_distribution,
     run_model,
     simulate_counts,
     with_distinguishability,
 )
+from pcclone.counting import _fidelity_from_rates
 
 F_PC = 0.5 * (1.0 + 1.0 / math.sqrt(2.0))
 EQUATOR_32 = [Qubit.equatorial(phi) for phi in np.linspace(0.0, 2 * math.pi, 32,
@@ -218,7 +218,7 @@ def test_criterion_09_detector_balancing():
 
     report = run_model(model, q)
     probs = outcome_distribution(report, q) * bank.pattern_efficiencies()
-    _, f2_expected_bias = fidelity_from_rates(*probs)
+    _, f2_expected_bias = _fidelity_from_rates(*probs)
 
     record = simulate_counts(model, NOISELESS, q, n, bank, seed=17)
     _, f2_biased = fidelity_from_counts(record)

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloner_strategies import CLASS_NAMES, PARAMS, QUBITS, VARIANTS, oracle_batch, stack
+from cloner_strategies import (CLASS_NAMES, PARAMS, QUBITS, VARIANTS, oracle_batch,
+                               oracle_sector_stack, stack)
+from ideal_map import ideal_clone_report, ideal_pc_map
 from pcclone import cloners
 from pcclone.cloners import (
     F_PHASE_COVARIANT,
@@ -21,14 +23,13 @@ from pcclone.cloners import (
     SpecialBSParams,
     circuit_joint_state,
     conditional_sector_vectors,
-    ideal_clone_report,
-    ideal_pc_map,
     run_model,
     run_model_batch,
 )
 from pcclone.compensation import _float_fields, optimize_symmetry
 from pcclone.experiment import parse_experiment, run_experiment
-from pcclone.fock import Qubit, check_density, fidelity, photon_pair, postselect_coincidence
+from pcclone.fock import (Port, Qubit, check_density, fidelity, photon_pair,
+                          postselect_coincidence)
 
 F_PC = 0.8535533905932737
 EQ = Qubit.equatorial(0.0)
@@ -145,8 +146,9 @@ def test_special_bs_zero_success_marker():
 
 def test_special_bs_report_consistency():
     report = run_model(SpecialBSParams(R0=0.68), Qubit(1.0, 0.5))
-    assert report.F1 == pytest.approx(fidelity(report.rho1, report.input), abs=1e-10)
-    assert report.F2 == pytest.approx(fidelity(report.rho2, report.input), abs=1e-10)
+    rho1, rho2 = (report.joint.reduced(port) for port in Port)
+    assert report.F1 == pytest.approx(fidelity(rho1, report.input), abs=1e-10)
+    assert report.F2 == pytest.approx(fidelity(rho2, report.input), abs=1e-10)
 
 
 def test_special_bs_sign_convention_constraints():
@@ -324,10 +326,10 @@ def test_fiber_79_21_splitting():
 
 def test_fiber_matched_analyzer_is_maximal():
     q = Qubit.equatorial(1.7)
-    report = run_model(FiberParams.ideal(), q)
-    matched = fidelity(report.rho1, Qubit.equatorial(q.phi))
+    rho1 = run_model(FiberParams.ideal(), q).joint.reduced(Port.OUT1)
+    matched = fidelity(rho1, Qubit.equatorial(q.phi))
     for phi_m in np.linspace(0.0, 2 * math.pi, 24, endpoint=False):
-        other = fidelity(report.rho1, Qubit.equatorial(phi_m))
+        other = fidelity(rho1, Qubit.equatorial(phi_m))
         assert other <= matched + 1e-12
     assert matched == pytest.approx(F_PC, abs=1e-10)
 
@@ -434,8 +436,25 @@ def test_run_model_fidelities_are_those_of_its_clone_states(variant, m):
         for q in (Qubit(th, ph) for th in thetas for ph in phis):
             report = run_model(model, q, overlap_M=m)
             assert not report.is_empty
-            assert report.F1 == fidelity(report.rho1, q)
-            assert report.F2 == fidelity(report.rho2, q)
+            assert report.F1 == fidelity(report.joint.reduced(Port.OUT1), q)
+            assert report.F2 == fidelity(report.joint.reduced(Port.OUT2), q)
+
+
+@pytest.mark.parametrize("m", [1.0, 0.9, 0.0])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_sector_vectors_of_one_input_are_its_batch_row(variant, m):
+    # one input without phase errors is a one-element row: its vectors keep
+    # the bits of its row in a batch, where numpy's array loops round the
+    # complex products, and not those of numpy's scalar arithmetic
+    rng = np.random.default_rng(3)
+    thetas = np.concatenate([np.linspace(0.0, math.pi, 8), np.arccos(rng.uniform(-1, 1, 64))])
+    phis = np.concatenate([np.linspace(0.0, 6.0, 8), rng.uniform(0.0, 2.0 * math.pi, 64)])
+    psi = Qubit(thetas, phis).amplitudes()
+    for model in DEVICES[variant]:
+        rows = oracle_sector_stack(model, psi[:, 0], psi[:, 1], m, 0.0)
+        for row, theta, phi in zip(rows, thetas.tolist(), phis.tolist()):
+            vectors = conditional_sector_vectors(model, Qubit(theta, phi), m)
+            assert vectors.tobytes() == row.tobytes()
 
 
 def stacked(model, names, candidates):

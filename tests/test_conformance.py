@@ -47,7 +47,7 @@ from pcclone.cloners import (
     run_model_batch,
 )
 from pcclone.experiment import ConfigError, parse_experiment, parse_model, run_experiment
-from pcclone.fock import Qubit, check_density
+from pcclone.fock import Port, Qubit, check_density
 from pcclone.noise import _harmonics, _moment_polynomial
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -93,7 +93,7 @@ def test_kernel_states_are_density_matrices(variant, m, data):
     assert not batch.joint[~kept].any()
     reports = [run_model(params, q, overlap_M=m) for q in SWEEP]
     marginals = [rho for r in reports if not r.is_empty
-                 for rho in (r.rho1.matrix, r.rho2.matrix)]
+                 for rho in (r.joint.reduced(port) for port in Port)]
     check_density(np.array(marginals), "density matrix")
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cloner_strategies import CLASS_NAMES, OVERLAPS, PARAMS, QUBITS, VARIANTS, stack
+from ideal_map import pure_state
 from pcclone import counting as counting_module
 from pcclone import noise as noise_module
 from pcclone.cloners import (
@@ -31,6 +32,7 @@ from pcclone.counting import (
     _analyzer_vectors,
     _ceiling,
     _count_static,
+    _fidelity_from_rates,
     _pattern_vectors,
     _pcg64_states,
     _seed_words,
@@ -38,7 +40,6 @@ from pcclone.counting import (
     balance_detectors,
     estimator_sigma,
     fidelity_from_counts,
-    fidelity_from_rates,
     outcome_distribution,
     simulate_counts,
     success_probability_estimate,
@@ -102,40 +103,6 @@ def test_record_accepts_numpy_integers():
     assert record == CoincidenceRecord(1, 0, 2, 0, 10, 3)
 
 
-def test_record_merge_is_commutative_and_associative():
-    a = CoincidenceRecord(5, 1, 2, 0, 20, 3)
-    b = CoincidenceRecord(2, 2, 2, 2, 10, 1)
-    c = CoincidenceRecord(1, 0, 0, 1, 5, 7)
-    assert a.merged(b) == b.merged(a)
-    assert a.merged(b).merged(c) == a.merged(b.merged(c))
-    merged = a.merged(b)
-    assert merged.c_sum == a.c_sum + b.c_sum
-    assert merged.n_pairs == 30
-
-
-def test_record_merge_refuses_records_of_one_seed():
-    # two records of one seed hold one draw, not independent data
-    a = CoincidenceRecord(5, 1, 2, 0, 20, 3)
-    with pytest.raises(ValueError, match="same seed"):
-        a.merged(a)
-    with pytest.raises(ValueError, match="same seed"):
-        a.merged(CoincidenceRecord(1, 0, 0, 1, 5, 3))
-
-
-def test_merged_record_keeps_every_seed():
-    a = CoincidenceRecord(5, 1, 2, 0, 20, 3)
-    b = CoincidenceRecord(2, 2, 2, 2, 10, 1)
-    c = CoincidenceRecord(1, 0, 0, 1, 5, 7)
-    assert a.seeds == (3,)
-    merged = a.merged(c).merged(b)
-    assert (merged.seed, merged.seeds) == (1, (1, 3, 7))
-    # a draw already inside a merged record is not counted twice
-    with pytest.raises(ValueError, match=r"same seeds \[7\]"):
-        merged.merged(c)
-    with pytest.raises(ValueError, match=r"same seeds \[1, 3\]"):
-        a.merged(b).merged(merged)
-
-
 @pytest.mark.parametrize("values, match", [
     ((-1, 1, 1, 1, 10, 3), "c_pp must be non-negative"),
     ((1, -1, 1, 1, 10, 3), "c_pm must be non-negative"),
@@ -147,14 +114,9 @@ def test_merged_record_keeps_every_seed():
     ((1, 0, 0, 0, 10.0, 3), "n_pairs must be an integer"),
     ((1, 0, 0, 0, 10, 3.0), "seed must be an integer"),
 ])
-def test_public_constructor_and_merge_reject_each_bad_field(values, match):
+def test_public_constructor_rejects_each_bad_field(values, match):
     with pytest.raises(ValueError, match=match):
         CoincidenceRecord(*values)
-    # merged checks its result, even when one part was built unchecked
-    unchecked = object.__new__(CoincidenceRecord)
-    unchecked.__dict__.update(zip(RECORD_FIELDS, values), seeds=(values[5],))
-    with pytest.raises(ValueError, match=match):
-        unchecked.merged(CoincidenceRecord(0, 0, 0, 0, 1, 4))
 
 
 def test_counted_records_pass_every_public_check():
@@ -169,14 +131,14 @@ def test_counted_records_pass_every_public_check():
         fields = [*row, 20_000, seed]
         assert [type(v) for v in fields] == [int] * 6
         record = CoincidenceRecord(*fields)
-        assert record.counts().tolist() == row and record.seeds == (seed,)
+        assert record.counts().tolist() == row and record.seed == seed
 
 
-@pytest.mark.parametrize("seed, seeds", [(1, (1, 1)), (1, (3, 1)), (1, (2, 3)),
-                                         (1, (1, 2.0))])
-def test_record_seeds_must_be_distinct_and_ascending_from_seed(seed, seeds):
-    with pytest.raises(ValueError, match="seeds"):
-        CoincidenceRecord(1, 0, 0, 0, 10, seed, seeds)
+def test_record_holds_the_one_seed_of_its_draw():
+    # a record is one draw, of one seed: six fields and no more
+    assert list(vars(CoincidenceRecord(1, 0, 0, 0, 10, 1))) == list(RECORD_FIELDS)
+    with pytest.raises(TypeError):
+        CoincidenceRecord(1, 0, 0, 0, 10, 1, (1,))
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +161,7 @@ def test_outcome_distribution_ideal_cloner_matched_analysis():
 
 def test_outcome_distribution_product_state():
     q = Qubit.equatorial(0.7)
-    joint = TwoQubitState.from_pure(np.kron(q.amplitudes(), q.amplitudes()))
+    joint = pure_state(np.kron(q.amplitudes(), q.amplitudes()))
     report = CloneReport.from_joint(joint, 1.0, q)
     probs = outcome_distribution(report, q)
     assert np.allclose(probs, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
@@ -531,7 +493,7 @@ def test_unit_efficiency_estimator_is_unbiased_analytically():
     # expected counts are proportional to the outcome distribution itself
     report = run_model(IDEAL, EQ)
     probs = outcome_distribution(report, EQ)
-    f1, f2 = fidelity_from_rates(*probs)
+    f1, f2 = _fidelity_from_rates(*probs)
     assert f1 == pytest.approx(report.F1, abs=1e-12)
     assert f2 == pytest.approx(report.F2, abs=1e-12)
 
@@ -822,7 +784,7 @@ F2_BIASED = 0.8234070962417627
 def test_uncompensated_bias_oracle():
     report = run_model(IDEAL, EQ)
     probs = outcome_distribution(report, EQ) * BIASED_BANK.pattern_efficiencies()
-    f1, f2 = fidelity_from_rates(*probs)
+    f1, f2 = _fidelity_from_rates(*probs)
     assert f2 == pytest.approx(F2_BIASED, abs=1e-12)
     assert f2 == pytest.approx(0.823, abs=1e-3)
 

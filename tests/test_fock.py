@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ideal_map import pure_state
 from pcclone.cloners import MachZehnderParams, SpecialBSParams, run_model
 from pcclone.fock import (
-    DensityMatrix,
     Port,
     Qubit,
     TwoQubitState,
@@ -235,7 +235,7 @@ def test_postselect_rejects_non_finite_amplitudes(bad):
 def test_reduced_product_state():
     q = Qubit(0.9, 2.2)
     chi = Qubit(2.0, 5.0)
-    joint = TwoQubitState.from_pure(np.kron(q.amplitudes(), chi.amplitudes()))
+    joint = pure_state(np.kron(q.amplitudes(), chi.amplitudes()))
     rho1 = joint.reduced(Port.OUT1)
     assert fidelity(rho1, q) == pytest.approx(1.0, abs=1e-12)
     rho2 = joint.reduced(Port.OUT2)
@@ -244,10 +244,10 @@ def test_reduced_product_state():
 
 def test_reduced_singlet_is_maximally_mixed():
     vec = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
-    joint = TwoQubitState.from_pure(vec)
+    joint = pure_state(vec)
     for port in Port:
         rho = joint.reduced(port)
-        assert np.max(np.abs(rho.matrix - np.eye(2) / 2.0)) < 1e-12
+        assert np.max(np.abs(rho - np.eye(2) / 2.0)) < 1e-12
 
 
 def test_reduced_ideal_clone_state_fidelity():
@@ -255,7 +255,7 @@ def test_reduced_ideal_clone_state_fidelity():
     a, b = HALF, 0.5
     oracle = 0.5 + a * b / (a * a + 2 * b * b)
     q = Qubit.equatorial(0.0)
-    joint = TwoQubitState.from_pure(np.array([a, b, b, 0.0]))
+    joint = pure_state(np.array([a, b, b, 0.0]))
     rho = joint.reduced(Port.OUT1)
     assert fidelity(rho, q) == pytest.approx(oracle, abs=1e-12)
     assert oracle == pytest.approx(0.8535533905932737, abs=1e-12)
@@ -276,7 +276,7 @@ def test_reduced_matrices_are_valid_density_matrices(state, angle):
     if joint is None:
         return
     for port in Port:
-        rho = joint.reduced(port).matrix
+        rho = joint.reduced(port)
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-10
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
         assert np.min(np.linalg.eigvalsh(rho)) > -1e-10
@@ -309,9 +309,18 @@ def test_fidelity_rejects_invalid_density_matrix(bad):
         fidelity(bad, Qubit.equatorial(0.0))
 
 
-def test_density_matrix_accepts_valid_input():
-    rho = DensityMatrix(np.array([[0.75, 0.25], [0.25, 0.25]]))
-    assert rho.matrix.shape == (2, 2)
+def test_fidelity_accepts_valid_input():
+    rho = np.array([[0.75, 0.25], [0.25, 0.25]])
+    assert fidelity(rho, Qubit.equatorial(0.0)) == pytest.approx(0.75, abs=1e-15)
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (2,), (1, 1), (2, 2, 2), ()])
+def test_fidelity_rejects_a_matrix_that_is_not_2x2(shape):
+    bad = np.zeros(shape, dtype=complex)
+    if len(shape) == 2:
+        bad[...] = np.eye(shape[0]) / shape[0]  # a density matrix, of the wrong size
+    with pytest.raises(ValueError, match=r"density matrix must be 2x2, got \("):
+        fidelity(bad, Qubit.equatorial(0.0))
 
 
 def test_qubit_validation_and_orthogonality():
@@ -441,6 +450,6 @@ def test_two_qubit_state_is_immutable():
         average_over_jitter(MachZehnderParams.ideal(), jitter, q, 0, 100),
     ]
     for report in reports:
-        for array in (report.joint.rho, report.rho1.matrix, report.rho2.matrix):
+        for array in (report.joint.rho, *(report.joint.reduced(port) for port in Port)):
             with pytest.raises(ValueError):
                 array[0, 0] = 5.0

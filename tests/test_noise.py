@@ -265,6 +265,54 @@ def test_jitter_accumulates_between_resets():
     assert spread_late > 3 * spread_early
 
 
+#: family-wise false-alarm rate of test_jitter_walk_follows_its_law, over
+#: all its seeds and statistics
+WALK_FALSE_ALARM = 1e-6
+
+
+def square_rate(c):
+    """Cramer rate of the mean of squared standard normals at ``c`` (> 0)."""
+    return (c - 1.0 - np.log(c)) / 2.0
+
+
+def product_rate(m):
+    """Cramer rate of the mean of products of two independent standard normals
+    at ``m``: sup_t (t m + ln(1 - t^2) / 2), attained at t = (s - 1) / (2 m)
+    with s = sqrt(1 + 4 m^2)."""
+    s = np.sqrt(1.0 + 4.0 * m * m)
+    return 2.0 * m * m / (s + 1.0) + np.log(2.0 / (s + 1.0)) / 2.0
+
+
+def test_jitter_walk_follows_its_law():
+    # the walk's law, apart from the code that draws it: every block of
+    # `period` trials starts at 0, the phase j trials into a block has
+    # variance j sigma^2, and the steps are independent.  Each statistic is
+    # the mean of n terms that are i.i.d. under that law, so by Chernoff's
+    # bound its two-sided tail beyond rate I is at most 2 exp(-n I); one
+    # threshold on n I holds the false-alarm rate of all of them together.
+    # The period does not divide the walk's pieces, and the walk spans four.
+    period, n_trials, sigma = 97, 3 * 2**14 + 37, 0.05
+    config = NoiseConfig(phase_jitter_sigma=sigma, jitter_reset_period=period)
+    seeds = (0, 1, 2)
+    n_tests = len(seeds) * (period - 1 + 2)
+    threshold = math.log(2.0 * n_tests / WALK_FALSE_ALARM)
+    for seed in seeds:
+        phases = sample_phase_jitter(config, seed, n_trials)
+        assert np.all(phases[::period] == 0.0)
+        n_blocks = n_trials // period
+        walk = phases[:n_blocks * period].reshape(n_blocks, period) / sigma
+        # variance j sigma^2 at block position j, one statistic per position
+        j = np.arange(1, period)
+        spread = (walk[:, 1:] ** 2).mean(axis=0) / j
+        assert np.all(n_blocks * square_rate(spread) < threshold), seed
+        # lag-1 products of the steps: those at even and at odd lags are each
+        # mutually independent, so each set is one statistic
+        steps = np.diff(walk, axis=1)
+        lagged = steps[:, :-1] * steps[:, 1:]
+        for products in (lagged[:, 0::2], lagged[:, 1::2]):
+            assert products.size * product_rate(products.mean()) < threshold, seed
+
+
 def test_jitter_requires_trials():
     with pytest.raises(ValueError, match="n_trials"):
         sample_phase_jitter(NoiseConfig(), 1, 0)
