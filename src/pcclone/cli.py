@@ -8,16 +8,21 @@ each; options may come before or after the command.  Exit codes: 0 success,
 counting block and needs at least one; ``--out`` and ``--format`` override
 the output block ('-' writes to stdout).  Identical configuration and seed
 produce byte-identical output.
+
+The argument parser is built once per process, on the first :func:`main`
+call, and shared by every later call; a call then pays only for its
+document.  Importing the module builds nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
 
-from .compensation import optimize_symmetry
+from .compensation import MAX_MOVES, optimize_symmetry
 from .experiment import (
     CompareConfig,
     ConfigError,
@@ -103,6 +108,12 @@ def cmd_optimize(args):
                                    grid_points=config.grid_points)
     except ValueError as exc:
         raise ConfigError(f"optimize: {exc}") from exc
+    if result.report.is_empty:
+        raise ConfigError("optimize: no candidate registers a coincidence "
+                          "(P_succ = 0 at every point searched)")
+    if result.at_budget:
+        print(f"warning: optimize: the search stopped after {MAX_MOVES} accepted "
+              "moves; the row is its incumbent", file=sys.stderr)
 
     columns = {
         "objective": [config.objective],
@@ -126,7 +137,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, shared by every :func:`main` call."""
     parser = argparse.ArgumentParser(
         prog="pcclone",
         description="Simulate symmetric phase-covariant cloning of photonic qubits.",

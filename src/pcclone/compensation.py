@@ -88,12 +88,22 @@ def solve_hybrid_compensation(
     )
 
 
+#: accepted compass moves after which a search stops at its incumbent.  No
+#: search of the benchmark's optimize decks or the golden cases makes more
+#: than ~35; a crawl, one tiny improvement after another, ends here
+MAX_MOVES = 1000
+
+
 @dataclass(frozen=True)
 class OptimizationResult:
+    """A search's incumbent; ``at_budget`` when it stopped after ``MAX_MOVES``
+    accepted moves with moves still to try."""
+
     params: ClonerParams
     report: CloneReport
     objective_value: float
     evaluations: int
+    at_budget: bool = False
 
 
 def _objective_function(name: str):
@@ -144,7 +154,9 @@ def optimize_symmetry(
     messages; the fixed fields are not checked again.  Rows past the first
     improving move are dropped, so ``evaluations`` and the result, whose
     report is the incumbent's batch row, are those of a one-point search,
-    never worse than the best grid point.  ``input`` must be one state.
+    never worse than the best grid point.  A search stops after
+    ``MAX_MOVES`` accepted moves and returns that incumbent, marked
+    ``at_budget``.  ``input`` must be one state.
     """
     if not free_parameters:
         raise ValueError("free_parameters must name at least one parameter")
@@ -223,7 +235,8 @@ def optimize_symmetry(
 
     table = _CompassTable(steps, intervals, refine_tol)
     rows, entries = table.ladder(best_point)
-    while len(rows):
+    moves = 0
+    while len(rows) and moves < MAX_MOVES:
         batch, values = evaluate(rows[:MAX_ROWS])
         better = values < best_value - 1e-15
         i = int(better.argmax())
@@ -234,6 +247,7 @@ def optimize_symmetry(
         evaluations += i + 1
         best_value, best_point = values[i].item(), rows[i].tolist()
         best_batch, best_row = batch, i
+        moves += 1
         rows, entries = table.ladder(best_point, entries[i])
 
     # the best point's values passed their checks in the batch that held them
@@ -242,6 +256,7 @@ def optimize_symmetry(
         report=best_batch.report(target, min(best_row, len(best_batch.P_succ) - 1)),
         objective_value=best_value,
         evaluations=evaluations,
+        at_budget=bool(len(rows)),
     )
 
 

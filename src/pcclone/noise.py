@@ -136,11 +136,13 @@ def _jitter_walk(config: NoiseConfig, rng_seed, n_trials: int):
     cumulative sum per reset block: the block cut by the start of the piece
     continues from the last value of the previous piece, whole blocks
     follow, and a cut block at the end carries over.  Every piece is a view
-    of the same buffer, valid until the next one is drawn.
+    of the same buffer, valid until the next one is drawn.  A period of at
+    least ``n_trials`` resets only at trial 0, as a period of ``n_trials``
+    does; it is clamped there, so a block never outgrows the walk.
     """
     _check_trials(n_trials)
     rng = np.random.default_rng(rng_seed)
-    period = config.jitter_reset_period
+    period = min(config.jitter_reset_period, n_trials)
     buffer = np.empty(min(_CHUNK, n_trials))
     level = 0.0
     for start in range(0, n_trials, buffer.size):

@@ -1,5 +1,6 @@
 import math
 import re
+import time
 from dataclasses import replace
 from itertools import product
 from unittest import mock
@@ -364,7 +365,8 @@ def scalar_optimize(model, free_parameters, objective="min_fidelity_gap",
     """The optimizer walked one scalar ``run_model`` call at a time.
 
     Returns (params, report, objective value, evaluations, accepted compass
-    moves).
+    moves).  Like the batched search, it stops at the incumbent of its
+    ``MAX_MOVES``-th accepted move.
     """
     score = _objective_function(objective)
     names = list(free_parameters)
@@ -416,6 +418,8 @@ def scalar_optimize(model, free_parameters, objective="min_fidelity_gap",
                     best_point = trial
                     improved = True
                     accepted += 1
+                    if accepted == compensation.MAX_MOVES:
+                        return best_params, best_report, best_value, evaluations, accepted
         if not improved:
             steps = [s / 2.0 for s in steps]
     return best_params, best_report, best_value, evaluations, accepted
@@ -631,6 +635,45 @@ def test_compass_ladder_comes_in_windows_of_max_rows(monkeypatch):
     assert len(batches) > 2 + accepted
 
 
+# the draw of test_batched_compass_matches_scalar_loop under hypothesis seed
+# 109 that crawled: the gap fell by tiny steps over tens of thousands of
+# accepted moves, all in one pass
+CRAWL = (MachZehnderParams(theta_V=0.8850582197665784, theta_H=2.2086889948999207,
+                           phase_offset_r0=0.3167191293001945,
+                           phase_offset_r1=-1.1999999999999997),
+         {"theta_H": (-6.559319574337826e-71, 1.8318928336783227),
+          "phase_offset_r1": (1.7394860382285527e-139, 5.960464477539063e-08),
+          "phase_offset_r0": (-1.3788308126338467, 2.220446049250313e-16)},
+         "min_fidelity_gap", Qubit(2.7778884432310234, 4.4443771486773285), 4)
+
+
+def test_a_crawling_search_stops_at_its_budget():
+    model, free, objective, input, grid_points = CRAWL
+    began = time.perf_counter()
+    result = optimize_symmetry(model, free, objective, input=input, grid_points=grid_points)
+    assert time.perf_counter() - began < 2.0
+    assert result.at_budget
+    score = _objective_function(objective)
+    axes = [[min(hi, lo + k * (hi - lo) / (grid_points - 1)) for k in range(grid_points)]
+            for lo, hi in free.values()]
+    grid = [run_model(replace(model, **dict(zip(free, point))), input)
+            for point in product(*axes)]
+    assert result.objective_value <= min(score(r.F1, r.F2) for r in grid)
+    assert_matches_scalar_loop(*CRAWL)
+
+
+@pytest.mark.parametrize("budget", [1, 2, 5])
+def test_a_search_at_its_budget_matches_the_scalar_loop(budget, monkeypatch):
+    # mach_zehnder-3 accepts more than 5 moves: each budget cuts it short
+    model, free, input, grid_points = REFERENCE_CASES["mach_zehnder-3"]
+    monkeypatch.setattr(compensation, "MAX_MOVES", budget)
+    result, batches = batched_optimize(model, free, input=input, grid_points=grid_points)
+    *reference, accepted = scalar_optimize(model, free, input=input, grid_points=grid_points)
+    assert result.at_budget and accepted == budget
+    assert_same_result(result, reference)
+    assert len(batches) <= 1 + budget
+
+
 # ---------------------------------------------------------------------------
 # the compass table against the per-row ladder generator it replaced
 # ---------------------------------------------------------------------------
@@ -740,6 +783,7 @@ def test_ladder_windows_leave_the_search_unchanged(case, monkeypatch):
     model, free, *rest = REFERENCE_CASES[case]
     input, grid_points = rest if rest else (None, 33)
     result = optimize_symmetry(model, free, input=input, grid_points=grid_points)
+    assert not result.at_budget
     reference = (result.params, result.report, result.objective_value,
                  result.evaluations)
     # the grid stays one batch; only the ladder comes in smaller windows

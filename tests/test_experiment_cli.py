@@ -214,6 +214,17 @@ def test_importing_the_cli_leaves_numpy_random_unloaded():
     assert result.stdout == "False\n"
 
 
+def test_importing_the_cli_builds_no_parser():
+    # the one parser of a process is built by the first main() call
+    src = str(Path(pcclone.__file__).resolve().parents[1])
+    code = ("import pcclone.cli as cli; n = cli.build_parser.cache_info().currsize; "
+            "cli.build_parser(); print(n, cli.build_parser.cache_info().currsize)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout == "0 1\n"
+
+
 def test_options_may_precede_the_command(tmp_path, capsys):
     path = write_config(tmp_path, ideal_single())
     assert main(["--config", path, "run"]) == 0

@@ -399,6 +399,25 @@ def test_walk_pieces_join_to_whole_array_walk(period, n_trials, chunk, seed):
     assert joined.tobytes() == whole_array_walk(config, seed, n_trials).tobytes()
 
 
+@pytest.mark.parametrize("chunk", [100, _CHUNK], ids=["three-pieces", "one-piece"])
+@pytest.mark.parametrize("period", [251, 10**6, 10**30],
+                         ids=["n_trials+1", "1e6", "1e30"])
+def test_a_period_past_the_walk_resets_only_at_trial_0(period, chunk):
+    # a period at or above n_trials is clamped to n_trials; 10**30 used to
+    # overflow the reshape into reset blocks
+    def walk(period):
+        config = NoiseConfig(phase_jitter_sigma=0.2, jitter_reset_period=period)
+        with mock.patch.object(noise, "_CHUNK", chunk):
+            return [piece.copy() for piece in _jitter_walk(config, 5, 250)]
+
+    pieces = walk(period)
+    assert len(pieces) == (3 if chunk == 100 else 1)
+    assert np.concatenate(pieces).tobytes() == np.concatenate(walk(250)).tobytes()
+    assert np.concatenate(pieces).tobytes() \
+        == whole_array_walk(NoiseConfig(phase_jitter_sigma=0.2, jitter_reset_period=250),
+                            5, 250).tobytes()
+
+
 def test_walk_pieces_share_one_buffer():
     config = NoiseConfig(phase_jitter_sigma=0.2, jitter_reset_period=7)
     with mock.patch.object(noise, "_CHUNK", 100):
