@@ -75,6 +75,13 @@ def _check_integer(name, value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_pairs(name, value):
+    """Raise ValueError unless ``value`` is an integer in [1, ``MAX_PAIRS``]."""
+    _check_integer(name, value)
+    if not 1 <= value <= MAX_PAIRS:
+        raise ValueError(f"{name} must lie in [1, {MAX_PAIRS}], got {value}")
+
+
 def _check_amplitude(name, value):
     _require((-1.0 <= value) & (value <= 1.0), value, f"{name} must lie in [-1, 1]")
 

@@ -92,6 +92,8 @@ def solve_hybrid_compensation(
 #: search of the benchmark's optimize decks or the golden cases makes more
 #: than ~35; a crawl, one tiny improvement after another, ends here
 MAX_MOVES = 1000
+#: the compass halves its steps pass by pass while one of them exceeds this
+REFINE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -112,16 +114,6 @@ def _objective_function(name: str):
     return _OBJECTIVES[name]
 
 
-def _check_grid(grid_points: int, n_free: int) -> None:
-    """Raise ValueError unless a grid of ``grid_points`` per axis fits one batch."""
-    _check_integer("grid_points", grid_points)
-    if grid_points < 2:
-        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
-    if grid_points ** n_free > MAX_ROWS:
-        raise ValueError(f"grid_points ** {n_free} (the grid over {n_free} free "
-                         f"parameters) must not exceed {MAX_ROWS}, got {grid_points}")
-
-
 @functools.cache
 def _float_fields(cls) -> frozenset:
     """Fields of ``cls`` annotated ``float`` or ``float | None``."""
@@ -136,7 +128,6 @@ def optimize_symmetry(
     objective: str = "min_fidelity_gap",
     input: Qubit | None = None,
     grid_points: int = 33,
-    refine_tol: float = 1e-9,
 ) -> OptimizationResult:
     """Deterministic coarse-grid search plus compass refinement.
 
@@ -148,8 +139,9 @@ def optimize_symmetry(
     unchanged; a point replaces it only when it beats it by more than 1e-15,
     in search order.  Points are evaluated in :func:`run_model_batch` batches,
     bit-identical to :func:`run_model`: the start and the grid, then from
-    each incumbent its compass ladder, a slice of the search's one
-    :class:`_CompassTable`.  Each batch runs, on every candidate, the model's
+    each incumbent its whole compass ladder, a slice of the search's one
+    :class:`_CompassTable`, whose steps halve while one exceeds
+    ``REFINE_TOL``.  Each batch runs, on every candidate, the model's
     checks that read a free field, in the model's order and with its
     messages; the fixed fields are not checked again.  Rows past the first
     improving move are dropped, so ``evaluations`` and the result, whose
@@ -160,9 +152,13 @@ def optimize_symmetry(
     """
     if not free_parameters:
         raise ValueError("free_parameters must name at least one parameter")
-    _check_grid(grid_points, len(free_parameters))
-    if not refine_tol >= 0.0:
-        raise ValueError(f"refine_tol must be >= 0, got {refine_tol}")
+    n_free = len(free_parameters)
+    _check_integer("grid_points", grid_points)
+    if grid_points < 2:
+        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
+    if int(grid_points) ** n_free > MAX_ROWS:  # a numpy integer power would wrap
+        raise ValueError(f"grid_points ** {n_free} (the grid over {n_free} free "
+                         f"parameters) must not exceed {MAX_ROWS}, got {grid_points}")
     field_names = {f.name for f in fields(model)}
     names = []
     intervals = []
@@ -183,7 +179,7 @@ def optimize_symmetry(
         if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
             raise ValueError(f"empty search interval for {name!r}: [{lo}, {hi}]")
         if not math.isfinite(hi - lo):
-            # an infinite step never halves below refine_tol
+            # an infinite step never halves below REFINE_TOL
             raise ValueError(f"search interval for {name!r} is too wide: [{lo}, {hi}]")
         names.append(name)
         intervals.append((lo, hi))
@@ -233,17 +229,18 @@ def optimize_symmetry(
     best_point = points[best].tolist() if best else start
     best_batch, best_row = batch, best
 
-    table = _CompassTable(steps, intervals, refine_tol)
+    # the grid cap allows 16 free parameters (2**17 > MAX_ROWS) and a table 1054
+    # passes at most, so a ladder, under 34 000 rows, is always one batch
+    table = _CompassTable(steps, intervals, REFINE_TOL)
     rows, entries = table.ladder(best_point)
     moves = 0
     while len(rows) and moves < MAX_MOVES:
-        batch, values = evaluate(rows[:MAX_ROWS])
+        batch, values = evaluate(rows)
         better = values < best_value - 1e-15
         i = int(better.argmax())
         if not better[i]:
             evaluations += len(values)
-            rows, entries = rows[MAX_ROWS:], entries[MAX_ROWS:]
-            continue
+            break
         evaluations += i + 1
         best_value, best_point = values[i].item(), rows[i].tolist()
         best_batch, best_row = batch, i
@@ -256,7 +253,7 @@ def optimize_symmetry(
         report=best_batch.report(target, min(best_row, len(best_batch.P_succ) - 1)),
         objective_value=best_value,
         evaluations=evaluations,
-        at_budget=bool(len(rows)),
+        at_budget=moves == MAX_MOVES and bool(len(rows)),
     )
 
 

@@ -42,11 +42,11 @@ from typing import Iterator, Union
 import numpy as np
 
 from .cloners import (
-    MAX_PAIRS,
     CloneBatch,
     CloneReport,
     ClonerParams,
     _check_integer,
+    _check_pairs,
     _check_unit_interval,
     _standard_basis,
     run_model_batch,
@@ -55,16 +55,15 @@ from .fock import Qubit, _check_single
 from .noise import NoiseConfig, _harmonics, _jitter_walk, _moment_polynomial, jittered
 
 
-def _check_pairs(n_pairs):
-    _check_integer("n_pairs", n_pairs)
-    if not 1 <= n_pairs <= MAX_PAIRS:
-        raise ValueError(f"n_pairs must lie in [1, {MAX_PAIRS}], got {n_pairs}")
-
-
 def _check_seed(seed):
     _check_integer("seed", seed)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+
+
+def _row_seeds(seed: int, n_rows: int) -> list[int]:
+    """The seeds of ``n_rows`` counting rows drawn under one ``seed``."""
+    return [int(s) for s in np.random.SeedSequence(seed).generate_state(n_rows)]
 
 
 @dataclass(frozen=True)
@@ -333,7 +332,7 @@ def simulate_counts(
     registers nothing.  Only the trials drawn below it need their harmonics
     and one (4 x 2K+1) @ (2K+1 x hits) product.
     """
-    _check_pairs(n_pairs)
+    _check_pairs("n_pairs", n_pairs)
     _check_seed(seed)
     _check_single(input)
     if not jittered(model, noise):
@@ -459,12 +458,11 @@ def balance_detectors(method: str, record_or_setup, detectors: DetectorBank):
         settings = [(s1, s2) for s1 in (a1, a1.orthogonal())
                     for s2 in (a2, a2.orthogonal())]
         n_each = setup.n_pairs // 4
-        seeds = np.random.SeedSequence(setup.seed).generate_state(4)
         counts = []
-        for setting, child in zip(settings, seeds):
+        for setting, child in zip(settings, _row_seeds(setup.seed, 4)):
             record = simulate_counts(
                 setup.model, setup.noise, setup.input, n_each,
-                detectors, int(child), analysis=setting,
+                detectors, child, analysis=setting,
             )
             counts.append(record.c_pp)
         estimates = _fidelity_from_rates(*counts)

@@ -68,13 +68,12 @@ from typing import Annotated, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .cloners import MAX_ROWS, ClonerParams, run_model_batch
-from .compensation import OBJECTIVES, _check_grid
+from .cloners import MAX_ROWS, ClonerParams, _check_pairs, run_model_batch
 from .counting import (
     DetectorBank,
-    _check_pairs,
     _check_seed,
     _count_static,
+    _row_seeds,
     simulate_counts,
 )
 from .fock import Qubit
@@ -265,7 +264,7 @@ class CountingOptions:
     detectors: DetectorBank = DetectorBank()
 
     def __post_init__(self):
-        _check_pairs(self.n_pairs)
+        _check_pairs("n_pairs", self.n_pairs)
         _check_seed(self.seed)
 
 
@@ -319,11 +318,12 @@ class CompareConfig:
             if config.output is not None:
                 raise ValueError(f"configs[{i}].output: a compared configuration "
                                  "takes no output block; the top-level one applies")
+        _compared_labels(self.configs)
 
 
 @dataclass(frozen=True)
 class OptimizeConfig:
-    """The document of ``pcclone optimize``; see :func:`optimize_symmetry`."""
+    """The document of ``pcclone optimize``, checked by :func:`optimize_symmetry`."""
 
     model: ClonerParams
     free_parameters: dict[str, tuple[float, float]]
@@ -331,12 +331,6 @@ class OptimizeConfig:
     input: Qubit = Qubit.equatorial(0.0)
     grid_points: int = 33
     output: OutputOptions = OutputOptions()
-
-    def __post_init__(self):
-        if self.objective not in OBJECTIVES:
-            raise ValueError(f"objective must be one of {sorted(OBJECTIVES)}, "
-                             f"got {self.objective!r}")
-        _check_grid(self.grid_points, len(self.free_parameters))
 
 
 def parse_experiment(config) -> ExperimentConfig:
@@ -346,10 +340,6 @@ def parse_experiment(config) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # execution
 # ---------------------------------------------------------------------------
-
-def _row_seeds(seed: int, n_rows: int) -> list[int]:
-    return [int(s) for s in np.random.SeedSequence(seed).generate_state(n_rows)]
-
 
 def run_experiment(config: ExperimentConfig) -> dict[str, list]:
     """Columns theta, phi, F1, F2, P_succ (and, counted, C_pp, C_pm, C_mp,
@@ -399,9 +389,9 @@ def _mean(values):
     return sum(present) / len(present) if present else None
 
 
-def compare_experiments(configs: list[ExperimentConfig]) -> dict[str, list]:
-    """Columns label, F1_mean, F2_mean, P_succ (the mean over rows) and
-    rate_proxy (the mean P_hat, None uncounted), one entry per configuration."""
+def _compared_labels(configs) -> list[str]:
+    """The labels of ``configs``, which compare needs: two or more, each labeled,
+    all distinct."""
     if len(configs) < 2:
         raise ConfigError("configs: compare needs at least 2 configurations")
     labels = [c.label for c in configs]
@@ -409,6 +399,13 @@ def compare_experiments(configs: list[ExperimentConfig]) -> dict[str, list]:
         raise ConfigError("configs: every compared configuration needs a label")
     if len(set(labels)) != len(labels):
         raise ConfigError(f"configs: duplicate labels {sorted(labels)}")
+    return labels
+
+
+def compare_experiments(configs: list[ExperimentConfig]) -> dict[str, list]:
+    """Columns label, F1_mean, F2_mean, P_succ (the mean over rows) and
+    rate_proxy (the mean P_hat, None uncounted), one entry per configuration."""
+    labels = _compared_labels(configs)
     means = [[_mean(result.get(name, ())) for name in ("F1", "F2", "P_succ", "P_hat")]
              for result in map(run_experiment, configs)]
     return dict(zip(("label", "F1_mean", "F2_mean", "P_succ", "rate_proxy"),

@@ -33,17 +33,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloners import (
-    MAX_PAIRS,
     CloneReport,
     ClonerParams,
+    SpecialBSParams,
     _check_integer,
-    _check_overlap,
+    _check_pairs,
     _check_unit_interval,
+    circuit_joint_state,
     conditional_sector_vectors,
     run_model,
 )
-from .fock import (MIN_SUCCESS, Qubit, TwoQubitState, coupler, photon_pair,
-                   postselect_coincidence)
+from .fock import MIN_SUCCESS, Qubit, TwoQubitState
 
 #: trials per piece of the jitter walk, and so per step of the jitter kernels.
 #: A piece's temporaries are real: its walk and uniforms (128 kB each, in
@@ -107,23 +107,15 @@ def with_distinguishability(model: ClonerParams, M: float, input: Qubit) -> Clon
 
 def balanced_coincidence_probability(M: float) -> float:
     """Coincidence probability for two photons meeting on a 50:50 coupler."""
-    _check_overlap(M)
-    modes = np.eye(8)
-    ancilla = M * modes[2] + math.sqrt(max(0.0, 1.0 - M * M)) * modes[6]
-    u = np.kron(np.eye(2), coupler(0, 2, math.sqrt(0.5), math.sqrt(0.5)))
-    return postselect_coincidence(u @ photon_pair(modes[0], ancilla) @ u.T)[1]
+    # a |0> signal meets the ancilla on the special BS's rail-0 coupler alone,
+    # 50:50 at R0 = 0.5: circuit_joint_state builds its two-bin, 8-mode circuit
+    return circuit_joint_state(SpecialBSParams(R0=0.5, R1=0.5), Qubit(0.0), M)[1]
 
 
 def hom_visibility(M: float) -> float:
     """Dip visibility V = 1 - P_coinc(M) / P_coinc(0) on a balanced coupler."""
     baseline = balanced_coincidence_probability(0.0)
     return 1.0 - balanced_coincidence_probability(M) / baseline
-
-
-def _check_trials(n_trials):
-    _check_integer("n_trials", n_trials)
-    if not 1 <= n_trials <= MAX_PAIRS:
-        raise ValueError(f"n_trials must lie in [1, {MAX_PAIRS}], got {n_trials}")
 
 
 def _jitter_walk(config: NoiseConfig, rng_seed, n_trials: int):
@@ -140,7 +132,7 @@ def _jitter_walk(config: NoiseConfig, rng_seed, n_trials: int):
     least ``n_trials`` resets only at trial 0, as a period of ``n_trials``
     does; it is clamped there, so a block never outgrows the walk.
     """
-    _check_trials(n_trials)
+    _check_pairs("n_trials", n_trials)
     rng = np.random.default_rng(rng_seed)
     period = min(config.jitter_reset_period, n_trials)
     buffer = np.empty(min(_CHUNK, n_trials))
@@ -171,7 +163,7 @@ def sample_phase_jitter(config: NoiseConfig, rng_seed, n_trials: int) -> np.ndar
     The walk restarts at zero on every stabilization trial (trial indices
     0, period, 2*period, ...).  Deterministic for a fixed seed.
     """
-    _check_trials(n_trials)
+    _check_pairs("n_trials", n_trials)
     phases = np.empty(n_trials)
     start = 0
     for piece in _jitter_walk(config, rng_seed, n_trials):
@@ -234,7 +226,7 @@ def average_over_jitter(
     jitter does not reach ``model`` this is ``run_model`` at the overlap of
     ``noise``.
     """
-    _check_trials(n_trials)
+    _check_pairs("n_trials", n_trials)
     if not jittered(model, noise):
         return run_model(model, input, overlap_M=noise.overlap_M)
     degree = model.jitter_degree

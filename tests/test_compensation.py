@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import time
 from dataclasses import replace
 from itertools import product
@@ -187,10 +188,6 @@ def test_optimizer_validates_arguments():
         optimize_symmetry(MachZehnderParams.ideal(), {"theta_H": (-1e308, 1e308)})
     with pytest.raises(ValueError, match="objective"):
         optimize_symmetry(SpecialBSParams.ideal(), {"R0": (0.5, 1.0)}, "fastest")
-    for tol in (-1e-9, math.nan):
-        with pytest.raises(ValueError, match="refine_tol must be >= 0"):
-            optimize_symmetry(SpecialBSParams.ideal(), {"R0": (0.5, 1.0)},
-                              refine_tol=tol)
 
 
 #: searches whose candidates leave a field's domain, the message that names
@@ -276,6 +273,13 @@ def test_optimizer_takes_a_numpy_integer_grid():
         == (reference.params, reference.objective_value, reference.evaluations)
 
 
+def test_a_numpy_integer_grid_over_the_cap_is_refused():
+    # np.int64(2**16) ** 4 wraps to 0, which a cap on the numpy power would pass
+    free = dict.fromkeys(["eta0", "eta1", "nu0", "nu1"], (0.5, 1.0))
+    with pytest.raises(ValueError, match=f"grid_points \\*\\* 4 .* {MAX_ROWS}, got 65536"):
+        optimize_symmetry(HybridParams(), free, grid_points=np.int64(2**16))
+
+
 @pytest.mark.parametrize("shape", [(34,), (1,)])
 def test_optimizer_refuses_a_batch_input(shape):
     # a search scores every candidate against one input, as run_model does
@@ -348,9 +352,10 @@ def test_batch_checks_agree_with_replace(variant, data):
         assert got.keys() == expected.keys()
         assert all(same_field(got[name], expected[name]) for name in expected)
 
-    with mock.patch.object(compensation, "_run_checks", checked):
+    with mock.patch.object(compensation, "_run_checks", checked), \
+            mock.patch.object(compensation, "REFINE_TOL", 1e-2):
         try:
-            optimize_symmetry(model, free, grid_points=3, refine_tol=1e-2)
+            optimize_symmetry(model, free, grid_points=3)
         except ValueError as error:
             assert str(error) == batches[-1]
     assert batches
@@ -361,12 +366,13 @@ def test_batch_checks_agree_with_replace(variant, data):
 # ---------------------------------------------------------------------------
 
 def scalar_optimize(model, free_parameters, objective="min_fidelity_gap",
-                    input=None, grid_points=33, refine_tol=1e-9):
+                    input=None, grid_points=33):
     """The optimizer walked one scalar ``run_model`` call at a time.
 
     Returns (params, report, objective value, evaluations, accepted compass
-    moves).  Like the batched search, it stops at the incumbent of its
-    ``MAX_MOVES``-th accepted move.
+    moves).  Like the batched search, it halves its steps while one exceeds
+    ``REFINE_TOL`` and stops at the incumbent of its ``MAX_MOVES``-th
+    accepted move, both read at call time.
     """
     score = _objective_function(objective)
     names = list(free_parameters)
@@ -401,7 +407,7 @@ def scalar_optimize(model, free_parameters, objective="min_fidelity_gap",
     steps = [
         (hi - lo) / (grid_points - 1) if hi > lo else 0.0 for lo, hi in intervals
     ]
-    while any(s > refine_tol for s in steps):
+    while any(s > compensation.REFINE_TOL for s in steps):
         improved = False
         for axis, step in enumerate(steps):
             if step == 0.0:
@@ -458,8 +464,8 @@ def assert_matches_scalar_loop(model, free, objective="min_fidelity_gap", input=
                                        grid_points=grid_points)
     *reference, accepted = scalar_optimize(model, free, objective, input, grid_points)
     assert_same_result(result, reference)
-    # one batch for the grid, then one compass ladder per incumbent
-    assert len(batches) <= 2 + accepted
+    # one batch for the grid, then one whole compass ladder per incumbent
+    assert 1 + accepted <= len(batches) <= 2 + accepted
     assert max(batches) <= MAX_ROWS
 
 
@@ -623,16 +629,12 @@ def test_grid_keeps_the_sign_of_a_zero_bound():
     assert_matches_scalar_loop(model, free, grid_points=3)
 
 
-def test_compass_ladder_comes_in_windows_of_max_rows(monkeypatch):
-    # refine_tol 0 halves the steps down to zero: some 1100 passes, far more
-    # moves than one window of 4 rows holds
-    monkeypatch.setattr(compensation, "MAX_ROWS", 4)
+def test_a_search_to_zero_steps_matches_the_scalar_loop(monkeypatch):
+    # REFINE_TOL 0 halves the steps down to zero: some 1100 passes, each
+    # ladder still one batch
+    monkeypatch.setattr(compensation, "REFINE_TOL", 0.0)
     model, free = SpecialBSParams(R0=0.8, R1=0.2), {"comp_loss_r1": (0.5, 1.0)}
-    result, batches = batched_optimize(model, free, grid_points=3, refine_tol=0.0)
-    *reference, accepted = scalar_optimize(model, free, grid_points=3, refine_tol=0.0)
-    assert_same_result(result, reference)
-    assert max(batches) == 4
-    assert len(batches) > 2 + accepted
+    assert_matches_scalar_loop(model, free, grid_points=3)
 
 
 # the draw of test_batched_compass_matches_scalar_loop under hypothesis seed
@@ -671,7 +673,8 @@ def test_a_search_at_its_budget_matches_the_scalar_loop(budget, monkeypatch):
     *reference, accepted = scalar_optimize(model, free, input=input, grid_points=grid_points)
     assert result.at_budget and accepted == budget
     assert_same_result(result, reference)
-    assert len(batches) <= 1 + budget
+    # the grid, then the ladder of the start and of each incumbent but the last
+    assert len(batches) == 1 + budget
 
 
 # ---------------------------------------------------------------------------
@@ -779,16 +782,34 @@ def test_compass_table_matches_the_ladder_generator_everywhere(data):
 
 
 @pytest.mark.parametrize("case", list(REFERENCE_CASES))
-def test_ladder_windows_leave_the_search_unchanged(case, monkeypatch):
+def test_each_ladder_is_one_batch(case):
+    # every ladder the search builds is evaluated, all its rows in one call
     model, free, *rest = REFERENCE_CASES[case]
     input, grid_points = rest if rest else (None, 33)
-    result = optimize_symmetry(model, free, input=input, grid_points=grid_points)
+    ladder = compensation._CompassTable.ladder
+    ladders = []
+
+    def spy(table, *args):
+        rows, entries = ladder(table, *args)
+        ladders.append(len(rows))
+        return rows, entries
+
+    with mock.patch.object(compensation._CompassTable, "ladder", spy):
+        result, batches = batched_optimize(model, free, input=input,
+                                           grid_points=grid_points)
     assert not result.at_budget
-    reference = (result.params, result.report, result.objective_value,
-                 result.evaluations)
-    # the grid stays one batch; only the ladder comes in smaller windows
-    monkeypatch.setattr(compensation, "_check_grid", lambda *args: None)
-    for rows in (1, 3, 10**5):
-        monkeypatch.setattr(compensation, "MAX_ROWS", rows)
-        assert_same_result(optimize_symmetry(model, free, input=input,
-                                             grid_points=grid_points), reference)
+    assert len(batches) == 1 + sum(1 for rows in ladders if rows)
+
+
+@pytest.mark.parametrize("refine_tol, passes", [(compensation.REFINE_TOL, 1054),
+                                                (0.0, 2099)])
+def test_ladders_fit_one_batch(refine_tol, passes):
+    # a grid of 2 points per axis fits MAX_ROWS for 16 free parameters, not 17
+    assert 2**16 <= MAX_ROWS < 2**17
+    # the widest finite step, (hi - lo) / (2 - 1), on all 16 axes: the most
+    # passes a table can hold
+    widest = sys.float_info.max
+    table = compensation._CompassTable([widest] * 16, [(0.0, widest)] * 16, refine_tol)
+    assert len(table.offset) == passes * table.width
+    # a ladder is the rest of one pass and the table from that pass on
+    assert len(table.offset) + table.width < MAX_ROWS

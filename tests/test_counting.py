@@ -13,6 +13,7 @@ from ideal_map import pure_state
 from pcclone import counting as counting_module
 from pcclone import noise as noise_module
 from pcclone.cloners import (
+    MAX_PAIRS,
     ClonerParams,
     FiberParams,
     HybridParams,
@@ -25,7 +26,6 @@ from pcclone.cloners import (
     run_model_batch,
 )
 from pcclone.counting import (
-    MAX_PAIRS,
     CoincidenceRecord,
     CountingSetup,
     DetectorBank,

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from unittest import mock
 from pathlib import Path
 
 import numpy as np
@@ -12,11 +13,11 @@ from hypothesis import strategies as st
 
 import pcclone
 from pcclone.cli import main
-from pcclone.cloners import ClonerParams, run_model
+from pcclone.cloners import MAX_PAIRS, ClonerParams, run_model
 from pcclone.counting import (
-    MAX_PAIRS,
     CoincidenceRecord,
     DetectorBank,
+    _row_seeds,
     fidelity_from_counts,
     simulate_counts,
     success_probability_estimate,
@@ -28,7 +29,6 @@ from pcclone.experiment import (
     OptimizeConfig,
     OutputOptions,
     _read,
-    _row_seeds,
     compare_experiments,
     parse_experiment,
     render_rows,
@@ -628,6 +628,24 @@ def test_seed_without_a_counting_block_exits_2(tmp_path, capsys, command, payloa
                             "has no counting block\n")
 
 
+@pytest.mark.parametrize("seed", [[], ["--seed", "3"]], ids=["no-seed", "seed"])
+@pytest.mark.parametrize("configs, message", [
+    ([], "compare needs at least 2 configurations"),
+    ([dict(ideal_single(), label="a")], "compare needs at least 2 configurations"),
+    ([ideal_single(), dict(ideal_single(), model={"variant": "fiber"})],
+     "every compared configuration needs a label"),
+    ([dict(ideal_single(), label="a")] * 2, "duplicate labels ['a', 'a']"),
+], ids=["none", "one", "unlabeled", "duplicate"])
+def test_a_compare_document_that_cannot_compare_exits_2(tmp_path, capsys, configs,
+                                                        message, seed):
+    # the document's own fault is named, not the --seed that finds no counting block
+    path = write_config(tmp_path, {"configs": configs})
+    assert main(["compare", "--config", path, *seed]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: configs: {message}\n"
+
+
 def test_compare_rejects_an_output_block_in_an_entry(tmp_path, capsys):
     target = tmp_path / "entry.json"
     entry = dict(ideal_single(), output={"format": "json", "path": str(target)})
@@ -700,7 +718,10 @@ def test_cli_optimize_rejects_bad_objective(tmp_path, capsys):
     }
     path = write_config(tmp_path, payload)
     assert main(["optimize", "--config", path]) == 2
-    assert "objective" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: optimize: objective must be one of "
+                            "('min_fidelity_gap', 'max_avg_fidelity'), got 'fastest'\n")
 
 
 def test_cli_non_utf8_config_exits_2(tmp_path, capsys):
@@ -780,20 +801,29 @@ def test_cli_optimize_invalid_ladder_candidate_exits_2(tmp_path, capsys):
                             "got 0.5000000000000001\n")
 
 
-def test_optimize_grid_over_the_cap_exits_2(tmp_path, capsys):
-    # parsing only: 316 ** 2 points fit in MAX_ROWS, 317 ** 2 do not
+@pytest.mark.parametrize("grid_points, message", [
+    (317, f"grid_points ** 2 (the grid over 2 free parameters) must not exceed "
+          f"{MAX_ROWS}, got 317"),
+    (1, "grid_points must be >= 2, got 1"),
+], ids=["over-the-cap", "one-point"])
+def test_optimize_grid_over_the_cap_exits_2(tmp_path, capsys, grid_points, message):
+    # 316 ** 2 points fit in MAX_ROWS, 317 ** 2 do not; the document reads
+    # either, and the search refuses the grid before it evaluates a point
     payload = {
         "model": {"variant": "special_bs"},
         "free_parameters": {"R0": [0.5, 1.0], "comp_loss_r1": [0.5, 1.0]},
         "objective": "min_fidelity_gap",
     }
     assert 316**2 <= MAX_ROWS < 317**2
-    assert _read(OptimizeConfig, dict(payload, grid_points=316), "").grid_points == 316
-    with pytest.raises(ConfigError, match=f"grid_points \\*\\* 2 .* {MAX_ROWS}, got 317"):
-        _read(OptimizeConfig, dict(payload, grid_points=317), "")
-    path = write_config(tmp_path, dict(payload, grid_points=317))
-    assert main(["optimize", "--config", path]) == 2
-    assert "grid_points" in capsys.readouterr().err
+    config = _read(OptimizeConfig, dict(payload, grid_points=grid_points), "")
+    assert config.grid_points == grid_points
+    path = write_config(tmp_path, dict(payload, grid_points=grid_points))
+    with mock.patch("pcclone.compensation.run_model_batch") as batch:
+        assert main(["optimize", "--config", path]) == 2
+    assert not batch.called
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: optimize: {message}\n"
 
 
 def test_sweep_rows_match_per_row_evaluation():
@@ -931,8 +961,3 @@ def test_config_classes_check_their_values():
         OutputOptions(format="xml")
     with pytest.raises(ValueError, match="path"):
         OutputOptions(path="")
-    model = parse_experiment(ideal_single()).model
-    with pytest.raises(ValueError, match="objective"):
-        OptimizeConfig(model, {"R0": (0.5, 1.0)}, "fastest")
-    with pytest.raises(ValueError, match="grid_points"):
-        OptimizeConfig(model, {"R0": (0.5, 1.0)}, "min_fidelity_gap", grid_points=1)
