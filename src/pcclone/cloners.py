@@ -66,7 +66,16 @@ MAX_ROWS = 10**5
 MAX_PAIRS = 10**12
 
 
+def _check_real(name, value):
+    """Raise ValueError unless ``value`` is a real number or an array of them
+    (the optimizer's candidates), which the range checks can compare."""
+    if not (isinstance(value, (int, float, np.integer, np.floating))
+            or isinstance(value, np.ndarray) and value.dtype.kind in "biuf"):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 def _check_unit_interval(name, value):
+    _check_real(name, value)
     _require((0.0 <= value) & (value <= 1.0), value, f"{name} must lie in [0, 1]")
 
 
@@ -83,6 +92,7 @@ def _check_pairs(name, value):
 
 
 def _check_amplitude(name, value):
+    _check_real(name, value)
     _require((-1.0 <= value) & (value <= 1.0), value, f"{name} must lie in [-1, 1]")
 
 
@@ -92,7 +102,9 @@ def _check_unit_interval_or_none(name, value):
 
 
 def _check_finite(name, value):
-    _require(np.isfinite(value), value, f"{name} must be finite")
+    _check_real(name, value)
+    # a Python int is finite, and may be too large for numpy
+    _require(isinstance(value, int) or np.isfinite(value), value, f"{name} must be finite")
 
 
 def _check_sign(name, value):
@@ -107,10 +119,10 @@ def _check_lossless(name_r, name_t, r, t):
 
 
 def _check_phase_pair(name, value):
-    if value is not None:
-        phases = [float(p) for p in value]
-        if len(phases) != 2 or not all(math.isfinite(p) for p in phases):
-            raise ValueError(f"{name} must be two finite angles")
+    if value is not None and not (isinstance(value, (tuple, list)) and len(value) == 2):
+        raise ValueError(f"{name} must be two finite angles, got {value!r}")
+    for phase in value or ():
+        _check_finite(name, phase)
 
 
 def _run_checks(checks, values):
@@ -118,10 +130,6 @@ def _run_checks(checks, values):
     as ``check(*fields, *their values)``."""
     for check, *names in checks:
         check(*names, *[values[name] for name in names])
-
-
-def _check_overlap(M):
-    _check_unit_interval("overlap M", M)
 
 
 def _standard_basis(analysis: Qubit):
@@ -493,7 +501,7 @@ def conditional_sector_vectors(
     bits of its row in :func:`run_model_batch`.
     """
     _check_single(input)
-    _check_overlap(overlap_M)
+    _check_unit_interval("overlap M", overlap_M)
     alpha, beta = _input_rows(input)[:2]
     delta = 0.0 if phase_errors is None else np.asarray(phase_errors, float)
     vectors = _sector_stack(params, alpha, beta, overlap_M, delta)
@@ -567,7 +575,7 @@ def run_model_batch(params: ClonerParams, inputs: Qubit,
     order (the bits are unchanged); the joint states (success-weighted over
     the temporal sectors) are built on first read (:class:`CloneBatch`).
     """
-    _check_overlap(overlap_M)
+    _check_unit_interval("overlap M", overlap_M)
     alpha, beta, bra, ket = _input_rows(inputs)
     vectors = _sector_stack(params, alpha, beta, overlap_M, 0.0)
     # stacked (1 x k) @ (k x 1) products give np.vdot's bits
@@ -606,7 +614,7 @@ def circuit_joint_state(params: ClonerParams, input: Qubit,
     reaches only the devices that respond to jitter.
     """
     _check_single(input)
-    _check_overlap(ancilla_overlap)
+    _check_unit_interval("overlap M", ancilla_overlap)
     m = float(ancilla_overlap)
     bins = 2 if m < 1.0 else 1
     signal = np.zeros(4 * bins, dtype=complex)

@@ -57,16 +57,14 @@ def solve_hybrid_compensation(
     t0: float,
     r1: float,
     t1: float,
-    bs1_r: float = math.sqrt(0.5),
-    bs1_t: float = math.sqrt(0.5),
-    input: Qubit | None = None,
 ) -> CompensationSolution:
     """Plate transmittances making the filtered cloner symmetric and optimal.
 
     The separating splitter's rail amplitudes fix the two ratios
     nu0/nu1 = t1 r0 / (t0 r1) and eta1/eta0 = sqrt(2) r0 / r1; absolute
     values are capped so the larger plate transmittance of each pair is 1,
-    which maximizes the success probability.
+    which maximizes the success probability.  BS1 stays balanced, and the
+    prediction is the report of the equatorial input |+>.
     """
     for name, value in (("r0", r0), ("t0", t0), ("r1", r1), ("t1", t1)):
         if not 0.0 < value <= 1.0:
@@ -76,10 +74,10 @@ def solve_hybrid_compensation(
     eta0, eta1 = _cap_pair(eta_ratio)
     nu1, nu0 = _cap_pair(nu_ratio)
     params = HybridParams(
-        r=bs1_r, t=bs1_t, r0=r0, t0=t0, r1=r1, t1=t1,
+        r0=r0, t0=t0, r1=r1, t1=t1,
         eta0=eta0, eta1=eta1, nu0=nu0, nu1=nu1,
     )
-    predicted = run_model(params, input if input is not None else Qubit.equatorial(0.0))
+    predicted = run_model(params, Qubit.equatorial(0.0))
     return CompensationSolution(
         nu_ratio=nu_ratio,
         eta_ratio=eta_ratio,

@@ -7,28 +7,33 @@ pattern (one of ++, +-, -+, --) is registered with probability equal to the
 product of the two involved detector efficiencies.  Detectors are binary and
 dark-count free, so a trial either contributes one coincidence or nothing.
 
-Without phase jitter every trial sees the same pattern probabilities, so the
-counts of a row are one multinomial draw.  Such static rows are counted as
-one batch: one ``analyzer_bases`` call on the batch's inputs gives the
-analyzer vectors of every row, their pattern vectors come from one
-broadcast product, and one einsum over the rows' joint states gives every
-row's registration probabilities.  One vectorised SeedSequence hash gives
-each row the state of ``default_rng(seed)``, and one generator draws the rows
-into one (n, 4) count array; a :func:`simulate_counts` call is one row.
+Every counted row goes through :func:`_count_rows`, the one place that
+tells a static row from one under jitter: a :func:`simulate_counts` call is
+one row, a counted sweep one call.  It builds the pattern vectors of all
+rows at once, from one ``analyzer_bases`` call and one broadcast product.
 
-With jitter the probabilities change from trial to trial.  Each is a
-trigonometric polynomial in the phase error delta of the device's
-``jitter_degree`` K: the contraction w^H C w of a pattern vector w with the
-moment polynomial C that ``noise`` reads off the device at 2K+1 phases, the
-one the jitter average weights too.  The kernel draws the jitter walk and
-one uniform per trial, piece by piece into two buffers it reuses for every
-piece, and tallies each draw against the running sums of the registration
-probabilities.  The running sums share one ceiling over all delta, read off
-their coefficients, and a trial whose draw lies at or above it registers
-nothing: it is settled without the polynomial.  Only the other trials take
-the harmonics cos(k delta), sin(k delta) to their running sums in one matrix
-product.  The kernel holds one piece of trials at a time, and its cost does
-not depend on the number of temporal sectors.
+Without phase jitter every trial sees the same pattern probabilities, so the
+counts of a row are one multinomial draw.  One einsum over the rows' joint
+states gives every row's registration probabilities, one vectorised
+SeedSequence hash each row the state of ``default_rng(seed)``, and one
+generator draws the rows into one (n, 4) count array.
+
+With jitter the probabilities change from trial to trial, and each row runs
+its own walk.  Each probability is a trigonometric polynomial in the phase
+error delta of the device's ``jitter_degree`` K: the contraction w^H C w of
+a pattern vector w with the moment polynomial C that ``noise`` reads off the
+device at 2K+1 phases, the one the jitter average weights too.  The kernel
+draws the jitter walk and one uniform per trial, piece by piece into two
+buffers it reuses for every piece, and tallies each draw against the running
+sums of the registration probabilities.  The running sums share one ceiling
+over all delta, read off their coefficients, and a trial whose draw lies at
+or above it registers nothing: it is settled without the polynomial.  Only
+the other trials take the harmonics cos(k delta), sin(k delta) to their
+running sums in one matrix product.  The kernel holds one piece of trials at
+a time, and its cost does not depend on the number of temporal sectors.
+
+The records and the estimate columns of a counted sweep take their
+estimates from one estimator, :func:`_estimates`.
 
 Counts are sampled with a seeded generator and are reproducible.
 """
@@ -47,6 +52,7 @@ from .cloners import (
     ClonerParams,
     _check_integer,
     _check_pairs,
+    _check_real,
     _check_unit_interval,
     _standard_basis,
     run_model_batch,
@@ -55,7 +61,8 @@ from .fock import Qubit, _check_single
 from .noise import NoiseConfig, _harmonics, _jitter_walk, _moment_polynomial, jittered
 
 
-def _check_seed(seed):
+def _check_run(n_pairs, seed):
+    _check_pairs("n_pairs", n_pairs)
     _check_integer("seed", seed)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
@@ -137,6 +144,7 @@ class CountingSetup:
     analysis: Union[Qubit, tuple, None] = None
 
     def __post_init__(self):
+        _check_run(self.n_pairs, self.seed)
         _analysis_pair(self.analysis)
 
 
@@ -157,30 +165,21 @@ def _analysis_pair(analysis):
     raise ValueError(f"analysis must be a Qubit or a pair of Qubits, got {analysis!r}")
 
 
-def _analyzer_vectors(model: ClonerParams, inputs: Qubit, analysis=None):
-    """Click vectors (plus, minus) of each clone's analyzer, one row per input.
+def _pattern_vectors(model, inputs: Qubit, analysis=None) -> np.ndarray:
+    """(n, 4, 4) two-clone projection vectors, one (4, 4) block per entry of ``inputs``.
 
-    Returns two (n, 2, 2) arrays, one per clone, for the n entries of
-    ``inputs``.  Without ``analysis`` every row takes the device's own
-    analyzers for its input, from one ``analyzer_bases`` call on the whole
-    batch; a :class:`Qubit` sets both clones' analyzers, a pair of them one
-    analyzer per clone.
+    Row a = 2 j + k of a block, in pattern order (++, +-, -+, --), is the
+    Kronecker product of clone 1's click vector j with clone 2's vector k,
+    each (plus, minus).  Without ``analysis`` each row takes the analyzers
+    of the device ``model`` for its input, from one ``analyzer_bases`` call
+    on the batch; a :class:`Qubit` sets both clones' analyzers, a pair of
+    them one per clone, and ``model`` is not read.
     """
     pair = _analysis_pair(analysis)
     sides = model.analyzer_bases(inputs) if pair is None else map(_standard_basis, pair)
     n = np.size(inputs.theta)
-    return tuple(np.broadcast_to(np.stack(side, axis=-2), (n, 2, 2)) for side in sides)
-
-
-def _pattern_vectors(side1: np.ndarray, side2: np.ndarray) -> np.ndarray:
-    """Two-clone projection vectors in pattern order (++, +-, -+, --).
-
-    ``side1`` and ``side2`` stack (plus, minus) click vectors with shape
-    (..., 2, 2); row a = 2 j + k of the result (..., 4, 4) is the Kronecker
-    product of clone 1's vector j with clone 2's vector k.
-    """
-    w = side1[..., :, None, :, None] * side2[..., None, :, None, :]
-    return w.reshape(w.shape[:-4] + (4, 4))
+    side1, side2 = (np.broadcast_to(np.stack(side, axis=-2), (n, 2, 2)) for side in sides)
+    return (side1[:, :, None, :, None] * side2[:, None, :, None, :]).reshape(n, 4, 4)
 
 
 def _pattern_probabilities(w: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -195,13 +194,12 @@ def outcome_distribution(report: CloneReport, analysis) -> np.ndarray:
     analysis state / its orthogonal complement.  ``analysis`` is a
     :class:`Qubit` for both clones or a pair of them, one per clone.
     """
-    pair = _analysis_pair(analysis)
-    if pair is None:
+    if analysis is None:
         raise ValueError("analysis must be a Qubit or a pair of Qubits, got None")
+    w = _pattern_vectors(None, report.input, analysis)
     if report.is_empty:
         raise ValueError("cannot analyze an empty report")
-    w = _pattern_vectors(*(np.array(_standard_basis(a)) for a in pair))
-    return _pattern_probabilities(w[None], report.joint.rho[None])[0]
+    return _pattern_probabilities(w, report.joint.rho[None])[0]
 
 
 def _static_pvals(w: np.ndarray, p_succ: np.ndarray, joints: np.ndarray,
@@ -276,16 +274,25 @@ def _pcg64_states(seeds) -> Iterator[dict]:
                "has_uint32": 0, "uinteger": 0}
 
 
-def _count_static(model: ClonerParams, inputs: Qubit, n_pairs: int,
-                  detectors: DetectorBank, seeds, batch: CloneBatch,
-                  analysis=None) -> np.ndarray:
-    """(n, 4) int64 counts of static rows, in pattern order (++, +-, -+, --).
+def _count_rows(model: ClonerParams, noise: NoiseConfig, inputs: Qubit, n_pairs: int,
+                detectors: DetectorBank, seeds, batch: CloneBatch,
+                analysis=None) -> np.ndarray:
+    """(n, 4) int64 counts of the rows of ``inputs``, in pattern order (++, +-, -+, --).
 
-    ``batch`` is the :func:`run_model_batch` evaluation of ``inputs``.  Row i is
-    the draw of ``np.random.default_rng(seeds[i])``, by one generator set to its state.
+    ``batch`` is the :func:`run_model_batch` evaluation of ``inputs`` at the
+    overlap of ``noise``, and row i is drawn under ``seeds[i]``.  A static
+    row is the draw of ``np.random.default_rng(seeds[i])``, by one generator
+    set to its state; a row under jitter runs its own walk
+    (:func:`_jitter_counts`), on its entries of the validated inputs.
     """
-    w = _pattern_vectors(*_analyzer_vectors(model, inputs, analysis))
-    pvals = _static_pvals(w, batch.P_succ, batch.joint, detectors.pattern_efficiencies())
+    w = _pattern_vectors(model, inputs, analysis)
+    eff = detectors.pattern_efficiencies()
+    if jittered(model, noise):
+        rows = zip(np.ravel(inputs.theta).tolist(), np.ravel(inputs.phi).tolist(), w, seeds)
+        return np.array([_jitter_counts(model, noise, Qubit._trusted(theta, phi), n_pairs,
+                                        w_row, eff, seed)
+                         for theta, phi, w_row, seed in rows])
+    pvals = _static_pvals(w, batch.P_succ, batch.joint, eff)
     rng = np.random.default_rng(0)
     counts = np.empty((len(pvals), 4), dtype=np.int64)
     for i, (state, p) in enumerate(zip(_pcg64_states(seeds), pvals)):
@@ -307,40 +314,16 @@ def _ceiling(coefficients: np.ndarray, degree: int) -> float:
     return float(bound.max()) * (1.0 + 1e-9)
 
 
-def simulate_counts(
-    model: ClonerParams,
-    noise: NoiseConfig,
-    input: Qubit,
-    n_pairs: int,
-    detectors: DetectorBank,
-    seed: int,
-    analysis: Union[Qubit, tuple, None] = None,
-) -> CoincidenceRecord:
-    """Simulate ``n_pairs`` photon-pair trials and tally coincidences.
+def _jitter_counts(model: ClonerParams, noise: NoiseConfig, input: Qubit, n_pairs: int,
+                   w: np.ndarray, eff: np.ndarray, seed) -> np.ndarray:
+    """(4,) int64 counts of one row under jitter, for its pattern vectors ``w``
+    (4, 4) and the pattern efficiencies ``eff``.
 
-    Without jitter this is the one-row :func:`_count_static` call, on the
-    row's :func:`run_model_batch` evaluation.
-
-    Under jitter, a trial registers pattern k when its uniform draw u falls
-    between the running sums reg_(k-1) and reg_k of the registration
-    probabilities p_j * eff_j, so each pattern count is a difference of the
-    numbers of draws below consecutive running sums.  The running sums are
-    polynomials in the phase error, like the p_j: their coefficients are
-    summed once, and bound the sums by one ceiling (:func:`_ceiling`).  The
-    walk and the uniforms are drawn for every trial, in the same order, but
-    a draw at or above the ceiling lies above every running sum and
-    registers nothing.  Only the trials drawn below it need their harmonics
-    and one (4 x 2K+1) @ (2K+1 x hits) product.
+    A trial registers pattern k when its uniform draw u falls between the
+    running sums reg_(k-1) and reg_k of the registration probabilities
+    p_j * eff_j, so each pattern count is a difference of the numbers of
+    draws below consecutive running sums.
     """
-    _check_pairs("n_pairs", n_pairs)
-    _check_seed(seed)
-    _check_single(input)
-    if not jittered(model, noise):
-        batch = run_model_batch(model, input, noise.overlap_M)
-        counts = _count_static(model, input, n_pairs, detectors, [seed], batch, analysis)
-        return CoincidenceRecord(*counts[0].tolist(), n_pairs, seed)
-    w = _pattern_vectors(*_analyzer_vectors(model, input, analysis))[0]
-    eff = detectors.pattern_efficiencies()
     seq_jitter, seq_outcome = np.random.SeedSequence(seed).spawn(2)
     rng = np.random.default_rng(seq_outcome)
     moment = _moment_polynomial(model, input, noise.overlap_M)
@@ -356,38 +339,71 @@ def simulate_counts(
         hit = np.flatnonzero(u < ceiling)
         reg = coefficients @ _harmonics(phases[hit], model.jitter_degree)
         below += np.count_nonzero(u[hit] < reg, axis=1)
-    counts = np.diff(below, prepend=0)
-    return CoincidenceRecord(*counts.tolist(), n_pairs, seed)
+    return np.diff(below, prepend=0)
 
 
-def _fidelity_from_rates(c_pp, c_pm, c_mp, c_mm):
-    """Estimator F1 = (C++ + C+-)/C_sum, F2 = (C++ + C-+)/C_sum.
+def simulate_counts(
+    model: ClonerParams,
+    noise: NoiseConfig,
+    input: Qubit,
+    n_pairs: int,
+    detectors: DetectorBank,
+    seed: int,
+    analysis: Union[Qubit, tuple, None] = None,
+) -> CoincidenceRecord:
+    """Simulate ``n_pairs`` photon-pair trials and tally coincidences.
 
-    Accepts real-valued rates (e.g. efficiency-rescaled counts); returns
-    ``None`` when there is no data.
+    This is the one-row :func:`_count_rows` call, on the row's
+    :func:`run_model_batch` evaluation, with or without jitter.
     """
+    _check_run(n_pairs, seed)
+    _check_single(input)
+    batch = run_model_batch(model, input, noise.overlap_M)
+    counts = _count_rows(model, noise, input, n_pairs, detectors, [seed], batch, analysis)
+    return CoincidenceRecord(*counts[0].tolist(), n_pairs, seed)
+
+
+def _estimates(counts, n_pairs):
+    """Estimates F1 = (C++ + C+-)/C_sum, F2 = (C++ + C-+)/C_sum and
+    P = C_sum/n_pairs from the ``counts`` (C++, C+-, C-+, C--) of ``n_pairs``
+    trials.  The counts may be real-valued rates (e.g. efficiency-rescaled
+    counts); F1 and F2 are None when there is no data."""
+    c_pp, c_pm, c_mp, c_mm = counts
     total = c_pp + c_pm + c_mp + c_mm
     if total <= 0:
-        return None
-    return (c_pp + c_pm) / total, (c_pp + c_mp) / total
+        return None, None, total / n_pairs
+    return (c_pp + c_pm) / total, (c_pp + c_mp) / total, total / n_pairs
+
+
+def _estimate_columns(counts: np.ndarray, n_pairs: int) -> dict[str, list]:
+    """Columns C_pp, C_pm, C_mp, C_mm, F1_hat, F2_hat and P_hat of the (n, 4)
+    ``counts`` of ``n_pairs`` trials each, one entry per row: a row's
+    estimates are those of its record."""
+    estimates = zip(*[_estimates(row, n_pairs) for row in counts.tolist()])
+    return dict(zip(("C_pp", "C_pm", "C_mp", "C_mm", "F1_hat", "F2_hat", "P_hat"),
+                    [*counts.T.tolist(), *map(list, estimates)]))
 
 
 def fidelity_from_counts(record: CoincidenceRecord):
     """Clone-fidelity estimates from a coincidence record (None if empty)."""
-    return _fidelity_from_rates(record.c_pp, record.c_pm, record.c_mp, record.c_mm)
+    f1, f2, _ = _estimates(record.counts().tolist(), record.n_pairs)
+    return None if f1 is None else (f1, f2)
 
 
 def success_probability_estimate(record: CoincidenceRecord) -> float:
     """Fraction of offered pairs that produced a registered coincidence."""
-    return record.c_sum / record.n_pairs
+    return _estimates(record.counts().tolist(), record.n_pairs)[2]
 
 
 def estimator_sigma(f_hat: float, c_sum: int) -> float:
-    """Binomial standard error of a fidelity estimate ``f_hat`` in [0, 1]."""
+    """Binomial standard error of a fidelity estimate ``f_hat`` in [0, 1]
+    from ``c_sum`` coincidences."""
+    _check_real("f_hat", f_hat)
     if not (math.isfinite(f_hat) and 0.0 <= f_hat <= 1.0):
         raise ValueError(f"f_hat must be a finite fraction in [0, 1], got {f_hat!r}")
+    _check_integer("c_sum", c_sum)
     if c_sum <= 0:
-        raise ValueError("need at least one coincidence")
+        raise ValueError(f"c_sum must be >= 1: need at least one coincidence, got {c_sum}")
     return math.sqrt(f_hat * (1.0 - f_hat) / c_sum)
 
 
@@ -422,7 +438,7 @@ def balance_detectors(method: str, record_or_setup, detectors: DetectorBank):
         eff = detectors.pattern_efficiencies()
         if np.any(eff <= 0.0):
             raise ValueError("rescale requires strictly positive efficiencies")
-        estimates = _fidelity_from_rates(*(record_or_setup.counts() / eff))
+        f1, f2, _ = _estimates(record_or_setup.counts() / eff, record_or_setup.n_pairs)
     elif not isinstance(record_or_setup, CountingSetup):
         raise TypeError(f"{method} requires a CountingSetup")
     elif method == "add_loss":
@@ -437,7 +453,7 @@ def balance_detectors(method: str, record_or_setup, detectors: DetectorBank):
             setup.model, setup.noise, setup.input, setup.n_pairs,
             balanced, setup.seed, setup.analysis,
         )
-        estimates = fidelity_from_counts(record)
+        f1, f2, _ = _estimates(record.counts().tolist(), record.n_pairs)
     else:
         setup = record_or_setup
         if setup.n_pairs % 4:
@@ -465,9 +481,9 @@ def balance_detectors(method: str, record_or_setup, detectors: DetectorBank):
                 detectors, child, analysis=setting,
             )
             counts.append(record.c_pp)
-        estimates = _fidelity_from_rates(*counts)
-    if estimates is None:
+        f1, f2, _ = _estimates(counts, setup.n_pairs)
+    if f1 is None:
         raise ValueError(
             f"{method} registered no coincidence in {record_or_setup.n_pairs} trials"
         )
-    return estimates
+    return f1, f2

@@ -41,10 +41,9 @@ Fields are checked when the configuration is read; a sweep's inputs become
 one theta-major :class:`Qubit` of arrays, validated in one pass.  One
 :func:`run_model_batch` call per configuration evaluates every row at any
 ``overlap_M``, and the theta and phi columns come straight from the arrays.
-Static counting rows are counted in one further batch call, which takes
-every row's registration probabilities from its joint states and leaves one
-seeded multinomial draw per row; rows under phase jitter each run their own
-jitter walk.
+A counted configuration makes one counting call on the batch
+(``counting._count_rows``), which tells static rows from rows under phase
+jitter; its estimate columns come from the estimator of the count records.
 
 Results are columns: :func:`run_experiment` and :func:`compare_experiments`
 return a mapping from column name to a list with one entry per row.
@@ -68,16 +67,16 @@ from typing import Annotated, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .cloners import MAX_ROWS, ClonerParams, _check_pairs, run_model_batch
+from .cloners import MAX_ROWS, ClonerParams, run_model_batch
 from .counting import (
     DetectorBank,
-    _check_seed,
-    _count_static,
+    _check_run,
+    _count_rows,
+    _estimate_columns,
     _row_seeds,
-    simulate_counts,
 )
 from .fock import Qubit
-from .noise import NoiseConfig, jittered
+from .noise import NoiseConfig
 
 
 class ConfigError(ValueError):
@@ -264,8 +263,7 @@ class CountingOptions:
     detectors: DetectorBank = DetectorBank()
 
     def __post_init__(self):
-        _check_pairs("n_pairs", self.n_pairs)
-        _check_seed(self.seed)
+        _check_run(self.n_pairs, self.seed)
 
 
 @dataclass(frozen=True)
@@ -361,25 +359,9 @@ def run_experiment(config: ExperimentConfig) -> dict[str, list]:
     }
     if counting:
         seeds = _row_seeds(counting.seed, len(batch.P_succ))
-        if jittered(config.model, config.noise):
-            # each row's own walk, on the row's entries of the validated inputs
-            counts = np.array([
-                simulate_counts(config.model, config.noise, Qubit._trusted(th, ph),
-                                counting.n_pairs, counting.detectors, seed).counts()
-                for th, ph, seed in zip(columns["theta"], columns["phi"], seeds)])
-        else:
-            counts = _count_static(config.model, inputs, counting.n_pairs,
-                                   counting.detectors, seeds, batch)
-        c_pp, c_pm, c_mp, _ = counts.T
-        total = counts.sum(axis=1)
-        # counts below 2**53 are exact floats: the quotients are Python's int division's
-        some = np.maximum(total, 1)
-        columns.update({
-            **dict(zip(("C_pp", "C_pm", "C_mp", "C_mm"), counts.T.tolist())),
-            "F1_hat": np.where(total == 0, None, (c_pp + c_pm) / some).tolist(),
-            "F2_hat": np.where(total == 0, None, (c_pp + c_mp) / some).tolist(),
-            "P_hat": (total / counting.n_pairs).tolist(),
-        })
+        counts = _count_rows(config.model, config.noise, inputs, counting.n_pairs,
+                             counting.detectors, seeds, batch)
+        columns.update(_estimate_columns(counts, counting.n_pairs))
     return columns
 
 

@@ -27,7 +27,6 @@ returns.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +35,7 @@ from .cloners import (
     CloneReport,
     ClonerParams,
     SpecialBSParams,
+    _check_finite,
     _check_integer,
     _check_pairs,
     _check_unit_interval,
@@ -75,19 +75,16 @@ class NoiseConfig:
 
     def __post_init__(self):
         _check_unit_interval("overlap_M", self.overlap_M)
-        if not (math.isfinite(self.phase_jitter_sigma)
-                and self.phase_jitter_sigma >= 0.0):
-            raise ValueError(
-                "phase_jitter_sigma must be finite and >= 0, "
-                f"got {self.phase_jitter_sigma}"
-            )
+        sigma = self.phase_jitter_sigma
+        _check_finite("phase_jitter_sigma", sigma)
+        if sigma < 0.0:
+            raise ValueError(f"phase_jitter_sigma must be >= 0, got {sigma}")
         period = self.jitter_reset_period
         _check_integer("jitter_reset_period", period)
         if period < 1:
             raise ValueError(f"jitter_reset_period must be >= 1, got {period}")
         # compared as period > bound / sigma: a Python int period may be too
         # large to convert to a float
-        sigma = self.phase_jitter_sigma
         if sigma > 0.0 and period > MAX_WALK_SPAN / sigma:
             raise ValueError(
                 "phase_jitter_sigma times jitter_reset_period must be at most "

@@ -31,7 +31,7 @@ from pcclone import (
     simulate_counts,
     with_distinguishability,
 )
-from pcclone.counting import _fidelity_from_rates
+from pcclone.counting import _estimates
 
 F_PC = 0.5 * (1.0 + 1.0 / math.sqrt(2.0))
 EQUATOR_32 = [Qubit.equatorial(phi) for phi in np.linspace(0.0, 2 * math.pi, 32,
@@ -218,7 +218,7 @@ def test_criterion_09_detector_balancing():
 
     report = run_model(model, q)
     probs = outcome_distribution(report, q) * bank.pattern_efficiencies()
-    _, f2_expected_bias = _fidelity_from_rates(*probs)
+    _, f2_expected_bias, _ = _estimates(probs, 1)
 
     record = simulate_counts(model, NOISELESS, q, n, bank, seed=17)
     _, f2_biased = fidelity_from_counts(record)

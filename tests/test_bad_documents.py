@@ -1,22 +1,42 @@
-"""Every golden document, broken one key at a time, ends cleanly.
+"""Every golden document, broken one key at a time, ends cleanly, and so
+does every numeric field of the library given a bad value.
 
 Each key path of the golden documents (an object's key or a list's entry,
 at any depth) takes in turn each of :data:`VALUES`, then is removed.  Each
 call runs in process through ``cli.main``, with the case's own arguments
 and ``--out -``.  It must exit 0 printing only finite numbers or empty
 cells, or exit 2 (a bad document) or 3 (an i/o error) with one stderr line
-and no output.  No call may raise, and none may take 5 s.
+and no output.  The line of an exit 2 names a key of the broken path.  No
+call may raise, and none may take 5 s.
+
+In the library, each numeric field of the parameter objects and of a
+counting run takes each of :data:`VALUES` too: the call returns, or raises
+ValueError naming the field.
 """
 
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import math
+import re
 import time
 
 import pytest
 
+from pcclone import (
+    CountingSetup,
+    DetectorBank,
+    FiberParams,
+    HybridParams,
+    MachZehnderParams,
+    NoiseConfig,
+    Qubit,
+    SpecialBSParams,
+    balance_detectors,
+    estimator_sigma,
+)
 from pcclone.cli import main
 from pcclone.compensation import MAX_MOVES
 from test_golden import CASES, GOLDEN
@@ -28,6 +48,8 @@ REMOVED = object()
 #: the one stderr line of a search that stopped at its budget
 BUDGET_WARNING = (f"warning: optimize: the search stopped after {MAX_MOVES} accepted "
                   "moves; the row is its incumbent\n")
+#: the one exit-2 line that names no key: a fault of the whole document
+NO_COINCIDENCE = "error: optimize: no candidate registers a coincidence"
 
 
 def key_paths(node, prefix=()):
@@ -71,8 +93,15 @@ def non_finite_cells(out: str, fmt: str) -> list[str]:
     return bad
 
 
-def fault(argv) -> str | None:
-    """What is wrong with the call ``main(argv)``, or None."""
+def names_a_key(line: str, key_path) -> bool:
+    """Whether ``line`` holds an object key of ``key_path`` as a word."""
+    return any(re.search(rf"(?<!\w){re.escape(key)}(?!\w)", line)
+               for key in key_path if isinstance(key, str))
+
+
+def fault(argv, key_path) -> str | None:
+    """What is wrong with the call ``main(argv)`` on a document broken at
+    ``key_path``, or None."""
     out, err = io.StringIO(), io.StringIO()
     began = time.perf_counter()
     try:
@@ -95,6 +124,9 @@ def fault(argv) -> str | None:
     lines = err.splitlines()
     if out or len(lines) != 1 or not lines[0].startswith(("error: ", "i/o error: ")):
         return f"exit {code} with stdout {out[:40]!r} and stderr {err!r}"
+    if code == 2 and not (names_a_key(lines[0], key_path)
+                          or lines[0].startswith(NO_COINCIDENCE)):
+        return f"exit 2 naming no key of the path: {err!r}"
     return None
 
 
@@ -109,8 +141,45 @@ def test_a_broken_golden_document_ends_cleanly(name, tmp_path, monkeypatch):
     for key_path in key_paths(document):
         for value in [*VALUES, REMOVED]:
             path.write_text(json.dumps(broken(document, key_path, value)), encoding="utf-8")
-            problem = fault(argv)
+            problem = fault(argv, key_path)
             if problem:
                 shown = "removed" if value is REMOVED else repr(value)
                 faults.append(f"{'/'.join(map(str, key_path))} = {shown}: {problem}")
     assert not faults, "\n".join(faults[:20])
+
+
+def replaced(cls, name):
+    """Build ``cls`` with the field ``name`` set to the value given."""
+    base = cls.ideal() if hasattr(cls, "ideal") else cls()
+    return lambda value: dataclasses.replace(base, **{name: value})
+
+
+def counted(name):
+    """Balance a counting run whose field ``name`` is set to the value given."""
+    def call(value):
+        fields = {"n_pairs": 400, "seed": 3, name: value}
+        setup = CountingSetup(SpecialBSParams(), NoiseConfig(), Qubit.equatorial(0.0), **fields)
+        return balance_detectors("basis_swap", setup, DetectorBank())
+    return call
+
+
+#: "class.field" -> a call that takes one value for that field
+LIBRARY_FIELDS = {
+    **{f"{cls.__name__}.{field.name}": replaced(cls, field.name)
+       for cls in (SpecialBSParams, MachZehnderParams, HybridParams, FiberParams,
+                   NoiseConfig, DetectorBank)
+       for field in dataclasses.fields(cls) if field.init},
+    "CountingSetup.n_pairs": counted("n_pairs"),
+    "CountingSetup.seed": counted("seed"),
+    "estimator_sigma.f_hat": lambda value: estimator_sigma(value, 100),
+    "estimator_sigma.c_sum": lambda value: estimator_sigma(0.5, value),
+}
+
+
+@pytest.mark.parametrize("value", VALUES, ids=repr)
+@pytest.mark.parametrize("field", sorted(LIBRARY_FIELDS))
+def test_a_library_field_takes_a_bad_value_or_names_itself(field, value):
+    try:
+        LIBRARY_FIELDS[field](value)
+    except ValueError as exc:
+        assert names_a_key(str(exc), [field.split(".")[1]]), str(exc)

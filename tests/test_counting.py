@@ -29,10 +29,9 @@ from pcclone.counting import (
     CoincidenceRecord,
     CountingSetup,
     DetectorBank,
-    _analyzer_vectors,
     _ceiling,
-    _count_static,
-    _fidelity_from_rates,
+    _count_rows,
+    _estimates,
     _pattern_vectors,
     _pcg64_states,
     _seed_words,
@@ -120,12 +119,12 @@ def test_public_constructor_rejects_each_bad_field(values, match):
 
 
 def test_counted_records_pass_every_public_check():
-    # each row of _count_static's array, with its pairs and seed, is a record
+    # each row of _count_rows's array, with its pairs and seed, is a record
     model = HybridParams(eta0=0.7)
     inputs = stack([Qubit(0.4, 0.2), EQ, Qubit(2.5, 4.0), Qubit(0.0, 0.0)])
     seeds = [11, 12, 13, 2**63]
-    counts = _count_static(model, inputs, 20_000, BIASED_BANK, seeds,
-                           run_model_batch(model, inputs, 0.9))
+    counts = _count_rows(model, NoiseConfig(overlap_M=0.9), inputs, 20_000, BIASED_BANK,
+                         seeds, run_model_batch(model, inputs, 0.9))
     assert counts.dtype == np.int64 and counts.shape == (4, 4)
     for row, seed in zip(counts.tolist(), seeds):
         fields = [*row, 20_000, seed]
@@ -204,7 +203,7 @@ def test_outcome_distribution_of_a_pair_matches_static_pvals(variant, data, m, q
     report = run_model(model, qubit, overlap_M=m)
     eff = BIASED_BANK.pattern_efficiencies()
     batch = run_model_batch(model, qubit, m)
-    w = _pattern_vectors(*_analyzer_vectors(model, qubit, pair))
+    w = _pattern_vectors(model, qubit, pair)
     expected = _static_pvals(w, batch.P_succ, batch.joint, eff)[0]
     got = report.P_succ * outcome_distribution(report, pair) * eff
     assert got == pytest.approx(expected[:4], rel=1e-12, abs=1e-15)
@@ -286,14 +285,20 @@ ANALYZER_MODELS = {
 @pytest.mark.parametrize("name", sorted(ANALYZER_MODELS))
 def test_batched_analyzer_vectors_equal_per_row_analyzer_bases(name, data, rows):
     # counts depend on these bits: one analyzer_bases call on the whole batch
-    # gives each row the vectors of that row's own call
+    # gives each row the pattern vectors of that row's own call
     model = data.draw(ANALYZER_MODELS[name])
     thetas, phis = map(list, zip(*rows))
-    side1, side2 = _analyzer_vectors(model, Qubit(np.array(thetas), np.array(phis)))
-    assert side1.shape == side2.shape == (len(rows), 2, 2)
+    w = _pattern_vectors(model, Qubit(np.array(thetas), np.array(phis)))
+    assert w.shape == (len(rows), 4, 4)
     for i, (theta, phi) in enumerate(rows):
-        own = np.array(model.analyzer_bases(Qubit(theta, phi)))
-        assert np.stack([side1[i], side2[i]]).tobytes() == own.tobytes()
+        own = kronecker_patterns(*model.analyzer_bases(Qubit(theta, phi)))
+        assert w[i].tobytes() == own.tobytes()
+
+
+def kronecker_patterns(side1, side2):
+    """The (4, 4) pattern vectors of two clones' (plus, minus) click vectors."""
+    (p1, m1), (p2, m2) = side1, side2
+    return np.stack([np.kron(p1, p2), np.kron(p1, m2), np.kron(m1, p2), np.kron(m1, m2)])
 
 
 def per_row_pvals(model, input, analysis, p_succ, rho, eff):
@@ -304,8 +309,7 @@ def per_row_pvals(model, input, analysis, p_succ, rho, eff):
         side1 = side2 = _standard_basis(analysis)
     else:
         side1, side2 = (_standard_basis(a) for a in analysis)
-    (p1, m1), (p2, m2) = side1, side2
-    w = np.stack([np.kron(p1, p2), np.kron(p1, m2), np.kron(m1, p2), np.kron(m1, m2)])
+    w = kronecker_patterns(side1, side2)
     reg = np.zeros(4)
     if p_succ > 0.0:
         probs = np.clip(np.einsum("ai,ij,aj->a", w.conj(), rho, w).real, 0.0, None)
@@ -339,7 +343,7 @@ def test_batched_pvals_equal_the_per_row_route(variant, data, m, analysis, etas,
             p_succ[i] = 0.0
             joints[i] = 0.0
     eff = DetectorBank(*etas).pattern_efficiencies()
-    w = _pattern_vectors(*_analyzer_vectors(model, stack(qubits), analysis))
+    w = _pattern_vectors(model, stack(qubits), analysis)
     pvals = _static_pvals(w, p_succ, joints, eff)
     for i, qubit in enumerate(qubits):
         expected = per_row_pvals(model, qubit, analysis, p_succ.tolist()[i], joints[i], eff)
@@ -355,19 +359,20 @@ def test_batched_pvals_of_empty_rows():
     for model, qubits in cases:
         batch = run_model_batch(model, stack(qubits))
         assert batch.P_succ[0] == 0.0
-        w = _pattern_vectors(*_analyzer_vectors(model, stack(qubits)))
+        w = _pattern_vectors(model, stack(qubits))
         pvals = _static_pvals(w, batch.P_succ, batch.joint, eff)
         assert pvals[0].tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
         for i, qubit in enumerate(qubits):
             expected = per_row_pvals(model, qubit, None, batch.P_succ.tolist()[i],
                                      batch.joint[i], eff)
             assert np.array_equal(pvals[i], expected)
-        counts = _count_static(model, stack(qubits), 1000, BIASED_BANK, [4, 5], batch)
+        counts = _count_rows(model, NOISELESS, stack(qubits), 1000, BIASED_BANK, [4, 5],
+                             batch)
         assert counts[0].tolist() == [0, 0, 0, 0]
         CoincidenceRecord(*counts[1].tolist(), 1000, 5)
 
 
-#: the analysis kinds _count_static takes: the device's own, one state, a pair
+#: the analysis kinds _count_rows takes: the device's own, one state, a pair
 STATIC_ANALYSES = [None, Qubit(1.1, 0.4), (EQ, Qubit(0.7, 2.0))]
 ANALYSIS_IDS = ["device", "qubit", "pair"]
 
@@ -379,8 +384,8 @@ def test_simulate_counts_is_the_one_row_batch(analysis, overlap):
     noise = NoiseConfig(overlap_M=overlap)
     qubits = [Qubit(0.4, 0.2), EQ, Qubit(2.5, 4.0)]
     batch = run_model_batch(model, stack(qubits), overlap)
-    counts = _count_static(model, stack(qubits), 20_000, BIASED_BANK, [11, 12, 13],
-                           batch, analysis)
+    counts = _count_rows(model, noise, stack(qubits), 20_000, BIASED_BANK, [11, 12, 13],
+                         batch, analysis)
     for qubit, seed, row in zip(qubits, [11, 12, 13], counts.tolist()):
         assert CoincidenceRecord(*row, 20_000, seed) == simulate_counts(
             model, noise, qubit, 20_000, BIASED_BANK, seed, analysis)
@@ -404,10 +409,11 @@ def test_seed_words_and_states_equal_numpy_for_every_row(drawn):
         assert state == np.random.default_rng(seed).bit_generator.state
 
 
-def oracle_static_counts(model, inputs, n_pairs, detectors, seeds, batch, analysis=None):
+def oracle_static_counts(model, noise, inputs, n_pairs, detectors, seeds, batch,
+                         analysis=None):
     """The static counts as drawn before the vectorised seed hash: one
     ``np.random.default_rng(seed)`` per row, on the batched pattern probabilities."""
-    w = _pattern_vectors(*_analyzer_vectors(model, inputs, analysis))
+    w = _pattern_vectors(model, inputs, analysis)
     pvals = _static_pvals(w, batch.P_succ, batch.joint, detectors.pattern_efficiencies())
     return np.array([np.random.default_rng(seed).multinomial(n_pairs, p)[:4]
                      for seed, p in zip(seeds, pvals)])
@@ -425,8 +431,9 @@ def test_static_counts_equal_the_per_row_generators(variant, analysis, n_pairs, 
     model = data.draw(PARAMS[variant])
     inputs, bank = stack(qubits), DetectorBank(*etas)
     batch = run_model_batch(model, inputs, m)
-    args = model, inputs, n_pairs, bank, seeds[:len(qubits)], batch, analysis
-    counts = _count_static(*args)
+    args = (model, NoiseConfig(overlap_M=m), inputs, n_pairs, bank, seeds[:len(qubits)],
+            batch, analysis)
+    counts = _count_rows(*args)
     assert counts.dtype == np.int64
     assert np.array_equal(counts, oracle_static_counts(*args))
 
@@ -439,8 +446,9 @@ def test_static_counts_of_mixed_empty_rows_equal_the_per_row_generators(analysis
     qubits = [Qubit(0.0, 0.0), EQ, Qubit(0.0, 0.0), Qubit(2.0, 1.0), Qubit(0.3, 0.1)]
     batch = run_model_batch(model, stack(qubits))
     assert (batch.P_succ == 0.0).tolist() == [True, False, True, False, False]
-    args = model, stack(qubits), n_pairs, BIASED_BANK, [9, 2**64, 0, 2**130, 5], batch, analysis
-    counts = _count_static(*args)
+    args = (model, NOISELESS, stack(qubits), n_pairs, BIASED_BANK, [9, 2**64, 0, 2**130, 5],
+            batch, analysis)
+    counts = _count_rows(*args)
     assert np.array_equal(counts, oracle_static_counts(*args))
     assert counts[[0, 2]].tolist() == [[0, 0, 0, 0]] * 2
     assert n_pairs == 1 or counts[[1, 3, 4]].sum() > 0
@@ -456,7 +464,7 @@ def test_static_pvals_at_partial_overlap_match_the_sector_route(variant, data, m
     model = data.draw(PARAMS[variant])
     eff = BIASED_BANK.pattern_efficiencies()
     batch = run_model_batch(model, stack(qubits), m)
-    pvals = _static_pvals(_pattern_vectors(*_analyzer_vectors(model, stack(qubits))),
+    pvals = _static_pvals(_pattern_vectors(model, stack(qubits)),
                           batch.P_succ, batch.joint, eff)
     for qubit, row in zip(qubits, pvals):
         report = run_model(model, qubit, overlap_M=m)
@@ -493,7 +501,7 @@ def test_unit_efficiency_estimator_is_unbiased_analytically():
     # expected counts are proportional to the outcome distribution itself
     report = run_model(IDEAL, EQ)
     probs = outcome_distribution(report, EQ)
-    f1, f2 = _fidelity_from_rates(*probs)
+    f1, f2, _ = _estimates(probs, 1)
     assert f1 == pytest.approx(report.F1, abs=1e-12)
     assert f2 == pytest.approx(report.F2, abs=1e-12)
 
@@ -589,7 +597,7 @@ def whole_array_jitter_counts(model, noise, input, n_pairs, detectors, seed,
                               analysis=None):
     """Reference jitter kernel: stacked complex sector vectors for every trial,
     complex einsums to the pattern probabilities, then cumsum and argmax."""
-    w = _pattern_vectors(*_analyzer_vectors(model, input, analysis))[0]
+    w = _pattern_vectors(model, input, analysis)[0]
     eff = detectors.pattern_efficiencies()
     seq_jitter, seq_outcome = np.random.SeedSequence(seed).spawn(2)
     phases = sample_phase_jitter(noise, seq_jitter, n_pairs)
@@ -657,7 +665,7 @@ def test_ceiling_bounds_every_running_sum(variant, partial, data, input, analysi
     model = data.draw(PARAMS[variant])
     overlap = data.draw(st.floats(0.0, 0.999)) if partial else 1.0
     degree = model.jitter_degree
-    w = _pattern_vectors(*_analyzer_vectors(model, input, analysis))[0]
+    w = _pattern_vectors(model, input, analysis)[0]
     eff = DetectorBank(*etas).pattern_efficiencies()
     moment = _moment_polynomial(model, input, overlap)
     probabilities = np.einsum("ai,rij,aj->ar", w.conj(), moment, w).real
@@ -710,8 +718,8 @@ def test_malformed_analysis_is_a_value_error(analysis):
         with pytest.raises(ValueError, match=match):
             simulate_counts(model, noise, EQ, 100, DetectorBank(), 0, analysis)
     with pytest.raises(ValueError, match=match):
-        _count_static(model, EQ, 100, DetectorBank(), [0],
-                      run_model_batch(model, EQ), analysis)
+        _count_rows(model, NOISELESS, EQ, 100, DetectorBank(), [0],
+                    run_model_batch(model, EQ), analysis)
     with pytest.raises(ValueError, match=match):
         CountingSetup(model, NOISELESS, EQ, 100, 0, analysis)
 
@@ -784,7 +792,7 @@ F2_BIASED = 0.8234070962417627
 def test_uncompensated_bias_oracle():
     report = run_model(IDEAL, EQ)
     probs = outcome_distribution(report, EQ) * BIASED_BANK.pattern_efficiencies()
-    f1, f2 = _fidelity_from_rates(*probs)
+    f1, f2, _ = _estimates(probs, 1)
     assert f2 == pytest.approx(F2_BIASED, abs=1e-12)
     assert f2 == pytest.approx(0.823, abs=1e-3)
 

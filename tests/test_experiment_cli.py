@@ -886,11 +886,11 @@ def test_jitter_rows_are_counted_on_the_states_the_sweep_holds(monkeypatch):
     # phi = -1e-300 is held as 2 pi; reducing that again would give 0
     states = []
 
-    def record(model, noise, qubit, n_pairs, detectors, seed):
+    def count(model, noise, qubit, n_pairs, w, eff, seed):
         states.append((qubit.theta, qubit.phi))
-        return CoincidenceRecord(0, 0, 0, 0, n_pairs, seed)
+        return np.zeros(4, dtype=np.int64)
 
-    monkeypatch.setattr("pcclone.experiment.simulate_counts", record)
+    monkeypatch.setattr("pcclone.counting._jitter_counts", count)
     config = parse_experiment({
         "model": {"variant": "mach_zehnder"},
         "noise": {"phase_jitter_sigma": 0.05},
