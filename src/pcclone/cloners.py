@@ -40,7 +40,12 @@ from .fock import (
     Port,
     Qubit,
     TwoQubitState,
+    _check_amplitude,
+    _check_finite,
     _check_single,
+    _check_unit_interval,
+    _check_unit_interval_or_none,
+    _Checked,
     _fidelity,
     _require,
     attenuator,
@@ -61,55 +66,10 @@ F_SEMICLASSICAL = 0.75
 #: most rows one closed-form batch may have: a sweep per axis and in all, an
 #: optimizer grid in all (~2 kB of memory each)
 MAX_ROWS = 10**5
-#: most photon pairs one counting run, and trials one jitter walk, may hold
-#: (the samplers count in int64)
-MAX_PAIRS = 10**12
-
-
-def _check_real(name, value):
-    """Raise ValueError unless ``value`` is a real number or an array of them
-    (the optimizer's candidates), which the range checks can compare."""
-    if not (isinstance(value, (int, float, np.integer, np.floating))
-            or isinstance(value, np.ndarray) and value.dtype.kind in "biuf"):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-
-
-def _check_unit_interval(name, value):
-    _check_real(name, value)
-    _require((0.0 <= value) & (value <= 1.0), value, f"{name} must lie in [0, 1]")
-
-
-def _check_integer(name, value):
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _check_pairs(name, value):
-    """Raise ValueError unless ``value`` is an integer in [1, ``MAX_PAIRS``]."""
-    _check_integer(name, value)
-    if not 1 <= value <= MAX_PAIRS:
-        raise ValueError(f"{name} must lie in [1, {MAX_PAIRS}], got {value}")
-
-
-def _check_amplitude(name, value):
-    _check_real(name, value)
-    _require((-1.0 <= value) & (value <= 1.0), value, f"{name} must lie in [-1, 1]")
-
-
-def _check_unit_interval_or_none(name, value):
-    if value is not None:
-        _check_unit_interval(name, value)
-
-
-def _check_finite(name, value):
-    _check_real(name, value)
-    # a Python int is finite, and may be too large for numpy
-    _require(isinstance(value, int) or np.isfinite(value), value, f"{name} must be finite")
 
 
 def _check_sign(name, value):
-    if value not in (-1, 1):
-        raise ValueError(f"{name} must be +1 or -1, got {value}")
+    _require(value in (-1, 1), value, f"{name} must be +1 or -1")
 
 
 def _check_lossless(name_r, name_t, r, t):
@@ -123,13 +83,6 @@ def _check_phase_pair(name, value):
         raise ValueError(f"{name} must be two finite angles, got {value!r}")
     for phase in value or ():
         _check_finite(name, phase)
-
-
-def _run_checks(checks, values):
-    """Run each ``(check, *fields)`` of ``checks`` in order on the field ``values``,
-    as ``check(*fields, *their values)``."""
-    for check, *names in checks:
-        check(*names, *[values[name] for name in names])
 
 
 def _standard_basis(analysis: Qubit):
@@ -154,7 +107,7 @@ def _sqrt(x):
     return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 
 
-class ClonerParams:
+class ClonerParams(_Checked):
     """Parameters of one cloner architecture and its description of itself.
 
     A subclass gives ``sector_amplitudes(alpha, beta, m, m_orth, delta)``,
@@ -168,7 +121,10 @@ class ClonerParams:
     harmonics up to cos(K delta) and sin(K delta), and K = 0 means that
     ``delta`` does not reach the device at all.
     ``_checks`` lists the field checks, ``(check, *fields)``, in the order
-    ``__post_init__`` runs them.  A numeric field may also hold an array of
+    ``__post_init__`` runs them.  Every value class keeps its checks in one
+    such table: ``Qubit``, the ``*Params`` classes, ``NoiseConfig``,
+    ``DetectorBank``, ``CoincidenceRecord``, ``CountingSetup`` and
+    ``CountingOptions``.  A numeric field may also hold an array of
     candidates (the optimizer's batches), which the amplitudes broadcast
     over: the optimizer runs only the checks that read a candidate column,
     on every entry, and holds the columns with :meth:`_trusted`.
@@ -179,15 +135,11 @@ class ClonerParams:
 
     variants: dict = {}
     jitter_degree = 0
-    _checks = ()
 
     def __init_subclass__(cls, variant: str | None = None, **kwargs):
         super().__init_subclass__(**kwargs)
         if variant is not None:
             ClonerParams.variants[variant] = cls
-
-    def __post_init__(self):
-        _run_checks(self._checks, vars(self))
 
     @classmethod
     def _trusted(cls, values):

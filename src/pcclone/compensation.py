@@ -15,17 +15,8 @@ from typing import Mapping, get_type_hints
 
 import numpy as np
 
-from .cloners import (
-    MAX_ROWS,
-    CloneReport,
-    ClonerParams,
-    HybridParams,
-    _check_integer,
-    _run_checks,
-    run_model,
-    run_model_batch,
-)
-from .fock import Qubit, _check_single
+from .cloners import MAX_ROWS, CloneReport, ClonerParams, HybridParams, run_model, run_model_batch
+from .fock import Qubit, _check_integer, _check_real, _check_single, _require, _run_checks
 
 #: objective name -> value to minimize, from the clone fidelities (floats or arrays)
 _OBJECTIVES = {
@@ -67,8 +58,8 @@ def solve_hybrid_compensation(
     prediction is the report of the equatorial input |+>.
     """
     for name, value in (("r0", r0), ("t0", t0), ("r1", r1), ("t1", t1)):
-        if not 0.0 < value <= 1.0:
-            raise ValueError(f"{name} must lie in (0, 1], got {value}")
+        _check_real(name, value)
+        _require((0.0 < value) & (value <= 1.0), value, f"{name} must lie in (0, 1]")
     nu_ratio = (t1 * r0) / (t0 * r1)  # nu0 / nu1
     eta_ratio = math.sqrt(2.0) * r0 / r1  # eta1 / eta0
     eta0, eta1 = _cap_pair(eta_ratio)
@@ -151,9 +142,7 @@ def optimize_symmetry(
     if not free_parameters:
         raise ValueError("free_parameters must name at least one parameter")
     n_free = len(free_parameters)
-    _check_integer("grid_points", grid_points)
-    if grid_points < 2:
-        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
+    _check_integer("grid_points", grid_points, low=2)
     if int(grid_points) ** n_free > MAX_ROWS:  # a numpy integer power would wrap
         raise ValueError(f"grid_points ** {n_free} (the grid over {n_free} free "
                          f"parameters) must not exceed {MAX_ROWS}, got {grid_points}")

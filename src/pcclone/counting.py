@@ -40,32 +40,27 @@ Counts are sampled with a seeded generator and are reproducible.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Union
 
 import numpy as np
 
-from .cloners import (
-    CloneBatch,
-    CloneReport,
-    ClonerParams,
+from .cloners import CloneBatch, CloneReport, ClonerParams, _standard_basis, run_model_batch
+from .fock import (
+    Qubit,
     _check_integer,
     _check_pairs,
     _check_real,
+    _check_single,
     _check_unit_interval,
-    _standard_basis,
-    run_model_batch,
+    _Checked,
+    _require,
 )
-from .fock import Qubit, _check_single
 from .noise import NoiseConfig, _harmonics, _jitter_walk, _moment_polynomial, jittered
 
-
-def _check_run(n_pairs, seed):
-    _check_pairs("n_pairs", n_pairs)
-    _check_integer("seed", seed)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+_check_seed = functools.partial(_check_integer, low=0)
 
 
 def _row_seeds(seed: int, n_rows: int) -> list[int]:
@@ -74,7 +69,7 @@ def _row_seeds(seed: int, n_rows: int) -> list[int]:
 
 
 @dataclass(frozen=True)
-class DetectorBank:
+class DetectorBank(_Checked):
     """Detection efficiencies of D1+, D1-, D2+, D2-."""
 
     eta_1p: float = 1.0
@@ -82,9 +77,8 @@ class DetectorBank:
     eta_2p: float = 1.0
     eta_2m: float = 1.0
 
-    def __post_init__(self):
-        for name in ("eta_1p", "eta_1m", "eta_2p", "eta_2m"):
-            _check_unit_interval(name, getattr(self, name))
+    _checks = tuple((_check_unit_interval, name)
+                    for name in ("eta_1p", "eta_1m", "eta_2p", "eta_2m"))
 
     def pattern_efficiencies(self) -> np.ndarray:
         """Registration probability per pattern, order (++, +-, -+, --)."""
@@ -102,8 +96,23 @@ class DetectorBank:
         return cls(eta, eta, eta, eta)
 
 
+def _check_count(name, value):
+    _check_integer(name, value)
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative")
+
+
+def _check_total(*fields):
+    """Raise ValueError when the four counts sum past ``n_pairs``; ``fields``
+    are their five names, then their five values."""
+    *counts, n_pairs = fields[5:]
+    if sum(counts) > n_pairs:
+        raise ValueError("total coincidences cannot exceed n_pairs, got "
+                         f"c_pp + c_pm + c_mp + c_mm = {sum(counts)} > {n_pairs}")
+
+
 @dataclass(frozen=True)
-class CoincidenceRecord:
+class CoincidenceRecord(_Checked):
     """Raw coincidence counts C++, C+-, C-+, C-- plus trial metadata."""
 
     c_pp: int
@@ -113,16 +122,9 @@ class CoincidenceRecord:
     n_pairs: int
     seed: int
 
-    def __post_init__(self):
-        for name in ("c_pp", "c_pm", "c_mp", "c_mm", "n_pairs", "seed"):
-            _check_integer(name, getattr(self, name))
-        for name in ("c_pp", "c_pm", "c_mp", "c_mm"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        if self.n_pairs < 1:
-            raise ValueError(f"n_pairs must be >= 1, got {self.n_pairs}")
-        if self.c_sum > self.n_pairs:
-            raise ValueError("total coincidences cannot exceed n_pairs")
+    _checks = (*((_check_count, name) for name in ("c_pp", "c_pm", "c_mp", "c_mm")),
+               (functools.partial(_check_integer, low=1), "n_pairs"), (_check_integer, "seed"),
+               (_check_total, "c_pp", "c_pm", "c_mp", "c_mm", "n_pairs"))
 
     @property
     def c_sum(self) -> int:
@@ -132,8 +134,17 @@ class CoincidenceRecord:
         return np.array([self.c_pp, self.c_pm, self.c_mp, self.c_mm])
 
 
+def _check_analysis(name, value):
+    """Raise ValueError unless ``value`` is None (each device's own analyzers),
+    a :class:`Qubit` for both clones or a pair of them, one per clone."""
+    if not (value is None or isinstance(value, Qubit)
+            or isinstance(value, (tuple, list)) and len(value) == 2
+            and all(isinstance(a, Qubit) for a in value)):
+        raise ValueError(f"{name} must be a Qubit or a pair of Qubits, got {value!r}")
+
+
 @dataclass(frozen=True)
-class CountingSetup:
+class CountingSetup(_Checked):
     """Everything needed to (re)simulate one counting run."""
 
     model: ClonerParams
@@ -143,26 +154,15 @@ class CountingSetup:
     seed: int
     analysis: Union[Qubit, tuple, None] = None
 
-    def __post_init__(self):
-        _check_run(self.n_pairs, self.seed)
-        _analysis_pair(self.analysis)
+    _checks = ((_check_pairs, "n_pairs"), (_check_seed, "seed"), (_check_analysis, "analysis"))
 
 
 def _analysis_pair(analysis):
-    """The analysis states (clone 1, clone 2) that ``analysis`` sets, or None.
-
-    ``analysis`` is None (each device's own analyzers), a :class:`Qubit` for
-    both clones or a pair of them, one per clone; anything else raises
-    ValueError.
-    """
-    if analysis is None:
-        return None
+    """The analysis states (clone 1, clone 2) that ``analysis`` sets, or None."""
+    _check_analysis("analysis", analysis)
     if isinstance(analysis, Qubit):
         return analysis, analysis
-    if (isinstance(analysis, (tuple, list)) and len(analysis) == 2
-            and all(isinstance(a, Qubit) for a in analysis)):
-        return tuple(analysis)
-    raise ValueError(f"analysis must be a Qubit or a pair of Qubits, got {analysis!r}")
+    return None if analysis is None else tuple(analysis)
 
 
 def _pattern_vectors(model, inputs: Qubit, analysis=None) -> np.ndarray:
@@ -356,7 +356,7 @@ def simulate_counts(
     This is the one-row :func:`_count_rows` call, on the row's
     :func:`run_model_batch` evaluation, with or without jitter.
     """
-    _check_run(n_pairs, seed)
+    CountingSetup(model, noise, input, n_pairs, seed, analysis)  # runs the run's checks
     _check_single(input)
     batch = run_model_batch(model, input, noise.overlap_M)
     counts = _count_rows(model, noise, input, n_pairs, detectors, [seed], batch, analysis)
@@ -399,11 +399,9 @@ def estimator_sigma(f_hat: float, c_sum: int) -> float:
     """Binomial standard error of a fidelity estimate ``f_hat`` in [0, 1]
     from ``c_sum`` coincidences."""
     _check_real("f_hat", f_hat)
-    if not (math.isfinite(f_hat) and 0.0 <= f_hat <= 1.0):
-        raise ValueError(f"f_hat must be a finite fraction in [0, 1], got {f_hat!r}")
+    _require((0.0 <= f_hat) & (f_hat <= 1.0), f_hat, "f_hat must be a finite fraction in [0, 1]")
     _check_integer("c_sum", c_sum)
-    if c_sum <= 0:
-        raise ValueError(f"c_sum must be >= 1: need at least one coincidence, got {c_sum}")
+    _require(c_sum > 0, c_sum, "c_sum must be >= 1: need at least one coincidence")
     return math.sqrt(f_hat * (1.0 - f_hat) / c_sum)
 
 

@@ -68,14 +68,8 @@ from typing import Annotated, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .cloners import MAX_ROWS, ClonerParams, run_model_batch
-from .counting import (
-    DetectorBank,
-    _check_run,
-    _count_rows,
-    _estimate_columns,
-    _row_seeds,
-)
-from .fock import Qubit
+from .counting import DetectorBank, _check_seed, _count_rows, _estimate_columns, _row_seeds
+from .fock import Qubit, _check_pairs, _Checked
 from .noise import NoiseConfig
 
 
@@ -257,13 +251,12 @@ class Sweep:
 
 
 @dataclass(frozen=True)
-class CountingOptions:
+class CountingOptions(_Checked):
     n_pairs: int
     seed: int = 0
     detectors: DetectorBank = DetectorBank()
 
-    def __post_init__(self):
-        _check_run(self.n_pairs, self.seed)
+    _checks = ((_check_pairs, "n_pairs"), (_check_seed, "seed"))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,8 @@ below act on the four modes of one temporal bin; ``np.kron(np.eye(bins), U)``
 applies one to every bin.
 
 A :class:`Qubit` is one input state, or a batch of them held as arrays (a
-sweep), which the closed-form kernel evaluates in one call.
+sweep), which the closed-form kernel evaluates in one call.  The field
+checks of every value class (see :class:`_Checked`) live here, below the rest.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ CHECK_TOL = 1e-10
 BUILD_TOL = 1e-12
 #: every route reports a success probability at or below this as none
 MIN_SUCCESS = 1e-200
+#: most photon pairs one counting run, and trials one jitter walk, may hold
+#: (the samplers count in int64)
+MAX_PAIRS = 10**12
 
 
 class Port(IntEnum):
@@ -98,26 +102,100 @@ def _require(ok, value, message):
     raise ValueError(f"{message}, got {value}")
 
 
+def _check_real(name, value):
+    """Raise ValueError unless ``value`` is a real number or a non-empty array
+    of them (a batch), which the range checks can compare."""
+    if isinstance(value, (int, float, np.integer, np.floating)):
+        return
+    if not (isinstance(value, np.ndarray) and value.dtype.kind in "biuf"):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not value.size:
+        raise ValueError(f"{name} must hold one or more values, got an empty array")
+
+
+def _check_unit_interval(name, value):
+    _check_real(name, value)
+    _require((0.0 <= value) & (value <= 1.0), value, f"{name} must lie in [0, 1]")
+
+
+def _check_unit_interval_or_none(name, value):
+    if value is not None:
+        _check_unit_interval(name, value)
+
+
+def _check_amplitude(name, value):
+    _check_real(name, value)
+    _require((-1.0 <= value) & (value <= 1.0), value, f"{name} must lie in [-1, 1]")
+
+
+def _check_polar(name, value):
+    _check_real(name, value)
+    _require((0.0 <= value) & (value <= math.pi), value, f"{name} must lie in [0, pi]")
+
+
+def _check_finite(name, value, low=None):
+    """Raise ValueError unless ``value`` is finite, and at least ``low`` if given."""
+    _check_real(name, value)
+    # a Python int is finite, and may be too large for numpy
+    ok = np.isfinite(value) if isinstance(value, np.ndarray) else (
+        isinstance(value, int) or math.isfinite(value))
+    _require(ok, value, f"{name} must be finite")
+    if low is not None:
+        _require(value >= low, value, f"{name} must be >= {low}")
+
+
+def _check_integer(name, value, low=None):
+    """Raise ValueError unless ``value`` is an integer, and at least ``low`` if given."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    _require(low is None or value >= low, value, f"{name} must be >= {low}")
+
+
+def _check_pairs(name, value):
+    """Raise ValueError unless ``value`` is an integer in [1, ``MAX_PAIRS``]."""
+    _check_integer(name, value)
+    _require(1 <= value <= MAX_PAIRS, value, f"{name} must lie in [1, {MAX_PAIRS}]")
+
+
+def _run_checks(checks, values):
+    """Run each ``(check, *fields)`` of ``checks`` in order on the field ``values``,
+    as ``check(*fields, *their values)``."""
+    for check, name, *others in checks:
+        if others:  # a rule over several fields
+            check(name, *others, values[name], *[values[other] for other in others])
+        else:  # most checks read one field: no list to build
+            check(name, values[name])
+
+
+class _Checked:
+    """A value class that lists its field checks in one table, ``_checks``:
+    ``(check, *fields)`` entries that ``__post_init__`` runs in order."""
+
+    _checks = ()
+
+    def __post_init__(self):
+        _run_checks(self._checks, vars(self))
+
+
 @dataclass(frozen=True)
-class Qubit:
+class Qubit(_Checked):
     """Pure single-qubit state cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>.
 
     theta in [0, pi], stored without the sign of a zero; phi is stored
-    modulo 2 pi.  The fields are two floats, or two arrays of one shape
-    that hold a batch of inputs (a sweep), one state per entry; each entry
-    follows the scalar rules, and an error names the first bad value.
+    modulo 2 pi.  The fields are two real numbers, or two non-empty arrays
+    of one shape that hold a batch of inputs (a sweep), one state per entry;
+    each entry follows the scalar rules, and an error names the first bad value.
     """
 
     theta: float
     phi: float = 0.0
 
+    _checks = ((_check_polar, "theta"), (_check_finite, "phi"))
+
     def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=float)
-        phi = np.asarray(self.phi, dtype=float)
-        _require((0.0 <= theta) & (theta <= math.pi), self.theta,
-                 "theta must lie in [0, pi]")
-        _require(np.isfinite(phi), self.phi, "phi must be finite")
-        theta, phi = np.broadcast_arrays(theta, phi)
+        super().__post_init__()
+        theta, phi = np.broadcast_arrays(np.asarray(self.theta, dtype=float),
+                                         np.asarray(self.phi, dtype=float))
         theta = theta + 0.0  # -0.0 + 0.0 is 0.0
         phi = np.remainder(phi, 2.0 * math.pi)  # rounds as Python's float % does
         if theta.ndim == 0:

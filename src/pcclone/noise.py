@@ -27,6 +27,7 @@ returns.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,15 +36,20 @@ from .cloners import (
     CloneReport,
     ClonerParams,
     SpecialBSParams,
-    _check_finite,
-    _check_integer,
-    _check_pairs,
-    _check_unit_interval,
     circuit_joint_state,
     conditional_sector_vectors,
     run_model,
 )
-from .fock import MIN_SUCCESS, Qubit, TwoQubitState
+from .fock import (
+    MIN_SUCCESS,
+    Qubit,
+    TwoQubitState,
+    _check_finite,
+    _check_integer,
+    _check_pairs,
+    _check_unit_interval,
+    _Checked,
+)
 
 #: trials per piece of the jitter walk, and so per step of the jitter kernels.
 #: A piece's temporaries are real: its walk and uniforms (128 kB each, in
@@ -59,8 +65,16 @@ _CHUNK = 1 << 14
 MAX_WALK_SPAN = 1e300
 
 
+def _check_walk_span(name_sigma, name_period, sigma, period):
+    # compared as period > bound / sigma: a Python int period may be too
+    # large to convert to a float
+    if sigma > 0.0 and period > MAX_WALK_SPAN / sigma:
+        raise ValueError(f"{name_sigma} times {name_period} must be at most "
+                         f"{MAX_WALK_SPAN:g}, got {sigma!r} x {period}")
+
+
 @dataclass(frozen=True)
-class NoiseConfig:
+class NoiseConfig(_Checked):
     """Trial-level imperfection settings.
 
     ``overlap_M`` is the temporal-mode amplitude overlap of signal and
@@ -73,23 +87,10 @@ class NoiseConfig:
     phase_jitter_sigma: float = 0.0
     jitter_reset_period: int = 100
 
-    def __post_init__(self):
-        _check_unit_interval("overlap_M", self.overlap_M)
-        sigma = self.phase_jitter_sigma
-        _check_finite("phase_jitter_sigma", sigma)
-        if sigma < 0.0:
-            raise ValueError(f"phase_jitter_sigma must be >= 0, got {sigma}")
-        period = self.jitter_reset_period
-        _check_integer("jitter_reset_period", period)
-        if period < 1:
-            raise ValueError(f"jitter_reset_period must be >= 1, got {period}")
-        # compared as period > bound / sigma: a Python int period may be too
-        # large to convert to a float
-        if sigma > 0.0 and period > MAX_WALK_SPAN / sigma:
-            raise ValueError(
-                "phase_jitter_sigma times jitter_reset_period must be at most "
-                f"{MAX_WALK_SPAN:g}, got {sigma!r} x {period}"
-            )
+    _checks = ((_check_unit_interval, "overlap_M"),
+               (functools.partial(_check_finite, low=0), "phase_jitter_sigma"),
+               (functools.partial(_check_integer, low=1), "jitter_reset_period"),
+               (_check_walk_span, "phase_jitter_sigma", "jitter_reset_period"))
 
 
 def jittered(model: ClonerParams, noise: NoiseConfig) -> bool:

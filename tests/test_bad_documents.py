@@ -9,9 +9,11 @@ cells, or exit 2 (a bad document) or 3 (an i/o error) with one stderr line
 and no output.  The line of an exit 2 names a key of the broken path.  No
 call may raise, and none may take 5 s.
 
-In the library, each numeric field of the parameter objects and of a
-counting run takes each of :data:`VALUES` too: the call returns, or raises
-ValueError naming the field.
+In the library, each numeric field of the value classes (the parameter
+objects, the input state, a coincidence record and a counting run) and each
+argument of the estimator and of the hybrid compensation solver takes each
+of :data:`VALUES` too: the call returns, or raises ValueError naming the
+field.
 """
 
 import contextlib
@@ -26,6 +28,7 @@ import time
 import pytest
 
 from pcclone import (
+    CoincidenceRecord,
     CountingSetup,
     DetectorBank,
     FiberParams,
@@ -36,6 +39,7 @@ from pcclone import (
     SpecialBSParams,
     balance_detectors,
     estimator_sigma,
+    solve_hybrid_compensation,
 )
 from pcclone.cli import main
 from pcclone.compensation import MAX_MOVES
@@ -148,10 +152,18 @@ def test_a_broken_golden_document_ends_cleanly(name, tmp_path, monkeypatch):
     assert not faults, "\n".join(faults[:20])
 
 
-def replaced(cls, name):
-    """Build ``cls`` with the field ``name`` set to the value given."""
-    base = cls.ideal() if hasattr(cls, "ideal") else cls()
+def replaced(base, name):
+    """Build ``base`` again with the field ``name`` set to the value given."""
     return lambda value: dataclasses.replace(base, **{name: value})
+
+
+def compensated(name):
+    """Solve the hybrid compensation of a lossless splitter whose amplitude
+    ``name`` is set to the value given."""
+    def call(value):
+        return solve_hybrid_compensation(**{"r0": 0.6, "t0": 0.8, "r1": 0.8, "t1": 0.6,
+                                            name: value})
+    return call
 
 
 def counted(name):
@@ -163,12 +175,17 @@ def counted(name):
     return call
 
 
+#: a valid instance of each value class whose every field is tested alone
+BASES = [*(cls.ideal() for cls in (SpecialBSParams, MachZehnderParams, HybridParams,
+                                   FiberParams)),
+         NoiseConfig(), DetectorBank(), Qubit(1.0, 0.5), CoincidenceRecord(1, 0, 2, 0, 10, 3)]
+
 #: "class.field" -> a call that takes one value for that field
 LIBRARY_FIELDS = {
-    **{f"{cls.__name__}.{field.name}": replaced(cls, field.name)
-       for cls in (SpecialBSParams, MachZehnderParams, HybridParams, FiberParams,
-                   NoiseConfig, DetectorBank)
-       for field in dataclasses.fields(cls) if field.init},
+    **{f"{type(base).__name__}.{field.name}": replaced(base, field.name)
+       for base in BASES for field in dataclasses.fields(base) if field.init},
+    **{f"solve_hybrid_compensation.{name}": compensated(name)
+       for name in ("r0", "t0", "r1", "t1")},
     "CountingSetup.n_pairs": counted("n_pairs"),
     "CountingSetup.seed": counted("seed"),
     "estimator_sigma.f_hat": lambda value: estimator_sigma(value, 100),

@@ -13,7 +13,6 @@ from ideal_map import pure_state
 from pcclone import counting as counting_module
 from pcclone import noise as noise_module
 from pcclone.cloners import (
-    MAX_PAIRS,
     ClonerParams,
     FiberParams,
     HybridParams,
@@ -43,7 +42,7 @@ from pcclone.counting import (
     simulate_counts,
     success_probability_estimate,
 )
-from pcclone.fock import Qubit, TwoQubitState
+from pcclone.fock import MAX_PAIRS, Qubit, TwoQubitState
 from pcclone.noise import (_CHUNK, NoiseConfig, _harmonics, _moment_polynomial,
                            sample_phase_jitter)
 
@@ -109,6 +108,8 @@ def test_record_accepts_numpy_integers():
     ((1, 1, 1, -1, 10, 3), "c_mm must be non-negative"),
     ((1, 0, 0, 0, -20, 3), "n_pairs must be >= 1"),
     ((6, 6, 0, 0, 10, 3), "total coincidences cannot exceed n_pairs"),
+    ((10**30, 0, 2, 0, 10, 3), r"^total coincidences cannot exceed n_pairs, "
+                               rf"got c_pp \+ c_pm \+ c_mp \+ c_mm = {10**30 + 2} > 10$"),
     ((1.5, 0, 0, 0, 10, 3), "c_pp must be an integer"),
     ((1, 0, 0, 0, 10.0, 3), "n_pairs must be an integer"),
     ((1, 0, 0, 0, 10, 3.0), "seed must be an integer"),

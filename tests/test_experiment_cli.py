@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import pcclone
 from pcclone.cli import main
-from pcclone.cloners import MAX_PAIRS, ClonerParams, run_model
+from pcclone.cloners import ClonerParams, run_model
 from pcclone.counting import (
     CoincidenceRecord,
     DetectorBank,
@@ -34,7 +34,7 @@ from pcclone.experiment import (
     render_rows,
     run_experiment,
 )
-from pcclone.fock import Qubit
+from pcclone.fock import MAX_PAIRS, Qubit
 from row_text import as_rows, parse_rows, render_row_dicts
 
 F_PC_10 = "0.8535533906"

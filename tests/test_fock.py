@@ -362,6 +362,20 @@ def test_a_qubit_of_arrays_holds_one_state_per_entry():
         Qubit(1.0, np.array([0.0, np.nan, np.inf]))
 
 
+@pytest.mark.parametrize("field", ["theta", "phi"])
+@pytest.mark.parametrize("empty", [np.array([]), np.zeros((2, 0)), np.array([], dtype=int)],
+                         ids=["float", "float 2-d", "int"])
+def test_a_qubit_refuses_an_empty_batch_and_names_the_field(field, empty):
+    fields = {"theta": 1.0, "phi": 0.5, field: empty}
+    with pytest.raises(ValueError, match=f"^{field} must hold one or more values, "
+                                         "got an empty array$"):
+        Qubit(**fields)
+    # a list is not an array: it is refused by type, also when empty
+    fields[field] = []
+    with pytest.raises(ValueError, match=rf"^{field} must be a real number, got \[\]$"):
+        Qubit(**fields)
+
+
 def test_qubit_equality_is_one_bool_and_only_single_states_hash():
     phi = np.array([0.0, 1.0, 2.0])
     batch = Qubit.equatorial(phi)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from cloner_strategies import CLASS_NAMES, PARAMS, VARIANTS, pool_sectors, stack
 from pcclone import noise
 from pcclone.cloners import (
-    MAX_PAIRS,
     FiberParams,
     HybridParams,
     MachZehnderParams,
@@ -21,7 +20,7 @@ from pcclone.cloners import (
     run_model_batch,
 )
 from pcclone.counting import DetectorBank, simulate_counts
-from pcclone.fock import Qubit, check_density, fidelity
+from pcclone.fock import MAX_PAIRS, Qubit, check_density, fidelity
 from pcclone.noise import (
     _CHUNK,
     NoiseConfig,
