@@ -79,8 +79,8 @@ def _check_lossless(name_r, name_t, r, t):
 
 
 def _check_phase_pair(name, value):
-    if value is not None and not (isinstance(value, (tuple, list)) and len(value) == 2):
-        raise ValueError(f"{name} must be two finite angles, got {value!r}")
+    if value is not None and not (isinstance(value, tuple) and len(value) == 2):
+        raise ValueError(f"{name} must be a tuple of two finite angles, got {value!r}")
     for phase in value or ():
         _check_finite(name, phase)
 
@@ -110,27 +110,33 @@ def _sqrt(x):
 class ClonerParams(_Checked):
     """Parameters of one cloner architecture and its description of itself.
 
-    A subclass gives ``sector_amplitudes(alpha, beta, m, m_orth, delta)``,
-    the unnormalized (a00, a10, a01) of each temporal detection sector for
-    input amplitudes (alpha, beta), ancilla overlap m = M with
-    m_orth = sqrt(1 - M^2) and interferometer phase error ``delta``, and
-    ``transfer_matrix(delta)``, the same device as the single-photon transfer
-    matrix of one temporal bin over the modes 2 * port + rail.
-    ``jitter_degree`` is the degree K in ``delta`` of the device's pattern
-    probabilities: each is a trigonometric polynomial in ``delta`` with
-    harmonics up to cos(K delta) and sin(K delta), and K = 0 means that
-    ``delta`` does not reach the device at all.
-    ``_checks`` lists the field checks, ``(check, *fields)``, in the order
-    ``__post_init__`` runs them.  Every value class keeps its checks in one
-    such table: ``Qubit``, the ``*Params`` classes, ``NoiseConfig``,
-    ``DetectorBank``, ``CoincidenceRecord``, ``CountingSetup`` and
-    ``CountingOptions``.  A numeric field may also hold an array of
-    candidates (the optimizer's batches), which the amplitudes broadcast
-    over: the optimizer runs only the checks that read a candidate column,
-    on every entry, and holds the columns with :meth:`_trusted`.
+    A device is one frozen dataclass that subclasses this class and names a
+    ``variant`` in its class statement, which enters it in ``variants``, the
+    registry under which the experiment schema reads it.  It writes:
 
-    A subclass that names a ``variant`` in its class statement enters
-    ``variants``, the registry under which the experiment schema reads it.
+    * its fields, whose defaults are its ideal setting (:meth:`ideal`);
+    * ``_checks``, the field checks ``(check, *fields)`` in the order
+      ``__post_init__`` runs them;
+    * ``sector_amplitudes(alpha, beta, m, m_orth, delta)``, the unnormalized
+      (a00, a10, a01) of each temporal detection sector for input amplitudes
+      (alpha, beta), ancilla overlap m = M with m_orth = sqrt(1 - M^2) and
+      interferometer phase error ``delta``, and ``transfer_matrix(delta)``,
+      the same device as the single-photon transfer matrix of one temporal
+      bin over the modes 2 * port + rail; a ``_Splitter`` writes
+      ``couplings(delta)`` instead, from which it builds both;
+    * optionally ``jitter_degree``, the degree K in ``delta`` of its pattern
+      probabilities: each is a trigonometric polynomial in ``delta`` with
+      harmonics up to cos(K delta) and sin(K delta), and the default K = 0
+      means that ``delta`` does not reach the device at all;
+    * optionally ``analyzer_bases``, its analyzers when no analysis state is set.
+
+    Every value class keeps its checks in one such table: ``Qubit``, the
+    ``*Params`` classes, ``NoiseConfig``, ``DetectorBank``,
+    ``CoincidenceRecord``, ``CountingSetup`` and ``CountingOptions``.  A
+    numeric field may also hold an array of candidates (the optimizer's
+    batches), which the amplitudes broadcast over: the optimizer runs only
+    the checks that read a candidate column, on every entry, and holds the
+    columns with :meth:`_trusted`.
     """
 
     variants: dict = {}
@@ -243,18 +249,13 @@ class MachZehnderParams(_Splitter, variant="mach_zehnder"):
     # have degree 2 in delta and their squared moduli degree 4
     jitter_degree = 4
 
-    theta_V: float
-    theta_H: float
+    theta_V: float = math.asin(math.sqrt(R_OPTIMAL))
+    theta_H: float = math.asin(math.sqrt(R_OPTIMAL)) + math.pi / 2.0
     phase_offset_r0: float = 0.0
     phase_offset_r1: float = 0.0
 
     _checks = tuple((_check_finite, name) for name in
                     ("theta_V", "theta_H", "phase_offset_r0", "phase_offset_r1"))
-
-    @classmethod
-    def ideal(cls) -> "MachZehnderParams":
-        theta_v = math.asin(math.sqrt(R_OPTIMAL))
-        return cls(theta_V=theta_v, theta_H=theta_v + math.pi / 2.0)
 
     def couplings(self, delta=0.0):
         """A phase error ``delta`` shifts both arm phase differences."""
@@ -361,12 +362,6 @@ class FiberParams(_Splitter, variant="fiber"):
                (_check_phase_pair, "analysis_phases"),
                (_check_unit_interval, "detection_ratio_1"),
                (_check_unit_interval, "detection_ratio_2"))
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.analysis_phases is not None:
-            object.__setattr__(self, "analysis_phases",
-                               tuple(float(p) for p in self.analysis_phases))
 
     def couplings(self, delta=0.0):
         """A phase error ``delta`` drifts the phase of rail r1 against r0."""

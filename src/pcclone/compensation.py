@@ -58,8 +58,8 @@ def solve_hybrid_compensation(
     prediction is the report of the equatorial input |+>.
     """
     for name, value in (("r0", r0), ("t0", t0), ("r1", r1), ("t1", t1)):
-        _check_real(name, value)
-        _require((0.0 < value) & (value <= 1.0), value, f"{name} must lie in (0, 1]")
+        _check_real(name, value, batch=False)
+        _require(0.0 < value <= 1.0, value, f"{name} must lie in (0, 1]")
     nu_ratio = (t1 * r0) / (t0 * r1)  # nu0 / nu1
     eta_ratio = math.sqrt(2.0) * r0 / r1  # eta1 / eta0
     eta0, eta1 = _cap_pair(eta_ratio)

@@ -60,7 +60,7 @@ from .fock import (
 )
 from .noise import NoiseConfig, _harmonics, _jitter_walk, _moment_polynomial, jittered
 
-_check_seed = functools.partial(_check_integer, low=0)
+_check_non_negative = functools.partial(_check_integer, low=0)
 
 
 def _row_seeds(seed: int, n_rows: int) -> list[int]:
@@ -96,12 +96,6 @@ class DetectorBank(_Checked):
         return cls(eta, eta, eta, eta)
 
 
-def _check_count(name, value):
-    _check_integer(name, value)
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative")
-
-
 def _check_total(*fields):
     """Raise ValueError when the four counts sum past ``n_pairs``; ``fields``
     are their five names, then their five values."""
@@ -122,7 +116,7 @@ class CoincidenceRecord(_Checked):
     n_pairs: int
     seed: int
 
-    _checks = (*((_check_count, name) for name in ("c_pp", "c_pm", "c_mp", "c_mm")),
+    _checks = (*((_check_non_negative, name) for name in ("c_pp", "c_pm", "c_mp", "c_mm")),
                (functools.partial(_check_integer, low=1), "n_pairs"), (_check_integer, "seed"),
                (_check_total, "c_pp", "c_pm", "c_mp", "c_mm", "n_pairs"))
 
@@ -154,7 +148,8 @@ class CountingSetup(_Checked):
     seed: int
     analysis: Union[Qubit, tuple, None] = None
 
-    _checks = ((_check_pairs, "n_pairs"), (_check_seed, "seed"), (_check_analysis, "analysis"))
+    _checks = ((_check_pairs, "n_pairs"), (_check_non_negative, "seed"),
+               (_check_analysis, "analysis"))
 
 
 def _analysis_pair(analysis):
@@ -398,8 +393,8 @@ def success_probability_estimate(record: CoincidenceRecord) -> float:
 def estimator_sigma(f_hat: float, c_sum: int) -> float:
     """Binomial standard error of a fidelity estimate ``f_hat`` in [0, 1]
     from ``c_sum`` coincidences."""
-    _check_real("f_hat", f_hat)
-    _require((0.0 <= f_hat) & (f_hat <= 1.0), f_hat, "f_hat must be a finite fraction in [0, 1]")
+    _check_real("f_hat", f_hat, batch=False)
+    _require(0.0 <= f_hat <= 1.0, f_hat, "f_hat must be a finite fraction in [0, 1]")
     _check_integer("c_sum", c_sum)
     _require(c_sum > 0, c_sum, "c_sum must be >= 1: need at least one coincidence")
     return math.sqrt(f_hat * (1.0 - f_hat) / c_sum)

@@ -29,13 +29,7 @@ Every document (:class:`ExperimentConfig`, :class:`CompareConfig` for
 ``pcclone compare``, :class:`OptimizeConfig` for ``pcclone optimize``) and
 every section of one is read by :func:`_read` from the fields and types of its
 frozen dataclass.  Model variants are ``ClonerParams.variants``; their fields
-(all optional, defaults are the ideal settings):
-
-* ``special_bs``:   R0, R1, sign_convention, comp_loss_r0, comp_loss_r1
-* ``mach_zehnder``: theta_V, theta_H, phase_offset_r0, phase_offset_r1
-* ``hybrid``:       r, t, r0, t0, r1, t1, eta0, eta1, nu0, nu1
-* ``fiber``:        R_vrc0, R_vrc1, analysis_phases, detection_ratio_1,
-                    detection_ratio_2
+are their dataclass fields, all optional, whose defaults are the ideal settings.
 
 Fields are checked when the configuration is read; a sweep's inputs become
 one theta-major :class:`Qubit` of arrays, validated in one pass.  One
@@ -68,7 +62,7 @@ from typing import Annotated, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .cloners import MAX_ROWS, ClonerParams, run_model_batch
-from .counting import DetectorBank, _check_seed, _count_rows, _estimate_columns, _row_seeds
+from .counting import DetectorBank, _check_non_negative, _count_rows, _estimate_columns, _row_seeds
 from .fock import Qubit, _check_pairs, _Checked
 from .noise import NoiseConfig
 
@@ -201,7 +195,7 @@ def parse_model(spec, field: str = "model") -> ClonerParams:
     if cls is None:
         raise ConfigError(f"{field}.variant: must be one of "
                           f"{sorted(ClonerParams.variants)}, got {variant!r}")
-    return _read(cls, spec, field, base=cls.ideal())
+    return _read(cls, spec, field)
 
 
 def _parse_axis(spec, field: str, domain=(-math.inf, math.inf)) -> tuple[float, ...]:
@@ -256,7 +250,7 @@ class CountingOptions(_Checked):
     seed: int = 0
     detectors: DetectorBank = DetectorBank()
 
-    _checks = ((_check_pairs, "n_pairs"), (_check_seed, "seed"))
+    _checks = ((_check_pairs, "n_pairs"), (_check_non_negative, "seed"))
 
 
 @dataclass(frozen=True)

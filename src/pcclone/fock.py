@@ -102,12 +102,12 @@ def _require(ok, value, message):
     raise ValueError(f"{message}, got {value}")
 
 
-def _check_real(name, value):
-    """Raise ValueError unless ``value`` is a real number or a non-empty array
-    of them (a batch), which the range checks can compare."""
+def _check_real(name, value, batch=True):
+    """Raise ValueError unless ``value`` is a real number or, if ``batch``, a
+    non-empty array of them (a batch), which the range checks can compare."""
     if isinstance(value, (int, float, np.integer, np.floating)):
         return
-    if not (isinstance(value, np.ndarray) and value.dtype.kind in "biuf"):
+    if not (batch and isinstance(value, np.ndarray) and value.dtype.kind in "biuf"):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     if not value.size:
         raise ValueError(f"{name} must hold one or more values, got an empty array")

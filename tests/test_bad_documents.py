@@ -13,7 +13,8 @@ In the library, each numeric field of the value classes (the parameter
 objects, the input state, a coincidence record and a counting run) and each
 argument of the estimator and of the hybrid compensation solver takes each
 of :data:`VALUES` too: the call returns, or raises ValueError naming the
-field.
+field.  The estimator and the solver take numbers only: each of their arguments
+refuses an array, of one entry or more, with a type error naming itself.
 """
 
 import contextlib
@@ -25,6 +26,7 @@ import math
 import re
 import time
 
+import numpy as np
 import pytest
 
 from pcclone import (
@@ -200,3 +202,17 @@ def test_a_library_field_takes_a_bad_value_or_names_itself(field, value):
         LIBRARY_FIELDS[field](value)
     except ValueError as exc:
         assert names_a_key(str(exc), [field.split(".")[1]]), str(exc)
+
+
+#: the arguments that take one number only
+SCALAR_ARGUMENTS = sorted(name for name in LIBRARY_FIELDS
+                          if name.startswith(("estimator_sigma.", "solve_hybrid_compensation.")))
+
+
+@pytest.mark.parametrize("value", [np.array([0.5, 0.2]), np.array([0.5])], ids=repr)
+@pytest.mark.parametrize("field", SCALAR_ARGUMENTS)
+def test_a_scalar_argument_refuses_an_array(field, value):
+    # refused by the argument's own type check, not by a later rule that
+    # happens to read it
+    with pytest.raises(ValueError, match=rf"^{field.split('.')[1]} must be an? "):
+        LIBRARY_FIELDS[field](value)

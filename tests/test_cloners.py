@@ -27,7 +27,7 @@ from pcclone.cloners import (
     run_model_batch,
 )
 from pcclone.compensation import _float_fields, optimize_symmetry
-from pcclone.experiment import parse_experiment, run_experiment
+from pcclone.experiment import parse_experiment, parse_model, run_experiment
 from pcclone.fock import (Port, Qubit, check_density, fidelity, photon_pair,
                           postselect_coincidence)
 
@@ -185,7 +185,14 @@ def test_mz_splits_like_a_reflectance_of_sin_squared(theta_V):
         assert (a.F1, a.F2, a.P_succ) == pytest.approx((b.F1, b.F2, b.P_succ), abs=1e-12)
     theta_opt = math.asin(math.sqrt(R_OPTIMAL))
     assert theta_opt == pytest.approx(1.093138017732642, abs=1e-9)
-    assert MachZehnderParams.ideal().theta_V == pytest.approx(theta_opt, abs=1e-12)
+    # the field defaults are the ideal angles
+    assert MachZehnderParams() == MachZehnderParams(theta_opt, theta_opt + math.pi / 2.0)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_every_device_defaults_to_its_ideal_setting(variant):
+    cls = ClonerParams.variants[variant]
+    assert cls() == cls.ideal()
 
 
 def test_mz_ideal_matches_special_bs():
@@ -311,6 +318,17 @@ def test_fiber_ideal():
     assert report.F1 == pytest.approx(F_PC, abs=1e-10)
     assert report.F2 == pytest.approx(F_PC, abs=1e-10)
     assert report.P_succ == pytest.approx(1.0 / 3.0, abs=1e-10)
+
+
+def test_fiber_analysis_phases_are_a_tuple():
+    assert FiberParams(analysis_phases=(0.5, 2)).analysis_phases == (0.5, 2)
+    with pytest.raises(ValueError, match=r"^analysis_phases must be a tuple of two "):
+        FiberParams(analysis_phases=[0.5, 2.0])
+    with pytest.raises(ValueError, match=r"^analysis_phases must be finite"):
+        FiberParams(analysis_phases=(0.5, math.nan))
+    # the configuration reader turns the JSON list into the tuple
+    model = parse_model({"variant": "fiber", "analysis_phases": [0.5, 2.0]})
+    assert model.analysis_phases == (0.5, 2.0)
 
 
 def test_fiber_79_21_splitting():

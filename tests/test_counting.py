@@ -102,10 +102,10 @@ def test_record_accepts_numpy_integers():
 
 
 @pytest.mark.parametrize("values, match", [
-    ((-1, 1, 1, 1, 10, 3), "c_pp must be non-negative"),
-    ((1, -1, 1, 1, 10, 3), "c_pm must be non-negative"),
-    ((1, 1, -1, 1, 10, 3), "c_mp must be non-negative"),
-    ((1, 1, 1, -1, 10, 3), "c_mm must be non-negative"),
+    ((-1, 1, 1, 1, 10, 3), "c_pp must be >= 0, got -1"),
+    ((1, -1, 1, 1, 10, 3), "c_pm must be >= 0, got -1"),
+    ((1, 1, -1, 1, 10, 3), "c_mp must be >= 0, got -1"),
+    ((1, 1, 1, -1, 10, 3), "c_mm must be >= 0, got -1"),
     ((1, 0, 0, 0, -20, 3), "n_pairs must be >= 1"),
     ((6, 6, 0, 0, 10, 3), "total coincidences cannot exceed n_pairs"),
     ((10**30, 0, 2, 0, 10, 3), r"^total coincidences cannot exceed n_pairs, "
