@@ -27,6 +27,7 @@ from .experiment import (
     CompareConfig,
     ConfigError,
     CountingOptions,
+    FORMATS,
     OptimizeConfig,
     OutputOptions,
     compare_experiments,
@@ -151,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="path to a JSON configuration")
     parser.add_argument("--seed", type=int, help="override the counting seed")
     parser.add_argument("--out", help="output path ('-' for stdout)")
-    parser.add_argument("--format", choices=("csv", "json"),
+    parser.add_argument("--format", choices=FORMATS,
                         help="output format override")
     return parser
 

@@ -34,25 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (
-    BUILD_TOL,
-    MIN_SUCCESS,
-    Port,
-    Qubit,
-    TwoQubitState,
-    _check_amplitude,
-    _check_finite,
-    _check_single,
-    _check_unit_interval,
-    _check_unit_interval_or_none,
-    _Checked,
-    _fidelity,
-    _require,
-    attenuator,
-    coupler,
-    photon_pair,
-    postselect_coincidence,
-)
+from .fock import (MIN_SUCCESS, Port, Qubit, TwoQubitState, _check_amplitude, _check_choice,
+                   _check_finite, _check_lossless, _check_pair, _check_sign, _check_single,
+                   _check_unit_interval, _Checked, _fidelity, _or_none, attenuator, coupler,
+                   photon_pair, postselect_coincidence)
 
 #: intensity reflectance of the optimal unbalanced splitter, (1 + 1/sqrt(3))/2:
 #: the root of 6 R^2 - 6 R + 1 = 0 in (1/2, 1]; the other root is 1 - R_OPTIMAL
@@ -66,23 +51,6 @@ F_SEMICLASSICAL = 0.75
 #: most rows one closed-form batch may have: a sweep per axis and in all, an
 #: optimizer grid in all (~2 kB of memory each)
 MAX_ROWS = 10**5
-
-
-def _check_sign(name, value):
-    _require(value in (-1, 1), value, f"{name} must be +1 or -1")
-
-
-def _check_lossless(name_r, name_t, r, t):
-    norm = r * r + t * t
-    _require(abs(norm - 1.0) <= BUILD_TOL, norm,
-             f"({name_r}, {name_t}) must satisfy r^2 + t^2 = 1")
-
-
-def _check_phase_pair(name, value):
-    if value is not None and not (isinstance(value, tuple) and len(value) == 2):
-        raise ValueError(f"{name} must be a tuple of two finite angles, got {value!r}")
-    for phase in value or ():
-        _check_finite(name, phase)
 
 
 def _standard_basis(analysis: Qubit):
@@ -132,7 +100,11 @@ class ClonerParams(_Checked):
 
     Every value class keeps its checks in one such table: ``Qubit``, the
     ``*Params`` classes, ``NoiseConfig``, ``DetectorBank``,
-    ``CoincidenceRecord``, ``CountingSetup`` and ``CountingOptions``.  A
+    ``CoincidenceRecord``, ``CountingSetup`` and the configuration documents
+    ``CountingOptions``, ``OutputOptions``, ``Sweep``, ``ExperimentConfig``
+    and ``CompareConfig``.  Their checks, the JSON readers' and those of the
+    circuit elements ``coupler`` and ``attenuator`` are the ones of
+    :mod:`fock`, which refuse a bool, or an array of bools, for a number.  A
     numeric field may also hold an array of candidates (the optimizer's
     batches), which the amplitudes broadcast over: the optimizer runs only
     the checks that read a candidate column, on every entry, and holds the
@@ -223,7 +195,7 @@ class SpecialBSParams(_Splitter, variant="special_bs"):
     comp_loss_r0: float = 1.0
     comp_loss_r1: float = 1.0
 
-    _checks = ((_check_unit_interval, "R0"), (_check_unit_interval_or_none, "R1"),
+    _checks = ((_check_unit_interval, "R0"), (_or_none(_check_unit_interval), "R1"),
                (_check_sign, "sign_convention"), (_check_unit_interval, "comp_loss_r0"),
                (_check_unit_interval, "comp_loss_r1"))
 
@@ -358,8 +330,8 @@ class FiberParams(_Splitter, variant="fiber"):
     detection_ratio_1: float = 0.5
     detection_ratio_2: float = 0.5
 
-    _checks = ((_check_unit_interval, "R_vrc0"), (_check_unit_interval_or_none, "R_vrc1"),
-               (_check_phase_pair, "analysis_phases"),
+    _checks = ((_check_unit_interval, "R_vrc0"), (_or_none(_check_unit_interval), "R_vrc1"),
+               (_or_none(_check_pair), "analysis_phases"),
                (_check_unit_interval, "detection_ratio_1"),
                (_check_unit_interval, "detection_ratio_2"))
 
@@ -592,8 +564,7 @@ def run_model(params: ClonerParams, input: Qubit, via: str = "closed_form",
     if not isinstance(params, ClonerParams):
         raise TypeError(f"unknown cloner parameter type: {type(params).__name__}")
     _check_single(input)
-    if via == "closed_form":
-        return run_model_batch(params, input, overlap_M).report(input)
+    _check_choice("via", via, ("closed_form", "circuit"))
     if via == "circuit":
         return CloneReport.from_joint(*circuit_joint_state(params, input, overlap_M), input)
-    raise ValueError(f"via must be 'closed_form' or 'circuit', got {via!r}")
+    return run_model_batch(params, input, overlap_M).report(input)

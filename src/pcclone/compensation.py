@@ -16,7 +16,8 @@ from typing import Mapping, get_type_hints
 import numpy as np
 
 from .cloners import MAX_ROWS, CloneReport, ClonerParams, HybridParams, run_model, run_model_batch
-from .fock import Qubit, _check_integer, _check_real, _check_single, _require, _run_checks
+from .fock import (Qubit, _check_choice, _check_integer, _check_pair, _check_real,
+                   _check_single, _require, _run_checks)
 
 #: objective name -> value to minimize, from the clone fidelities (floats or arrays)
 _OBJECTIVES = {
@@ -98,8 +99,7 @@ class OptimizationResult:
 
 
 def _objective_function(name: str):
-    if name not in _OBJECTIVES:
-        raise ValueError(f"objective must be one of {OBJECTIVES}, got {name!r}")
+    _check_choice("objective", name, OBJECTIVES)
     return _OBJECTIVES[name]
 
 
@@ -121,7 +121,7 @@ def optimize_symmetry(
     """Deterministic coarse-grid search plus compass refinement.
 
     ``free_parameters`` maps parameter-field names to closed search
-    intervals.  A free field must be annotated ``float`` or ``float | None``
+    intervals, tuples ``(lo, hi)`` of two finite numbers.  A free field must be annotated ``float`` or ``float | None``
     and hold a number in ``model``.  The grid has ``grid_points`` values per
     free parameter and at most ``MAX_ROWS`` points in all.  The incumbent
     starts at the unmodified model, so an already-optimal model is returned
@@ -162,8 +162,9 @@ def optimize_symmetry(
             raise ValueError(
                 f"free parameter {name!r} needs a real starting value, got {start!r}"
             )
-        lo, hi = (float(interval[0]), float(interval[1]))
-        if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
+        _check_pair(f"search interval for {name!r}", interval)
+        lo, hi = float(interval[0]), float(interval[1])
+        if lo > hi:
             raise ValueError(f"empty search interval for {name!r}: [{lo}, {hi}]")
         if not math.isfinite(hi - lo):
             # an infinite step never halves below REFINE_TOL

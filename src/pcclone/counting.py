@@ -50,7 +50,9 @@ import numpy as np
 from .cloners import CloneBatch, CloneReport, ClonerParams, _standard_basis, run_model_batch
 from .fock import (
     Qubit,
+    _check_choice,
     _check_integer,
+    _check_non_negative,
     _check_pairs,
     _check_real,
     _check_single,
@@ -59,9 +61,6 @@ from .fock import (
     _require,
 )
 from .noise import NoiseConfig, _harmonics, _jitter_walk, _moment_polynomial, jittered
-
-_check_non_negative = functools.partial(_check_integer, low=0)
-
 
 def _row_seeds(seed: int, n_rows: int) -> list[int]:
     """The seeds of ``n_rows`` counting rows drawn under one ``seed``."""
@@ -421,10 +420,7 @@ def balance_detectors(method: str, record_or_setup, detectors: DetectorBank):
     Returns unbiased ``(F1, F2)``; raises ``ValueError`` when no coincidence
     is registered.
     """
-    if method not in ("rescale", "add_loss", "basis_swap"):
-        raise ValueError(
-            f"method must be 'rescale', 'add_loss' or 'basis_swap', got {method!r}"
-        )
+    _check_choice("method", method, ("rescale", "add_loss", "basis_swap"))
     if method == "rescale":
         if not isinstance(record_or_setup, CoincidenceRecord):
             raise TypeError("rescale requires a CoincidenceRecord")

@@ -62,8 +62,9 @@ from typing import Annotated, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .cloners import MAX_ROWS, ClonerParams, run_model_batch
-from .counting import DetectorBank, _check_non_negative, _count_rows, _estimate_columns, _row_seeds
-from .fock import Qubit, _check_pairs, _Checked
+from .counting import DetectorBank, _count_rows, _estimate_columns, _row_seeds
+from .fock import (Qubit, _check_choice, _check_exactly_one, _check_finite, _check_integer,
+                   _check_non_negative, _check_pairs, _check_string, _Checked, _or_none, _require)
 from .noise import NoiseConfig
 
 
@@ -77,24 +78,20 @@ def _require_mapping(obj, field: str) -> dict:
     return obj
 
 
-def _require_number(value, field: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{field}: expected a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ConfigError(f"{field}: must be finite, got {value!r}")
-    return float(value)
+def _checked(check, convert=None):
+    """A JSON reader ``read(value, field, *rules)``: ``check(field, value, *rules)``,
+    its ValueError raised as a ConfigError, then the value or ``convert(value)``."""
+    def read(value, field, *rules):
+        try:
+            check(field, value, *rules)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        return value if convert is None else convert(value)
+    return read
 
 
-def _require_int(value, field: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{field}: expected an integer, got {value!r}")
-    return value
-
-
-def _require_str(value, field: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{field}: expected a string, got {value!r}")
-    return value
+_read_number = _checked(_check_finite, float)
+_read_integer = _checked(_check_integer)
 
 
 def _reject_unknown(mapping: dict, allowed, field: str):
@@ -136,7 +133,7 @@ def _reader(tp):
         return parse_model
     if dataclasses.is_dataclass(tp):
         return functools.partial(_read, tp)
-    return {float: _require_number, int: _require_int, str: _require_str}[tp]
+    return {float: _read_number, int: _read_integer, str: _checked(_check_string)}[tp]
 
 
 @functools.cache
@@ -191,11 +188,8 @@ def _block(cls):
 def parse_model(spec, field: str = "model") -> ClonerParams:
     spec = dict(_require_mapping(spec, field))
     variant = spec.pop("variant", None)
-    cls = ClonerParams.variants.get(variant) if isinstance(variant, str) else None
-    if cls is None:
-        raise ConfigError(f"{field}.variant: must be one of "
-                          f"{sorted(ClonerParams.variants)}, got {variant!r}")
-    return _read(cls, spec, field)
+    _checked(_check_choice)(variant, f"{field}.variant", sorted(ClonerParams.variants))
+    return _read(ClonerParams.variants[variant], spec, field)
 
 
 def _parse_axis(spec, field: str, domain=(-math.inf, math.inf)) -> tuple[float, ...]:
@@ -209,11 +203,9 @@ def _parse_axis(spec, field: str, domain=(-math.inf, math.inf)) -> tuple[float, 
         for key in ("start", "stop", "count"):
             if key not in spec:
                 raise ConfigError(f"{field}.{key}: required in a range sweep")
-        count = _require_int(spec["count"], f"{field}.count")
-        if not 1 <= count <= MAX_ROWS:
-            raise ConfigError(f"{field}.count: must lie in [1, {MAX_ROWS}], got {count}")
-        start = _require_number(spec["start"], f"{field}.start")
-        stop = _require_number(spec["stop"], f"{field}.stop")
+        count = _read_integer(spec["count"], f"{field}.count", 1, MAX_ROWS)
+        start = _read_number(spec["start"], f"{field}.start")
+        stop = _read_number(spec["stop"], f"{field}.stop")
         if count == 1:
             return (start,)
         step = (stop - start) / (count - 1)
@@ -221,14 +213,23 @@ def _parse_axis(spec, field: str, domain=(-math.inf, math.inf)) -> tuple[float, 
         return tuple(v if domain[0] <= v <= domain[1] else min(max(v, low), high)
                      for v in (start + k * step for k in range(count)))
     values = spec if isinstance(spec, list) else [spec]
-    if not 1 <= len(values) <= MAX_ROWS:
-        raise ConfigError(f"{field}: sweep list must be non-empty and hold at most "
-                          f"{MAX_ROWS} values, got {len(values)}")
-    return tuple([_require_number(v, field) for v in values])
+    return tuple([_read_number(v, field) for v in values])
+
+
+def _check_axis(name, value):
+    """Raise ValueError unless ``value`` is a tuple of 1 to ``MAX_ROWS`` entries."""
+    if not isinstance(value, tuple):
+        raise ValueError(f"{name} must be a tuple of numbers, got {value!r}")
+    _require(1 <= len(value) <= MAX_ROWS, len(value), f"{name} must hold 1 to {MAX_ROWS} values")
+
+
+def _check_rows(name_theta, name_phi, theta, phi):
+    _require(len(theta) * len(phi) <= MAX_ROWS, f"{len(theta)} x {len(phi)}",
+             f"at most {MAX_ROWS} rows")
 
 
 @dataclass(frozen=True)
-class Sweep:
+class Sweep(_Checked):
     """The ``sweep`` block: one input per (theta, phi) pair, theta-major."""
 
     theta: Annotated[tuple[float, ...], functools.partial(
@@ -236,10 +237,10 @@ class Sweep:
     phi: Annotated[tuple[float, ...], _parse_axis] = (0.0,)
     inputs: Qubit = dataclasses.field(init=False, repr=False, compare=False)
 
+    _checks = ((_check_axis, "theta"), (_check_axis, "phi"), (_check_rows, "theta", "phi"))
+
     def __post_init__(self):
-        if len(self.theta) * len(self.phi) > MAX_ROWS:
-            raise ValueError(f"at most {MAX_ROWS} rows, "
-                             f"got {len(self.theta)} x {len(self.phi)}")
+        super().__post_init__()
         object.__setattr__(self, "inputs", Qubit(np.repeat(self.theta, len(self.phi)),
                                                  np.tile(self.phi, len(self.theta))))
 
@@ -253,20 +254,28 @@ class CountingOptions(_Checked):
     _checks = ((_check_pairs, "n_pairs"), (_check_non_negative, "seed"))
 
 
+#: the output formats of :func:`render_rows`
+FORMATS = ("csv", "json")
+
+
 @dataclass(frozen=True)
-class OutputOptions:
+class OutputOptions(_Checked):
     format: str = "csv"
     path: str = "-"
 
-    def __post_init__(self):
-        if self.format not in ("csv", "json"):
-            raise ValueError(f"format must be 'csv' or 'json', got {self.format!r}")
-        if not isinstance(self.path, str) or not self.path:
-            raise ValueError(f"path must be a non-empty string, got {self.path!r}")
+    _checks = ((functools.partial(_check_choice, choices=FORMATS), "format"),
+               (functools.partial(_check_string, empty=False), "path"))
+
+
+def _check_label(name, value):
+    """Raise ValueError unless ``value`` is a string that fits one CSV cell."""
+    _check_string(name, value)
+    if any(c in value for c in ",\n\r"):
+        raise ValueError(f"{name} must not contain a comma or a line break, got {value!r}")
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(_Checked):
     """The document of ``pcclone run``, ``sweep`` and ``montecarlo``."""
 
     model: ClonerParams
@@ -277,13 +286,7 @@ class ExperimentConfig:
     output: OutputOptions | None = None
     label: str | None = None
 
-    def __post_init__(self):
-        if (self.input is None) == (self.sweep is None):
-            raise ValueError("input/sweep: exactly one of 'input' or 'sweep' "
-                             "is required")
-        if self.label is not None and any(c in self.label for c in ",\n\r"):
-            raise ValueError("label: must not contain a comma or a line break, "
-                             f"got {self.label!r}")
+    _checks = ((_check_exactly_one, "input", "sweep"), (_or_none(_check_label), "label"))
 
     @property
     def inputs(self) -> Qubit:
@@ -291,19 +294,25 @@ class ExperimentConfig:
         return self.input if self.sweep is None else self.sweep.inputs
 
 
+def _check_compared(name, configs):
+    """Raise ValueError unless compare can take ``configs`` (see :func:`_compared_labels`)."""
+    if not (isinstance(configs, tuple) and all(isinstance(c, ExperimentConfig) for c in configs)):
+        raise ValueError(f"{name} must be a tuple of ExperimentConfig, got {configs!r}")
+    for i, config in enumerate(configs):
+        if config.output is not None:
+            raise ValueError(f"{name}[{i}].output: a compared configuration "
+                             "takes no output block; the top-level one applies")
+    _compared_labels(configs)
+
+
 @dataclass(frozen=True)
-class CompareConfig:
+class CompareConfig(_Checked):
     """The document of ``pcclone compare``: labeled configurations, one output."""
 
     configs: tuple[ExperimentConfig, ...]
     output: OutputOptions = OutputOptions()
 
-    def __post_init__(self):
-        for i, config in enumerate(self.configs):
-            if config.output is not None:
-                raise ValueError(f"configs[{i}].output: a compared configuration "
-                                 "takes no output block; the top-level one applies")
-        _compared_labels(self.configs)
+    _checks = ((_check_compared, "configs"),)
 
 
 @dataclass(frozen=True)
@@ -429,8 +438,7 @@ def render_rows(columns: dict, fmt: str) -> str:
     as ``"%.10g" % x`` in CSV and ``repr(float("%.10g" % x))`` in JSON
     (``Infinity``, ``NaN`` when not finite); None is empty or ``null``.
     """
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
+    _check_choice("format", fmt, FORMATS)
     lengths = {len(values) for values in columns.values()}
     if len(lengths) != 1 or 0 in lengths:
         raise ValueError(f"columns must hold one or more rows, all as many; "

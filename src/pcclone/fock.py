@@ -18,13 +18,16 @@ below act on the four modes of one temporal bin; ``np.kron(np.eye(bins), U)``
 applies one to every bin.
 
 A :class:`Qubit` is one input state, or a batch of them held as arrays (a
-sweep), which the closed-form kernel evaluates in one call.  The field
-checks of every value class (see :class:`_Checked`) live here, below the rest.
+sweep), which the closed-form kernel evaluates in one call.  The checks of
+every value class and document (see :class:`_Checked`), of the JSON readers
+and of the elements above live here, below the rest: one word per rule.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -52,12 +55,7 @@ def coupler(a: int, b: int, r: float, t: float) -> np.ndarray:
     Creation operators transform as  a -> r a + t b,  b -> r b - t a,
     which is unitary exactly when r^2 + t^2 = 1.
     """
-    r = float(r)
-    t = float(t)
-    if abs(r * r + t * t - 1.0) > BUILD_TOL:
-        raise ValueError(
-            f"lossless coupler requires r^2 + t^2 = 1, got {r * r + t * t!r}"
-        )
+    _check_lossless("r", "t", r, t)
     if a == b:
         raise ValueError("coupler requires two distinct modes")
     u = np.eye(4)
@@ -71,13 +69,9 @@ def attenuator(transmittances) -> np.ndarray:
     Keeping only the no-photon-lost component is valid under coincidence
     post-selection with no dark counts; the result is sub-normalized.
     """
-    t = np.asarray(transmittances, dtype=float)
-    outside = ~((t >= 0.0) & (t <= 1.0))
-    if outside.any():
-        raise ValueError(
-            f"amplitude transmittance must be in [0, 1], got {t[outside][0]}"
-        )
-    return np.diag(t)
+    t = np.asarray(transmittances)
+    _check_unit_interval("amplitude transmittance", t)
+    return np.diag(t.astype(float))
 
 
 def photon_pair(x, y) -> np.ndarray:
@@ -104,57 +98,96 @@ def _require(ok, value, message):
 
 def _check_real(name, value, batch=True):
     """Raise ValueError unless ``value`` is a real number or, if ``batch``, a
-    non-empty array of them (a batch), which the range checks can compare."""
-    if isinstance(value, (int, float, np.integer, np.floating)):
+    non-empty array of them (a batch), which the range checks can compare.
+    A bool, Python's or numpy's, is not a number here, nor an array of them."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and value.__class__ is not bool:
         return
-    if not (batch and isinstance(value, np.ndarray) and value.dtype.kind in "biuf"):
+    if not (batch and isinstance(value, np.ndarray) and value.dtype.kind in "iuf"):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     if not value.size:
         raise ValueError(f"{name} must hold one or more values, got an empty array")
 
 
-def _check_unit_interval(name, value):
+def _or_none(check):
+    """``check``, which also passes None (a field whose None is its default rule)."""
+    return lambda name, value: value is None or check(name, value)
+
+
+def _check_within(name, value, low, high, shown):
+    """Raise ValueError unless ``value`` lies in [``low``, ``high``], written [``shown``]."""
     _check_real(name, value)
-    _require((0.0 <= value) & (value <= 1.0), value, f"{name} must lie in [0, 1]")
+    _require((low <= value) & (value <= high), value, f"{name} must lie in [{shown}]")
 
 
-def _check_unit_interval_or_none(name, value):
-    if value is not None:
-        _check_unit_interval(name, value)
+_check_unit_interval = functools.partial(_check_within, low=0.0, high=1.0, shown="0, 1")
+_check_amplitude = functools.partial(_check_within, low=-1.0, high=1.0, shown="-1, 1")
+_check_polar = functools.partial(_check_within, low=0.0, high=math.pi, shown="0, pi")
 
 
-def _check_amplitude(name, value):
+def _check_sign(name, value):
     _check_real(name, value)
-    _require((-1.0 <= value) & (value <= 1.0), value, f"{name} must lie in [-1, 1]")
+    _require((value == 1) | (value == -1), value, f"{name} must be +1 or -1")
 
 
-def _check_polar(name, value):
-    _check_real(name, value)
-    _require((0.0 <= value) & (value <= math.pi), value, f"{name} must lie in [0, pi]")
+def _check_lossless(name_r, name_t, r, t):
+    """Raise ValueError unless the amplitudes (r, t) satisfy r^2 + t^2 = 1."""
+    _check_real(name_r, r)
+    _check_real(name_t, t)
+    norm = r * r + t * t
+    _require(abs(norm - 1.0) <= BUILD_TOL, norm,
+             f"({name_r}, {name_t}) must satisfy r^2 + t^2 = 1")
 
 
-def _check_finite(name, value, low=None):
+def _check_finite(name, value, low=None, batch=True):
     """Raise ValueError unless ``value`` is finite, and at least ``low`` if given."""
-    _check_real(name, value)
-    # a Python int is finite, and may be too large for numpy
-    ok = np.isfinite(value) if isinstance(value, np.ndarray) else (
-        isinstance(value, int) or math.isfinite(value))
+    _check_real(name, value, batch)
+    # a Python int may be too large for a float, and for numpy
+    big = sys.float_info.max
+    ok = np.isfinite(value) if isinstance(value, np.ndarray) else -big <= value <= big
     _require(ok, value, f"{name} must be finite")
     if low is not None:
         _require(value >= low, value, f"{name} must be >= {low}")
 
 
-def _check_integer(name, value, low=None):
-    """Raise ValueError unless ``value`` is an integer, and at least ``low`` if given."""
+def _check_pair(name, value):
+    """Raise ValueError unless ``value`` is a tuple of two finite numbers."""
+    if not (isinstance(value, tuple) and len(value) == 2):
+        raise ValueError(f"{name} must be a tuple of two finite numbers, got {value!r}")
+    for item in value:
+        _check_finite(name, item, batch=False)
+
+
+def _check_integer(name, value, low=None, high=None):
+    """Raise ValueError unless ``value`` is an integer, not a bool, within the bounds given."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    _require(low is None or value >= low, value, f"{name} must be >= {low}")
+    if high is not None:
+        _require(low <= value <= high, value, f"{name} must lie in [{low}, {high}]")
+    elif low is not None:
+        _require(value >= low, value, f"{name} must be >= {low}")
 
 
-def _check_pairs(name, value):
-    """Raise ValueError unless ``value`` is an integer in [1, ``MAX_PAIRS``]."""
-    _check_integer(name, value)
-    _require(1 <= value <= MAX_PAIRS, value, f"{name} must lie in [1, {MAX_PAIRS}]")
+_check_non_negative = functools.partial(_check_integer, low=0)
+#: a count of photon pairs or of jitter trials
+_check_pairs = functools.partial(_check_integer, low=1, high=MAX_PAIRS)
+
+
+def _check_string(name, value, empty=True):
+    """Raise ValueError unless ``value`` is a string, and not empty unless ``empty``."""
+    if not (isinstance(value, str) and (empty or value)):
+        raise ValueError(f"{name} must be a {'' if empty else 'non-empty '}string, got {value!r}")
+
+
+def _check_exactly_one(name, other, value, other_value):
+    """Raise ValueError unless exactly one of two fields is set (is not None)."""
+    if (value is None) == (other_value is None):
+        raise ValueError(f"{name}/{other}: exactly one of {name!r} or {other!r} is required")
+
+
+def _check_choice(name, value, choices):
+    """Raise ValueError unless ``value`` is one of the strings ``choices``."""
+    if not (isinstance(value, str) and value in choices):
+        raise ValueError(f"{name} must be one of {choices}, got {value!r}")
 
 
 def _run_checks(checks, values):

@@ -9,12 +9,14 @@ cells, or exit 2 (a bad document) or 3 (an i/o error) with one stderr line
 and no output.  The line of an exit 2 names a key of the broken path.  No
 call may raise, and none may take 5 s.
 
-In the library, each numeric field of the value classes (the parameter
-objects, the input state, a coincidence record and a counting run) and each
-argument of the estimator and of the hybrid compensation solver takes each
-of :data:`VALUES` too: the call returns, or raises ValueError naming the
-field.  The estimator and the solver take numbers only: each of their arguments
-refuses an array, of one entry or more, with a type error naming itself.
+In the library, each field of the value classes (the parameter objects,
+the input state, a coincidence record and a counting run) and of the
+configuration documents, and each argument of the estimator and of the
+hybrid compensation solver, takes each of :data:`LIBRARY_VALUES`: the call
+returns, or raises ValueError naming the field.  A float field refuses a
+bool, Python's or numpy's, and an array of bools.  The estimator and the
+solver take numbers only: each of their arguments refuses an array, of one
+entry or more, with a type error naming itself.
 """
 
 import contextlib
@@ -25,6 +27,7 @@ import json
 import math
 import re
 import time
+import typing
 
 import numpy as np
 import pytest
@@ -45,10 +48,15 @@ from pcclone import (
 )
 from pcclone.cli import main
 from pcclone.compensation import MAX_MOVES
+from pcclone.experiment import (CompareConfig, CountingOptions, ExperimentConfig, OutputOptions,
+                                Sweep)
 from test_golden import CASES, GOLDEN
 
 #: the values every key path takes in turn
 VALUES = [math.nan, math.inf, -1, 0, -0.0, 1e308, 10**30, True, "x", None, [], {}, 2.5, 1]
+#: the values every library field takes in turn: those of a document and
+#: two that only Python code can pass
+LIBRARY_VALUES = [*VALUES, np.True_, np.array([True])]
 #: stands for the removal of a key path
 REMOVED = object()
 #: the one stderr line of a search that stopped at its budget
@@ -177,10 +185,17 @@ def counted(name):
     return call
 
 
+def experiment(label=None):
+    """A valid single-input configuration."""
+    return ExperimentConfig(SpecialBSParams(), input=Qubit(1.0, 0.5), label=label)
+
+
 #: a valid instance of each value class whose every field is tested alone
 BASES = [*(cls.ideal() for cls in (SpecialBSParams, MachZehnderParams, HybridParams,
                                    FiberParams)),
-         NoiseConfig(), DetectorBank(), Qubit(1.0, 0.5), CoincidenceRecord(1, 0, 2, 0, 10, 3)]
+         NoiseConfig(), DetectorBank(), Qubit(1.0, 0.5), CoincidenceRecord(1, 0, 2, 0, 10, 3),
+         OutputOptions(), experiment(), CompareConfig((experiment("a"), experiment("b"))),
+         Sweep(), CountingOptions(10)]
 
 #: "class.field" -> a call that takes one value for that field
 LIBRARY_FIELDS = {
@@ -195,13 +210,31 @@ LIBRARY_FIELDS = {
 }
 
 
-@pytest.mark.parametrize("value", VALUES, ids=repr)
+@pytest.mark.parametrize("value", LIBRARY_VALUES, ids=repr)
 @pytest.mark.parametrize("field", sorted(LIBRARY_FIELDS))
 def test_a_library_field_takes_a_bad_value_or_names_itself(field, value):
     try:
         LIBRARY_FIELDS[field](value)
     except ValueError as exc:
         assert names_a_key(str(exc), [field.split(".")[1]]), str(exc)
+
+
+#: "class.field" of every field annotated float or float | None
+FLOAT_FIELDS = sorted(f"{type(base).__name__}.{name}" for base in BASES
+                      for name, hint in typing.get_type_hints(type(base)).items()
+                      if hint in (float, float | None))
+
+
+def test_the_float_fields_are_found():
+    assert {"SpecialBSParams.R0", "SpecialBSParams.R1", "Qubit.theta",
+            "NoiseConfig.phase_jitter_sigma", "DetectorBank.eta_2m"} <= set(FLOAT_FIELDS)
+
+
+@pytest.mark.parametrize("value", [True, np.True_, np.array([True])], ids=repr)
+@pytest.mark.parametrize("field", FLOAT_FIELDS)
+def test_a_float_field_refuses_a_bool(field, value):
+    with pytest.raises(ValueError, match=rf"^{field.split('.')[1]} must be a real number, "):
+        LIBRARY_FIELDS[field](value)
 
 
 #: the arguments that take one number only

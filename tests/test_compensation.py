@@ -190,6 +190,21 @@ def test_optimizer_validates_arguments():
         optimize_symmetry(SpecialBSParams.ideal(), {"R0": (0.5, 1.0)}, "fastest")
 
 
+@pytest.mark.parametrize("interval, message", [
+    (("0.7", "0.85"), "must be a real number, got '0.7'"),
+    ((0.7, 0.85, "junk"), "must be a tuple of two finite numbers, got (0.7, 0.85, 'junk')"),
+    ((0.7, True), "must be a real number, got True"),
+    ((0.7, np.array([0.85])), "must be a real number, got array([0.85])"),
+    ((0.7, math.inf), "must be finite, got inf"),
+    ([0.7, 0.85], "must be a tuple of two finite numbers, got [0.7, 0.85]"),
+])
+def test_optimizer_reads_each_interval_as_two_finite_numbers(interval, message):
+    # float() would parse a string and a third item would go unread
+    with pytest.raises(ValueError) as error:
+        optimize_symmetry(SpecialBSParams.ideal(), {"R0": interval}, "min_fidelity_gap")
+    assert str(error.value) == f"search interval for 'R0' {message}"
+
+
 #: searches whose candidates leave a field's domain, the message that names
 #: the first bad value, and the rows of the batches evaluated before it
 INVALID_CANDIDATES = {

@@ -184,7 +184,7 @@ def test_a_new_device_is_one_class(monkeypatch, tmp_path, capsys):
     columns = run_experiment(config)
     assert columns["F1"] + columns["F2"] + columns["P_succ"] == pytest.approx(
         [reference.F1, reference.F2, reference.P_succ], abs=1e-12)
-    with pytest.raises(ConfigError, match="model.R: expected a number"):
+    with pytest.raises(ConfigError, match="model.R must be a real number"):
         parse_model({"variant": "probe", "R": "high"})
     with pytest.raises(ConfigError, match="unknown key"):
         parse_model({"variant": "probe", "R0": 0.6})
@@ -257,6 +257,33 @@ def test_a_device_under_jitter_is_one_class(drift, tmp_path, capsys):
     assert float(result["F2"]) == pytest.approx(F_PHASE_COVARIANT, abs=1e-9)
     assert float(result["R"]) == pytest.approx(R_OPTIMAL, abs=1e-4)
     assert float(result["phase"]) == pytest.approx(0.0, abs=1e-4)
+
+
+@pytest.mark.parametrize("command, block", [
+    ("run", {"input": {"theta": math.pi / 2, "phi": 1.1}}),
+    ("sweep", {"sweep": {"phi": {"start": 0.3, "stop": 5.9, "count": 5}},
+               "output": {"format": "json"}}),
+])
+def test_run_and_sweep_over_a_jittered_device_match_the_fiber_cloner(
+        drift, tmp_path, capsys, command, block):
+    # at phase 0 the drift device is the fiber cloner, whose balanced
+    # detection blocks on the equator are the input's basis: the counted
+    # rows under jitter and M < 1 print the same bytes
+    path = tmp_path / "config.json"
+
+    def output(model, sigma=0.05):
+        path.write_text(json.dumps({
+            "model": model, **block, "counting": {"n_pairs": 5000, "seed": 4},
+            "noise": {"overlap_M": 0.93, "phase_jitter_sigma": sigma,
+                      "jitter_reset_period": 30}}), encoding="utf-8")
+        assert main([command, "--config", str(path), "--out", "-"]) == 0
+        return capsys.readouterr().out
+
+    jittered = output({"variant": "drift", "R": 0.77})
+    assert jittered == output({"variant": "fiber", "R_vrc0": 0.77})
+    # the jitter and the device's own phase both reach the counts
+    assert jittered != output({"variant": "drift", "R": 0.77}, sigma=0.0)
+    assert jittered != output({"variant": "drift", "R": 0.77, "phase": 0.3})
 
 
 #: 64 equatorial inputs, evenly spaced

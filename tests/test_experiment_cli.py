@@ -98,7 +98,7 @@ def test_parse_names_offending_field():
 
 
 def test_parse_rejects_empty_sweep_list():
-    with pytest.raises(ConfigError, match="non-empty"):
+    with pytest.raises(ConfigError, match=r"^sweep.phi must hold 1 to \d+ values, got 0$"):
         parse_experiment(
             {"model": {"variant": "special_bs"}, "sweep": {"phi": []}}
         )
@@ -149,16 +149,23 @@ _SWEEP = {"model": {"variant": "special_bs"}, "sweep": {"phi": [0.0]}}
      "input/sweep: exactly one of 'input' or 'sweep' is required"),
     ("run", dict(_SWEEP, input=None), "input: expected an object"),
     ("run", dict(ideal_single(), sweep=None), "sweep: expected an object"),
-    ("run", dict(_SWEEP, sweep={"theta": "pole"}), "sweep.theta: expected a number"),
+    ("run", dict(_SWEEP, sweep={"theta": "pole"}), "sweep.theta must be a real number"),
     ("run", dict(_SWEEP, sweep={"theta": {"start": 0, "stop": 1}}),
      "sweep.theta.count: required"),
     ("run", dict(_SWEEP, sweep={"theta": {"start": 0, "stop": 1, "count": 0}}),
-     "sweep.theta.count: must lie in"),
+     "sweep.theta.count must lie in"),
     ("run", dict(_SWEEP, sweep={"theta": [0.5, 3.5]}),
      "sweep.theta must lie in [0, pi], got 3.5"),
     ("run", dict(_SWEEP, sweep={"theta": {"start": 0, "stop": 3.5, "count": 3}}),
      "sweep.theta must lie in [0, pi], got 3.5"),
-    ("run", dict(ideal_single(), label=5), "label: expected a string"),
+    ("run", dict(ideal_single(), label=5), "label must be a string"),
+    # json reads this as an int, which no float holds
+    ("run", dict(ideal_single(), input={"theta": 1.0, "phi": 10**400}),
+     "input.phi must be finite, got 1000"),
+    ("run", dict(_SWEEP, sweep={"phi": {"start": 0, "stop": -10**400, "count": 2}}),
+     "sweep.phi.stop must be finite, got -1000"),
+    ("run", dict(ideal_single(), model={"variant": "special_bs", "R0": True}),
+     "model.R0 must be a real number, got True"),
     ("compare", {"configs": ideal_single()}, "configs: expected a list"),
     ("compare", {}, "configs: required"),
     ("compare", None, "config: expected an object"),
@@ -167,7 +174,7 @@ _SWEEP = {"model": {"variant": "special_bs"}, "sweep": {"phi": [0.0]}}
     ("compare", _compare(ideal_single(), dict(ideal_single(), q=1)),
      "configs[1]: unknown key(s) ['q']"),
     ("compare", _compare(ideal_single(), dict(ideal_single(), model={"variant": "x"})),
-     "configs[1].model.variant: must be one of"),
+     "configs[1].model.variant must be one of"),
     ("compare", _compare(dict(ideal_single(), sweep={"phi": [0.0]}), ideal_single()),
      "configs[0].input/sweep: exactly one"),
     ("compare", _compare(ideal_single(), {"model": {"variant": "fiber"}}),
@@ -175,7 +182,7 @@ _SWEEP = {"model": {"variant": "special_bs"}, "sweep": {"phi": [0.0]}}
     ("compare", _compare(ideal_single(), dict(_SWEEP, sweep={"theta": [4.0]})),
      "configs[1].sweep.theta must lie in [0, pi], got 4.0"),
     ("compare", _compare(ideal_single(), dict(_SWEEP, sweep={"phi": "x"})),
-     "configs[1].sweep.phi: expected a number"),
+     "configs[1].sweep.phi must be a real number"),
     ("optimize", dict(_FREE, mistyped=1), "config: unknown key(s) ['mistyped']"),
     ("optimize", None, "config: expected an object"),
     ("optimize", {"model": {"variant": "special_bs"}, "objective": "min_fidelity_gap"},
@@ -185,7 +192,7 @@ _SWEEP = {"model": {"variant": "special_bs"}, "sweep": {"phi": [0.0]}}
     ("optimize", dict(_FREE, free_parameters={"R0": [0.5]}),
      "free_parameters.R0: expected a list of 2 values"),
     ("optimize", dict(_FREE, output={"format": "xml"}),
-     "output.format must be 'csv' or 'json'"),
+     "output.format must be one of ('csv', 'json')"),
 ])
 def test_malformed_documents_exit_2_naming_the_field(tmp_path, capsys, command,
                                                      payload, named):
@@ -935,7 +942,7 @@ def test_sizes_over_the_caps_end_in_exit_2(tmp_path, capsys):
     assert main(["montecarlo", "--config", write_config(tmp_path, config)]) == 2
     assert "counting.n_pairs" in capsys.readouterr().err
     over = {"start": 0.0, "stop": 1.0, "count": MAX_ROWS + 1}
-    with pytest.raises(ConfigError, match="sweep.phi.count: must lie in"):
+    with pytest.raises(ConfigError, match="sweep.phi.count must lie in"):
         parse_experiment({"model": {"variant": "fiber"}, "sweep": {"phi": over}})
     # two small axes within the cap whose product of rows is not
     grid = {"theta": {"start": 0.0, "stop": 1.0, "count": MAX_ROWS // 1000 + 1},

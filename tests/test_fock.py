@@ -81,6 +81,20 @@ def test_coupler_rejects_lossy_pair():
         coupler(M1R0, M2R0, 0.9, 0.9)
 
 
+@pytest.mark.parametrize("r, t, message", [
+    (0.9, 0.9, "(r, t) must satisfy r^2 + t^2 = 1, got 1.62"),
+    (math.nan, 0.5, "(r, t) must satisfy r^2 + t^2 = 1, got nan"),
+    ("0.6", 0.8, "r must be a real number, got '0.6'"),
+    (0.6, True, "t must be a real number, got True"),
+])
+def test_coupler_checks_its_amplitudes_as_a_lossless_pair(r, t, message):
+    # the rule a hybrid's (r0, t0) field pair obeys, with its message, which
+    # a NaN amplitude fails too
+    with pytest.raises(ValueError) as error:
+        coupler(M1R0, M2R0, r, t)
+    assert str(error.value) == message
+
+
 def test_coupler_rejects_identical_modes():
     with pytest.raises(ValueError, match="distinct"):
         coupler(M1R0, M1R0, 1.0, 0.0)
@@ -189,6 +203,38 @@ def test_attenuator_rejects_out_of_range():
         attenuator([1.2, 1.0, 1.0, 1.0])
     with pytest.raises(ValueError, match="transmittance"):
         attenuator([1.0, float("nan"), 1.0, 1.0])
+    # the unit-interval rule of the plate fields, with its message
+    with pytest.raises(ValueError, match=r"^amplitude transmittance must lie in \[0, 1\], "
+                                         r"got 1.2$"):
+        attenuator([1.0, 1.2, 1.0, 1.0])
+    for bad in (["0.5", 1.0], [True, False]):
+        with pytest.raises(ValueError, match="^amplitude transmittance must be a real number"):
+            attenuator(bad)
+    assert attenuator([1, 0]).dtype == float
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: SpecialBSParams(R0=True), "R0"),
+    (lambda: SpecialBSParams(sign_convention=True), "sign_convention"),
+    (lambda: SpecialBSParams(sign_convention=np.array([True])), "sign_convention"),
+    (lambda: NoiseConfig(phase_jitter_sigma=True), "phase_jitter_sigma"),
+    (lambda: NoiseConfig(overlap_M=np.True_), "overlap_M"),
+    (lambda: Qubit(np.array([True, False])), "theta"),
+    (lambda: Qubit(1.0, np.array([True])), "phi"),
+])
+def test_a_bool_is_not_a_number(build, field):
+    # as the configuration reader refuses a JSON true
+    with pytest.raises(ValueError, match=f"^{field} must be a real number, got "):
+        build()
+
+
+def test_an_integer_too_large_for_a_float_is_not_finite():
+    # float() of it overflows; it is refused as the field's value instead
+    with pytest.raises(ValueError, match="^phi must be finite, got 1000"):
+        Qubit(1.0, 10**400)
+    with pytest.raises(ValueError, match="^theta_V must be finite"):
+        MachZehnderParams(theta_V=-10**400)
+    assert Qubit(1.0, 10**300).phi == math.fmod(1e300, 2 * math.pi)
 
 
 # ---------------------------------------------------------------------------
