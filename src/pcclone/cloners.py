@@ -29,6 +29,7 @@ rail-r1 paths (r0*r1 = -t0*t1) is carried by a signed rail-r1 transmittance.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -98,17 +99,13 @@ class ClonerParams(_Checked):
       means that ``delta`` does not reach the device at all;
     * optionally ``analyzer_bases``, its analyzers when no analysis state is set.
 
-    Every value class keeps its checks in one such table: ``Qubit``, the
-    ``*Params`` classes, ``NoiseConfig``, ``DetectorBank``,
-    ``CoincidenceRecord``, ``CountingSetup`` and the configuration documents
-    ``CountingOptions``, ``OutputOptions``, ``Sweep``, ``ExperimentConfig``
-    and ``CompareConfig``.  Their checks, the JSON readers' and those of the
-    circuit elements ``coupler`` and ``attenuator`` are the ones of
-    :mod:`fock`, which refuse a bool, or an array of bools, for a number.  A
-    numeric field may also hold an array of candidates (the optimizer's
-    batches), which the amplitudes broadcast over: the optimizer runs only
-    the checks that read a candidate column, on every entry, and holds the
-    columns with :meth:`_trusted`.
+    Every value class keeps its checks in such a table (README lists them),
+    with the checks of :mod:`fock`, which refuse a bool, or an array of
+    bools, for a number.  A numeric field may also hold an array of
+    candidates (the optimizer's batches), which the amplitudes broadcast
+    over: the optimizer runs only the checks that read a candidate column,
+    on every entry, and builds the model with ``_trusted``, the one
+    unchecked constructor of every value class.
     """
 
     variants: dict = {}
@@ -118,13 +115,6 @@ class ClonerParams(_Checked):
         super().__init_subclass__(**kwargs)
         if variant is not None:
             ClonerParams.variants[variant] = cls
-
-    @classmethod
-    def _trusted(cls, values):
-        """A model of the field ``values``, unchecked: their checks have passed."""
-        model = object.__new__(cls)
-        vars(model).update(values)
-        return model
 
     @classmethod
     def ideal(cls):
@@ -416,12 +406,12 @@ def conditional_sector_vectors(
     detected photons and mix incoherently: one at ``overlap_M`` = 1, three
     below.  ``phase_errors`` feeds per-trial jitter into the architectures
     that respond to it; without it there is one trial.  The input is read as
-    the one-element row of :func:`_input_rows`, so that one trial keeps the
-    bits of its row in :func:`run_model_batch`.
+    the one-element row of its ``_rows``, so that one trial keeps the bits
+    of its row in :func:`run_model_batch`.
     """
     _check_single(input)
     _check_unit_interval("overlap M", overlap_M)
-    alpha, beta = _input_rows(input)[:2]
+    alpha, beta = input._rows[:2]
     delta = 0.0 if phase_errors is None else np.asarray(phase_errors, float)
     vectors = _sector_stack(params, alpha, beta, overlap_M, delta)
     return vectors.reshape((-1,) + vectors.shape[-2:])
@@ -438,6 +428,7 @@ def _joint_states(v: np.ndarray) -> np.ndarray:
     return (v[:, :, :, None] * v.conj()[:, :, None, :]).sum(axis=1)
 
 
+@dataclass(frozen=True, eq=False)
 class CloneBatch:
     """F1, F2 and P_succ, one entry per input, and the joint states on read.
 
@@ -448,17 +439,17 @@ class CloneBatch:
     and a zero joint state.
     """
 
-    def __init__(self, P_succ, F1, F2, vectors):
-        self.P_succ, self.F1, self.F2, self._vectors = P_succ, F1, F2, vectors
-        self._joint = None
+    P_succ: np.ndarray
+    F1: np.ndarray
+    F2: np.ndarray
+    _vectors: np.ndarray
 
-    @property
+    @functools.cached_property
     def joint(self) -> np.ndarray:
-        if self._joint is None:
-            keep = self.P_succ[:, None, None] > 0.0
-            self._joint = np.where(keep, _joint_states(self._vectors), 0.0)
-            self._joint.flags.writeable = False
-        return self._joint
+        keep = self.P_succ[:, None, None] > 0.0
+        joint = np.where(keep, _joint_states(self._vectors), 0.0)
+        joint.flags.writeable = False
+        return joint
 
     def report(self, input: Qubit, row: int = 0) -> CloneReport:
         """Row ``row`` as the report of its input ``input``."""
@@ -467,17 +458,6 @@ class CloneBatch:
         joint = TwoQubitState._trusted(_joint_states(self._vectors[row:row + 1])[0])
         return CloneReport(input, *(float(c[row]) for c in (self.P_succ, self.F1, self.F2)),
                            joint)
-
-
-def _input_rows(inputs: Qubit):
-    """(alpha, beta, bra, ket) of ``inputs``, one row per state, kept in the
-    instance: an optimizer's batches all read one input."""
-    rows = vars(inputs).get("_rows")
-    if rows is None:
-        psi = inputs.amplitudes().reshape(-1, 2)
-        rows = vars(inputs)["_rows"] = (psi[:, 0], psi[:, 1], psi.conj()[:, None, :],
-                                         psi[:, :, None])
-    return rows
 
 
 def run_model_batch(params: ClonerParams, inputs: Qubit,
@@ -495,7 +475,7 @@ def run_model_batch(params: ClonerParams, inputs: Qubit,
     the temporal sectors) are built on first read (:class:`CloneBatch`).
     """
     _check_unit_interval("overlap M", overlap_M)
-    alpha, beta, bra, ket = _input_rows(inputs)
+    alpha, beta, bra, ket = inputs._rows
     vectors = _sector_stack(params, alpha, beta, overlap_M, 0.0)
     # stacked (1 x k) @ (k x 1) products give np.vdot's bits
     flat = vectors.reshape(len(vectors), -1)

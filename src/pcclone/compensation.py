@@ -184,7 +184,7 @@ def optimize_symmetry(
         """The batch of the rows of ``points``, and their objective values."""
         candidates = {**vars(model), **{name: points[:, j] for j, name in enumerate(names)}}
         _run_checks(checks, candidates)
-        batch = run_model_batch(model._trusted(candidates), target)
+        batch = run_model_batch(model._trusted(**candidates), target)
         values = np.where(batch.P_succ > 0.0, score(batch.F1, batch.F2), math.inf)
         if len(values) < len(points):  # a field the amplitudes never read: one row
             values = np.broadcast_to(values, len(points))
@@ -237,7 +237,7 @@ def optimize_symmetry(
 
     # the best point's values passed their checks in the batch that held them
     return OptimizationResult(
-        params=model._trusted({**vars(model), **dict(zip(names, best_point))}),
+        params=model._trusted(**{**vars(model), **dict(zip(names, best_point))}),
         report=best_batch.report(target, min(best_row, len(best_batch.P_succ) - 1)),
         objective_value=best_value,
         evaluations=evaluations,

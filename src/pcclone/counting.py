@@ -283,8 +283,8 @@ def _count_rows(model: ClonerParams, noise: NoiseConfig, inputs: Qubit, n_pairs:
     eff = detectors.pattern_efficiencies()
     if jittered(model, noise):
         rows = zip(np.ravel(inputs.theta).tolist(), np.ravel(inputs.phi).tolist(), w, seeds)
-        return np.array([_jitter_counts(model, noise, Qubit._trusted(theta, phi), n_pairs,
-                                        w_row, eff, seed)
+        return np.array([_jitter_counts(model, noise, Qubit._trusted(theta=theta, phi=phi),
+                                        n_pairs, w_row, eff, seed)
                          for theta, phi, w_row, seed in rows])
     pvals = _static_pvals(w, batch.P_succ, batch.joint, eff)
     rng = np.random.default_rng(0)
@@ -445,6 +445,7 @@ def balance_detectors(method: str, record_or_setup, detectors: DetectorBank):
         f1, f2, _ = _estimates(record.counts().tolist(), record.n_pairs)
     else:
         setup = record_or_setup
+        _check_single(setup.input)
         if setup.n_pairs % 4:
             raise ValueError(
                 "basis_swap splits the trials evenly over four analyzer settings; "
@@ -459,18 +460,16 @@ def balance_detectors(method: str, record_or_setup, detectors: DetectorBank):
                 raise ValueError("basis_swap: the device's own analyzers do not measure "
                                  "in the input's basis; give an explicit analysis")
             pair = setup.input, setup.input
-        a1, a2 = pair
-        settings = [(s1, s2) for s1 in (a1, a1.orthogonal())
-                    for s2 in (a2, a2.orthogonal())]
-        n_each = setup.n_pairs // 4
-        counts = []
-        for setting, child in zip(settings, _row_seeds(setup.seed, 4)):
-            record = simulate_counts(
-                setup.model, setup.noise, setup.input, n_each,
-                detectors, child, analysis=setting,
-            )
-            counts.append(record.c_pp)
-        f1, f2, _ = _estimates(counts, setup.n_pairs)
+        # the settings (a1, a2), (a1, a2'), (a1', a2), (a1', a2') are four rows
+        (a1, a2), (b1, b2) = pair, (pair[0].orthogonal(), pair[1].orthogonal())
+        inputs, side1, side2 = (Qubit._trusted(theta=np.array([q.theta for q in states]),
+                                               phi=np.array([q.phi for q in states]))
+                                for states in ([setup.input] * 4, (a1, a1, b1, b1),
+                                               (a2, b2, a2, b2)))
+        batch = run_model_batch(setup.model, inputs, setup.noise.overlap_M)
+        counts = _count_rows(setup.model, setup.noise, inputs, setup.n_pairs // 4, detectors,
+                             _row_seeds(setup.seed, 4), batch, (side1, side2))
+        f1, f2, _ = _estimates(counts[:, 0].tolist(), setup.n_pairs)
     if f1 is None:
         raise ValueError(
             f"{method} registered no coincidence in {record_or_setup.n_pairs} trials"

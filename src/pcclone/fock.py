@@ -201,13 +201,21 @@ def _run_checks(checks, values):
 
 
 class _Checked:
-    """A value class that lists its field checks in one table, ``_checks``:
-    ``(check, *fields)`` entries that ``__post_init__`` runs in order."""
+    """A frozen dataclass that lists its field checks in one table, ``_checks``:
+    ``(check, *fields)`` entries that ``__post_init__`` runs in order, and
+    that :meth:`_trusted`, its one unchecked constructor, skips."""
 
     _checks = ()
 
     def __post_init__(self):
         _run_checks(self._checks, vars(self))
+
+    @classmethod
+    def _trusted(cls, **fields):
+        """An instance of ``fields``, unchecked: values that passed their checks."""
+        value = object.__new__(cls)
+        vars(value).update(fields)
+        return value
 
 
 @dataclass(frozen=True)
@@ -251,13 +259,6 @@ class Qubit(_Checked):
         return hash((self.theta, self.phi))
 
     @classmethod
-    def _trusted(cls, theta, phi) -> "Qubit":
-        """Hold fields that a Qubit already validated and reduced, unchecked."""
-        state = object.__new__(cls)
-        state.__dict__.update(theta=theta, phi=phi)
-        return state
-
-    @classmethod
     def equatorial(cls, phi) -> "Qubit":
         return cls(math.pi / 2.0, phi)
 
@@ -269,14 +270,22 @@ class Qubit(_Checked):
         from its array loops in the sign of a zero.  The array is computed
         once per instance and returned read-only on every call.
         """
-        if "_amplitudes" not in self.__dict__:
-            half = np.ravel(self.theta) / 2.0
-            phase = np.exp(1j * np.ravel(self.phi))
-            psi = np.stack([np.cos(half) + 0j, np.sin(half) * phase], axis=-1)
-            psi = psi.reshape(np.shape(self.theta) + (2,))
-            psi.flags.writeable = False
-            self.__dict__["_amplitudes"] = psi
-        return self.__dict__["_amplitudes"]
+        return self._amplitudes
+
+    @functools.cached_property
+    def _amplitudes(self) -> np.ndarray:
+        half = np.ravel(self.theta) / 2.0
+        phase = np.exp(1j * np.ravel(self.phi))
+        psi = np.stack([np.cos(half) + 0j, np.sin(half) * phase], axis=-1)
+        psi = psi.reshape(np.shape(self.theta) + (2,))
+        psi.flags.writeable = False
+        return psi
+
+    @functools.cached_property
+    def _rows(self):
+        """The kernels' (alpha, beta, bra, ket) of the amplitudes, one row per state."""
+        psi = self._amplitudes.reshape(-1, 2)
+        return psi[:, 0], psi[:, 1], psi.conj()[:, None, :], psi[:, :, None]
 
     def orthogonal(self) -> "Qubit":
         return Qubit(math.pi - self.theta, self.phi + math.pi)
@@ -289,19 +298,18 @@ def _check_single(input: Qubit):
                          f"{np.shape(input.theta)}")
 
 
-def check_density(m: np.ndarray, name: str, imag_trace: bool = True) -> None:
+def check_density(m: np.ndarray, name: str) -> None:
     """Raise ValueError unless every matrix of ``m`` is a density matrix.
 
-    ``m`` is one (d, d) matrix or a stack (..., d, d).  Each must be
-    Hermitian, have trace 1 (real part only when ``imag_trace`` is False)
-    and no eigenvalue below -CHECK_TOL; ``name`` opens the error message.
+    ``m`` is one (d, d) matrix or a stack (..., d, d).  Each must be finite,
+    Hermitian, have trace 1 and no eigenvalue below -CHECK_TOL; ``name``
+    opens the error message.
     """
+    _require(np.isfinite(m), m, f"{name} must be finite")
     if np.abs(m - m.conj().swapaxes(-1, -2)).max() > CHECK_TOL:
         raise ValueError(f"{name} is not Hermitian")
     trace = m.trace(axis1=-2, axis2=-1)
-    off = np.abs(trace.real - 1.0)
-    if imag_trace:
-        off = np.maximum(off, np.abs(trace.imag))
+    off = np.maximum(np.abs(trace.real - 1.0), np.abs(trace.imag))
     if off.max() > CHECK_TOL:
         raise ValueError(
             f"{name} trace must be 1, got {np.ravel(trace)[np.argmax(off)]}"
@@ -310,39 +318,48 @@ def check_density(m: np.ndarray, name: str, imag_trace: bool = True) -> None:
         raise ValueError(f"{name} has a negative eigenvalue")
 
 
-class TwoQubitState:
+def _check_state(name, value, dim):
+    """Raise ValueError unless ``value`` is one dim x dim density matrix of numbers."""
+    m = np.asarray(value)
+    if m.dtype.kind not in "iufc" or m.shape != (dim, dim):
+        raise ValueError(f"{name} must be a {dim}x{dim} matrix of numbers, "
+                         f"got dtype {m.dtype}, shape {m.shape}")
+    check_density(m.astype(complex), name)
+
+
+@dataclass(frozen=True, eq=False)
+class TwoQubitState(_Checked):
     """Post-selected two-clone state over rail (x) rail.
 
     Basis order is |q1 q2> with index 2*q1 + q2, where q1 is the rail of the
     OUT1 photon and q2 the rail of the OUT2 photon.  The state may be mixed
-    (incoherent over temporal sectors) and is stored as a 4x4 density matrix.
+    (incoherent over temporal sectors) and is stored as a read-only 4x4
+    density matrix.  Two states are equal only when they are one object.
     """
 
-    __slots__ = ("rho",)
+    rho: np.ndarray
 
-    def __init__(self, rho):
-        m = np.array(rho, dtype=complex)
-        if m.shape != (4, 4):
-            raise ValueError(f"two-qubit state must be 4x4, got {m.shape}")
-        check_density(m, "two-qubit state", imag_trace=False)
-        m.flags.writeable = False
-        object.__setattr__(self, "rho", m)
+    _checks = ((functools.partial(_check_state, dim=4), "rho"),)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TwoQubitState is immutable")
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "rho", np.array(self.rho, dtype=complex))
+        self.rho.flags.writeable = False
 
     @classmethod
     def _trusted(cls, rho: np.ndarray) -> "TwoQubitState":
-        """Hold a kernel's own complex 4x4 density matrix read-only, unchecked."""
-        state = object.__new__(cls)
+        """A kernel's own complex 4x4 density matrix, held read-only, unchecked."""
         rho.flags.writeable = False
-        object.__setattr__(state, "rho", rho)
-        return state
+        return super()._trusted(rho=rho)
 
     def reduced(self, which_port: Port) -> np.ndarray:
         """The clone at ``which_port``: the partial trace, a read-only 2x2 array."""
+        try:
+            port = Port(which_port)
+        except ValueError:
+            raise ValueError(f"which_port must be Port.OUT1 or OUT2, got {which_port!r}") from None
         r = self.rho.reshape(2, 2, 2, 2)
-        m = np.einsum("ijkj->ik" if which_port == Port.OUT1 else "ijil->jl", r)
+        m = np.einsum("ijkj->ik" if port == Port.OUT1 else "ijil->jl", r)
         m.flags.writeable = False
         return m
 
@@ -380,11 +397,8 @@ def postselect_coincidence(amplitudes):
 def fidelity(rho, target: Qubit) -> float:
     """Overlap <psi| rho |psi> between a caller's 2x2 density matrix and the
     target qubit; ``rho`` is checked first."""
-    m = np.asarray(rho, dtype=complex)
-    if m.shape != (2, 2):
-        raise ValueError(f"density matrix must be 2x2, got {m.shape}")
-    check_density(m, "density matrix")
-    return _fidelity(m, target)
+    _check_state("rho", rho, 2)
+    return _fidelity(np.asarray(rho, dtype=complex), target)
 
 
 def _fidelity(m: np.ndarray, target: Qubit) -> float:

@@ -10,13 +10,14 @@ and no output.  The line of an exit 2 names a key of the broken path.  No
 call may raise, and none may take 5 s.
 
 In the library, each field of the value classes (the parameter objects,
-the input state, a coincidence record and a counting run) and of the
-configuration documents, and each argument of the estimator and of the
-hybrid compensation solver, takes each of :data:`LIBRARY_VALUES`: the call
-returns, or raises ValueError naming the field.  A float field refuses a
-bool, Python's or numpy's, and an array of bools.  The estimator and the
-solver take numbers only: each of their arguments refuses an array, of one
-entry or more, with a type error naming itself.
+the input state, a two-qubit state, a coincidence record and a counting
+run) and of the configuration documents, and each argument of the
+estimator and of the hybrid compensation solver, takes each of
+:data:`LIBRARY_VALUES`: the call returns, or raises ValueError naming the
+field.  A float field refuses a bool, Python's or numpy's, and an array of
+bools.  The estimator and the solver take numbers only: each of their
+arguments refuses an array, of one entry or more, with a type error naming
+itself.
 """
 
 import contextlib
@@ -42,6 +43,7 @@ from pcclone import (
     NoiseConfig,
     Qubit,
     SpecialBSParams,
+    TwoQubitState,
     balance_detectors,
     estimator_sigma,
     solve_hybrid_compensation,
@@ -195,7 +197,7 @@ BASES = [*(cls.ideal() for cls in (SpecialBSParams, MachZehnderParams, HybridPar
                                    FiberParams)),
          NoiseConfig(), DetectorBank(), Qubit(1.0, 0.5), CoincidenceRecord(1, 0, 2, 0, 10, 3),
          OutputOptions(), experiment(), CompareConfig((experiment("a"), experiment("b"))),
-         Sweep(), CountingOptions(10)]
+         Sweep(), CountingOptions(10), TwoQubitState(np.eye(4) / 4.0)]
 
 #: "class.field" -> a call that takes one value for that field
 LIBRARY_FIELDS = {

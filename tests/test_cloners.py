@@ -803,3 +803,11 @@ def test_stacked_validator_rejects_one_bad_matrix():
     bad_trace[0] = [[0.7, 0.0], [0.0, 0.7]]
     with pytest.raises(ValueError, match="trace must be 1"):
         check_density(bad_trace, "density matrix")
+
+    for bad in (np.nan, np.inf):
+        non_finite = stack.copy()
+        non_finite[1] = bad
+        with pytest.raises(ValueError, match="density matrix must be finite, got "):
+            check_density(non_finite, "density matrix")
+    with pytest.raises(ValueError, match="density matrix must be finite, got "):
+        check_density(np.full((3, 2, 2), np.nan), "density matrix")

@@ -101,7 +101,7 @@ def test_kernel_states_are_density_matrices(variant, m, data):
     batch = run_model_batch(params, SWEEP_BATCH, m)
     kept = batch.P_succ > 0.0
     assert kept.any()
-    check_density(batch.joint[kept], "two-qubit state", imag_trace=False)
+    check_density(batch.joint[kept], "two-qubit state")
     assert not batch.joint[~kept].any()
     reports = [run_model(params, q, overlap_M=m) for q in SWEEP]
     marginals = [rho for r in reports if not r.is_empty

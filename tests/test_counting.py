@@ -33,6 +33,7 @@ from pcclone.counting import (
     _estimates,
     _pattern_vectors,
     _pcg64_states,
+    _row_seeds,
     _seed_words,
     _static_pvals,
     balance_detectors,
@@ -830,6 +831,35 @@ def test_basis_swap_restores_fidelity():
     assert abs(f2 - F_PC) < 4 * sigma
 
 
+def four_call_basis_swap(setup, detectors):
+    """basis_swap's (F1, F2) from its four analyzer settings as four
+    simulate_counts calls, each with its own seed and a quarter of the pairs."""
+    a1, a2 = (setup.input, setup.input) if setup.analysis is None else setup.analysis
+    settings = [(s1, s2) for s1 in (a1, a1.orthogonal()) for s2 in (a2, a2.orthogonal())]
+    counts = [simulate_counts(setup.model, setup.noise, setup.input, setup.n_pairs // 4,
+                              detectors, child, analysis=setting).c_pp
+              for setting, child in zip(settings, _row_seeds(setup.seed, 4))]
+    return _estimates(counts, setup.n_pairs)[:2]
+
+
+JITTER = NoiseConfig(overlap_M=0.95, phase_jitter_sigma=0.2)
+
+
+@pytest.mark.parametrize("model, noise, input, analysis", [
+    (SpecialBSParams.ideal(), NoiseConfig(overlap_M=0.9), EQ, None),
+    (HybridParams.ideal(), NOISELESS, Qubit(0.8, 1.0), None),
+    (MachZehnderParams.ideal(), JITTER, Qubit.equatorial(2.2), None),
+    (FiberParams.ideal(), JITTER, EQ, (Qubit.equatorial(0.3), Qubit(1.1, 0.4))),
+], ids=["special_bs", "hybrid", "mach_zehnder", "fiber"])
+@pytest.mark.parametrize("seed", [17, 18])
+def test_basis_swap_counts_its_settings_as_four_rows(model, noise, input, analysis, seed):
+    # one counting call of four rows draws what four calls of one row drew,
+    # on a static device and under jitter
+    setup = CountingSetup(model, noise, input, 40_000, seed=seed, analysis=analysis)
+    assert balance_detectors("basis_swap", setup, BIASED_BANK) \
+        == four_call_basis_swap(setup, BIASED_BANK)
+
+
 @pytest.mark.parametrize("analysis", [None, (EQ, Qubit(1.1, 0.4))], ids=["input", "pair"])
 @pytest.mark.parametrize("seed", [1, 2])
 def test_methods_agree_pairwise_for_general_banks(seed, analysis):
@@ -919,6 +949,15 @@ def test_basis_swap_runs_on_every_ideal_device(variant):
 def test_basis_swap_rejects_trials_not_divisible_by_four():
     setup = CountingSetup(IDEAL, NOISELESS, EQ, 7, seed=1)
     with pytest.raises(ValueError, match="n_pairs"):
+        balance_detectors("basis_swap", setup, BIASED_BANK)
+
+
+@pytest.mark.parametrize("analysis", [None, (EQ, Qubit(1.1, 0.4))], ids=["input", "pair"])
+def test_basis_swap_refuses_a_batch_of_inputs(analysis):
+    # the four settings are the rows of one count, so the input is one state
+    setup = CountingSetup(IDEAL, NOISELESS, Qubit(np.array([1.0, 2.0])), 40, seed=1,
+                          analysis=analysis)
+    with pytest.raises(ValueError, match=r"input must be one state, got a batch of shape \(2,\)"):
         balance_detectors("basis_swap", setup, BIASED_BANK)
 
 

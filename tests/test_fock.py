@@ -314,6 +314,38 @@ def test_reduced_requires_two_qubit_state():
         TwoQubitState(np.eye(2) / 2.0).reduced(Port.OUT1)
 
 
+@pytest.mark.parametrize("which_port", [5, -1, "x", None, 0.5, "OUT1"])
+def test_reduced_refuses_anything_but_the_two_ports(which_port):
+    # any value but Port.OUT1 once fell into clone 2's branch
+    state = TwoQubitState(np.eye(4) / 4.0)
+    with pytest.raises(ValueError, match=r"which_port must be Port\.OUT1 or OUT2, got "):
+        state.reduced(which_port)
+    # the ports, and their integer values, still read each clone
+    joint = pure_state(np.array([0.6, 0.8, 0.0, 0.0]))  # |0>|0.6|0> + 0.8|1>>
+    for port, value in ((Port.OUT1, 0), (Port.OUT2, 1)):
+        assert np.array_equal(joint.reduced(value), joint.reduced(port))
+    assert joint.reduced(Port.OUT1)[0, 0] == pytest.approx(1.0)
+    assert joint.reduced(Port.OUT2)[0, 0] == pytest.approx(0.36)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.25, math.nan)])
+def test_non_finite_matrices_are_refused_naming_the_matrix(bad):
+    # NaN once passed every comparison of the density check: fidelity read
+    # nan, and TwoQubitState raised numpy's LinAlgError
+    rho = np.eye(2, dtype=complex) / 2.0
+    rho[1, 1] = bad
+    with pytest.raises(ValueError, match="rho must be finite, got "):
+        fidelity(rho, Qubit(1.0))
+    with pytest.raises(ValueError, match="rho must be finite, got "):
+        fidelity(np.full((2, 2), bad), Qubit(1.0))
+    joint = np.eye(4, dtype=complex) / 4.0
+    joint[2, 3] = bad
+    with pytest.raises(ValueError, match="rho must be finite, got "):
+        TwoQubitState(joint)
+    with pytest.raises(ValueError, match="rho must be finite, got "):
+        TwoQubitState(np.full((4, 4), bad))
+
+
 @settings(max_examples=40, deadline=None)
 @given(random_two_photon_state(), st.floats(0.0, 2.0 * math.pi, allow_nan=False))
 def test_reduced_matrices_are_valid_density_matrices(state, angle):
@@ -365,7 +397,8 @@ def test_fidelity_rejects_a_matrix_that_is_not_2x2(shape):
     bad = np.zeros(shape, dtype=complex)
     if len(shape) == 2:
         bad[...] = np.eye(shape[0]) / shape[0]  # a density matrix, of the wrong size
-    with pytest.raises(ValueError, match=r"density matrix must be 2x2, got \("):
+    with pytest.raises(ValueError, match=r"rho must be a 2x2 matrix of numbers, "
+                                         r"got dtype complex128, shape \("):
         fidelity(bad, Qubit.equatorial(0.0))
 
 
@@ -475,7 +508,7 @@ def test_amplitudes_are_computed_once_and_read_only():
     batch = Qubit(np.array([0.0, 1.0, math.pi]), np.array([0.5, -1.0, 7.0]))
     single = Qubit(1.25, 7.0)
     states = [single, batch, single.orthogonal(), batch.orthogonal(),
-              Qubit._trusted(1.25, single.phi), replace(single, theta=0.5),
+              Qubit._trusted(theta=1.25, phi=single.phi), replace(single, theta=0.5),
               replace(batch, phi=np.array([2.0, 3.0, 4.0]))]
     for q in states:
         psi = q.amplitudes()
