@@ -54,11 +54,6 @@ F_SEMICLASSICAL = 0.75
 MAX_ROWS = 10**5
 
 
-def _standard_basis(analysis: Qubit):
-    """(plus, minus) click vectors of an analyzer set to ``analysis``, per state."""
-    return analysis.amplitudes(), analysis.orthogonal().amplitudes()
-
-
 def _rail_couplings(R0: float, R1: float | None, sign: int):
     """Signed (r0, t0, r1, t1) for intensity reflectances R0 and R1.
 
@@ -97,7 +92,8 @@ class ClonerParams(_Checked):
       probabilities: each is a trigonometric polynomial in ``delta`` with
       harmonics up to cos(K delta) and sin(K delta), and the default K = 0
       means that ``delta`` does not reach the device at all;
-    * optionally ``analyzer_bases``, its analyzers when no analysis state is set.
+    * optionally ``analysis_states(inputs)``, the states its two analyzers
+      project onto when no analysis state is set: by default the inputs.
 
     Every value class keeps its checks in such a table (README lists them),
     with the checks of :mod:`fock`, which refuse a bool, or an array of
@@ -121,16 +117,10 @@ class ClonerParams(_Checked):
         """The design setting: every field at its default."""
         return cls()
 
-    def analyzer_bases(self, input: Qubit):
-        """Click vectors of both clones' analyzers when no analysis state is set.
-
-        Returns (clone 1, clone 2), each a (plus, minus) pair of vectors
-        shaped like ``input.amplitudes()``, or of one shape (2,) when they
-        do not depend on the input.  By default each clone is analyzed in
-        the basis of the input state.
-        """
-        basis = _standard_basis(input)
-        return basis, basis
+    def analysis_states(self, inputs: Qubit):
+        """The states (clone 1, clone 2) the analyzers project onto when no
+        analysis is set, one or one per input: by default the inputs."""
+        return inputs, inputs
 
 
 class _Splitter(ClonerParams):
@@ -289,26 +279,16 @@ class HybridParams(ClonerParams, variant="hybrid"):
         return nu @ bs2 @ eta @ bs1
 
 
-def _ratio_basis(phi, ratio: float):
-    """Click basis of a detection block: coupler ratio + phase modulator(s) ``phi``."""
-    a = math.sqrt(ratio)
-    b = math.sqrt(1.0 - ratio)
-    phase = np.exp(1j * phi)
-    plus = np.stack([np.full_like(phase, a), b * phase], axis=-1)
-    minus = np.stack([np.full_like(phase, b), -a * phase], axis=-1)
-    return plus, minus
-
-
 @dataclass(frozen=True)
 class FiberParams(_Splitter, variant="fiber"):
     """All-fiber cloner: two variable-ratio couplers on dual-rail qubits.
 
     ``R_vrc0``/``R_vrc1`` are the intensity coupling ratios of the couplers
     joining the rail-r0 and rail-r1 fiber pairs (``R_vrc1`` defaults to the
-    complementary ratio).  ``analysis_phases`` optionally fixes the detection
-    block phase modulators; ``None`` means each block projects onto the input
-    state.  ``detection_ratio_1``/``_2`` are the splitting ratios of the
-    detection-block couplers (0.5 = balanced).
+    complementary ratio).  A detection block, a coupler of ratio R
+    (``detection_ratio_1``/``_2``, 0.5 = balanced) and a phase modulator phi,
+    projects onto ``Qubit(2 acos(sqrt(R)), phi)``; ``analysis_phases`` fixes
+    the modulators, and ``None`` sets each to the input's phase.
     """
 
     # delta is a phase on rail r1 only: the amplitudes are a + b exp(i delta)
@@ -329,15 +309,13 @@ class FiberParams(_Splitter, variant="fiber"):
         """A phase error ``delta`` drifts the phase of rail r1 against r0."""
         return (*_rail_couplings(self.R_vrc0, self.R_vrc1, -1), 1.0, 1.0, 0.0, delta)
 
-    def analyzer_bases(self, input: Qubit):
-        """The detection blocks: coupler ratios and phase modulators."""
-        phases = self.analysis_phases
-        if phases is None:
-            phases = (input.phi, input.phi)
-        return (
-            _ratio_basis(phases[0], self.detection_ratio_1),
-            _ratio_basis(phases[1], self.detection_ratio_2),
-        )
+    def analysis_states(self, inputs: Qubit):
+        """The states of the detection blocks; equal blocks share one state."""
+        phi1, phi2 = (inputs.phi,) * 2 if self.analysis_phases is None else self.analysis_phases
+        ratio1, ratio2 = self.detection_ratio_1, self.detection_ratio_2
+        first = Qubit(2.0 * math.acos(math.sqrt(ratio1)), phi1)
+        same = ratio2 == ratio1 and (phi2 is phi1 or phi2 == phi1)
+        return first, first if same else Qubit(2.0 * math.acos(math.sqrt(ratio2)), phi2)
 
 
 @dataclass(frozen=True)

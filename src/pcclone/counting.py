@@ -10,7 +10,9 @@ dark-count free, so a trial either contributes one coincidence or nothing.
 Every counted row goes through :func:`_count_rows`, the one place that
 tells a static row from one under jitter: a :func:`simulate_counts` call is
 one row, a counted sweep one call.  It builds the pattern vectors of all
-rows at once, from one ``analyzer_bases`` call and one broadcast product.
+rows at once, from each clone's analysis state (a :class:`Qubit`, one per
+row: the ``analysis`` given, or else the device's ``analysis_states``) and
+its orthogonal state, in one broadcast product.
 
 Without phase jitter every trial sees the same pattern probabilities, so the
 counts of a row are one multinomial draw.  One einsum over the rows' joint
@@ -47,7 +49,7 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from .cloners import CloneBatch, CloneReport, ClonerParams, _standard_basis, run_model_batch
+from .cloners import CloneBatch, CloneReport, ClonerParams, run_model_batch
 from .fock import (
     Qubit,
     _check_choice,
@@ -151,12 +153,17 @@ class CountingSetup(_Checked):
                (_check_analysis, "analysis"))
 
 
-def _analysis_pair(analysis):
-    """The analysis states (clone 1, clone 2) that ``analysis`` sets, or None."""
+def _analysis_states(model, inputs: Qubit, analysis):
+    """The analysis states (clone 1, clone 2) ``analysis`` sets, else ``model``'s own."""
     _check_analysis("analysis", analysis)
-    if isinstance(analysis, Qubit):
-        return analysis, analysis
-    return None if analysis is None else tuple(analysis)
+    if analysis is None:
+        return model.analysis_states(inputs)
+    return (analysis, analysis) if isinstance(analysis, Qubit) else tuple(analysis)
+
+
+def _standard_basis(analysis: Qubit) -> np.ndarray:
+    """(..., 2, 2) click vectors (plus, minus): amplitudes of ``analysis`` and its orthogonal."""
+    return np.stack([analysis.amplitudes(), analysis.orthogonal().amplitudes()], axis=-2)
 
 
 def _pattern_vectors(model, inputs: Qubit, analysis=None) -> np.ndarray:
@@ -164,15 +171,17 @@ def _pattern_vectors(model, inputs: Qubit, analysis=None) -> np.ndarray:
 
     Row a = 2 j + k of a block, in pattern order (++, +-, -+, --), is the
     Kronecker product of clone 1's click vector j with clone 2's vector k,
-    each (plus, minus).  Without ``analysis`` each row takes the analyzers
-    of the device ``model`` for its input, from one ``analyzer_bases`` call
-    on the batch; a :class:`Qubit` sets both clones' analyzers, a pair of
-    them one per clone, and ``model`` is not read.
+    each (plus, minus) of the clone's analysis state.  Without ``analysis``
+    the states are the device ``model``'s own, from one ``analysis_states``
+    call on the batch; a :class:`Qubit` sets both clones' states, a pair of
+    them one per clone, and ``model`` is not read.  Two clones that share
+    one state share its click vectors.
     """
-    pair = _analysis_pair(analysis)
-    sides = model.analyzer_bases(inputs) if pair is None else map(_standard_basis, pair)
+    state1, state2 = _analysis_states(model, inputs, analysis)
+    side1 = _standard_basis(state1)
+    side2 = side1 if state2 is state1 else _standard_basis(state2)
     n = np.size(inputs.theta)
-    side1, side2 = (np.broadcast_to(np.stack(side, axis=-2), (n, 2, 2)) for side in sides)
+    side1, side2 = (np.broadcast_to(side, (n, 2, 2)) for side in (side1, side2))
     return (side1[:, :, None, :, None] * side2[:, None, :, None, :]).reshape(n, 4, 4)
 
 
@@ -411,11 +420,10 @@ def balance_detectors(method: str, record_or_setup, detectors: DetectorBank):
                       and its orthogonal complement, so the efficiency
                       product cancels (takes a CountingSetup whose
                       ``n_pairs`` is a multiple of 4).  Without an analysis
-                      state both clones are analyzed in the input's basis;
-                      when the device's own analyzers (``analyzer_bases``)
-                      measure in another basis, as a fiber device's
-                      equatorial detection blocks can, it raises
-                      ``ValueError`` and asks for an explicit analysis.
+                      state each clone cycles the device's own analysis
+                      state (``analysis_states``), as the other two
+                      methods measure it: by default the input, for a
+                      fiber device the state of its detection block.
 
     Returns unbiased ``(F1, F2)``; raises ``ValueError`` when no coincidence
     is registered.
@@ -451,15 +459,7 @@ def balance_detectors(method: str, record_or_setup, detectors: DetectorBank):
                 "basis_swap splits the trials evenly over four analyzer settings; "
                 f"n_pairs must be a multiple of 4, got {setup.n_pairs}"
             )
-        pair = _analysis_pair(setup.analysis)
-        if pair is None:
-            # each click vector of the device must be the input basis's, up to a phase
-            own = np.array(setup.model.analyzer_bases(setup.input))
-            overlaps = np.einsum("sij,ij->si", own.conj(), _standard_basis(setup.input))
-            if not np.allclose(np.abs(overlaps), 1.0, rtol=0.0, atol=1e-9):
-                raise ValueError("basis_swap: the device's own analyzers do not measure "
-                                 "in the input's basis; give an explicit analysis")
-            pair = setup.input, setup.input
+        pair = _analysis_states(setup.model, setup.input, setup.analysis)
         # the settings (a1, a2), (a1, a2'), (a1', a2), (a1', a2') are four rows
         (a1, a2), (b1, b2) = pair, (pair[0].orthogonal(), pair[1].orthogonal())
         inputs, side1, side2 = (Qubit._trusted(theta=np.array([q.theta for q in states]),

@@ -288,7 +288,9 @@ class Qubit(_Checked):
         return psi[:, 0], psi[:, 1], psi.conj()[:, None, :], psi[:, :, None]
 
     def orthogonal(self) -> "Qubit":
-        return Qubit(math.pi - self.theta, self.phi + math.pi)
+        """theta -> pi - theta, phi -> phi +- pi: a phi of at least pi turns back exactly."""
+        phi = self.phi
+        return Qubit(math.pi - self.theta, np.where(phi < math.pi, phi + math.pi, phi - math.pi))
 
 
 def _check_single(input: Qubit):

@@ -154,6 +154,22 @@ def test_static_devices_ignore_phase_error(variant, data, m, delta, qubit):
 
 
 @settings(max_examples=40, deadline=None)
+@given(data=st.data(), qubits=st.lists(QUBITS, min_size=1, max_size=8))
+@pytest.mark.parametrize("variant", VARIANTS, ids=CLASS_NAMES)
+def test_analysis_states_of_a_batch_are_two_qubits(variant, data, qubits):
+    # counting reads an analyzer as one Qubit per clone: one state, or one
+    # per input, whose fields follow the Qubit rules
+    params = data.draw(PARAMS[variant])
+    inputs = stack(qubits)
+    states = params.analysis_states(inputs)
+    assert len(states) == 2 and all(type(state) is Qubit for state in states)
+    for state in states:
+        assert np.shape(state.theta) == np.shape(state.phi) in ((), np.shape(inputs.theta))
+        assert np.all((0.0 <= state.theta) & (state.theta <= math.pi))
+        assert np.all((0.0 <= state.phi) & (state.phi <= 2.0 * math.pi))
+
+
+@settings(max_examples=40, deadline=None)
 @given(data=st.data())
 @pytest.mark.parametrize("variant", VARIANTS, ids=CLASS_NAMES)
 def test_parse_model_round_trips(variant, data):

@@ -19,7 +19,6 @@ from pcclone.cloners import (
     MachZehnderParams,
     SpecialBSParams,
     CloneReport,
-    _standard_basis,
     conditional_sector_vectors,
     run_model,
     run_model_batch,
@@ -35,6 +34,7 @@ from pcclone.counting import (
     _pcg64_states,
     _row_seeds,
     _seed_words,
+    _standard_basis,
     _static_pvals,
     balance_detectors,
     estimator_sigma,
@@ -285,16 +285,51 @@ ANALYZER_MODELS = {
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), rows=st.lists(EDGE_INPUTS, min_size=1, max_size=16))
 @pytest.mark.parametrize("name", sorted(ANALYZER_MODELS))
-def test_batched_analyzer_vectors_equal_per_row_analyzer_bases(name, data, rows):
-    # counts depend on these bits: one analyzer_bases call on the whole batch
+def test_batched_analyzer_vectors_equal_per_row_analysis_states(name, data, rows):
+    # counts depend on these bits: one analysis_states call on the whole batch
     # gives each row the pattern vectors of that row's own call
     model = data.draw(ANALYZER_MODELS[name])
     thetas, phis = map(list, zip(*rows))
     w = _pattern_vectors(model, Qubit(np.array(thetas), np.array(phis)))
     assert w.shape == (len(rows), 4, 4)
     for i, (theta, phi) in enumerate(rows):
-        own = kronecker_patterns(*model.analyzer_bases(Qubit(theta, phi)))
+        own = kronecker_patterns(*map(_standard_basis, model.analysis_states(Qubit(theta, phi))))
         assert w[i].tobytes() == own.tobytes()
+
+
+def ratio_basis(phi, ratio):
+    """Reference: the (plus, minus) click vectors of a fiber detection block,
+    a coupler of ``ratio`` and then a phase modulator ``phi``, as the coupler
+    amplitudes give them."""
+    a, b = math.sqrt(ratio), math.sqrt(1.0 - ratio)
+    phase = np.exp(1j * np.asarray(phi))
+    plus = np.stack([np.full_like(phase, a), b * phase], axis=-1)
+    minus = np.stack([np.full_like(phase, b), -a * phase], axis=-1)
+    return np.stack([plus, minus], axis=-2)
+
+
+#: phases of the detection blocks: a grid over [-7, 7] and its landmarks
+BLOCK_PHASES = np.concatenate([np.linspace(-7.0, 7.0, 561),
+                               [-0.0, math.pi, -math.pi, 2 * math.pi, -2 * math.pi]])
+
+
+@pytest.mark.parametrize("ratio", [0.0, 0.3, 0.5, 1.0])
+def test_fiber_analysis_states_give_the_detection_block_vectors(ratio):
+    # a detection block projects onto Qubit(2 acos(sqrt(R)), phi): its click
+    # vectors are the coupler's, with the modulator set by analysis_phases
+    # or, without them, at the input's phase
+    for phases in zip(BLOCK_PHASES, BLOCK_PHASES[::-1]):
+        model = FiberParams(analysis_phases=tuple(phases), detection_ratio_1=ratio,
+                            detection_ratio_2=1.0 - ratio)
+        states = model.analysis_states(Qubit(np.array([0.4, 2.0]), np.array([1.0, 5.0])))
+        for state, phi, r in zip(states, phases, (ratio, 1.0 - ratio)):
+            assert state == Qubit(2.0 * math.acos(math.sqrt(r)), phi)  # built unchecked
+            assert np.abs(_standard_basis(state) - ratio_basis(phi, r)).max() <= 1e-15
+    inputs = Qubit(np.full(BLOCK_PHASES.size, 1.2), BLOCK_PHASES)
+    for r in (ratio, 1.0 - ratio):
+        state, other = FiberParams(detection_ratio_1=r, detection_ratio_2=r).analysis_states(inputs)
+        assert other is state  # equal blocks share one state
+        assert np.abs(_standard_basis(state) - ratio_basis(BLOCK_PHASES, r)).max() <= 1e-15
 
 
 def kronecker_patterns(side1, side2):
@@ -306,7 +341,7 @@ def kronecker_patterns(side1, side2):
 def per_row_pvals(model, input, analysis, p_succ, rho, eff):
     """Reference: the per-row static route, with Kronecker pattern vectors."""
     if analysis is None:
-        side1, side2 = model.analyzer_bases(input)
+        side1, side2 = map(_standard_basis, model.analysis_states(input))
     elif isinstance(analysis, Qubit):
         side1 = side2 = _standard_basis(analysis)
     else:
@@ -834,7 +869,7 @@ def test_basis_swap_restores_fidelity():
 def four_call_basis_swap(setup, detectors):
     """basis_swap's (F1, F2) from its four analyzer settings as four
     simulate_counts calls, each with its own seed and a quarter of the pairs."""
-    a1, a2 = (setup.input, setup.input) if setup.analysis is None else setup.analysis
+    a1, a2 = setup.analysis or setup.model.analysis_states(setup.input)
     settings = [(s1, s2) for s1 in (a1, a1.orthogonal()) for s2 in (a2, a2.orthogonal())]
     counts = [simulate_counts(setup.model, setup.noise, setup.input, setup.n_pairs // 4,
                               detectors, child, analysis=setting).c_pp
@@ -850,7 +885,8 @@ JITTER = NoiseConfig(overlap_M=0.95, phase_jitter_sigma=0.2)
     (HybridParams.ideal(), NOISELESS, Qubit(0.8, 1.0), None),
     (MachZehnderParams.ideal(), JITTER, Qubit.equatorial(2.2), None),
     (FiberParams.ideal(), JITTER, EQ, (Qubit.equatorial(0.3), Qubit(1.1, 0.4))),
-], ids=["special_bs", "hybrid", "mach_zehnder", "fiber"])
+    (FiberParams(analysis_phases=(0.9, 2.0)), JITTER, Qubit(1.0, 0.3), None),
+], ids=["special_bs", "hybrid", "mach_zehnder", "fiber", "fiber-blocks"])
 @pytest.mark.parametrize("seed", [17, 18])
 def test_basis_swap_counts_its_settings_as_four_rows(model, noise, input, analysis, seed):
     # one counting call of four rows draws what four calls of one row drew,
@@ -907,27 +943,35 @@ def test_balance_rejects_bad_arguments():
                           DetectorBank())
 
 
-def test_basis_swap_refuses_a_device_analyzed_off_the_input_basis():
-    # the fiber's detection blocks sit at analysis_phases, not at the input:
-    # rescale and add_loss read (~0.716, ~0.352) through them, while cycling
-    # the input's basis would report ~(0.854, 0.851) for the same device
-    model = FiberParams(analysis_phases=(0.9, 2.0))
+#: fibers whose detection blocks measure off the input's basis: fixed
+#: modulator phases, an input off the equator, an unbalanced block coupler
+OFF_INPUT_FIBERS = [(FiberParams(analysis_phases=(0.9, 2.0)), EQ),
+                    (FiberParams(), Qubit(1.0, 0.3)),
+                    (FiberParams(detection_ratio_1=0.3), EQ)]
+
+
+@pytest.mark.parametrize("model, input", OFF_INPUT_FIBERS, ids=["phases", "off-equator", "ratio"])
+def test_basis_swap_measures_a_fiber_through_its_detection_blocks(model, input):
+    # basis_swap cycles each block's own state, so it reads what rescale and
+    # add_loss read through the blocks (at (0.9, 2.0) ~(0.72, 0.35), where
+    # cycling the input's basis would read ~(0.854, 0.851)), and what the
+    # blocks' exact pattern probabilities give
     bank = DetectorBank(0.9, 0.8, 0.7, 0.6)
     n = 400_000
-    setup = CountingSetup(model, NOISELESS, EQ, n, seed=5)
-    record = simulate_counts(model, NOISELESS, EQ, n, bank, seed=5)
-    sigma = estimator_sigma(0.5, int(n / 3 * 0.36))
+    setup = CountingSetup(model, NOISELESS, input, n, seed=5)
+    record = simulate_counts(model, NOISELESS, input, n, bank, seed=5)
+    report = run_model(model, input)
+    p_pp, p_pm, p_mp, _ = outcome_distribution(report, model.analysis_states(input))
+    sigma = estimator_sigma(0.5, int(n * report.P_succ * 0.36 / 4))
+    swapped = balance_detectors("basis_swap", setup, bank)
     for estimates in (balance_detectors("rescale", record, bank),
-                      balance_detectors("add_loss", setup, bank)):
-        assert estimates == pytest.approx((0.716, 0.352), abs=6 * sigma + 1e-3)
-    with pytest.raises(ValueError, match="explicit analysis"):
-        balance_detectors("basis_swap", setup, bank)
-    with pytest.raises(ValueError, match="explicit analysis"):
-        balance_detectors("basis_swap", CountingSetup(FiberParams(), NOISELESS,
-                                                      Qubit(1.0, 0.3), n, seed=5), bank)
-    pair = (Qubit.equatorial(0.9), Qubit.equatorial(2.0))
-    swapped = balance_detectors("basis_swap", replace(setup, analysis=pair), bank)
-    assert swapped == pytest.approx((0.716, 0.352), abs=6 * sigma + 1e-3)
+                      balance_detectors("add_loss", setup, bank), (p_pp + p_pm, p_pp + p_mp)):
+        assert swapped == pytest.approx(estimates, abs=6 * sigma)
+    if model.analysis_phases is not None:
+        # the same blocks as an explicit analysis, one equatorial state per clone
+        pair = tuple(map(Qubit.equatorial, model.analysis_phases))
+        assert balance_detectors("basis_swap", replace(setup, analysis=pair), bank) \
+            == pytest.approx(swapped, abs=6 * sigma)
 
 
 @pytest.mark.parametrize("variant", sorted(ClonerParams.variants))
@@ -935,8 +979,7 @@ def test_basis_swap_runs_on_every_ideal_device(variant):
     model = ClonerParams.variants[variant].ideal()
     bank = DetectorBank(0.9, 0.8, 0.7, 0.6)
     n = 400_000
-    inputs = [EQ, Qubit.equatorial(2.2)] + ([] if variant == "fiber" else [Qubit(0.8, 1.0)])
-    for q in inputs:
+    for q in (EQ, Qubit.equatorial(2.2), Qubit(0.8, 1.0)):
         setup = CountingSetup(model, NOISELESS, q, n, seed=3)
         record = simulate_counts(model, NOISELESS, q, n, bank, seed=3)
         p = run_model(model, q).P_succ
