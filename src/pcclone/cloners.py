@@ -37,8 +37,8 @@ import numpy as np
 
 from .fock import (MIN_SUCCESS, Port, Qubit, TwoQubitState, _check_amplitude, _check_choice,
                    _check_finite, _check_lossless, _check_pair, _check_sign, _check_single,
-                   _check_unit_interval, _Checked, _fidelity, _or_none, attenuator, coupler,
-                   photon_pair, postselect_coincidence)
+                   _check_unit_interval, _Checked, _fidelity, _or_none, _qubit_fields, attenuator,
+                   coupler, photon_pair, postselect_coincidence)
 
 #: intensity reflectance of the optimal unbalanced splitter, (1 + 1/sqrt(3))/2:
 #: the root of 6 R^2 - 6 R + 1 = 0 in (1/2, 1]; the other root is 1 - R_OPTIMAL
@@ -311,11 +311,19 @@ class FiberParams(_Splitter, variant="fiber"):
 
     def analysis_states(self, inputs: Qubit):
         """The states of the detection blocks; equal blocks share one state."""
-        phi1, phi2 = (inputs.phi,) * 2 if self.analysis_phases is None else self.analysis_phases
+        phases = self.analysis_phases
+        phi1, phi2 = (inputs.phi,) * 2 if phases is None else np.remainder(phases, 2 * math.pi)
         ratio1, ratio2 = self.detection_ratio_1, self.detection_ratio_2
-        first = Qubit(2.0 * math.acos(math.sqrt(ratio1)), phi1)
+        first = _block_state(ratio1, phi1)
         same = ratio2 == ratio1 and (phi2 is phi1 or phi2 == phi1)
-        return first, first if same else Qubit(2.0 * math.acos(math.sqrt(ratio2)), phi2)
+        return first, first if same else _block_state(ratio2, phi2)
+
+
+def _block_state(ratio: float, phi) -> Qubit:
+    """``Qubit(2 acos(sqrt(ratio)), phi)`` of a valid ratio and a phi in [0, 2 pi),
+    one or an input's array of them, built without the checks."""
+    theta = np.full(np.shape(phi), 2.0 * math.acos(math.sqrt(ratio)))
+    return Qubit._trusted(**_qubit_fields(theta, np.asarray(phi)))
 
 
 @dataclass(frozen=True)

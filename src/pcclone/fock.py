@@ -237,14 +237,8 @@ class Qubit(_Checked):
         super().__post_init__()
         theta, phi = np.broadcast_arrays(np.asarray(self.theta, dtype=float),
                                          np.asarray(self.phi, dtype=float))
-        theta = theta + 0.0  # -0.0 + 0.0 is 0.0
-        phi = np.remainder(phi, 2.0 * math.pi)  # rounds as Python's float % does
-        if theta.ndim == 0:
-            theta, phi = theta.item(), phi.item()
-        else:
-            theta.flags.writeable = phi.flags.writeable = False
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "phi", phi)
+        # -0.0 + 0.0 is 0.0; the remainder rounds as Python's float % does
+        vars(self).update(_qubit_fields(theta + 0.0, np.remainder(phi, 2.0 * math.pi)))
 
     def __eq__(self, other):
         """One bool: the same shape and every entry equal."""
@@ -275,8 +269,9 @@ class Qubit(_Checked):
     @functools.cached_property
     def _amplitudes(self) -> np.ndarray:
         half = np.ravel(self.theta) / 2.0
-        phase = np.exp(1j * np.ravel(self.phi))
-        psi = np.stack([np.cos(half) + 0j, np.sin(half) * phase], axis=-1)
+        psi = np.empty((half.size, 2), dtype=complex)
+        psi[:, 0] = np.cos(half)
+        np.multiply(np.sin(half), np.exp(1j * np.ravel(self.phi)), out=psi[:, 1])
         psi = psi.reshape(np.shape(self.theta) + (2,))
         psi.flags.writeable = False
         return psi
@@ -288,9 +283,21 @@ class Qubit(_Checked):
         return psi[:, 0], psi[:, 1], psi.conj()[:, None, :], psi[:, :, None]
 
     def orthogonal(self) -> "Qubit":
-        """theta -> pi - theta, phi -> phi +- pi: a phi of at least pi turns back exactly."""
-        phi = self.phi
-        return Qubit(math.pi - self.theta, np.where(phi < math.pi, phi + math.pi, phi - math.pi))
+        """The orthogonal state, theta -> pi - theta and phi -> phi +- pi, unchecked:
+        a phi of at least pi turns back exactly, one below pi rounds once, onto
+        2 pi at most, which the remainder takes to 0."""
+        theta, phi = np.asarray(math.pi - self.theta), np.asarray(self.phi)
+        turned = np.where(phi < math.pi, phi + math.pi, phi - math.pi)
+        return Qubit._trusted(**_qubit_fields(theta, np.remainder(turned, 2.0 * math.pi)))
+
+
+def _qubit_fields(theta: np.ndarray, phi: np.ndarray) -> dict:
+    """The fields of a Qubit held from normal arrays of one shape: two numbers
+    for a single state, else the arrays, read-only."""
+    if theta.ndim == 0:
+        return {"theta": theta.item(), "phi": phi.item()}
+    theta.flags.writeable = phi.flags.writeable = False
+    return {"theta": theta, "phi": phi}
 
 
 def _check_single(input: Qubit):

@@ -295,24 +295,31 @@ def test_sweep_input_columns_equal_one_qubit_per_row(thetas, phis):
         assert bits(got) == bits(q.phi for q in rows)
 
 
-@pytest.mark.parametrize("counting", [None, {"n_pairs": 100}], ids=["plain", "counted"])
-def test_qubit_constructions_do_not_grow_with_the_rows(monkeypatch, counting):
+@pytest.mark.parametrize("variant, counting, expected", [
+    ("special_bs", None, ["checked"]),
+    ("special_bs", {"n_pairs": 100}, ["checked", "trusted"]),
+    ("fiber", {"n_pairs": 100}, ["checked", "trusted", "trusted"]),
+], ids=["plain", "counted", "fiber-counted"])
+def test_qubit_constructions_do_not_grow_with_the_rows(monkeypatch, variant, counting, expected):
+    # one checked state for the sweep; counting adds the orthogonal of the
+    # analysis state, and a fiber the state its two equal detection blocks
+    # share, both built unchecked
     constructions = []
-    post_init = Qubit.__post_init__
+    post_init, trusted = Qubit.__post_init__, Qubit._trusted.__func__
     monkeypatch.setattr(Qubit, "__post_init__",
-                        lambda self: constructions.append(1) or post_init(self))
-    made = []
+                        lambda self: constructions.append("checked") or post_init(self))
+    monkeypatch.setattr(Qubit, "_trusted", classmethod(
+        lambda cls, **fields: constructions.append("trusted") or trusted(cls, **fields)))
     for count in (2, 40):
-        constructions.clear()
-        config = {"model": {"variant": "special_bs"},
+        config = {"model": {"variant": variant},
                   "sweep": {"theta": {"start": 0.1, "stop": 3.0, "count": count},
                             "phi": {"start": -1.0, "stop": 6.0, "count": count}}}
         if counting:
             config["counting"] = counting
+        parse_experiment(config)  # the readers' cached defaults, built once per process
+        constructions.clear()
         assert len(run_experiment(parse_experiment(config))["theta"]) == count * count
-        made.append(len(constructions))
-    # one for the sweep; counting adds one for the analyzers' orthogonal states
-    assert made == ([1, 1] if counting is None else [2, 2])
+        assert constructions == expected
 
 
 def test_cli_runs_a_theta_range_from_pole_to_pole(tmp_path, capsys):
