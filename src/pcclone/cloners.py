@@ -312,7 +312,7 @@ class FiberParams(_Splitter, variant="fiber"):
     def analysis_states(self, inputs: Qubit):
         """The states of the detection blocks; equal blocks share one state."""
         phases = self.analysis_phases
-        phi1, phi2 = (inputs.phi,) * 2 if phases is None else np.remainder(phases, 2 * math.pi)
+        phi1, phi2 = (inputs.phi,) * 2 if phases is None else np.remainder(phases, 2.0 * math.pi)
         ratio1, ratio2 = self.detection_ratio_1, self.detection_ratio_2
         first = _block_state(ratio1, phi1)
         same = ratio2 == ratio1 and (phi2 is phi1 or phi2 == phi1)

@@ -60,6 +60,7 @@ from .fock import (
     _check_single,
     _check_unit_interval,
     _Checked,
+    _instance_of,
     _require,
 )
 from .noise import NoiseConfig, _harmonics, _jitter_walk, _moment_polynomial, jittered
@@ -83,14 +84,8 @@ class DetectorBank(_Checked):
 
     def pattern_efficiencies(self) -> np.ndarray:
         """Registration probability per pattern, order (++, +-, -+, --)."""
-        return np.array(
-            [
-                self.eta_1p * self.eta_2p,
-                self.eta_1p * self.eta_2m,
-                self.eta_1m * self.eta_2p,
-                self.eta_1m * self.eta_2m,
-            ]
-        )
+        return np.array([self.eta_1p * self.eta_2p, self.eta_1p * self.eta_2m,
+                         self.eta_1m * self.eta_2p, self.eta_1m * self.eta_2m])
 
     @classmethod
     def uniform(cls, eta: float) -> "DetectorBank":
@@ -149,8 +144,9 @@ class CountingSetup(_Checked):
     seed: int
     analysis: Union[Qubit, tuple, None] = None
 
-    _checks = ((_check_pairs, "n_pairs"), (_check_non_negative, "seed"),
-               (_check_analysis, "analysis"))
+    _checks = ((_instance_of(ClonerParams), "model"), (_instance_of(NoiseConfig), "noise"),
+               (_instance_of(Qubit), "input"), (_check_pairs, "n_pairs"),
+               (_check_non_negative, "seed"), (_check_analysis, "analysis"))
 
 
 def _analysis_states(model, inputs: Qubit, analysis):
@@ -345,21 +341,16 @@ def _jitter_counts(model: ClonerParams, noise: NoiseConfig, input: Qubit, n_pair
     return np.diff(below, prepend=0)
 
 
-def simulate_counts(
-    model: ClonerParams,
-    noise: NoiseConfig,
-    input: Qubit,
-    n_pairs: int,
-    detectors: DetectorBank,
-    seed: int,
-    analysis: Union[Qubit, tuple, None] = None,
-) -> CoincidenceRecord:
+def simulate_counts(model: ClonerParams, noise: NoiseConfig, input: Qubit, n_pairs: int,
+                    detectors: DetectorBank, seed: int,
+                    analysis: Union[Qubit, tuple, None] = None) -> CoincidenceRecord:
     """Simulate ``n_pairs`` photon-pair trials and tally coincidences.
 
     This is the one-row :func:`_count_rows` call, on the row's
     :func:`run_model_batch` evaluation, with or without jitter.
     """
     CountingSetup(model, noise, input, n_pairs, seed, analysis)  # runs the run's checks
+    _instance_of(DetectorBank)("detectors", detectors)
     _check_single(input)
     batch = run_model_batch(model, input, noise.overlap_M)
     counts = _count_rows(model, noise, input, n_pairs, detectors, [seed], batch, analysis)
@@ -429,6 +420,7 @@ def balance_detectors(method: str, record_or_setup, detectors: DetectorBank):
     is registered.
     """
     _check_choice("method", method, ("rescale", "add_loss", "basis_swap"))
+    _instance_of(DetectorBank)("detectors", detectors)
     if method == "rescale":
         if not isinstance(record_or_setup, CoincidenceRecord):
             raise TypeError("rescale requires a CoincidenceRecord")
@@ -440,25 +432,19 @@ def balance_detectors(method: str, record_or_setup, detectors: DetectorBank):
         raise TypeError(f"{method} requires a CountingSetup")
     elif method == "add_loss":
         setup = record_or_setup
-        eta_min = min(
-            detectors.eta_1p, detectors.eta_1m, detectors.eta_2p, detectors.eta_2m
-        )
+        eta_min = min(detectors.eta_1p, detectors.eta_1m, detectors.eta_2p, detectors.eta_2m)
         if eta_min <= 0.0:
             raise ValueError("add_loss requires strictly positive efficiencies")
         balanced = DetectorBank.uniform(eta_min)
-        record = simulate_counts(
-            setup.model, setup.noise, setup.input, setup.n_pairs,
-            balanced, setup.seed, setup.analysis,
-        )
+        record = simulate_counts(setup.model, setup.noise, setup.input, setup.n_pairs,
+                                 balanced, setup.seed, setup.analysis)
         f1, f2, _ = _estimates(record.counts().tolist(), record.n_pairs)
     else:
         setup = record_or_setup
         _check_single(setup.input)
         if setup.n_pairs % 4:
-            raise ValueError(
-                "basis_swap splits the trials evenly over four analyzer settings; "
-                f"n_pairs must be a multiple of 4, got {setup.n_pairs}"
-            )
+            raise ValueError("basis_swap splits the trials evenly over four analyzer settings; "
+                             f"n_pairs must be a multiple of 4, got {setup.n_pairs}")
         pair = _analysis_states(setup.model, setup.input, setup.analysis)
         # the settings (a1, a2), (a1, a2'), (a1', a2), (a1', a2') are four rows
         (a1, a2), (b1, b2) = pair, (pair[0].orthogonal(), pair[1].orthogonal())
@@ -471,7 +457,5 @@ def balance_detectors(method: str, record_or_setup, detectors: DetectorBank):
                              _row_seeds(setup.seed, 4), batch, (side1, side2))
         f1, f2, _ = _estimates(counts[:, 0].tolist(), setup.n_pairs)
     if f1 is None:
-        raise ValueError(
-            f"{method} registered no coincidence in {record_or_setup.n_pairs} trials"
-        )
+        raise ValueError(f"{method} registered no coincidence in {record_or_setup.n_pairs} trials")
     return f1, f2

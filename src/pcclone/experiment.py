@@ -64,7 +64,8 @@ import numpy as np
 from .cloners import MAX_ROWS, ClonerParams, run_model_batch
 from .counting import DetectorBank, _count_rows, _estimate_columns, _row_seeds
 from .fock import (Qubit, _check_choice, _check_exactly_one, _check_finite, _check_integer,
-                   _check_non_negative, _check_pairs, _check_string, _Checked, _or_none, _require)
+                   _check_non_negative, _check_pairs, _check_string, _Checked, _instance_of,
+                   _or_none, _require)
 from .noise import NoiseConfig
 
 
@@ -251,7 +252,8 @@ class CountingOptions(_Checked):
     seed: int = 0
     detectors: DetectorBank = DetectorBank()
 
-    _checks = ((_check_pairs, "n_pairs"), (_check_non_negative, "seed"))
+    _checks = ((_check_pairs, "n_pairs"), (_check_non_negative, "seed"),
+               (_instance_of(DetectorBank), "detectors"))
 
 
 #: the output formats of :func:`render_rows`
@@ -286,7 +288,11 @@ class ExperimentConfig(_Checked):
     output: OutputOptions | None = None
     label: str | None = None
 
-    _checks = ((_check_exactly_one, "input", "sweep"), (_or_none(_check_label), "label"))
+    _checks = ((_instance_of(ClonerParams), "model"), (_instance_of(NoiseConfig), "noise"),
+               (_or_none(_instance_of(Qubit)), "input"), (_or_none(_instance_of(Sweep)), "sweep"),
+               (_or_none(_instance_of(CountingOptions)), "counting"),
+               (_or_none(_instance_of(OutputOptions)), "output"),
+               (_check_exactly_one, "input", "sweep"), (_or_none(_check_label), "label"))
 
     @property
     def inputs(self) -> Qubit:
@@ -312,7 +318,7 @@ class CompareConfig(_Checked):
     configs: tuple[ExperimentConfig, ...]
     output: OutputOptions = OutputOptions()
 
-    _checks = ((_check_compared, "configs"),)
+    _checks = ((_check_compared, "configs"), (_instance_of(OutputOptions), "output"))
 
 
 @dataclass(frozen=True)

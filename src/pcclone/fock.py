@@ -172,6 +172,14 @@ _check_non_negative = functools.partial(_check_integer, low=0)
 _check_pairs = functools.partial(_check_integer, low=1, high=MAX_PAIRS)
 
 
+def _instance_of(cls):
+    """The check that a field holds an instance of the value class ``cls``."""
+    def check(name, value):
+        if not isinstance(value, cls):
+            raise ValueError(f"{name} must be a {cls.__name__}, got {value!r}")
+    return check
+
+
 def _check_string(name, value, empty=True):
     """Raise ValueError unless ``value`` is a string, and not empty unless ``empty``."""
     if not (isinstance(value, str) and (empty or value)):
@@ -333,7 +341,7 @@ def _check_state(name, value, dim):
     if m.dtype.kind not in "iufc" or m.shape != (dim, dim):
         raise ValueError(f"{name} must be a {dim}x{dim} matrix of numbers, "
                          f"got dtype {m.dtype}, shape {m.shape}")
-    check_density(m.astype(complex), name)
+    check_density(m.astype(complex, copy=False), name)
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,9 +359,11 @@ class TwoQubitState(_Checked):
     _checks = ((functools.partial(_check_state, dim=4), "rho"),)
 
     def __post_init__(self):
+        rho = np.asarray(self.rho)
+        if rho.dtype.kind in "iufc":  # one complex copy: the checks read what the state holds
+            vars(self)["rho"] = rho.astype(complex)
+            self.rho.flags.writeable = False
         super().__post_init__()
-        object.__setattr__(self, "rho", np.array(self.rho, dtype=complex))
-        self.rho.flags.writeable = False
 
     @classmethod
     def _trusted(cls, rho: np.ndarray) -> "TwoQubitState":
@@ -363,7 +373,8 @@ class TwoQubitState(_Checked):
 
     def reduced(self, which_port: Port) -> np.ndarray:
         """The clone at ``which_port``: the partial trace, a read-only 2x2 array."""
-        try:
+        try:  # Port is an IntEnum: a bool or a float would pass for a port
+            _check_integer("which_port", which_port)
             port = Port(which_port)
         except ValueError:
             raise ValueError(f"which_port must be Port.OUT1 or OUT2, got {which_port!r}") from None

@@ -15,7 +15,8 @@ run) and of the configuration documents, and each argument of the
 estimator and of the hybrid compensation solver, takes each of
 :data:`LIBRARY_VALUES`: the call returns, or raises ValueError naming the
 field.  A float field refuses a bool, Python's or numpy's, and an array of
-bools.  The estimator and the solver take numbers only: each of their
+bools.  A field that holds a value class refuses any other value, and so
+does the ``detectors`` argument of the counting calls.  The estimator and the solver take numbers only: each of their
 arguments refuses an array, of one entry or more, with a type error naming
 itself.
 """
@@ -46,6 +47,7 @@ from pcclone import (
     TwoQubitState,
     balance_detectors,
     estimator_sigma,
+    simulate_counts,
     solve_hybrid_compensation,
 )
 from pcclone.cli import main
@@ -53,6 +55,7 @@ from pcclone.compensation import MAX_MOVES
 from pcclone.experiment import (CompareConfig, CountingOptions, ExperimentConfig, OutputOptions,
                                 Sweep)
 from test_golden import CASES, GOLDEN
+from test_value_classes import value_fields
 
 #: the values every key path takes in turn
 VALUES = [math.nan, math.inf, -1, 0, -0.0, 1e308, 10**30, True, "x", None, [], {}, 2.5, 1]
@@ -197,7 +200,8 @@ BASES = [*(cls.ideal() for cls in (SpecialBSParams, MachZehnderParams, HybridPar
                                    FiberParams)),
          NoiseConfig(), DetectorBank(), Qubit(1.0, 0.5), CoincidenceRecord(1, 0, 2, 0, 10, 3),
          OutputOptions(), experiment(), CompareConfig((experiment("a"), experiment("b"))),
-         Sweep(), CountingOptions(10), TwoQubitState(np.eye(4) / 4.0)]
+         Sweep(), CountingOptions(10), TwoQubitState(np.eye(4) / 4.0),
+         CountingSetup(SpecialBSParams(), NoiseConfig(), Qubit(1.0, 0.5), 400, 3)]
 
 #: "class.field" -> a call that takes one value for that field
 LIBRARY_FIELDS = {
@@ -219,6 +223,37 @@ def test_a_library_field_takes_a_bad_value_or_names_itself(field, value):
         LIBRARY_FIELDS[field](value)
     except ValueError as exc:
         assert names_a_key(str(exc), [field.split(".")[1]]), str(exc)
+
+
+@pytest.mark.parametrize("value", ["y", 3, None, CoincidenceRecord(1, 0, 2, 0, 10, 3)],
+                         ids=repr)
+@pytest.mark.parametrize("field", sorted(value_fields()))
+def test_a_field_that_holds_a_value_class_refuses_another_value(field, value):
+    # ExperimentConfig(..., noise="y") once built, and running it raised
+    # "'str' object has no attribute 'overlap_M'"
+    try:
+        LIBRARY_FIELDS[field](value)
+    except ValueError as exc:
+        assert str(exc).startswith(field.split(".")[1]), str(exc)
+    else:  # an optional field
+        assert value is None, field
+
+
+def detectors_call(method):
+    """A counting call, by ``method``, that takes its ``detectors`` argument."""
+    setup = CountingSetup(SpecialBSParams(), NoiseConfig(), Qubit.equatorial(0.0), 400, 3)
+    if method == "simulate_counts":
+        return lambda value: simulate_counts(setup.model, setup.noise, setup.input, 400, value, 3)
+    if method == "rescale":
+        return lambda value: balance_detectors(method, CoincidenceRecord(1, 0, 2, 0, 10, 3), value)
+    return lambda value: balance_detectors(method, setup, value)
+
+
+@pytest.mark.parametrize("value", ["y", None, NoiseConfig()], ids=repr)
+@pytest.mark.parametrize("method", ["simulate_counts", "rescale", "add_loss", "basis_swap"])
+def test_the_detectors_argument_refuses_another_value(method, value):
+    with pytest.raises(ValueError, match=r"^detectors must be a DetectorBank, got "):
+        detectors_call(method)(value)
 
 
 #: "class.field" of every field annotated float or float | None

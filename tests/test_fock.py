@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ideal_map import pure_state
+from pcclone import fock
 from pcclone.cloners import MachZehnderParams, SpecialBSParams, run_model
 from pcclone.fock import (
     Port,
@@ -314,9 +315,10 @@ def test_reduced_requires_two_qubit_state():
         TwoQubitState(np.eye(2) / 2.0).reduced(Port.OUT1)
 
 
-@pytest.mark.parametrize("which_port", [5, -1, "x", None, 0.5, "OUT1"])
+@pytest.mark.parametrize("which_port", [5, -1, "x", None, 0.5, "OUT1", True, np.True_, 1.0])
 def test_reduced_refuses_anything_but_the_two_ports(which_port):
-    # any value but Port.OUT1 once fell into clone 2's branch
+    # any value but Port.OUT1 once fell into clone 2's branch, and a bool or
+    # a float still passed for a port: Port is an IntEnum
     state = TwoQubitState(np.eye(4) / 4.0)
     with pytest.raises(ValueError, match=r"which_port must be Port\.OUT1 or OUT2, got "):
         state.reduced(which_port)
@@ -326,6 +328,18 @@ def test_reduced_refuses_anything_but_the_two_ports(which_port):
         assert np.array_equal(joint.reduced(value), joint.reduced(port))
     assert joint.reduced(Port.OUT1)[0, 0] == pytest.approx(1.0)
     assert joint.reduced(Port.OUT2)[0, 0] == pytest.approx(0.36)
+
+
+def test_a_state_holds_the_matrix_its_check_read(monkeypatch):
+    # a caller's matrix is cast to complex once, into the state's own array
+    read = []
+    monkeypatch.setattr(fock, "check_density", lambda m, name: read.append(m))
+    for rho in (np.eye(4) / 4.0, np.eye(4, dtype=complex) / 4.0, (np.eye(4) / 4.0).tolist()):
+        read.clear()
+        state = TwoQubitState(rho)
+        assert len(read) == 1 and read[0] is state.rho
+        assert state.rho is not rho and state.rho.dtype == complex
+        assert not state.rho.flags.writeable
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.25, math.nan)])

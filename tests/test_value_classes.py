@@ -4,14 +4,17 @@ A value class subclasses ``fock._Checked``: a frozen dataclass whose
 constructor runs its ``_checks`` table.  The one unchecked constructor is
 ``_Checked._trusted``; ``TwoQubitState`` overrides it only to mark its
 matrix read-only.  The device bases ``ClonerParams`` and ``_Splitter`` hold
-no field and are not dataclasses; their subclasses are the devices.  README's
-validation paragraph names every value class.
+no field and are not dataclasses; their subclasses are the devices.  A field
+that holds another value class is named in its class's ``_checks`` table.
+README's validation paragraph names every value class.
 """
 
 import ast
 import dataclasses
 import importlib
 import re
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +59,27 @@ def trusted_definitions() -> set[str]:
     return owners
 
 
+def value_classes_of(hint) -> set[type]:
+    """The value classes that a field annotation names: ``X``, ``X | None``,
+    ``Union[X, ...]``, each possibly ``Annotated``."""
+    if typing.get_origin(hint) is typing.Annotated:
+        hint = typing.get_args(hint)[0]
+    union = isinstance(hint, types.UnionType) or typing.get_origin(hint) is typing.Union
+    return {member for member in (typing.get_args(hint) if union else (hint,))
+            if isinstance(member, type) and issubclass(member, _Checked)}
+
+
+def value_fields() -> set[str]:
+    """``"Class.field"`` of every constructor field of a value class that holds
+    another value class (a device is a ``ClonerParams``)."""
+    found = set()
+    for cls in checked_classes() - DEVICE_BASES:
+        hints = typing.get_type_hints(cls, include_extras=True)
+        found.update(f"{cls.__name__}.{field.name}" for field in dataclasses.fields(cls)
+                     if field.init and value_classes_of(hints[field.name]))
+    return found
+
+
 def validation_paragraph() -> str:
     """README's paragraph on where and how values are checked."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -98,3 +122,19 @@ def test_readme_names_every_value_class():
     named = set(re.findall(r"`(\w+)`", paragraph))
     public = {cls.__name__ for cls in checked_classes() if not cls.__name__.startswith("_")}
     assert public - named == set()
+
+
+def test_the_fields_that_hold_value_classes_are_found():
+    assert {"ExperimentConfig.model", "ExperimentConfig.noise", "ExperimentConfig.counting",
+            "ExperimentConfig.output", "CountingSetup.model", "CountingSetup.noise",
+            "CountingSetup.input", "CountingOptions.detectors",
+            "CompareConfig.output"} <= value_fields()
+
+
+def test_every_field_that_holds_a_value_class_is_checked():
+    # such a field once took any object, which failed later with an AttributeError
+    classes = {cls.__name__: cls for cls in checked_classes()}
+    unchecked = {name for name in value_fields()
+                 if not any(name.split(".")[1] in entry[1:]
+                            for entry in classes[name.split(".")[0]]._checks)}
+    assert unchecked == set()
